@@ -70,7 +70,6 @@ Status MalleusEngine::Initialize(int64_t global_batch) {
   MALLEUS_RETURN_NOT_OK(
       GatePlanDiagnostics(initial->diagnostics, "initial plan"));
   MALLEUS_RETURN_NOT_OK(executor_.Install(std::move(initial->plan)));
-  pinned_dp_ = executor_.current_plan().dp_degree();
   profiler_->AcknowledgeShift();
   initialized_ = true;
   return Status::OK();
@@ -88,7 +87,6 @@ Status MalleusEngine::InitializeWithPlan(plan::ParallelPlan p) {
   MALLEUS_RETURN_NOT_OK(
       GatePlanDiagnostics(diagnostics, "user-provided plan"));
   MALLEUS_RETURN_NOT_OK(executor_.Install(std::move(p)));
-  pinned_dp_ = executor_.current_plan().dp_degree();
   profiler_->AcknowledgeShift();
   initialized_ = true;
   return Status::OK();
@@ -107,19 +105,11 @@ std::vector<topo::GpuId> MalleusEngine::InactiveGpus() const {
 }
 
 Result<PlanResult> MalleusEngine::Replan() {
+  // Keep the installed plan's DP degree (paper footnote 2).
   PlannerOptions opts = options_.planner;
-  if (options_.keep_dp_degree && pinned_dp_ > 0) {
-    opts.dp_degree = pinned_dp_;
-  }
+  opts.dp_degree = executor_.current_plan().dp_degree();
   Result<PlanResult> planned =
-      planner_.Plan(profiler_->Estimated(), global_batch_, opts);
-  if (!planned.ok() && options_.keep_dp_degree) {
-    // The pinned DP degree can become infeasible (e.g. too few live
-    // groups); fall back to re-choosing it.
-    opts.dp_degree = 0;
-    planned = planner_.Plan(profiler_->Estimated(), global_batch_, opts);
-    if (planned.ok()) pinned_dp_ = planned->plan.dp_degree();
-  }
+      planner_.Replan(profiler_->Estimated(), global_batch_, opts);
   if (planned.ok()) {
     // A refused plan surfaces as a planning failure: the caller keeps
     // training on the current plan (Step) or aborts recovery.

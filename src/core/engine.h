@@ -32,8 +32,6 @@ struct EngineOptions {
   ProfilerOptions profiler;
   sim::SimOptions sim;
   sim::RestartCostConfig restart_cost;
-  /// Keep the DP degree fixed after initialization (paper footnote 2).
-  bool keep_dp_degree = true;
   /// When >= 0, StepReport::planning_seconds uses this fixed value instead
   /// of the planner's measured wall time. Measured time is the honest
   /// overlap model (S5.3) but makes step reports -- and thus trace/JSONL
@@ -99,7 +97,8 @@ class MalleusEngine {
   /// Devices not participating in training under the current plan.
   std::vector<topo::GpuId> InactiveGpus() const;
 
-  /// Runs the planner on the profiler's estimated situation.
+  /// Re-plans the profiler's estimated situation through
+  /// Planner::Replan, keeping the installed plan's DP degree when feasible.
   Result<PlanResult> Replan();
 
   /// Measured planner wall time, or the configured deterministic override.
@@ -120,7 +119,6 @@ class MalleusEngine {
   std::unique_ptr<Profiler> profiler_;
   Rng rng_;
   int64_t global_batch_ = 0;
-  int pinned_dp_ = 0;
   bool initialized_ = false;
 };
 

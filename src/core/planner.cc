@@ -342,7 +342,6 @@ Result<PlanResult> Planner::Plan(const straggler::Situation& situation,
   PlanResult best;
   best.estimated_seconds = std::numeric_limits<double>::infinity();
   best.estimated_full_seconds = std::numeric_limits<double>::infinity();
-  size_t best_index = 0;
   Status last_error = Status::Infeasible("no candidate plan succeeded");
   for (size_t e = 0; e < entries.size(); ++e) {
     if (!entries[e].grouping.ok()) {
@@ -364,12 +363,10 @@ Result<PlanResult> Planner::Plan(const straggler::Situation& situation,
         best.estimated_seconds = out.est_simplified;
         best.estimated_full_seconds = out.est_full;
         best.chosen_tp = candidates[i].tp;
-        best_index = i;
         found = true;
       }
     }
   }
-  (void)best_index;
 
   timings.total_seconds = Elapsed(t_total);
 
@@ -409,6 +406,21 @@ Result<PlanResult> Planner::Plan(const straggler::Situation& situation,
   lint::RecordDiagnosticMetrics(best.diagnostics);
 
   return best;
+}
+
+Result<PlanResult> Planner::Replan(const straggler::Situation& situation,
+                                   int64_t global_batch,
+                                   const PlannerOptions& options) const {
+  Result<PlanResult> planned = Plan(situation, global_batch, options);
+  if (planned.ok() || options.dp_degree <= 0) return planned;
+  // Capacity loss can leave too few groups for the pinned degree; the
+  // planner's own DP search picks the new one.
+  obs::MetricsRegistry::Current()
+      .GetCounter("planner.replan_fallbacks")
+      ->Increment();
+  PlannerOptions unpinned = options;
+  unpinned.dp_degree = 0;
+  return Plan(situation, global_batch, unpinned);
 }
 
 }  // namespace core

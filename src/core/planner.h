@@ -40,9 +40,10 @@ namespace malleus {
 namespace core {
 
 struct PlannerOptions {
-  /// Number of pipelines. 0 enumerates candidates (footnote 2 of the paper:
-  /// the DP degree is normally maintained across re-planning because model
-  /// state memory depends on it; pass the current value when re-planning).
+  /// Number of pipelines. 0 enumerates candidates. Plan() treats a positive
+  /// value as a hard pin; Replan() treats it as the degree to keep (footnote
+  /// 2 of the paper: model state memory depends on it) and falls back to
+  /// the unpinned search when it is infeasible.
   int dp_degree = 0;
   /// Micro-batch sizes b in [1, max_micro_batch] dividing B are enumerated.
   int max_micro_batch = 4;
@@ -124,6 +125,14 @@ class Planner {
                           int64_t global_batch,
                           const PlannerOptions& options = PlannerOptions())
       const;
+
+  /// The one online re-plan rule (engine, policy and serve): Plan() with
+  /// `options.dp_degree` pinned; when that fails, Plan() again with the
+  /// degree unpinned, counted in `planner.replan_fallbacks`. With
+  /// dp_degree == 0 this is exactly Plan().
+  Result<PlanResult> Replan(const straggler::Situation& situation,
+                            int64_t global_batch,
+                            const PlannerOptions& options) const;
 
   /// The planner's memo of division/layer solves (valid for this planner's
   /// cost model only). Exposed for tests and cache-management callers.

@@ -24,29 +24,6 @@ bool Drained(double remaining, double original) {
 
 }  // namespace
 
-FlowSimMode DefaultFlowSimMode() {
-  static const FlowSimMode cached = [] {
-    FlowSimMode mode = FlowSimMode::kIncremental;
-    if (const char* env = std::getenv("MALLEUS_FLOWSIM");
-        env != nullptr && *env != '\0') {
-      const std::string name(env);
-      if (name == "legacy") {
-        mode = FlowSimMode::kLegacy;
-      } else if (name == "incremental") {
-        mode = FlowSimMode::kIncremental;
-      } else {
-        MALLEUS_LOG(Warning) << "ignoring MALLEUS_FLOWSIM=" << name
-                             << " (expected incremental or legacy)";
-      }
-    }
-    return mode;
-  }();
-  return cached;
-}
-
-FlowSim::FlowSim(const Fabric& fabric)
-    : FlowSim(fabric, DefaultFlowSimMode()) {}
-
 FlowSim::FlowSim(const Fabric& fabric, FlowSimMode mode)
     : fabric_(&fabric), mode_(mode), link_usage_(fabric.num_links()) {}
 

@@ -60,28 +60,25 @@ struct LinkUsage {
   double peak_utilization = 0.0;  ///< Max over time of rate-sum/capacity.
 };
 
-/// Which Run() engine to use. Both produce bit-identical results; kLegacy
-/// is the seed's from-scratch O(events x links x flows) water-filling, kept
-/// as the reference implementation for the testkit differential oracle.
-/// kIncremental re-shares only the connected component of links whose
-/// active-flow set changed and pulls arrivals from an indexed event queue.
+/// Which Run() engine to use. Both produce bit-identical results;
+/// kIncremental, the default, re-shares only the connected component of
+/// links whose active-flow set changed and pulls arrivals from an indexed
+/// event queue. kLegacy is the seed's from-scratch O(events x links x
+/// flows) water-filling, kept as the reference implementation that the
+/// testkit differential oracle, net_test and bench_planner_scaling
+/// construct explicitly.
 enum class FlowSimMode {
   kIncremental,
   kLegacy,
 };
-
-/// The process-wide default: the MALLEUS_FLOWSIM environment variable
-/// ("incremental" / "legacy") when set and valid, otherwise kIncremental.
-/// Read once and cached for the process lifetime.
-FlowSimMode DefaultFlowSimMode();
 
 /// \brief Runs a set of concurrent flows to completion under progressive
 /// max–min fair sharing. Submit all flows, call Run() once, then read the
 /// outcomes. The Fabric must outlive the simulator.
 class FlowSim {
  public:
-  explicit FlowSim(const Fabric& fabric);
-  FlowSim(const Fabric& fabric, FlowSimMode mode);
+  explicit FlowSim(const Fabric& fabric,
+                   FlowSimMode mode = FlowSimMode::kIncremental);
 
   /// Registers a flow; returns its index (also the index into outcomes()).
   /// Must not be called after Run().

@@ -33,34 +33,6 @@ bool UsesFailedGpu(const plan::ParallelPlan& p,
   return false;
 }
 
-// Plans with the DP degree pinned (paper footnote 2). When capacity loss
-// makes the pinned degree infeasible the ladder walks the degree down one
-// pinned solve at a time — never an unpinned sweep: under mixed-rate
-// situations with failures the planner's unpinned DP search is
-// combinatorially explosive at 64+ GPUs (minutes per call), while every
-// pinned solve stays in the milliseconds. Deterministic by construction
-// (fixed descent order, first feasible degree wins).
-Result<core::PlanResult> PlanFor(const core::Planner& planner,
-                                 const straggler::Situation& situation,
-                                 int64_t global_batch,
-                                 core::PlannerOptions opts, int pinned_dp,
-                                 int island_nodes) {
-  opts.island_nodes = island_nodes;
-  if (pinned_dp <= 0) {
-    // Only the initial plan solves unpinned (its situation is the caller's
-    // starting overlay, the same one the planner oracles already sweep).
-    return planner.Plan(situation, global_batch, opts);
-  }
-  opts.dp_degree = pinned_dp;
-  Result<core::PlanResult> planned =
-      planner.Plan(situation, global_batch, opts);
-  for (int dp = pinned_dp - 1; !planned.ok() && dp >= 1; --dp) {
-    opts.dp_degree = dp;
-    planned = planner.Plan(situation, global_batch, opts);
-  }
-  return planned;
-}
-
 // The standby-promotion candidate: swap the worst degraded active GPU with
 // the lowest-id healthy inactive GPU on the same node (TP groups are
 // intra-node, so the swap preserves every structural invariant except
@@ -154,14 +126,12 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
     if (degraded) initial_opts.island_nodes = cluster.num_nodes() / 2;
   }
   Result<core::PlanResult> initial_plan =
-      PlanFor(planner, initial, global_batch, initial_opts,
-              initial_opts.dp_degree, initial_opts.island_nodes);
+      planner.Replan(initial, global_batch, initial_opts);
   if (!initial_plan.ok()) {
     return Status(initial_plan.status().code(),
                   "no initial plan: " + initial_plan.status().message());
   }
   plan::ParallelPlan current = std::move(initial_plan->plan);
-  int pinned_dp = current.dp_degree();
 
   // Noise-free simulation makes segment step times exact, memoizable and
   // byte-reproducible; the trace recorder stays off (the run log is the
@@ -225,6 +195,15 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
   seen_situations.insert(SitSignature(initial));
   const PolicyCostConfig& costs = options.costs;
 
+  // Re-plans keep the current plan's DP degree (paper footnote 2) and fall
+  // back to the planner's own DP search when capacity loss rules it out.
+  const auto replan_on_islands = [&](int island_nodes) {
+    core::PlannerOptions opts = options.planner;
+    opts.dp_degree = current.dp_degree();
+    opts.island_nodes = island_nodes;
+    return planner.Replan(situation, global_batch, opts);
+  };
+
   for (const ClusterEvent& event : trace.events) {
     if (!run_segment(event.iteration)) break;
     ApplyEvent(cluster, event, &situation);
@@ -265,9 +244,7 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
     const int nodes = cluster.num_nodes();
     if (nodes >= 4 && nodes % 2 == 0) {
       const int delta_island = nodes >= 8 ? nodes / 4 : nodes / 2;
-      Result<core::PlanResult> planned =
-          PlanFor(planner, situation, global_batch, options.planner,
-                  pinned_dp, delta_island);
+      Result<core::PlanResult> planned = replan_on_islands(delta_island);
       if (planned.ok() && !UsesFailedGpu(planned->plan, situation)) {
         Result<double> step = step_seconds_of(planned->plan, situation);
         if (step.ok()) {
@@ -290,9 +267,7 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
     // restart reuses this plan but pays checkpoint I/O + framework
     // re-init instead of migration.
     const int replan_island = nodes <= 4 ? -1 : nodes / 2;
-    Result<core::PlanResult> replanned =
-        PlanFor(planner, situation, global_batch, options.planner, pinned_dp,
-                replan_island);
+    Result<core::PlanResult> replanned = replan_on_islands(replan_island);
     if (replanned.ok() && !UsesFailedGpu(replanned->plan, situation)) {
       Result<double> step = step_seconds_of(replanned->plan, situation);
       if (step.ok()) {
@@ -353,7 +328,6 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
         candidates[a].Signature() != current.Signature();
     if (action != PolicyAction::kTolerate) {
       current = std::move(candidates[a]);
-      pinned_dp = current.dp_degree();
     }
 
     core::StepReport transition;

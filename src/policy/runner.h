@@ -54,11 +54,10 @@ struct PolicyCostConfig {
 
 struct DynamicRunOptions {
   PolicyCostConfig costs;
-  /// Planner knobs; dp_degree is managed by the runner (pinned to the
-  /// initial plan per the paper's footnote 2; when capacity loss makes the
-  /// pinned degree infeasible, a deterministic ladder walks the degree
-  /// down one pinned solve at a time — never an unpinned sweep, which is
-  /// combinatorially explosive under mixed-rate situations at scale).
+  /// Planner knobs. dp_degree applies to the initial plan only; every
+  /// later re-plan keeps the current plan's DP degree through
+  /// core::Planner::Replan (paper footnote 2), which falls back to the
+  /// planner's own DP search when capacity loss makes it infeasible.
   core::PlannerOptions planner;
   /// Simulator knobs; timing noise is forced to 0 so segment step times
   /// are exact and memoizable.

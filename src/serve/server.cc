@@ -455,8 +455,9 @@ Result<std::string> Server::HandlePlan(const JsonValue& params, bool replan) {
   const Session::LastPlan previous = session->last_plan();
   if (replan) {
     // Footnote 2 of the paper: re-planning keeps the DP degree (model
-    // state memory depends on it). Pin it from the prior plan, or from an
-    // explicit 'dp' when a restarted client re-plans into a fresh session.
+    // state memory depends on it). Keep the prior plan's, or an explicit
+    // 'dp' when a restarted client re-plans into a fresh session; when it
+    // is infeasible, Replan answers with the planner's own choice.
     MALLEUS_ASSIGN_OR_RETURN(int64_t dp, OptionalInt(params, "dp", 0));
     if (dp < 0) return Status::InvalidArgument("param 'dp' must be >= 1");
     if (dp == 0) {
@@ -470,8 +471,9 @@ Result<std::string> Server::HandlePlan(const JsonValue& params, bool replan) {
     popts.dp_degree = static_cast<int>(dp);
   }
 
+  // 'plan' leaves dp_degree at 0, for which Replan is exactly Plan.
   MALLEUS_ASSIGN_OR_RETURN(core::PlanResult result,
-                           session->planner().Plan(situation, batch, popts));
+                           session->planner().Replan(situation, batch, popts));
   const std::string signature = result.plan.Signature();
   const bool plan_changed = !previous.valid || signature != previous.signature;
   session->set_last_plan(result.plan);
@@ -599,20 +601,15 @@ void Server::FoldRequestMetrics(obs::MetricsRegistry* request_metrics) {
   // Fold the request's planner activity into the serve.* aggregates. The
   // scoped registry creates these counters lazily, so absent series read
   // as zero.
-  const double solves =
-      request_metrics->GetCounter("planner.solves")->Value();
-  const double hits =
-      request_metrics->GetCounter("planner.cache_hits")->Value();
-  const double misses =
-      request_metrics->GetCounter("planner.cache_misses")->Value();
-  if (solves > 0) {
-    metrics_.GetCounter("serve.planner_solves")->Increment(solves);
-  }
-  if (hits > 0) {
-    metrics_.GetCounter("serve.planner_cache_hits")->Increment(hits);
-  }
-  if (misses > 0) {
-    metrics_.GetCounter("serve.planner_cache_misses")->Increment(misses);
+  static constexpr const char* kFolded[][2] = {
+      {"planner.solves", "serve.planner_solves"},
+      {"planner.cache_hits", "serve.planner_cache_hits"},
+      {"planner.cache_misses", "serve.planner_cache_misses"},
+      {"planner.replan_fallbacks", "serve.planner_replan_fallbacks"},
+  };
+  for (const auto& [from, to] : kFolded) {
+    const double value = request_metrics->GetCounter(from)->Value();
+    if (value > 0) metrics_.GetCounter(to)->Increment(value);
   }
 }
 

@@ -177,6 +177,30 @@ OracleOutcome RunOracles(const scenario::ScenarioSpec& spec,
   const plan::ParallelPlan& p = base->plan;
   const int dp = p.dp_degree();
 
+  // ----- differential.replan-fallback ------------------------------------
+  //
+  // Planner::Replan keeps a feasible pinned degree and otherwise falls
+  // back to the unpinned search: pinned to the chosen plan's own DP it
+  // must return that plan (the pinned sweep is the unpinned one restricted
+  // to that degree, in the same enumeration order), and pinned above any
+  // possible group count it must return the unpinned plan.
+  {
+    ctx.Ran("differential.replan-fallback");
+    const std::pair<const char*, int> pins[] = {
+        {"pinned to the chosen dp", dp},
+        {"pinned above the group count", cluster.num_gpus() + 1},
+    };
+    for (const auto& [label, pinned_dp] : pins) {
+      core::PlannerOptions pinned_opts = serial_opts;
+      pinned_opts.dp_degree = pinned_dp;
+      const Result<core::PlanResult> replanned =
+          planner.Replan(situation, spec.batch, pinned_opts);
+      const std::string diff =
+          DiffPlanResults("unpinned", base, label, replanned);
+      if (!diff.empty()) ctx.Violate("differential.replan-fallback", diff);
+    }
+  }
+
   // ----- differential.net-model -----------------------------------------
   //
   // The flow model only ever ADDS contention to the analytic closed form,

@@ -18,6 +18,10 @@
 //                                    the legacy from-scratch engine bitwise
 //                                    (outcomes, makespan, link usage) on
 //                                    the plan's grad-sync lowering
+//     differential.replan-fallback   Planner::Replan pinned to the chosen
+//                                    plan's DP returns that plan; pinned
+//                                    above the group count it falls back
+//                                    to the unpinned plan
 //
 //   metamorphic — a known input transformation with a known output bound:
 //     metamorphic.straggler-monotone-plan    worsening one GPU's rate never

@@ -9,6 +9,7 @@
 #include "core/engine.h"
 #include "core/executor.h"
 #include "core/planner.h"
+#include "obs/metrics.h"
 
 namespace malleus {
 namespace core {
@@ -95,6 +96,7 @@ TEST_F(EngineTest, HealthySteadyStateDoesNotReplan) {
 TEST_F(EngineTest, DetectsStragglerAndAdapts) {
   MalleusEngine engine(cluster_, cost_);
   ASSERT_TRUE(engine.Initialize(64).ok());
+  const int initial_dp = engine.current_plan().dp_degree();
   straggler::Situation healthy(cluster_.num_gpus());
   double base = 0.0;
   for (int i = 0; i < 3; ++i) base = engine.Step(healthy)->step_seconds;
@@ -111,10 +113,48 @@ TEST_F(EngineTest, DetectsStragglerAndAdapts) {
   for (int i = 0; i < 3; ++i) adapted = engine.Step(s)->step_seconds;
   EXPECT_LT(adapted, 1.6 * base);
   // Adapted plan keeps the DP degree (footnote 2).
-  EXPECT_EQ(engine.current_plan().dp_degree(),
-            engine.profiler().Estimated().num_gpus() > 0
-                ? engine.current_plan().dp_degree()
-                : 0);
+  EXPECT_EQ(engine.current_plan().dp_degree(), initial_dp);
+}
+
+TEST_F(EngineTest, NodeLossFallsBackToTheUnpinnedDpThenPinsIt) {
+  obs::MetricsRegistry metrics;
+  obs::MetricsScope scope(&metrics);
+  MalleusEngine engine(cluster_, cost_);
+  ASSERT_TRUE(engine.Initialize(64).ok());
+  const int initial_dp = engine.current_plan().dp_degree();
+
+  // Two whole nodes die: the initial DP degree no longer fits, so the
+  // recovery re-plan falls back to the planner's own DP search.
+  straggler::Situation failed(cluster_.num_gpus());
+  for (int node : {2, 3}) {
+    for (topo::GpuId g : cluster_.GpusOnNode(node)) failed.Fail(g);
+  }
+  Result<StepReport> recovered = engine.Step(failed);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_TRUE(recovered->replanned);
+  EXPECT_GT(metrics.GetCounter("planner.replan_fallbacks")->Value(), 0.0);
+  const int new_dp = engine.current_plan().dp_degree();
+  EXPECT_NE(new_dp, initial_dp);
+  Result<PlanResult> unpinned =
+      Planner(cluster_, cost_).Plan(engine.profiler().Estimated(), 64);
+  ASSERT_TRUE(unpinned.ok()) << unpinned.status();
+  EXPECT_EQ(new_dp, unpinned->plan.dp_degree());
+
+  // The next straggler re-plan pins the new degree without falling back.
+  const double fallbacks =
+      metrics.GetCounter("planner.replan_fallbacks")->Value();
+  straggler::Situation slow = failed;
+  slow.SetLevel(0, 3);
+  bool replanned = false;
+  for (int i = 0; i < 3 && !replanned; ++i) {
+    Result<StepReport> r = engine.Step(slow);
+    ASSERT_TRUE(r.ok()) << r.status();
+    replanned = r->replanned;
+  }
+  EXPECT_TRUE(replanned);
+  EXPECT_EQ(engine.current_plan().dp_degree(), new_dp);
+  EXPECT_EQ(metrics.GetCounter("planner.replan_fallbacks")->Value(),
+            fallbacks);
 }
 
 TEST_F(EngineTest, PlanningOverlappedWithTraining) {

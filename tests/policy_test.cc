@@ -1,14 +1,18 @@
 // Tests for malleus::policy: event-trace generation determinism, the
 // five-action cost model, the adaptive selector's optimality bound, the
 // dynamic run loop's goodput accounting, run-log byte-reproducibility,
-// and the restart-after-failure pricing the policy engine relies on.
+// the re-plan fallback after node loss, and the restart-after-failure
+// pricing the policy engine relies on.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 
+#include "core/planner.h"
 #include "core/run_log.h"
+#include "obs/metrics.h"
 #include "policy/events.h"
 #include "policy/policy.h"
 #include "policy/runner.h"
@@ -260,6 +264,53 @@ TEST_F(PolicyTest, FixedSelectorsFallBackWhenInfeasible) {
   ASSERT_TRUE(tolerate.ok());
   EXPECT_EQ((*tolerate)->Select(estimates, event, 50.0),
             PolicyAction::kTolerate);
+}
+
+TEST_F(PolicyTest, NodeLossFallsBackToTheUnpinnedPlan) {
+  // 8x8 starts at DP 8. Losing three whole nodes leaves too few groups for
+  // 8 pipelines: the re-plan keeps no pinned degree and adopts the plan of
+  // the planner's own DP search (DP 4 here), not a degree walked down one
+  // pinned solve at a time (DP 6).
+  const topo::ClusterSpec cluster = topo::ClusterSpec::A800Cluster(8);
+  EventTrace trace;
+  trace.iterations = 40;
+  for (topo::NodeId node : {4, 5, 6}) {
+    ClusterEvent fail;
+    fail.iteration = 20;
+    fail.kind = EventKind::kNodeFail;
+    fail.node = node;
+    trace.events.push_back(fail);
+  }
+  straggler::Situation after(cluster.num_gpus());
+  for (const ClusterEvent& event : trace.events) {
+    ApplyEvent(cluster, event, &after);
+  }
+  // The runner's island sizes on 8 nodes: delta re-plans through 2-node
+  // islands, full re-plans through half-cluster ones.
+  for (const auto& [name, island_nodes] :
+       {std::pair<std::string, int>{"delta", 2}, {"replan", 4}}) {
+    obs::MetricsRegistry metrics;
+    obs::MetricsScope scope(&metrics);
+    Result<std::unique_ptr<PolicySelector>> selector = MakeSelector(name);
+    MALLEUS_CHECK_OK(selector.status());
+    Result<DynamicRunResult> result =
+        RunDynamic(cluster, cost_, straggler::Situation(cluster.num_gpus()),
+                   trace, 64, **selector, RunOptions());
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    ASSERT_TRUE(result->stop_reason.empty()) << name;
+    ASSERT_EQ(result->audits.size(), 3u) << name;
+    EXPECT_GT(metrics.GetCounter("planner.replan_fallbacks")->Value(), 0.0)
+        << name;
+
+    core::PlannerOptions unpinned;
+    unpinned.island_nodes = island_nodes;
+    Result<core::PlanResult> expected =
+        core::Planner(cluster, cost_).Plan(after, 64, unpinned);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    EXPECT_EQ(result->audits.back().plan_signature,
+              expected->plan.Signature())
+        << name;
+  }
 }
 
 TEST_F(PolicyTest, RestartPricingUsesFailurePathAfterFailures) {

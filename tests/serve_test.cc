@@ -212,6 +212,33 @@ TEST(ServerTest, RegisterPlanReplanFlow) {
   MALLEUS_CHECK_OK(server.Shutdown());
 }
 
+TEST(ServerTest, ReplanFallsBackWhenThePinnedDpIsInfeasible) {
+  Server server(SmallOptions());
+  MALLEUS_CHECK_OK(server.Start());
+  EXPECT_EQ(ErrorCodeOf(server.Handle(kRegisterLine)), "");
+  // No 8-GPU cluster fits 99 pipelines: replan answers with the planner's
+  // own DP choice, the same plan an unpinned 'plan' returns.
+  const std::string replan = server.Handle(
+      "{\"v\":1,\"id\":3,\"method\":\"replan\","
+      "\"params\":{\"cluster\":\"c1\",\"situation\":\"s1\",\"dp\":99}}");
+  EXPECT_EQ(ErrorCodeOf(replan), "");
+  const std::string plan = server.Handle(kPlanLine);
+  Result<JsonValue> rdoc = JsonValue::Parse(replan);
+  Result<JsonValue> pdoc = JsonValue::Parse(plan);
+  MALLEUS_CHECK_OK(rdoc.status());
+  MALLEUS_CHECK_OK(pdoc.status());
+  const JsonValue* replanned = rdoc->Find("result");
+  ASSERT_NE(replanned, nullptr) << replan;
+  EXPECT_EQ(replanned->Find("dp")->Int64(),
+            pdoc->Find("result")->Find("dp")->Int64());
+  EXPECT_EQ(replanned->Find("signature")->string_value(),
+            pdoc->Find("result")->Find("signature")->string_value());
+  EXPECT_GT(
+      server.metrics().GetCounter("serve.planner_replan_fallbacks")->Value(),
+      0.0);
+  MALLEUS_CHECK_OK(server.Shutdown());
+}
+
 TEST(ServerTest, TypedErrorResponses) {
   Server server(SmallOptions());
   MALLEUS_CHECK_OK(server.Start());

@@ -78,6 +78,7 @@ TEST(OracleTest, CleanScenarioRunsEveryOracleWithoutViolations) {
       "differential.solve-cache",
       "differential.net-model",
       "differential.validate-lint",
+      "differential.replan-fallback",
       "metamorphic.straggler-monotone-plan",
       "metamorphic.straggler-monotone-replan",
       "metamorphic.standby-monotone",

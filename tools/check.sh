@@ -35,7 +35,8 @@
 #                              #   ASan/UBSan, then serve_test under TSan
 #                              #   with 4 workers/planner threads
 #   tools/check.sh --policy    # the online fault-tolerance policy engine:
-#                              #   policy_test under ASan/UBSan, a seeded
+#                              #   policy_test + engine_test under
+#                              #   ASan/UBSan, a seeded
 #                              #   --dynamic fuzz budget, the checked-in
 #                              #   dynamic corpus replays and the
 #                              #   golden_dynamic snapshot comparison
@@ -312,13 +313,16 @@ fi
 if [[ "$MODE" == "policy" ]]; then
   # The policy engine's hardening sweep, all in the instrumented build:
   # the property tests (trace determinism, the adaptive cost bound, engine
-  # validity, byte-identical replay), a short seeded --dynamic fuzz budget
+  # validity, byte-identical replay), engine_test (the engine shares the
+  # Planner::Replan fallback rule), a short seeded --dynamic fuzz budget
   # driving the dynamic.* oracles on generated scenarios, every checked-in
   # dynamic corpus replay, and the per-selector golden snapshot.
   cmake --build "$BUILD_DIR" -j"$(nproc)" \
-    --target policy_test malleus_fuzz malleus_golden
+    --target policy_test engine_test malleus_fuzz malleus_golden
   echo "== policy_test (ASan/UBSan) =="
   "$BUILD_DIR/tests/policy_test"
+  echo "== engine_test (ASan/UBSan) =="
+  "$BUILD_DIR/tests/engine_test"
   out_dir="$BUILD_DIR/fuzz-out"
   mkdir -p "$out_dir"
   echo "== malleus_fuzz --seed=$FUZZ_SEED --runs=15 --dynamic (sanitized) =="
