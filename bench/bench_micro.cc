@@ -11,15 +11,15 @@
 #include "core/planner.h"
 #include "sim/pipeline_sim.h"
 #include "solver/division.h"
-#include "solver/ilp.h"
-#include "solver/lp.h"
 #include "solver/minmax.h"
+#include "testkit/ilp.h"
+#include "testkit/lp.h"
 
 namespace malleus {
 namespace {
 
 void BM_SolveLp(benchmark::State& state) {
-  solver::LinearProgram lp = solver::LinearProgram::Create(8);
+  testkit::LinearProgram lp = testkit::LinearProgram::Create(8);
   Rng rng(1);
   for (int j = 0; j < 8; ++j) lp.objective[j] = rng.Uniform(-1, 1);
   for (int c = 0; c < 6; ++c) {
@@ -29,13 +29,13 @@ void BM_SolveLp(benchmark::State& state) {
   }
   lp.upper_bounds.assign(8, 3.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver::SolveLp(lp));
+    benchmark::DoNotOptimize(testkit::SolveLp(lp));
   }
 }
 BENCHMARK(BM_SolveLp);
 
 void BM_SolveIlp(benchmark::State& state) {
-  solver::IntegerProgram ip = solver::IntegerProgram::Create(6);
+  testkit::IntegerProgram ip = testkit::IntegerProgram::Create(6);
   Rng rng(2);
   for (int j = 0; j < 6; ++j) ip.lp.objective[j] = -rng.Uniform(1, 5);
   std::vector<double> row(6);
@@ -43,7 +43,7 @@ void BM_SolveIlp(benchmark::State& state) {
   ip.lp.AddLessEqual(std::move(row), 10.0);
   ip.lp.upper_bounds.assign(6, 4.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver::SolveIlp(ip));
+    benchmark::DoNotOptimize(testkit::SolveIlp(ip));
   }
 }
 BENCHMARK(BM_SolveIlp);

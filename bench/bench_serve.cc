@@ -25,15 +25,15 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "common/table.h"
-#include "bench_util.h"
 #include "serve/json.h"
 #include "serve/server.h"
 
@@ -122,16 +122,15 @@ LoadResult RunLoad(serve::Server* server, const std::string& line,
 int Main(int argc, char** argv) {
   int threads = 4;
   int requests = 2000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::max(1, std::atoi(argv[i] + 10));
-    } else if (std::strncmp(argv[i], "--requests=", 11) == 0) {
-      requests = std::max(threads, std::atoi(argv[i] + 11));
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 2;
-    }
-  }
+  FlagTable flags("bench_serve");
+  flags.Define("threads", &threads, "N",
+               "server workers and load clients (default 4, at least 1)");
+  flags.Define("requests", &requests, "N",
+               "warm re-plan requests per load run (default 2000, at\n"
+               "least --threads)");
+  if (!flags.ParseOrUsage(argc, argv)) return 2;
+  threads = std::max(1, threads);
+  requests = std::max(threads, requests);
 
   const std::string cache_path =
       StrFormat("%s/bench_serve.cache",

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/baseline.h"
@@ -101,11 +102,15 @@ inline double GeoMean(const std::vector<double>& values) {
 /// Writes a bench's machine-readable result JSON to BENCH_<name>.json in
 /// the working directory (or under $MALLEUS_BENCH_OUT_DIR when set), so
 /// harness runs leave a stable artifact next to the binary output.
+/// `json` must be a non-empty object; the host's core count and the
+/// build's git commit (MALLEUS_BENCH_COMMIT, set by bench/CMakeLists.txt)
+/// are prepended to its members as "host_nproc" and "commit".
 /// The benches printf-format their numbers; a NaN/Inf slipping through
 /// (e.g. a 0/0 improvement ratio on a failed baseline) would make the
 /// whole artifact unparsable, so non-finite number tokens are rewritten
 /// to `null` before the file is written.
 inline void WriteBenchJson(const char* bench_name, const std::string& json) {
+  MALLEUS_CHECK(json.size() > 2 && json[0] == '{' && json[1] != '}');
   std::string path;
   if (const char* dir = std::getenv("MALLEUS_BENCH_OUT_DIR");
       dir != nullptr && *dir != '\0') {
@@ -117,7 +122,11 @@ inline void WriteBenchJson(const char* bench_name, const std::string& json) {
     std::fprintf(stderr, "cannot write bench result to %s\n", path.c_str());
     return;
   }
-  const std::string sane = JsonSanitizeNonFinite(json);
+  const std::string sane = JsonSanitizeNonFinite(
+      StrFormat("{\"host_nproc\":%u,\"commit\":%s,",
+                std::thread::hardware_concurrency(),
+                JsonQuote(MALLEUS_BENCH_COMMIT).c_str()) +
+      json.substr(1));
   std::fwrite(sane.data(), 1, sane.size(), f);
   std::fclose(f);
   std::printf("\nwrote %s\n", path.c_str());

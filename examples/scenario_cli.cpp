@@ -4,58 +4,16 @@
 //   $ ./examples/scenario_cli --model=70b --nodes=8 --steps=6
 //         --trace=normal,s1,s4,normal --baselines
 //
-// Flags:
-//   --scenario=FILE             load model/cluster/trace/stragglers from a
-//                               scenario file (see src/scenario/scenario.h);
-//                               later flags override individual fields
-//   --lint[=text|json|sarif]    lint the --scenario file (malleus::lint's
-//                               full pass stack, including the planner's
-//                               plan and the flow-conservation audit) and
-//                               exit: 0 clean, 1 error-level findings
-//   --model=32b|70b|110b|tiny   model to train          (default 32b)
-//   --nodes=N                   8-GPU nodes             (default 4)
-//   --batch=B                   global batch size       (default 64)
-//   --steps=K                   steps per trace phase   (default 6)
-//   --trace=p1,p2,...           phases: normal,s1..s6   (default full trace)
-//   --seed=S                    simulator seed          (default 42)
-//   --net-model=analytic|flow   comm pricing: isolated closed forms, or the
-//                               contention-aware flow-level fabric simulator
-//                               (default: build/env default, see net/fabric.h)
-//   --planner-threads=N         worker threads for the planner's candidate
-//                               sweep; 0 = MALLEUS_PLANNER_THREADS env or
-//                               hardware concurrency (default 0). The chosen
-//                               plan is identical at every thread count.
-//   --baselines                 also run Megatron/DeepSpeed for comparison
-//   --dynamic                   run the scenario's `dynamic = {...}` block
-//                               through the online fault-tolerance policy
-//                               engine (malleus::policy) instead of the
-//                               phase trace; uses the block's defaults when
-//                               the scenario has none
-//   --policy=NAME               selector for --dynamic: adaptive (default),
-//                               tolerate, promote, delta, replan, restart
-//
-// Observability outputs (all produced from the Malleus run only):
-//   --trace-out=FILE    Chrome trace-event JSON of every 1F1B stage task,
-//                       P2P transfer, grad-sync phase and engine transition
-//                       (open in Perfetto / chrome://tracing)
-//   --metrics-out=FILE  metrics registry snapshot as JSON (planner solve
-//                       times, replan/migration counters, solver stats)
-//   --events-out=FILE   run telemetry as JSONL (steps + typed engine
-//                       events with plan fingerprints)
-//   --csv-out=FILE      per-step run log as CSV
-//   --record-out=DIR    write the whole run as a recorded-run bundle (see
-//                       obs/bundle.h): the effective scenario, the chosen
-//                       plan's golden snapshot, the Chrome trace, the
-//                       metrics snapshot and the run log, manifest-hashed
-//                       so tools/malleus_whatif can verify and replay the
-//                       run offline
+// Flags apply in command-line order, so --scenario=FILE loads the file's
+// fields and later flags override them; `--help` lists every flag. The
+// observability outputs (--trace-out, --metrics-out, --events-out,
+// --csv-out, --record-out) all come from the Malleus run only.
 
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -63,6 +21,8 @@
 #include "baselines/malleus_adapter.h"
 #include "baselines/megatron.h"
 #include "baselines/trace_runner.h"
+#include "common/file_util.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "common/table.h"
 #include "core/cache_codec.h"
@@ -109,8 +69,8 @@ struct Args {
   /// bundle round-trips the whole file (the trace run itself only plays
   /// the phases; the overlay is what the what-if engine analyzes).
   std::vector<scenario::StragglerEntry> stragglers;
-  bool lint = false;
-  std::string lint_format = "text";
+  /// --lint's output format; empty when not linting.
+  std::string lint_format;
   /// Dynamic policy-engine mode: the scenario's `dynamic = {...}` block
   /// (or its defaults) replayed through policy::RunDynamic.
   bool dynamic = false;
@@ -120,128 +80,103 @@ struct Args {
 
 // Writes `content` to `path`; complains to stderr on failure.
 bool WriteFileOrWarn(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
+  if (WriteFileBytes(path, content).ok()) return true;
+  std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return false;
+}
+
+// Loads a scenario file into `out`; later flags override its fields.
+Status ApplyScenarioFile(const std::string& path, Args* out) {
+  MALLEUS_ASSIGN_OR_RETURN(const scenario::ScenarioSpec spec,
+                           scenario::LoadScenarioFile(path));
+  out->scenario_file = path;
+  out->model = spec.model;
+  out->nodes = spec.nodes;
+  out->batch = spec.batch;
+  out->steps = spec.steps;
+  out->seed = spec.seed;
+  out->trace = spec.phases;
+  out->stragglers = spec.stragglers;
+  out->dynamic_spec = spec.dynamic;
+  if (spec.dynamic.enabled) out->dynamic = true;
+  if (!spec.net_model.empty()) {
+    MALLEUS_ASSIGN_OR_RETURN(out->net_model,
+                             net::ParseNetModel(spec.net_model));
   }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return true;
+  return Status::OK();
 }
 
 bool ParseArgs(int argc, char** argv, Args* out) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      const size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (const char* v = value("--scenario=")) {
-      out->scenario_file = v;
-      // Apply the file immediately so later flags override its fields.
-      Result<scenario::ScenarioSpec> spec = scenario::LoadScenarioFile(v);
-      if (!spec.ok()) {
-        std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-        return false;
-      }
-      out->model = spec->model;
-      out->nodes = spec->nodes;
-      out->batch = spec->batch;
-      out->steps = spec->steps;
-      out->seed = spec->seed;
-      out->trace = spec->phases;
-      out->stragglers = spec->stragglers;
-      out->dynamic_spec = spec->dynamic;
-      if (spec->dynamic.enabled) out->dynamic = true;
-      if (!spec->net_model.empty()) {
-        Result<net::NetModel> nm = net::ParseNetModel(spec->net_model);
-        if (!nm.ok()) {
-          std::fprintf(stderr, "%s\n", nm.status().ToString().c_str());
-          return false;
-        }
-        out->net_model = *nm;
-      }
-    } else if (arg == "--lint") {
-      out->lint = true;
-    } else if (const char* v = value("--lint=")) {
-      out->lint = true;
-      out->lint_format = v;
-      if (out->lint_format != "text" && out->lint_format != "json" &&
-          out->lint_format != "sarif") {
-        std::fprintf(stderr, "unknown lint format: %s\n", v);
-        return false;
-      }
-    } else if (const char* v = value("--model=")) {
-      out->model = v;
-    } else if (const char* v = value("--nodes=")) {
-      out->nodes = std::atoi(v);
-    } else if (const char* v = value("--batch=")) {
-      out->batch = std::atoll(v);
-    } else if (const char* v = value("--steps=")) {
-      out->steps = std::atoi(v);
-    } else if (const char* v = value("--seed=")) {
-      out->seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--trace=")) {
-      std::string phase;
-      for (const char* c = v;; ++c) {
-        if (*c == ',' || *c == '\0') {
-          if (!phase.empty()) out->trace.push_back(phase);
-          phase.clear();
-          if (*c == '\0') break;
-        } else {
-          phase += *c;
-        }
-      }
-    } else if (const char* v = value("--trace-out=")) {
-      out->trace_out = v;
-    } else if (const char* v = value("--metrics-out=")) {
-      out->metrics_out = v;
-    } else if (const char* v = value("--events-out=")) {
-      out->events_out = v;
-    } else if (const char* v = value("--csv-out=")) {
-      out->csv_out = v;
-    } else if (const char* v = value("--record-out=")) {
-      out->record_out = v;
-    } else if (const char* v = value("--net-model=")) {
-      Result<net::NetModel> model = net::ParseNetModel(v);
-      if (!model.ok()) {
-        std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
-        return false;
-      }
-      out->net_model = *model;
-    } else if (const char* v = value("--cache-load=")) {
-      out->cache_load = v;
-    } else if (const char* v = value("--cache-save=")) {
-      out->cache_save = v;
-    } else if (const char* v = value("--planner-threads=")) {
-      out->planner_threads = std::atoi(v);
-      if (out->planner_threads < 0) {
-        std::fprintf(stderr, "--planner-threads must be >= 0\n");
-        return false;
-      }
-    } else if (arg == "--baselines") {
-      out->baselines = true;
-    } else if (arg == "--dynamic") {
-      out->dynamic = true;
-    } else if (const char* v = value("--policy=")) {
-      out->policy = v;
-    } else if (arg == "--help" || arg == "-h") {
-      return false;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-Result<model::ModelSpec> SpecFor(const std::string& name) {
-  if (name == "32b") return model::ModelSpec::Llama32B();
-  if (name == "70b") return model::ModelSpec::Llama70B();
-  if (name == "110b") return model::ModelSpec::Llama110B();
-  if (name == "tiny") return model::ModelSpec::Tiny();
-  return Status::InvalidArgument("unknown model: " + name);
+  FlagTable flags("scenario_cli");
+  flags.DefineCallback(
+      "scenario", "FILE",
+      "load model/cluster/trace/stragglers from a scenario\n"
+      "file (see src/scenario/scenario.h); later flags\n"
+      "override individual fields",
+      [out](const std::string& path) { return ApplyScenarioFile(path, out); });
+  flags.DefineOptional(
+      "lint", &out->lint_format, "text", "text|json|sarif",
+      "lint the --scenario file (malleus::lint's full pass\n"
+      "stack, including the planner's plan and the flow-\n"
+      "conservation audit) and exit: 0 clean, 1 error-level\n"
+      "findings",
+      OneOf({"text", "json", "sarif"}));
+  flags.Define("model", &out->model, "32b|70b|110b|tiny",
+               "model to train (default 32b)");
+  flags.Define("nodes", &out->nodes, "N", "8-GPU nodes (default 4)");
+  flags.Define("batch", &out->batch, "B", "global batch size (default 64)");
+  flags.Define("steps", &out->steps, "K", "steps per trace phase (default 6)");
+  flags.DefineCallback("trace", "p1,p2,...",
+                       "phases: normal,s1..s6 (default full trace)",
+                       [out](const std::string& phases) {
+                         std::istringstream in(phases);
+                         for (std::string p; std::getline(in, p, ',');) {
+                           if (!p.empty()) out->trace.push_back(p);
+                         }
+                         return Status::OK();
+                       });
+  flags.Define("seed", &out->seed, "S", "simulator seed (default 42)");
+  flags.DefineCallback(
+      "net-model", "analytic|flow",
+      "comm pricing: isolated closed forms, or the\n"
+      "contention-aware flow-level fabric simulator\n"
+      "(default: build/env default, see net/fabric.h)",
+      [out](const std::string& name) -> Status {
+        MALLEUS_ASSIGN_OR_RETURN(out->net_model, net::ParseNetModel(name));
+        return Status::OK();
+      });
+  flags.Define("planner-threads", &out->planner_threads, "N",
+               "worker threads for the planner's candidate sweep;\n"
+               "0 = MALLEUS_PLANNER_THREADS env or hardware\n"
+               "concurrency (default 0). The chosen plan is\n"
+               "identical at every thread count.",
+               [](int n) { return n >= 0; });
+  flags.DefineSwitch("baselines", &out->baselines,
+                     "also run Megatron/DeepSpeed for comparison");
+  flags.DefineSwitch("dynamic", &out->dynamic,
+                     "run the scenario's `dynamic = {...}` block through\n"
+                     "the online fault-tolerance policy engine instead of\n"
+                     "the phase trace (the block's defaults when the\n"
+                     "scenario has none)");
+  flags.Define("policy", &out->policy, "NAME",
+               "selector for --dynamic: adaptive (default),\n"
+               "tolerate, promote, delta, replan, restart");
+  flags.Define("cache-load", &out->cache_load, "FILE",
+               "warm-load the planner's solve cache (daemon format)");
+  flags.Define("cache-save", &out->cache_save, "FILE",
+               "save the planner's solve cache (daemon format)");
+  flags.Define("trace-out", &out->trace_out, "FILE",
+               "Chrome trace-event JSON of every 1F1B stage task,\n"
+               "P2P transfer, grad-sync phase and engine transition");
+  flags.Define("metrics-out", &out->metrics_out, "FILE",
+               "metrics registry snapshot as JSON");
+  flags.Define("events-out", &out->events_out, "FILE",
+               "run telemetry as JSONL (steps + typed engine events)");
+  flags.Define("csv-out", &out->csv_out, "FILE", "per-step run log as CSV");
+  flags.Define("record-out", &out->record_out, "DIR",
+               "write the run as a recorded-run bundle (obs/bundle.h)\n"
+               "that tools/malleus_whatif can verify and replay");
+  return flags.ParseOrUsage(argc, argv);
 }
 
 // The scenario the run actually executed, reconstructed from the effective
@@ -268,39 +203,13 @@ scenario::ScenarioSpec EffectiveSpec(
   return spec;
 }
 
-Result<straggler::SituationId> PhaseFor(const std::string& name) {
-  using straggler::SituationId;
-  if (name == "normal") return SituationId::kNormal;
-  if (name == "s1") return SituationId::kS1;
-  if (name == "s2") return SituationId::kS2;
-  if (name == "s3") return SituationId::kS3;
-  if (name == "s4") return SituationId::kS4;
-  if (name == "s5") return SituationId::kS5;
-  if (name == "s6") return SituationId::kS6;
-  return Status::InvalidArgument("unknown trace phase: " + name);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    std::fprintf(stderr,
-                 "usage: %s [--scenario=FILE] [--lint[=text|json|sarif]] "
-                 "[--model=32b|70b|110b|tiny] [--nodes=N] "
-                 "[--batch=B] [--steps=K] [--trace=normal,s1,...] "
-                 "[--seed=S] [--net-model=analytic|flow] "
-                 "[--planner-threads=N] [--baselines] "
-                 "[--dynamic] [--policy=NAME] "
-                 "[--cache-load=FILE] [--cache-save=FILE] "
-                 "[--trace-out=FILE] "
-                 "[--metrics-out=FILE] [--events-out=FILE] "
-                 "[--csv-out=FILE] [--record-out=DIR]\n",
-                 argv[0]);
-    return 2;
-  }
+  if (!ParseArgs(argc, argv, &args)) return 2;
 
-  if (args.lint) {
+  if (!args.lint_format.empty()) {
     if (args.scenario_file.empty()) {
       std::fprintf(stderr, "--lint requires --scenario=FILE\n");
       return 2;
@@ -323,7 +232,7 @@ int main(int argc, char** argv) {
     return sink.HasErrors() ? 1 : 0;
   }
 
-  Result<model::ModelSpec> spec = SpecFor(args.model);
+  Result<model::ModelSpec> spec = scenario::ModelSpecByName(args.model);
   if (!spec.ok()) {
     std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
     return 2;
@@ -424,7 +333,7 @@ int main(int argc, char** argv) {
     trace = straggler::StandardTrace(args.steps);
   } else {
     for (const std::string& name : args.trace) {
-      Result<straggler::SituationId> id = PhaseFor(name);
+      Result<straggler::SituationId> id = scenario::SituationIdByName(name);
       if (!id.ok()) {
         std::fprintf(stderr, "%s\n", id.status().ToString().c_str());
         return 2;

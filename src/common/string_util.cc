@@ -109,6 +109,10 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+std::string JsonQuote(const std::string& s) {
+  return "\"" + JsonEscape(s) + "\"";
+}
+
 std::string JsonNumber(double v, int significant_digits) {
   if (!std::isfinite(v)) return "null";
   return StrFormat("%.*g", significant_digits, v);

@@ -35,6 +35,9 @@ std::string CsvEscape(const std::string& field);
 /// backslashes and control characters); adds no surrounding quotes.
 std::string JsonEscape(const std::string& s);
 
+/// JsonEscape(s) inside double quotes: a complete JSON string literal.
+std::string JsonQuote(const std::string& s);
+
 /// Renders a double as a JSON number. JSON has no NaN/Infinity, so
 /// non-finite values render as `null` (the conventional lossless-ish
 /// substitute) instead of producing invalid output like `inf`.

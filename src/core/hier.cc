@@ -150,7 +150,7 @@ Result<PlanResult> PlanHierarchical(const topo::ClusterSpec& cluster,
       micro_batches.push_back(options.forced_micro_batch);
     }
   } else {
-    for (int b = 1; b <= options.max_micro_batch; ++b) {
+    for (int b = 1; b <= kMaxMicroBatch; ++b) {
       if (global_batch % b == 0) micro_batches.push_back(b);
     }
   }
@@ -200,7 +200,7 @@ Result<PlanResult> PlanHierarchical(const topo::ClusterSpec& cluster,
 
       // The memo key covers everything that can change this island's
       // answer. enable_solve_cache is deliberately absent (it cannot), and
-      // max_micro_batch is unused once b is pinned.
+      // kMaxMicroBatch is unused once b is pinned.
       solver::CacheKey key;
       key.Tag('H')
           .Int(island_nodes)
@@ -212,7 +212,7 @@ Result<PlanResult> PlanHierarchical(const topo::ClusterSpec& cluster,
           .Bool(options.nonuniform_devices)
           .Bool(options.nonuniform_layers)
           .Bool(options.nonuniform_data)
-          .Int(options.max_division_nodes)
+          .Int(kMaxDivisionNodes)
           .Doubles(sits[k].rates());
 
       std::shared_ptr<const HierPlanState::Entry> entry;

@@ -232,7 +232,7 @@ Result<OrchestrationResult> OrchestrateImpl(
     problem.fast_rate = fast_rate;
     for (int g : slow_groups) problem.slow_rates.push_back(grouping.rates[g]);
     problem.total_microbatches = total_micro;
-    problem.max_nodes = options.max_division_nodes;
+    problem.max_nodes = kMaxDivisionNodes;
     const int num_layers = cost.spec().num_layers;
     // The capacity check depends only on the multiset of group sizes, and
     // the division search probes the same shapes over and over; memoize.
@@ -327,7 +327,7 @@ Result<OrchestrationResult> Orchestrate(const GroupingResult& grouping,
                               .Int(total_micro)
                               .Bool(options.nonuniform_layers)
                               .Bool(options.nonuniform_stages)
-                              .Int(options.max_division_nodes)
+                              .Int(kMaxDivisionNodes)
                               .str();
   if (auto hit = options.solve_cache->LookupAs<CachedOrchestration>(key)) {
     if (!hit->status.ok()) return hit->status;

@@ -16,6 +16,11 @@
 namespace malleus {
 namespace core {
 
+/// Node budget of the Eq. (4) division search per Orchestrate call. It is
+/// part of the 'O' and 'H' solve-cache keys, which keep it at the value
+/// it had as an option, so saved cache files still load warm.
+constexpr int64_t kMaxDivisionNodes = 500'000;
+
 /// One orchestrated pipeline: ordered stages with their layer counts.
 struct OrchestratedPipeline {
   std::vector<int> group_indices;  ///< Stage order; indexes GroupingResult.
@@ -42,8 +47,6 @@ struct OrchestrationOptions {
   /// When false, groups are dealt round-robin into identically sized
   /// pipelines (requires the group count to divide by DP).
   bool nonuniform_stages = true;
-  /// Node budget of the division search.
-  int64_t max_division_nodes = 500'000;
   /// Optional memo of orchestration and layer-assignment solves. The
   /// orchestration outcome depends only on the grouping's (rate, size)
   /// profile, the micro-batch size, the DP degree, M and the flags above —

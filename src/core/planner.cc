@@ -86,7 +86,6 @@ CandidateOutcome EvaluateCandidate(const Candidate& c,
   OrchestrationOptions oopts;
   oopts.nonuniform_layers = options.nonuniform_layers;
   oopts.nonuniform_stages = options.nonuniform_devices;
-  oopts.max_division_nodes = options.max_division_nodes;
   oopts.solve_cache = solve_cache;
   const auto t_orch = std::chrono::steady_clock::now();
   Result<OrchestrationResult> orch = Orchestrate(
@@ -277,10 +276,10 @@ Result<PlanResult> Planner::Plan(const straggler::Situation& situation,
         }
       }
       // A forced micro-batch pins the sweep to exactly that b (it may sit
-      // above max_micro_batch — the caller asked for it explicitly).
+      // above kMaxMicroBatch — the caller asked for it explicitly).
       const int max_b = options.forced_micro_batch > 0
                             ? options.forced_micro_batch
-                            : options.max_micro_batch;
+                            : kMaxMicroBatch;
       for (int b = 1; b <= max_b; ++b) {
         if (options.forced_micro_batch > 0 &&
             b != options.forced_micro_batch) {

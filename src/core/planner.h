@@ -39,14 +39,15 @@
 namespace malleus {
 namespace core {
 
+/// Micro-batch sizes b in [1, kMaxMicroBatch] dividing B are enumerated.
+constexpr int kMaxMicroBatch = 4;
+
 struct PlannerOptions {
   /// Number of pipelines. 0 enumerates candidates. Plan() treats a positive
   /// value as a hard pin; Replan() treats it as the degree to keep (footnote
   /// 2 of the paper: model state memory depends on it) and falls back to
   /// the unpinned search when it is infeasible.
   int dp_degree = 0;
-  /// Micro-batch sizes b in [1, max_micro_batch] dividing B are enumerated.
-  int max_micro_batch = 4;
   /// 0 enumerates TP degrees in {1,2,4,8} (capped by gpus_per_node); a
   /// value from that set pins the sweep to exactly that degree. The
   /// what-if engine uses this for `force_tp` counterfactuals.
@@ -55,8 +56,6 @@ struct PlannerOptions {
   bool nonuniform_devices = true;  ///< Grouping splits + varied stage counts.
   bool nonuniform_layers = true;   ///< Eq. (2) vs even layer split.
   bool nonuniform_data = true;     ///< Eq. (3) vs even data split.
-  /// Node budget for the Eq. (4) division search per candidate.
-  int64_t max_division_nodes = 500'000;
   /// Worker threads for the candidate sweep. 0 picks the default: the
   /// MALLEUS_PLANNER_THREADS environment variable when set, otherwise the
   /// hardware concurrency. 1 evaluates inline on the calling thread. The
@@ -67,7 +66,7 @@ struct PlannerOptions {
   /// chosen plan is identical either way.
   bool enable_solve_cache = true;
   /// Pins the micro-batch size to exactly this b (it must divide B); 0
-  /// enumerates [1, max_micro_batch] as usual. The hierarchical
+  /// enumerates [1, kMaxMicroBatch] as usual. The hierarchical
   /// decomposition pins island sweeps to the globally chosen b with this.
   int forced_micro_batch = 0;
   /// Hierarchical decomposition (see core/hier.h): plan islands of this

@@ -81,15 +81,11 @@ std::string RenderText(const DiagnosticSink& sink) {
 
 namespace {
 
-std::string JsonString(const std::string& s) {
-  return "\"" + JsonEscape(s) + "\"";
-}
-
 std::string ParamsJson(const std::vector<DiagParam>& params) {
   std::vector<std::string> parts;
   parts.reserve(params.size());
   for (const DiagParam& p : params) {
-    parts.push_back(JsonString(p.key) + ":" + JsonString(p.value));
+    parts.push_back(JsonQuote(p.key) + ":" + JsonQuote(p.value));
   }
   return "{" + Join(parts, ",") + "}";
 }
@@ -103,8 +99,8 @@ std::string RenderJson(const DiagnosticSink& sink) {
     items.push_back(StrFormat(
         "{\"code\":%s,\"severity\":%s,\"location\":%s,\"message\":%s,"
         "\"params\":%s}",
-        JsonString(d.code).c_str(), JsonString(SeverityName(d.severity)).c_str(),
-        JsonString(d.location).c_str(), JsonString(d.message).c_str(),
+        JsonQuote(d.code).c_str(), JsonQuote(SeverityName(d.severity)).c_str(),
+        JsonQuote(d.location).c_str(), JsonQuote(d.message).c_str(),
         ParamsJson(d.params).c_str()));
   }
   return StrFormat(
@@ -163,7 +159,7 @@ std::string RenderSarif(const DiagnosticSink& sink,
   std::vector<std::string> rules;
   for (size_t i = 0; i < rule_ids.size(); ++i) {
     rule_index[rule_ids[i]] = static_cast<int>(i);
-    rules.push_back(StrFormat("{\"id\":%s}", JsonString(rule_ids[i]).c_str()));
+    rules.push_back(StrFormat("{\"id\":%s}", JsonQuote(rule_ids[i]).c_str()));
   }
 
   std::vector<std::string> results;
@@ -178,12 +174,12 @@ std::string RenderSarif(const DiagnosticSink& sink,
         physical = StrFormat(
             "\"physicalLocation\":{\"artifactLocation\":{\"uri\":%s},"
             "\"region\":{\"startLine\":%d}},",
-            JsonString(file).c_str(), line);
+            JsonQuote(file).c_str(), line);
       }
       location = StrFormat(
           ",\"locations\":[{%s\"logicalLocations\":[{\"fullyQualifiedName\":"
           "%s}]}]",
-          physical.c_str(), JsonString(d.location).c_str());
+          physical.c_str(), JsonQuote(d.location).c_str());
     }
     std::string properties;
     if (!d.params.empty()) {
@@ -192,8 +188,8 @@ std::string RenderSarif(const DiagnosticSink& sink,
     results.push_back(StrFormat(
         "{\"ruleId\":%s,\"ruleIndex\":%d,\"level\":\"%s\","
         "\"message\":{\"text\":%s}%s%s}",
-        JsonString(d.code).c_str(), rule_index[d.code],
-        sarif_level(d.severity), JsonString(d.message).c_str(),
+        JsonQuote(d.code).c_str(), rule_index[d.code],
+        sarif_level(d.severity), JsonQuote(d.message).c_str(),
         location.c_str(), properties.c_str()));
   }
 
@@ -201,14 +197,14 @@ std::string RenderSarif(const DiagnosticSink& sink,
   if (!artifact.empty()) {
     artifacts = StrFormat(
         ",\"artifacts\":[{\"location\":{\"uri\":%s}}]",
-        JsonString(artifact).c_str());
+        JsonQuote(artifact).c_str());
   }
   return StrFormat(
       "{\"$schema\":"
       "\"https://json.schemastore.org/sarif-2.1.0.json\","
       "\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":"
       "{\"name\":%s,\"rules\":[%s]}}%s,\"results\":[%s]}]}",
-      JsonString(tool).c_str(), Join(rules, ",").c_str(), artifacts.c_str(),
+      JsonQuote(tool).c_str(), Join(rules, ",").c_str(), artifacts.c_str(),
       Join(results, ",").c_str());
 }
 

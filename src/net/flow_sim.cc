@@ -24,8 +24,8 @@ bool Drained(double remaining, double original) {
 
 }  // namespace
 
-FlowSim::FlowSim(const Fabric& fabric, FlowSimMode mode)
-    : fabric_(&fabric), mode_(mode), link_usage_(fabric.num_links()) {}
+FlowSim::FlowSim(const Fabric& fabric)
+    : fabric_(&fabric), link_usage_(fabric.num_links()) {}
 
 int64_t FlowSim::Submit(const Flow& flow) {
   MALLEUS_CHECK(!ran_) << "Submit after Run";
@@ -36,194 +36,9 @@ int64_t FlowSim::Submit(const Flow& flow) {
   return static_cast<int64_t>(flows_.size()) - 1;
 }
 
-void FlowSim::Run() {
-  MALLEUS_CHECK(!ran_) << "Run called twice";
-  ran_ = true;
-  if (mode_ == FlowSimMode::kLegacy) {
-    RunLegacy();
-  } else {
-    RunIncremental();
-  }
-  const int n = static_cast<int>(flows_.size());
-  for (int i = 0; i < n; ++i) {
-    outcomes_[i].seconds =
-        outcomes_[i].end_seconds - outcomes_[i].flow.start_seconds;
-  }
-}
-
-// The seed implementation: from-scratch water-filling over the full active
-// set at every arrival/completion, O(events x links x flows). Kept as the
-// reference the incremental engine must match bitwise (the testkit
-// differential oracle runs both). The only change from the seed is that the
-// per-event scratch vectors (`finish`, `unfrozen`, `keep`) are hoisted out
-// of the loop; `finish` needs no re-initialisation because only entries of
-// flows active in the current event are ever written or read.
-void FlowSim::RunLegacy() {
-  const int n = static_cast<int>(flows_.size());
-  outcomes_.resize(n);
-
-  // Per-flow playback state. `ready` is when bytes may start moving;
-  // degenerate flows (loopback or zero bytes) complete immediately.
-  std::vector<std::vector<LinkId>> routes(n);
-  std::vector<double> ready(n, 0.0), remaining(n, 0.0), rate(n, 0.0);
-  enum class Phase { kPending, kActive, kDone };
-  std::vector<Phase> phase(n, Phase::kPending);
-  int not_done = 0;
-  for (int i = 0; i < n; ++i) {
-    const Flow& f = flows_[i];
-    outcomes_[i].flow = f;
-    if (f.src == f.dst) {
-      outcomes_[i].end_seconds = f.start_seconds;
-      phase[i] = Phase::kDone;
-      continue;
-    }
-    const double latency =
-        f.latency_seconds >= 0.0
-            ? f.latency_seconds
-            : fabric_->cluster().LatencySec(f.src, f.dst);
-    ready[i] = f.start_seconds + latency;
-    if (f.bytes <= 0.0) {
-      outcomes_[i].end_seconds = ready[i];
-      phase[i] = Phase::kDone;
-      continue;
-    }
-    routes[i] = fabric_->Route(f.src, f.dst);
-    remaining[i] = f.bytes;
-    total_bytes_ += f.bytes;
-    for (LinkId l : routes[i]) link_usage_[l].bytes += f.bytes;
-    ++not_done;
-  }
-  for (int i = 0; i < n; ++i) {
-    makespan_seconds_ = std::max(makespan_seconds_, outcomes_[i].end_seconds);
-  }
-
-  // Water-filling max–min rate allocation over the active set. Rates are
-  // recomputed from scratch at every flow arrival/completion (progressive
-  // filling); iteration order is by link id then flow id, so the result is
-  // deterministic.
-  std::vector<double> cap(fabric_->num_links());
-  std::vector<int> cnt(fabric_->num_links());
-  std::vector<double> rate_sum(fabric_->num_links());
-  std::vector<int> unfrozen, keep;
-  const auto recompute_rates = [&] {
-    for (int l = 0; l < fabric_->num_links(); ++l) {
-      cap[l] = fabric_->link(l).capacity_bps;
-      cnt[l] = 0;
-      rate_sum[l] = 0.0;
-    }
-    unfrozen.clear();
-    for (int i = 0; i < n; ++i) {
-      if (phase[i] != Phase::kActive) continue;
-      unfrozen.push_back(i);
-      for (LinkId l : routes[i]) ++cnt[l];
-    }
-    while (!unfrozen.empty()) {
-      double best_share = kInf;
-      LinkId best_link = -1;
-      for (int l = 0; l < fabric_->num_links(); ++l) {
-        if (cnt[l] == 0) continue;
-        // Exact arithmetic keeps cap >= 0; clamp to a sliver of the link's
-        // capacity so float cancellation can never hand out a zero rate.
-        const double floor = fabric_->link(l).capacity_bps * 1e-9;
-        const double share = std::max(cap[l], floor) / cnt[l];
-        if (share < best_share) {
-          best_share = share;
-          best_link = l;
-        }
-      }
-      MALLEUS_CHECK(best_link >= 0);
-      keep.clear();
-      for (int i : unfrozen) {
-        const bool crosses =
-            std::find(routes[i].begin(), routes[i].end(), best_link) !=
-            routes[i].end();
-        if (!crosses) {
-          keep.push_back(i);
-          continue;
-        }
-        rate[i] = best_share;
-        for (LinkId l : routes[i]) {
-          cap[l] -= best_share;
-          --cnt[l];
-          rate_sum[l] += best_share;
-        }
-      }
-      unfrozen.swap(keep);
-    }
-    for (int l = 0; l < fabric_->num_links(); ++l) {
-      if (rate_sum[l] <= 0.0) continue;
-      link_usage_[l].peak_utilization =
-          std::max(link_usage_[l].peak_utilization,
-                   rate_sum[l] / fabric_->link(l).capacity_bps);
-    }
-  };
-
-  std::vector<double> finish(n, kInf);
-  double now = 0.0;
-  while (not_done > 0) {
-    bool have_active = false;
-    for (int i = 0; i < n; ++i) have_active |= phase[i] == Phase::kActive;
-    if (!have_active) {
-      // Idle fabric: jump to the earliest pending arrival.
-      double next_ready = kInf;
-      for (int i = 0; i < n; ++i) {
-        if (phase[i] == Phase::kPending) {
-          next_ready = std::min(next_ready, ready[i]);
-        }
-      }
-      MALLEUS_CHECK(next_ready < kInf) << "flow sim stalled";
-      now = next_ready;
-    }
-
-    // Activate arrivals due now, then (re)fill rates.
-    for (int i = 0; i < n; ++i) {
-      if (phase[i] == Phase::kPending && ready[i] <= now) {
-        phase[i] = Phase::kActive;
-      }
-    }
-    recompute_rates();
-
-    // Time of the next event: first pending arrival or first drain.
-    double next_ready = kInf;
-    for (int i = 0; i < n; ++i) {
-      if (phase[i] == Phase::kPending) {
-        next_ready = std::min(next_ready, ready[i]);
-      }
-    }
-    double next_drain = kInf;
-    for (int i = 0; i < n; ++i) {
-      if (phase[i] == Phase::kActive) {
-        MALLEUS_CHECK(rate[i] > 0.0);
-        finish[i] = now + remaining[i] / rate[i];
-        next_drain = std::min(next_drain, finish[i]);
-      }
-    }
-    const double t_next = std::min(next_ready, next_drain);
-    MALLEUS_CHECK(t_next < kInf) << "flow sim stalled";
-
-    // Advance active flows to t_next and retire the drained ones. A flow
-    // whose residue drains within a relative whisker of t_next completes
-    // *at* t_next: this is what guarantees forward progress even when a
-    // tiny residue's drain interval underflows against `now`.
-    const double horizon = t_next + 1e-9 * std::max(1.0, std::abs(t_next));
-    for (int i = 0; i < n; ++i) {
-      if (phase[i] != Phase::kActive) continue;
-      if (finish[i] <= horizon || Drained(remaining[i] - rate[i] * (t_next - now),
-                                          flows_[i].bytes)) {
-        phase[i] = Phase::kDone;
-        outcomes_[i].end_seconds = t_next;
-        makespan_seconds_ = std::max(makespan_seconds_, t_next);
-        --not_done;
-      } else {
-        remaining[i] -= rate[i] * (t_next - now);
-      }
-    }
-    now = t_next;
-  }
-}
-
-// Incremental engine. Identical arithmetic to RunLegacy, restructured so the
-// per-event cost scales with what actually changed:
+// Incremental engine. Identical arithmetic to the seed's from-scratch
+// engine (testkit::RunReferenceFlowSim), restructured so the per-event cost
+// scales with what actually changed:
 //
 //  - Arrivals sit in an indexed 4-ary min-heap (their ready times are fixed
 //    at submit), replacing the O(n) next-arrival scans.
@@ -239,11 +54,13 @@ void FlowSim::RunLegacy() {
 //
 // What deliberately does NOT change: the per-event advance of every active
 // flow (`remaining -= rate * dt`, `finish = now + remaining / rate`). The
-// legacy engine performs that arithmetic for every active flow at every
+// reference engine performs that arithmetic for every active flow at every
 // event, and lazy/stale variants differ in ulps, so the O(active) fused
 // finish/advance scan is the price of bit-identity. The win is removing the
 // O(links x flows) from-scratch refill, which dominates at scale.
-void FlowSim::RunIncremental() {
+void FlowSim::Run() {
+  MALLEUS_CHECK(!ran_) << "Run called twice";
+  ran_ = true;
   const int n = static_cast<int>(flows_.size());
   const int num_links = fabric_->num_links();
   outcomes_.resize(n);
@@ -367,7 +184,7 @@ void FlowSim::RunIncremental() {
         }
       }
     }
-    // Ascending order reproduces the legacy scan order within the
+    // Ascending order reproduces the reference scan order within the
     // component: flows by id when seeding `unfrozen`, links by id in the
     // best-share argmin (ties go to the lowest link id).
     std::sort(comp_links.begin(), comp_links.end());
@@ -447,8 +264,10 @@ void FlowSim::RunIncremental() {
     const double t_next = std::min(next_ready, next_drain);
     MALLEUS_CHECK(t_next < kInf) << "flow sim stalled";
 
-    // Advance active flows to t_next and retire the drained ones (same
-    // whisker rule as RunLegacy).
+    // Advance active flows to t_next and retire the drained ones. A flow
+    // whose residue drains within a relative whisker of t_next completes
+    // *at* t_next: this guarantees forward progress even when a tiny
+    // residue's drain interval underflows against `now`.
     const double horizon = t_next + 1e-9 * std::max(1.0, std::abs(t_next));
     for (size_t a = 0; a < active.size();) {
       const int i = active[a];
@@ -464,6 +283,10 @@ void FlowSim::RunIncremental() {
       }
     }
     now = t_next;
+  }
+  for (int i = 0; i < n; ++i) {
+    outcomes_[i].seconds =
+        outcomes_[i].end_seconds - outcomes_[i].flow.start_seconds;
   }
 }
 

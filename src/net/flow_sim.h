@@ -10,6 +10,9 @@
 // rated. Between consecutive events rates are constant, so completion
 // times follow in closed form — there is no time-stepping, no randomness,
 // and the result is bit-deterministic for a given submission sequence.
+// Only the links whose active-flow set changed (and their connected
+// component) are re-shared at each event; the result is bitwise identical
+// to the from-scratch engine kept in testkit::RunReferenceFlowSim.
 //
 // An isolated flow therefore finishes in exactly
 //   start + latency + bytes / min-capacity-on-path,
@@ -60,25 +63,12 @@ struct LinkUsage {
   double peak_utilization = 0.0;  ///< Max over time of rate-sum/capacity.
 };
 
-/// Which Run() engine to use. Both produce bit-identical results;
-/// kIncremental, the default, re-shares only the connected component of
-/// links whose active-flow set changed and pulls arrivals from an indexed
-/// event queue. kLegacy is the seed's from-scratch O(events x links x
-/// flows) water-filling, kept as the reference implementation that the
-/// testkit differential oracle, net_test and bench_planner_scaling
-/// construct explicitly.
-enum class FlowSimMode {
-  kIncremental,
-  kLegacy,
-};
-
 /// \brief Runs a set of concurrent flows to completion under progressive
 /// max–min fair sharing. Submit all flows, call Run() once, then read the
 /// outcomes. The Fabric must outlive the simulator.
 class FlowSim {
  public:
-  explicit FlowSim(const Fabric& fabric,
-                   FlowSimMode mode = FlowSimMode::kIncremental);
+  explicit FlowSim(const Fabric& fabric);
 
   /// Registers a flow; returns its index (also the index into outcomes()).
   /// Must not be called after Run().
@@ -102,11 +92,7 @@ class FlowSim {
   const Fabric& fabric() const { return *fabric_; }
 
  private:
-  void RunLegacy();
-  void RunIncremental();
-
   const Fabric* fabric_;
-  FlowSimMode mode_;
   std::vector<Flow> flows_;
   std::vector<FlowOutcome> outcomes_;
   std::vector<LinkUsage> link_usage_;

@@ -4,9 +4,9 @@
 #include <cinttypes>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
+#include "common/file_util.h"
 #include "common/hash.h"
 #include "common/string_util.h"
 
@@ -16,25 +16,6 @@ namespace obs {
 namespace {
 
 std::string HashHex(uint64_t h) { return StrFormat("%016" PRIx64, h); }
-
-bool ReadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
-Status WriteFileBytes(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::Unavailable("cannot open " + path + " for write");
-  out.write(content.data(),
-            static_cast<std::streamsize>(content.size()));
-  out.flush();
-  if (!out) return Status::Unavailable("short write to " + path);
-  return Status::OK();
-}
 
 bool ValidMemberName(const std::string& name) {
   if (name.empty() || name == kBundleManifestName) return false;
@@ -113,8 +94,9 @@ Status WriteRunBundle(const std::string& dir, const RunBundle& bundle) {
 }
 
 Result<RunBundle> LoadRunBundle(const std::string& dir) {
-  std::string manifest;
-  if (!ReadFileBytes(dir + "/" + kBundleManifestName, &manifest)) {
+  Result<std::string> manifest =
+      ReadFileBytes(dir + "/" + kBundleManifestName);
+  if (!manifest.ok()) {
     return Status::NotFound("no bundle manifest at " + dir + "/" +
                             kBundleManifestName);
   }
@@ -129,7 +111,7 @@ Result<RunBundle> LoadRunBundle(const std::string& dir) {
   std::vector<Listed> listed;
   std::string declared_content_hash;
 
-  std::istringstream lines(manifest);
+  std::istringstream lines(*manifest);
   std::string line;
   int line_no = 0;
   while (std::getline(lines, line)) {
@@ -192,11 +174,13 @@ Result<RunBundle> LoadRunBundle(const std::string& dir) {
   }
 
   for (const Listed& f : listed) {
-    BundleFile member;
-    member.name = f.name;
-    if (!ReadFileBytes(dir + "/" + f.name, &member.content)) {
+    Result<std::string> content = ReadFileBytes(dir + "/" + f.name);
+    if (!content.ok()) {
       return Status::NotFound("bundle member missing: " + f.name);
     }
+    BundleFile member;
+    member.name = f.name;
+    member.content = std::move(*content);
     if (member.content.size() != f.size) {
       return Status::InvalidArgument(StrFormat(
           "bundle member %s truncated or grown: manifest says %zu bytes, "

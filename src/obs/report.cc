@@ -9,21 +9,13 @@
 namespace malleus {
 namespace obs {
 
-namespace {
-
-std::string JsonStr(const std::string& s) {
-  return "\"" + JsonEscape(s) + "\"";
-}
-
-}  // namespace
-
 std::string RenderAttributionJson(const AttributionReport& report,
                                   int digits) {
   std::string out = "{";
-  out += "\"title\":" + JsonStr(report.title);
-  out += ",\"scenario\":" + JsonStr(report.scenario);
-  out += ",\"phase\":" + JsonStr(report.phase);
-  out += ",\"net_model\":" + JsonStr(report.net_model);
+  out += "\"title\":" + JsonQuote(report.title);
+  out += ",\"scenario\":" + JsonQuote(report.scenario);
+  out += ",\"phase\":" + JsonQuote(report.phase);
+  out += ",\"net_model\":" + JsonQuote(report.net_model);
   out += ",\"baseline\":{";
   out += "\"step_seconds\":" +
          JsonNumber(report.baseline_step_seconds, digits);
@@ -44,8 +36,8 @@ std::string RenderAttributionJson(const AttributionReport& report,
     if (i > 0) out += ",";
     out += "{";
     out += StrFormat("\"rank\":%zu", i + 1);
-    out += ",\"cause\":" + JsonStr(r.cause);
-    out += ",\"kind\":" + JsonStr(r.kind);
+    out += ",\"cause\":" + JsonQuote(r.cause);
+    out += ",\"kind\":" + JsonQuote(r.kind);
     out += ",\"attributed_seconds\":" +
            JsonNumber(r.attributed_seconds, digits);
     out += ",\"attributed_fraction\":" +
@@ -60,10 +52,10 @@ std::string RenderAttributionJson(const AttributionReport& report,
            JsonNumber(r.comm_delta_seconds, digits);
     out += ",\"sync_delta_seconds\":" +
            JsonNumber(r.sync_delta_seconds, digits);
-    out += ",\"plan_signature\":" + JsonStr(r.plan_signature);
+    out += ",\"plan_signature\":" + JsonQuote(r.plan_signature);
     out += std::string(",\"plan_changed\":") +
            (r.plan_changed ? "true" : "false");
-    out += ",\"error\":" + JsonStr(r.error);
+    out += ",\"error\":" + JsonQuote(r.error);
     out += "}";
   }
   out += "]}";

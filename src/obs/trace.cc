@@ -28,7 +28,7 @@ void AppendArgs(const std::vector<TraceArg>& args, std::string* out) {
 }  // namespace
 
 TraceArg TraceArg::Str(std::string key, const std::string& value) {
-  return {std::move(key), "\"" + JsonEscape(value) + "\""};
+  return {std::move(key), JsonQuote(value)};
 }
 
 TraceArg TraceArg::Num(std::string key, double value) {

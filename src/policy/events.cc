@@ -70,10 +70,6 @@ std::string ClusterEvent::ToString() const {
   return "@? unknown";
 }
 
-bool IsHealEvent(EventKind kind) {
-  return kind == EventKind::kRecover || kind == EventKind::kNodeRecover;
-}
-
 EventTrace GenerateEventTrace(const topo::ClusterSpec& cluster,
                               const scenario::DynamicSpec& dynamic,
                               uint64_t seed) {

@@ -78,9 +78,6 @@ EventTrace GenerateEventTrace(const topo::ClusterSpec& cluster,
 void ApplyEvent(const topo::ClusterSpec& cluster, const ClusterEvent& event,
                 straggler::Situation* situation);
 
-/// True when the event heals capacity (kRecover / kNodeRecover).
-bool IsHealEvent(EventKind kind);
-
 }  // namespace policy
 }  // namespace malleus
 

@@ -1,9 +1,9 @@
 #include "scenario/scenario.h"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 
+#include "common/file_util.h"
 #include "common/string_util.h"
 
 namespace malleus {
@@ -295,16 +295,11 @@ std::string SerializeScenario(const ScenarioSpec& spec) {
 }
 
 Result<ScenarioSpec> LoadScenarioFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  const Result<std::string> text = ReadFileBytes(path);
+  if (!text.ok()) {
     return Status::NotFound("cannot open scenario file: " + path);
   }
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  Result<ScenarioSpec> spec = ParseScenarioString(text);
+  Result<ScenarioSpec> spec = ParseScenarioString(*text);
   if (!spec.ok()) {
     return Status(spec.status().code(),
                   path + ": " + spec.status().message());

@@ -120,12 +120,6 @@ double ReduceScatterSecondsFlow(const net::Fabric& fabric,
                              RingLatencySeconds(fabric.cluster(), gpus));
 }
 
-double AllGatherSecondsFlow(const net::Fabric& fabric,
-                            const std::vector<topo::GpuId>& gpus,
-                            double bytes) {
-  return ReduceScatterSecondsFlow(fabric, gpus, bytes);
-}
-
 double AllReduceSecondsFlow(const net::Fabric& fabric,
                             const std::vector<topo::GpuId>& gpus,
                             double bytes) {

@@ -91,9 +91,6 @@ double AllReduceSecondsFlow(const net::Fabric& fabric,
 double ReduceScatterSecondsFlow(const net::Fabric& fabric,
                                 const std::vector<topo::GpuId>& gpus,
                                 double bytes);
-double AllGatherSecondsFlow(const net::Fabric& fabric,
-                            const std::vector<topo::GpuId>& gpus,
-                            double bytes);
 double P2pSecondsFlow(const net::Fabric& fabric, topo::GpuId src,
                       topo::GpuId dst, double bytes);
 /// All transfers run concurrently as flows (NIC/port sharing is max–min

@@ -1,4 +1,4 @@
-#include "graph/builder.h"
+#include "testkit/graph/builder.h"
 
 #include <algorithm>
 #include <vector>
@@ -8,6 +8,7 @@
 #include "sim/pipeline_sim.h"
 
 namespace malleus {
+namespace testkit {
 namespace graph {
 
 namespace {
@@ -256,4 +257,5 @@ Result<Graph> BuildStepGraph(const plan::ParallelPlan& p,
 }
 
 }  // namespace graph
+}  // namespace testkit
 }  // namespace malleus

@@ -3,15 +3,16 @@
 // per-slice reduce-scatter / optimizer / all-gather tail in the globally
 // consistent (layer, slice) order, per Figure 6 and S5.1.
 
-#ifndef MALLEUS_GRAPH_BUILDER_H_
-#define MALLEUS_GRAPH_BUILDER_H_
+#ifndef MALLEUS_TESTKIT_GRAPH_BUILDER_H_
+#define MALLEUS_TESTKIT_GRAPH_BUILDER_H_
 
 #include "common/result.h"
-#include "graph/graph.h"
+#include "testkit/graph/graph.h"
 #include "model/cost_model.h"
 #include "plan/plan.h"
 
 namespace malleus {
+namespace testkit {
 namespace graph {
 
 struct BuildOptions {
@@ -29,6 +30,7 @@ Result<Graph> BuildStepGraph(const plan::ParallelPlan& p,
                              const BuildOptions& options = BuildOptions());
 
 }  // namespace graph
+}  // namespace testkit
 }  // namespace malleus
 
-#endif  // MALLEUS_GRAPH_BUILDER_H_
+#endif  // MALLEUS_TESTKIT_GRAPH_BUILDER_H_

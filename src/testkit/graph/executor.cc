@@ -1,12 +1,13 @@
-#include "graph/executor.h"
+#include "testkit/graph/executor.h"
 
 #include <algorithm>
 
 #include "common/string_util.h"
-#include "graph/builder.h"
+#include "testkit/graph/builder.h"
 #include "sim/collective.h"
 
 namespace malleus {
+namespace testkit {
 namespace graph {
 
 namespace {
@@ -165,4 +166,5 @@ Result<double> SimulateStepViaGraph(const topo::ClusterSpec& cluster,
 }
 
 }  // namespace graph
+}  // namespace testkit
 }  // namespace malleus

@@ -7,21 +7,22 @@
 // detects it). P2P transfers are asynchronous copies that delay consumers
 // without occupying the compute stream.
 
-#ifndef MALLEUS_GRAPH_EXECUTOR_H_
-#define MALLEUS_GRAPH_EXECUTOR_H_
+#ifndef MALLEUS_TESTKIT_GRAPH_EXECUTOR_H_
+#define MALLEUS_TESTKIT_GRAPH_EXECUTOR_H_
 
 #include <map>
 #include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
-#include "graph/graph.h"
+#include "testkit/graph/graph.h"
 #include "model/cost_model.h"
 #include "plan/plan.h"
 #include "straggler/situation.h"
 #include "topology/cluster.h"
 
 namespace malleus {
+namespace testkit {
 namespace graph {
 
 /// Outcome of executing a graph.
@@ -52,6 +53,7 @@ Result<double> SimulateStepViaGraph(const topo::ClusterSpec& cluster,
                                     double timing_noise_stddev, Rng* rng);
 
 }  // namespace graph
+}  // namespace testkit
 }  // namespace malleus
 
-#endif  // MALLEUS_GRAPH_EXECUTOR_H_
+#endif  // MALLEUS_TESTKIT_GRAPH_EXECUTOR_H_

@@ -1,8 +1,9 @@
-#include "graph/graph.h"
+#include "testkit/graph/graph.h"
 
 #include "common/string_util.h"
 
 namespace malleus {
+namespace testkit {
 namespace graph {
 
 const char* OpKindName(OpKind kind) {
@@ -95,4 +96,5 @@ GraphStats Graph::Stats() const {
 }
 
 }  // namespace graph
+}  // namespace testkit
 }  // namespace malleus

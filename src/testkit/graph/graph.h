@@ -1,15 +1,16 @@
 // The execution graph container: op storage, validation, and statistics.
 
-#ifndef MALLEUS_GRAPH_GRAPH_H_
-#define MALLEUS_GRAPH_GRAPH_H_
+#ifndef MALLEUS_TESTKIT_GRAPH_GRAPH_H_
+#define MALLEUS_TESTKIT_GRAPH_GRAPH_H_
 
 #include <map>
 #include <vector>
 
 #include "common/result.h"
-#include "graph/op.h"
+#include "testkit/graph/op.h"
 
 namespace malleus {
+namespace testkit {
 namespace graph {
 
 /// Aggregate statistics of a graph (used by tests and reporting).
@@ -54,6 +55,7 @@ class Graph {
 };
 
 }  // namespace graph
+}  // namespace testkit
 }  // namespace malleus
 
-#endif  // MALLEUS_GRAPH_GRAPH_H_
+#endif  // MALLEUS_TESTKIT_GRAPH_GRAPH_H_

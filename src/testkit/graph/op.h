@@ -1,14 +1,16 @@
 // Operator definitions for the execution graph.
 //
 // The paper's runtime (built on the Hetu system) manages non-uniform data,
-// layer, stage, and device partitioning through a computation graph; this
-// module is our equivalent. A Graph materializes one training step of a
-// ParallelPlan as a per-GPU operator DAG: fused per-stage forward/backward
-// compute, point-to-point activation transfers, the per-slice ZeRO-1
-// collectives in their deadlock-free order, and optimizer updates.
+// layer, stage, and device partitioning through a computation graph. Here
+// that graph is a test oracle: graph_test cross-checks sim's 1F1B playout
+// and its collective-order deadlock check against it. A Graph materializes
+// one training step of a ParallelPlan as a per-GPU operator DAG: fused
+// per-stage forward/backward compute, point-to-point activation transfers,
+// the per-slice ZeRO-1 collectives in their deadlock-free order, and
+// optimizer updates.
 
-#ifndef MALLEUS_GRAPH_OP_H_
-#define MALLEUS_GRAPH_OP_H_
+#ifndef MALLEUS_TESTKIT_GRAPH_OP_H_
+#define MALLEUS_TESTKIT_GRAPH_OP_H_
 
 #include <cstdint>
 #include <string>
@@ -17,6 +19,7 @@
 #include "topology/cluster.h"
 
 namespace malleus {
+namespace testkit {
 namespace graph {
 
 using OpId = int;
@@ -74,6 +77,7 @@ struct Op {
 };
 
 }  // namespace graph
+}  // namespace testkit
 }  // namespace malleus
 
-#endif  // MALLEUS_GRAPH_OP_H_
+#endif  // MALLEUS_TESTKIT_GRAPH_OP_H_

@@ -1,4 +1,4 @@
-#include "solver/ilp.h"
+#include "testkit/ilp.h"
 
 #include <cmath>
 #include <limits>
@@ -8,7 +8,7 @@
 #include "obs/metrics.h"
 
 namespace malleus {
-namespace solver {
+namespace testkit {
 
 namespace {
 
@@ -187,5 +187,5 @@ Result<IlpSolution> SolveIlp(const IntegerProgram& ip,
   return result;
 }
 
-}  // namespace solver
+}  // namespace testkit
 }  // namespace malleus

@@ -1,15 +1,15 @@
 // Branch-and-bound integer linear programming on top of the simplex solver.
 
-#ifndef MALLEUS_SOLVER_ILP_H_
-#define MALLEUS_SOLVER_ILP_H_
+#ifndef MALLEUS_TESTKIT_ILP_H_
+#define MALLEUS_TESTKIT_ILP_H_
 
 #include <vector>
 
 #include "common/result.h"
-#include "solver/lp.h"
+#include "testkit/lp.h"
 
 namespace malleus {
-namespace solver {
+namespace testkit {
 
 /// \brief An ILP: a LinearProgram plus per-variable integrality flags.
 struct IntegerProgram {
@@ -40,7 +40,7 @@ struct IlpOptions {
 Result<IlpSolution> SolveIlp(const IntegerProgram& ip,
                              const IlpOptions& options = IlpOptions());
 
-}  // namespace solver
+}  // namespace testkit
 }  // namespace malleus
 
-#endif  // MALLEUS_SOLVER_ILP_H_
+#endif  // MALLEUS_TESTKIT_ILP_H_

@@ -1,4 +1,4 @@
-#include "solver/lp.h"
+#include "testkit/lp.h"
 
 #include <algorithm>
 #include <cmath>
@@ -8,7 +8,7 @@
 #include "obs/metrics.h"
 
 namespace malleus {
-namespace solver {
+namespace testkit {
 
 namespace {
 
@@ -264,5 +264,5 @@ Result<LpSolution> SolveLp(const LinearProgram& lp) {
   return result;
 }
 
-}  // namespace solver
+}  // namespace testkit
 }  // namespace malleus

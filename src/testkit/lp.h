@@ -1,11 +1,14 @@
 // Dense two-phase simplex solver for small linear programs.
 //
-// The paper solves its planning sub-problems with PuLP/Pyomo; this module is
-// the from-scratch replacement. Problems are tiny (tens of variables), so a
-// dense tableau simplex with Bland's anti-cycling rule is plenty.
+// The paper solves its planning sub-problems with PuLP/Pyomo. The planner
+// uses specialized solvers instead (solver/minmax, solver/division); this
+// generic LP, with the branch-and-bound ILP on top (ilp.h), is the reference
+// that solver_test cross-checks them against. Problems are tiny (tens of
+// variables), so a dense tableau simplex with Bland's anti-cycling rule is
+// plenty.
 
-#ifndef MALLEUS_SOLVER_LP_H_
-#define MALLEUS_SOLVER_LP_H_
+#ifndef MALLEUS_TESTKIT_LP_H_
+#define MALLEUS_TESTKIT_LP_H_
 
 #include <string>
 #include <vector>
@@ -13,7 +16,7 @@
 #include "common/result.h"
 
 namespace malleus {
-namespace solver {
+namespace testkit {
 
 /// A linear constraint sum_j coeffs[j] * x[j] (op) rhs.
 struct LinearConstraint {
@@ -58,7 +61,7 @@ struct LpSolution {
 /// Status::OutOfRange if the objective is unbounded below.
 Result<LpSolution> SolveLp(const LinearProgram& lp);
 
-}  // namespace solver
+}  // namespace testkit
 }  // namespace malleus
 
-#endif  // MALLEUS_SOLVER_LP_H_
+#endif  // MALLEUS_TESTKIT_LP_H_

@@ -19,6 +19,7 @@
 #include "policy/runner.h"
 #include "sim/pipeline_sim.h"
 #include "straggler/situation.h"
+#include "testkit/flow_sim_reference.h"
 #include "topology/cluster.h"
 #include "whatif/whatif.h"
 
@@ -629,17 +630,16 @@ OracleOutcome RunOracles(const scenario::ScenarioSpec& spec,
   // ----- differential.flowsim-incremental --------------------------------
   //
   // The incremental max–min engine (component-restricted water-filling +
-  // indexed arrival queue) must reproduce the legacy from-scratch engine
-  // bit for bit. The workload is the plan's grad-sync lowering twice: once
-  // as the estimator submits it (all rings at t=0) and once with each
-  // ring's start staggered, so arrivals and drains genuinely interleave
-  // and the incremental engine's dirty-component tracking is exercised
-  // across many membership changes.
+  // indexed arrival queue) must reproduce the from-scratch reference engine
+  // (RunReferenceFlowSim) bit for bit. The workload is the plan's grad-sync
+  // lowering twice: once as the estimator submits it (all rings at t=0) and
+  // once with each ring's start staggered, so arrivals and drains genuinely
+  // interleave and the incremental engine's dirty-component tracking is
+  // exercised across many membership changes.
   {
     ctx.Ran("differential.flowsim-incremental");
     const net::Fabric fabric(cluster);
-    net::FlowSim inc(fabric, net::FlowSimMode::kIncremental);
-    net::FlowSim leg(fabric, net::FlowSimMode::kLegacy);
+    net::FlowSim inc(fabric);
     const std::vector<plan::GradSyncRing> rings =
         plan::CollectGradSyncRings(p, cost, cluster);
     for (int pass = 0; pass < 2; ++pass) {
@@ -651,33 +651,33 @@ OracleOutcome RunOracles(const scenario::ScenarioSpec& spec,
             pass == 0 ? 0.0 : 1e-4 * static_cast<double>(r + 1);
         net::SubmitRing(&inc, ring.peers, bytes_per_hop, start,
                         2.0 * dp * ring.hop_latency);
-        net::SubmitRing(&leg, ring.peers, bytes_per_hop, start,
-                        2.0 * dp * ring.hop_latency);
       }
     }
     inc.Run();
-    leg.Run();
+    std::vector<net::Flow> flows;
+    for (const net::FlowOutcome& o : inc.outcomes()) flows.push_back(o.flow);
+    const ReferenceFlowSimResult ref = RunReferenceFlowSim(fabric, flows);
     std::string diff;
-    if (!SameDouble(inc.MakespanSeconds(), leg.MakespanSeconds())) {
-      diff = StrFormat("makespan incremental=%.17g vs legacy=%.17g",
-                       inc.MakespanSeconds(), leg.MakespanSeconds());
+    if (!SameDouble(inc.MakespanSeconds(), ref.makespan_seconds)) {
+      diff = StrFormat("makespan incremental=%.17g vs reference=%.17g",
+                       inc.MakespanSeconds(), ref.makespan_seconds);
     }
     for (size_t i = 0; diff.empty() && i < inc.outcomes().size(); ++i) {
       if (!SameDouble(inc.outcomes()[i].end_seconds,
-                      leg.outcomes()[i].end_seconds) ||
-          !SameDouble(inc.outcomes()[i].seconds, leg.outcomes()[i].seconds)) {
-        diff = StrFormat("flow %zu end incremental=%.17g vs legacy=%.17g", i,
-                         inc.outcomes()[i].end_seconds,
-                         leg.outcomes()[i].end_seconds);
+                      ref.outcomes[i].end_seconds) ||
+          !SameDouble(inc.outcomes()[i].seconds, ref.outcomes[i].seconds)) {
+        diff = StrFormat("flow %zu end incremental=%.17g vs reference=%.17g",
+                         i, inc.outcomes()[i].end_seconds,
+                         ref.outcomes[i].end_seconds);
       }
     }
     for (int l = 0; diff.empty() && l < fabric.num_links(); ++l) {
       const net::LinkUsage& a = inc.link_usage()[l];
-      const net::LinkUsage& b = leg.link_usage()[l];
+      const net::LinkUsage& b = ref.link_usage[l];
       if (!SameDouble(a.bytes, b.bytes) ||
           !SameDouble(a.peak_utilization, b.peak_utilization)) {
         diff = StrFormat("link %s bytes/peak incremental=%.17g/%.17g vs "
-                         "legacy=%.17g/%.17g",
+                         "reference=%.17g/%.17g",
                          fabric.link(l).name.c_str(), a.bytes,
                          a.peak_utilization, b.bytes, b.peak_utilization);
       }

@@ -15,7 +15,7 @@
 //                                    same Rng seed is bit-identical (under
 //                                    OracleOptions::sim_net_model)
 //     differential.flowsim-incremental  the incremental max–min FlowSim ==
-//                                    the legacy from-scratch engine bitwise
+//                                    the from-scratch reference bitwise
 //                                    (outcomes, makespan, link usage) on
 //                                    the plan's grad-sync lowering
 //     differential.replan-fallback   Planner::Replan pinned to the chosen

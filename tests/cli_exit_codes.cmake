@@ -2,8 +2,9 @@
 #   - scenario_cli exits 1 when the framework cannot produce a valid plan,
 #     0 on a clean lint, 2 on usage errors;
 #   - malleus_lint exits 0 / 1 / 2 for clean / errors-or-unanalyzable /
-#     usage, and its json/sarif outputs carry the schema markers.
-# Expects -DSCENARIO_CLI, -DMALLEUS_LINT, -DSCENARIO_DIR.
+#     usage, and its json/sarif outputs carry the schema markers;
+#   - a malformed flag value exits 2 with a message naming the flag.
+# Expects -DSCENARIO_CLI, -DMALLEUS_LINT, -DMALLEUS_FUZZ, -DSCENARIO_DIR.
 
 function(expect_exit code)
   execute_process(COMMAND ${ARGN}
@@ -16,12 +17,20 @@ function(expect_exit code)
             "stdout:\n${stdout}\nstderr:\n${stderr}")
   endif()
   set(last_stdout "${stdout}" PARENT_SCOPE)
+  set(last_stderr "${stderr}" PARENT_SCOPE)
 endfunction()
 
 function(expect_stdout_contains needle)
   if(NOT last_stdout MATCHES "${needle}")
     message(FATAL_ERROR
             "stdout does not contain '${needle}':\n${last_stdout}")
+  endif()
+endfunction()
+
+function(expect_stderr_contains needle)
+  if(NOT last_stderr MATCHES "${needle}")
+    message(FATAL_ERROR
+            "stderr does not contain '${needle}':\n${last_stderr}")
   endif()
 endfunction()
 
@@ -61,3 +70,12 @@ expect_stdout_contains("scenario.unknown-model")
 expect_exit(1 ${MALLEUS_LINT} ${SCENARIO_DIR}/does-not-exist.scenario)
 expect_exit(2 ${MALLEUS_LINT})
 expect_exit(2 ${MALLEUS_LINT} --format=yaml ${clean_scenario})
+
+# Malformed flag values are usage errors that name the flag; values are
+# parsed from the whole string.
+expect_exit(2 ${SCENARIO_CLI} --seed=abc)
+expect_stderr_contains("--seed=abc")
+expect_exit(2 ${SCENARIO_CLI} --planner-threads=two)
+expect_stderr_contains("--planner-threads=two")
+expect_exit(2 ${MALLEUS_FUZZ} --seed=12abc --runs=1)
+expect_stderr_contains("--seed=12abc")

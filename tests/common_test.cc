@@ -1,11 +1,18 @@
-// Unit tests for src/common: Status, Result, Rng, string utils, TablePrinter.
+// Unit tests for src/common: Status, Result, Rng, string utils, TablePrinter,
+// file I/O and the command-line flag table.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/file_util.h"
+#include "common/flags.h"
 #include "common/logging.h"
 #include "common/result.h"
 #include "common/rng.h"
@@ -218,6 +225,184 @@ TEST(TablePrinterTest, HandlesRaggedRows) {
   t.AddRow({"only-one"});
   const std::string s = t.ToString();
   EXPECT_NE(s.find("only-one"), std::string::npos);
+}
+
+TEST(StringUtilTest, JsonQuoteWrapsTheEscapedString) {
+  EXPECT_EQ(JsonQuote(""), "\"\"");
+  EXPECT_EQ(JsonQuote("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+}
+
+TEST(FileUtilTest, WriteThenReadRoundTripsBytes) {
+  const std::string path = ::testing::TempDir() + "/file_util_test.bin";
+  const std::string bytes("a\0b\r\n\xff", 6);
+  ASSERT_TRUE(WriteFileBytes(path, bytes).ok());
+  Result<std::string> read = ReadFileBytes(path);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, bytes);
+  ASSERT_TRUE(WriteFileBytes(path, "x").ok());  // Truncates.
+  EXPECT_EQ(*ReadFileBytes(path), "x");
+  std::remove(path.c_str());
+}
+
+TEST(FileUtilTest, MissingFileIsNotFound) {
+  Result<std::string> read =
+      ReadFileBytes(::testing::TempDir() + "/no/such/file");
+  ASSERT_FALSE(read.ok());
+  EXPECT_TRUE(read.status().IsNotFound());
+  EXPECT_FALSE(WriteFileBytes(::testing::TempDir() + "/no/such/file", "x")
+                   .ok());
+}
+
+// Parses `args` (argv[0] is supplied) with `flags`.
+Status ParseArgs(FlagTable* flags, std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return flags->Parse(static_cast<int>(args.size()), args.data());
+}
+
+TEST(FlagTableTest, IntegersParseFromTheWholeString) {
+  int n = 7;
+  uint64_t u = 7;
+  FlagTable flags("prog");
+  flags.Define("n", &n, "N", "");
+  flags.Define("u", &u, "U", "");
+  EXPECT_TRUE(ParseArgs(&flags, {"--n=-12", "--u=18446744073709551615"}).ok());
+  EXPECT_EQ(n, -12);
+  EXPECT_EQ(u, std::numeric_limits<uint64_t>::max());
+  for (const char* bad : {"--n=12abc", "--n=", "--n=1.5", "--n= 1", "--n=two",
+                          "--u=-1", "--u=+1", "--u=abc"}) {
+    const Status st = ParseArgs(&flags, {bad});
+    EXPECT_TRUE(st.IsInvalidArgument()) << bad;
+    EXPECT_NE(st.message().find(bad), std::string::npos) << st.message();
+  }
+  EXPECT_EQ(n, -12);  // Rejected values leave the target untouched.
+}
+
+TEST(FlagTableTest, OutOfRangeIntegersAreRejected) {
+  int n = 0;
+  int64_t wide = 0;
+  FlagTable flags("prog");
+  flags.Define("n", &n, "N", "");
+  flags.Define("wide", &wide, "N", "");
+  EXPECT_TRUE(ParseArgs(&flags, {"--wide=2147483648"}).ok());
+  EXPECT_EQ(wide, int64_t{2147483648});
+  const Status st = ParseArgs(&flags, {"--n=2147483648"});
+  EXPECT_TRUE(st.IsInvalidArgument());
+  EXPECT_NE(st.message().find("out of range"), std::string::npos);
+  EXPECT_FALSE(ParseArgs(&flags, {"--wide=9223372036854775808"}).ok());
+  EXPECT_EQ(n, 0);
+}
+
+TEST(FlagTableTest, ValidatorRejectsAndNamesTheFlag) {
+  int threads = 1;
+  std::string format = "text";
+  FlagTable flags("prog");
+  flags.Define("threads", &threads, "N", "", InRange(1, 8));
+  flags.Define("format", &format, "text|json", "", OneOf({"text", "json"}));
+  EXPECT_TRUE(ParseArgs(&flags, {"--threads=8", "--format=json"}).ok());
+  EXPECT_EQ(threads, 8);
+  EXPECT_EQ(format, "json");
+  const Status st = ParseArgs(&flags, {"--format=yaml"});
+  EXPECT_EQ(st.message(), "bad value for --format=yaml (want text|json)");
+  EXPECT_FALSE(ParseArgs(&flags, {"--threads=0"}).ok());
+  EXPECT_EQ(threads, 8);
+}
+
+TEST(FlagTableTest, OptionalValueFlags) {
+  std::string lint;
+  FlagTable flags("prog");
+  flags.DefineOptional("lint", &lint, "text", "text|json", "",
+                       OneOf({"text", "json"}));
+  EXPECT_TRUE(ParseArgs(&flags, {}).ok());
+  EXPECT_EQ(lint, "");
+  EXPECT_TRUE(ParseArgs(&flags, {"--lint"}).ok());
+  EXPECT_EQ(lint, "text");
+  EXPECT_TRUE(ParseArgs(&flags, {"--lint=json"}).ok());
+  EXPECT_EQ(lint, "json");
+  EXPECT_FALSE(ParseArgs(&flags, {"--lint=yaml"}).ok());
+  EXPECT_EQ(lint, "json");
+}
+
+TEST(FlagTableTest, UnknownFlagsAndWrongForms) {
+  bool on = false;
+  int n = 0;
+  FlagTable flags("prog");
+  flags.DefineSwitch("on", &on, "");
+  flags.Define("n", &n, "N", "");
+  EXPECT_EQ(ParseArgs(&flags, {"--nope"}).message(), "unknown flag: --nope");
+  EXPECT_EQ(ParseArgs(&flags, {"--nope=1"}).message(),
+            "unknown flag: --nope=1");
+  EXPECT_EQ(ParseArgs(&flags, {"-x"}).message(), "unknown flag: -x");
+  EXPECT_EQ(ParseArgs(&flags, {"-n=1"}).message(), "unknown flag: -n=1");
+  EXPECT_EQ(ParseArgs(&flags, {"--on=1"}).message(), "--on takes no value");
+  EXPECT_EQ(ParseArgs(&flags, {"--n"}).message(), "--n needs a value (--n=N)");
+  EXPECT_FALSE(on);
+  EXPECT_TRUE(ParseArgs(&flags, {"--on"}).ok());
+  EXPECT_TRUE(on);
+}
+
+TEST(FlagTableTest, PositionalArguments) {
+  std::string method;
+  std::string params;
+  FlagTable pair("prog");
+  pair.DefinePositional("METHOD", &method, /*required=*/true);
+  pair.DefinePositional("PARAMS", &params, /*required=*/false);
+  EXPECT_EQ(ParseArgs(&pair, {}).message(), "missing METHOD");
+  EXPECT_TRUE(ParseArgs(&pair, {"plan"}).ok());
+  EXPECT_EQ(method, "plan");
+  EXPECT_TRUE(ParseArgs(&pair, {"plan", "{}"}).ok());
+  EXPECT_EQ(params, "{}");
+  EXPECT_EQ(ParseArgs(&pair, {"plan", "{}", "x"}).message(),
+            "unexpected argument: x");
+
+  std::vector<std::string> files;
+  bool list = false;
+  FlagTable rest("prog");
+  rest.DefineSwitch("list", &list, "");
+  rest.DefinePositionals("FILE", &files);
+  EXPECT_TRUE(ParseArgs(&rest, {"a", "--list", "b", "-"}).ok());
+  EXPECT_EQ(files, (std::vector<std::string>{"a", "b", "-"}));
+  EXPECT_TRUE(list);
+
+  FlagTable none("prog");
+  EXPECT_EQ(ParseArgs(&none, {"a"}).message(), "unexpected argument: a");
+}
+
+TEST(FlagTableTest, AppliesFlagsInArgvOrder) {
+  // A flag that loads several fields (like --scenario=FILE) applies where
+  // it stands: later flags override its fields, earlier ones are replaced.
+  int nodes = 4;
+  std::string model = "32b";
+  FlagTable flags("prog");
+  flags.DefineCallback("preset", "NAME", "", [&](const std::string& name) {
+    if (name != "big") return Status::NotFound("no preset " + name);
+    nodes = 8;
+    model = "70b";
+    return Status::OK();
+  });
+  flags.Define("nodes", &nodes, "N", "");
+  EXPECT_TRUE(ParseArgs(&flags, {"--preset=big", "--nodes=2"}).ok());
+  EXPECT_EQ(nodes, 2);
+  EXPECT_EQ(model, "70b");
+  EXPECT_TRUE(ParseArgs(&flags, {"--nodes=2", "--preset=big"}).ok());
+  EXPECT_EQ(nodes, 8);
+  EXPECT_EQ(ParseArgs(&flags, {"--preset=tiny"}).message(),
+            "bad value for --preset=tiny: no preset tiny");
+}
+
+TEST(FlagTableTest, HelpStopsParsingAndUsageComesFromTheTable) {
+  int n = 0;
+  std::string file;
+  FlagTable flags("prog");
+  flags.Define("n", &n, "N", "count\nsecond line");
+  flags.DefinePositional("FILE", &file, /*required=*/true);
+  EXPECT_TRUE(ParseArgs(&flags, {"--help", "--bogus"}).ok());
+  EXPECT_TRUE(flags.help_requested());
+  EXPECT_TRUE(ParseArgs(&flags, {"f"}).ok());
+  EXPECT_FALSE(flags.help_requested());
+  EXPECT_EQ(flags.Usage(),
+            "usage: prog [flags] FILE\n"
+            "  --n=N  count\n"
+            "         second line\n");
 }
 
 }  // namespace

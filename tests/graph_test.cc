@@ -1,4 +1,4 @@
-// Tests for src/graph: graph structure, step-graph construction (1F1B
+// Tests for testkit/graph: graph structure, step-graph construction (1F1B
 // order, ZeRO-1 collective tail), deadlock detection, and cross-validation
 // of the graph executor against the analytic pipeline simulator.
 
@@ -7,13 +7,14 @@
 #include <algorithm>
 #include <set>
 
-#include "graph/builder.h"
-#include "graph/executor.h"
 #include "plan/estimator.h"
 #include "plan/uniform.h"
 #include "sim/pipeline_sim.h"
+#include "testkit/graph/builder.h"
+#include "testkit/graph/executor.h"
 
 namespace malleus {
+namespace testkit {
 namespace graph {
 namespace {
 
@@ -235,4 +236,5 @@ TEST_F(GraphTest, FailedGpuSignalsUnavailable) {
 
 }  // namespace
 }  // namespace graph
+}  // namespace testkit
 }  // namespace malleus

@@ -16,6 +16,7 @@
 #include "plan/uniform.h"
 #include "sim/collective.h"
 #include "sim/pipeline_sim.h"
+#include "testkit/flow_sim_reference.h"
 
 namespace malleus {
 namespace net {
@@ -354,33 +355,31 @@ TEST(HierFabricTest, OversubscribedSpineContention) {
 
 TEST(HierFabricTest, IncrementalMatchesLegacyBitwise) {
   // The incremental max–min engine must be bit-identical to the
-  // from-scratch legacy engine, including on hierarchical fabrics with
+  // from-scratch reference engine, including on hierarchical fabrics with
   // staggered arrivals and shared spine uplinks.
   const topo::ClusterSpec cluster = FatTreeCluster(4, 4, 2, 2.0);
   const Fabric fabric(cluster);
-  FlowSim inc(fabric, FlowSimMode::kIncremental);
-  FlowSim leg(fabric, FlowSimMode::kLegacy);
-  int64_t n = 0;
-  for (FlowSim* fs : {&inc, &leg}) {
-    n = 0;
-    for (topo::GpuId src = 0; src < cluster.num_gpus(); ++src) {
-      const topo::GpuId dst = (src * 7 + 5) % cluster.num_gpus();
-      if (dst == src) continue;
-      fs->Submit({src, dst, 1e9 + 1e8 * src, 1e-4 * (src % 5)});
-      ++n;
-    }
-    fs->Run();
+  std::vector<Flow> flows;
+  for (topo::GpuId src = 0; src < cluster.num_gpus(); ++src) {
+    const topo::GpuId dst = (src * 7 + 5) % cluster.num_gpus();
+    if (dst == src) continue;
+    flows.push_back({src, dst, 1e9 + 1e8 * src, 1e-4 * (src % 5)});
   }
-  EXPECT_DOUBLE_EQ(inc.MakespanSeconds(), leg.MakespanSeconds());
-  for (int64_t i = 0; i < n; ++i) {
-    EXPECT_DOUBLE_EQ(inc.outcome(i).seconds, leg.outcome(i).seconds) << i;
-    EXPECT_DOUBLE_EQ(inc.outcome(i).end_seconds, leg.outcome(i).end_seconds)
+  FlowSim inc(fabric);
+  for (const Flow& f : flows) inc.Submit(f);
+  inc.Run();
+  const testkit::ReferenceFlowSimResult ref =
+      testkit::RunReferenceFlowSim(fabric, flows);
+  EXPECT_DOUBLE_EQ(inc.MakespanSeconds(), ref.makespan_seconds);
+  for (size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_DOUBLE_EQ(inc.outcome(i).seconds, ref.outcomes[i].seconds) << i;
+    EXPECT_DOUBLE_EQ(inc.outcome(i).end_seconds, ref.outcomes[i].end_seconds)
         << i;
   }
   for (int l = 0; l < fabric.num_links(); ++l) {
-    EXPECT_DOUBLE_EQ(inc.link_usage()[l].bytes, leg.link_usage()[l].bytes);
+    EXPECT_DOUBLE_EQ(inc.link_usage()[l].bytes, ref.link_usage[l].bytes);
     EXPECT_DOUBLE_EQ(inc.link_usage()[l].peak_utilization,
-                     leg.link_usage()[l].peak_utilization);
+                     ref.link_usage[l].peak_utilization);
   }
 }
 

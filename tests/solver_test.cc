@@ -1,7 +1,7 @@
-// Tests for src/solver: simplex LP, branch-and-bound ILP, the exact
-// bottleneck-allocation solvers, and the pipeline-division MINLP.
-// Property tests cross-check the specialized solvers against the generic
-// ILP on random instances.
+// Tests for src/solver: the exact bottleneck-allocation solvers and the
+// pipeline-division MINLP, plus testkit's reference simplex LP and
+// branch-and-bound ILP. Property tests cross-check the specialized solvers
+// against the generic ILP on random instances.
 
 #include <gtest/gtest.h>
 
@@ -14,14 +14,22 @@
 #include "common/rng.h"
 #include "solver/cache_io.h"
 #include "solver/division.h"
-#include "solver/ilp.h"
-#include "solver/lp.h"
 #include "solver/minmax.h"
 #include "solver/solve_cache.h"
+#include "testkit/ilp.h"
+#include "testkit/lp.h"
 
 namespace malleus {
 namespace solver {
 namespace {
+
+using testkit::IlpOptions;
+using testkit::IlpSolution;
+using testkit::IntegerProgram;
+using testkit::LinearProgram;
+using testkit::LpSolution;
+using testkit::SolveIlp;
+using testkit::SolveLp;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 

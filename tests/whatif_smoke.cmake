@@ -96,3 +96,4 @@ expect_exit(1 ${MALLEUS_WHATIF} ${bundle} --auto-grid)
 # Bad usage is distinct from bad bundles.
 expect_exit(2 ${MALLEUS_WHATIF})
 expect_exit(2 ${MALLEUS_WHATIF} ${bundle} --no-such-flag)
+expect_exit(2 ${MALLEUS_WHATIF} ${bundle} --top=abc)  # Malformed value.

@@ -14,14 +14,13 @@
 // JSON escaping of a multi-line scenario).
 //
 // Prints the raw response line; exit 0 on an ok response, 1 on a wire
-// error or transport failure, 2 on bad usage.
+// error or transport failure, 2 on bad usage. `--help` lists the flags.
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
+#include "common/file_util.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "serve/client.h"
 #include "serve/json.h"
@@ -33,60 +32,22 @@ namespace {
 struct Args {
   std::string host = "127.0.0.1";
   int port = 0;
-  long deadline_ms = -1;
+  int64_t deadline_ms = -1;
   std::string scenario_file;
   std::string method;
   std::string params;
 };
 
-bool ParseArgs(int argc, char** argv, Args* out) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--host=", 0) == 0) {
-      out->host = arg.substr(7);
-    } else if (arg.rfind("--port=", 0) == 0) {
-      out->port = std::atoi(arg.c_str() + 7);
-    } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      out->deadline_ms = std::atol(arg.c_str() + 14);
-    } else if (arg.rfind("--scenario-file=", 0) == 0) {
-      out->scenario_file = arg.substr(16);
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    } else if (out->method.empty()) {
-      out->method = arg;
-    } else if (out->params.empty()) {
-      out->params = arg;
-    } else {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  if (out->method.empty() || out->port <= 0) {
-    return false;
-  }
-  return true;
-}
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: malleus_client --port=N [--host=H] [--deadline-ms=D]\n"
-               "                      [--scenario-file=FILE] METHOD "
-               "[PARAMS_JSON]\n");
-}
-
 // Splices the scenario file's text into the params object as "scenario".
 Result<std::string> InjectScenario(const std::string& params,
                                    const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  const Result<std::string> text = ReadFileBytes(path);
+  if (!text.ok()) {
     return Status::NotFound(
         StrFormat("cannot read scenario file %s", path.c_str()));
   }
-  std::ostringstream text;
-  text << in.rdbuf();
   const std::string field =
-      StrFormat("\"scenario\":\"%s\"", JsonEscape(text.str()).c_str());
+      StrFormat("\"scenario\":%s", JsonQuote(*text).c_str());
   if (params.empty() || params == "{}") {
     return StrFormat("{%s}", field.c_str());
   }
@@ -105,8 +66,18 @@ Result<std::string> InjectScenario(const std::string& params,
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    Usage();
+  FlagTable flags("malleus_client");
+  flags.Define("port", &args.port, "N", "daemon port on --host (required)");
+  flags.Define("host", &args.host, "H", "daemon address (default 127.0.0.1)");
+  flags.Define("deadline-ms", &args.deadline_ms, "D",
+               "request deadline in ms (default none)");
+  flags.Define("scenario-file", &args.scenario_file, "FILE",
+               "inject FILE's text as the params' \"scenario\" string");
+  flags.DefinePositional("METHOD", &args.method, /*required=*/true);
+  flags.DefinePositional("PARAMS_JSON", &args.params, /*required=*/false);
+  if (!flags.ParseOrUsage(argc, argv)) return 2;
+  if (args.port <= 0) {
+    std::fprintf(stderr, "%s", flags.Usage().c_str());
     return 2;
   }
   std::string params = args.params;

@@ -19,24 +19,17 @@
 //
 // Exit status, matching malleus_lint: 0 = no error-level findings
 // (stale-baseline notes don't fail), 1 = at least one error-level finding
-// or an unreadable file, 2 = bad usage.
-//
-// Flags:
-//   --format=text|json|sarif   output format                (default text)
-//   --baseline=FILE            suppress the findings listed in FILE
-//                              (format: CODE PATH:LINE reason)
-//   --explain=CODE             print the rule's rationale and exit
-//   --list                     print the rule registry and exit
+// or an unreadable file, 2 = bad usage. `--help` lists the flags.
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analyze/analyze.h"
+#include "common/file_util.h"
+#include "common/flags.h"
 #include "lint/diagnostic.h"
 
 using namespace malleus;
@@ -50,43 +43,6 @@ struct Args {
   bool list = false;
   std::vector<std::string> paths;
 };
-
-bool ParseArgs(int argc, char** argv, Args* out) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--format=", 0) == 0) {
-      out->format = arg.substr(9);
-      if (out->format != "text" && out->format != "json" &&
-          out->format != "sarif") {
-        std::fprintf(stderr, "unknown format: %s\n", out->format.c_str());
-        return false;
-      }
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      out->baseline_path = arg.substr(11);
-    } else if (arg.rfind("--explain=", 0) == 0) {
-      out->explain_code = arg.substr(10);
-    } else if (arg == "--list") {
-      out->list = true;
-    } else if (arg == "--help" || arg == "-h") {
-      return false;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    } else {
-      out->paths.push_back(arg);
-    }
-  }
-  return out->list || !out->explain_code.empty() || !out->paths.empty();
-}
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
 
 bool IsCppSource(const std::filesystem::path& p) {
   const std::string ext = p.extension().string();
@@ -151,13 +107,20 @@ void PrintRuleList() {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    std::fprintf(
-        stderr,
-        "usage: %s [--format=text|json|sarif] [--baseline=FILE] "
-        "[--explain=CODE] [--list] PATH...\n"
-        "PATHs are C++ files or directories (recursed for *.h, *.cc)\n",
-        argv[0]);
+  FlagTable flags("malleus_detlint");
+  flags.Define("format", &args.format, "text|json|sarif",
+               "output format (default text)",
+               OneOf({"text", "json", "sarif"}));
+  flags.Define("baseline", &args.baseline_path, "FILE",
+               "suppress the findings listed in FILE\n"
+               "(format: CODE PATH:LINE reason)");
+  flags.Define("explain", &args.explain_code, "CODE",
+               "print the rule's rationale and exit");
+  flags.DefineSwitch("list", &args.list, "print the rule registry and exit");
+  flags.DefinePositionals("PATH", &args.paths);
+  if (!flags.ParseOrUsage(argc, argv)) return 2;
+  if (!args.list && args.explain_code.empty() && args.paths.empty()) {
+    std::fprintf(stderr, "%s", flags.Usage().c_str());
     return 2;
   }
   if (args.list) {
@@ -179,14 +142,14 @@ int main(int argc, char** argv) {
 
   std::vector<analyze::BaselineEntry> baseline;
   if (!args.baseline_path.empty()) {
-    std::string text;
-    if (!ReadFile(args.baseline_path, &text)) {
+    const Result<std::string> text = ReadFileBytes(args.baseline_path);
+    if (!text.ok()) {
       std::fprintf(stderr, "cannot read baseline %s\n",
                    args.baseline_path.c_str());
       return 2;
     }
     Result<std::vector<analyze::BaselineEntry>> parsed =
-        analyze::ParseBaseline(text);
+        analyze::ParseBaseline(*text);
     if (!parsed.ok()) {
       std::fprintf(stderr, "%s: %s\n", args.baseline_path.c_str(),
                    parsed.status().ToString().c_str());
@@ -204,13 +167,13 @@ int main(int argc, char** argv) {
   lexed.reserve(sources.size());
   analyze::SymbolIndex index;
   for (const std::string& path : sources) {
-    std::string source;
-    if (!ReadFile(path, &source)) {
+    const Result<std::string> source = ReadFileBytes(path);
+    if (!source.ok()) {
       std::fprintf(stderr, "%s: cannot read\n", path.c_str());
       readable = false;
       continue;
     }
-    lexed.emplace_back(path, analyze::Lex(source));
+    lexed.emplace_back(path, analyze::Lex(*source));
     index.AddFile(lexed.back().second);
   }
   const analyze::AnalyzeOptions options;

@@ -17,28 +17,16 @@
 //   $ ./tools/malleus_fuzz --seed=7 --runs=200 | grep report-hash
 //
 // Exit status: 0 = no violations, 1 = violations found (or a replay that
-// still violates), 2 = bad usage / I/O failure.
-//
-// Flags:
-//   --seed=N                 base seed             (default 1)
-//   --runs=N                 scenarios to fuzz     (default 100)
-//   --net-model=analytic|flow  net model for the noisy-sim oracle pass
-//   --out=DIR                repro output directory (default ".")
-//   --report=FILE            write the JSON report to FILE
-//   --replay=FILE            re-run the oracles on one scenario file
-//   --dynamic                attach a `dynamic = {...}` block to every
-//                            generated scenario, so each run exercises the
-//                            policy engine's oracles (dynamic.*)
-//   --inject=perturb-estimate  deliberately break an oracle (harness test)
+// still violates), 2 = bad usage / I/O failure. `--help` lists the flags.
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/file_util.h"
+#include "common/flags.h"
 #include "common/hash.h"
 #include "common/string_util.h"
 #include "net/fabric.h"
@@ -59,56 +47,16 @@ struct Args {
   std::string report_path;
   std::string replay_path;
   bool dynamic = false;
-  bool inject_perturb_estimate = false;
+  /// "perturb-estimate" deliberately breaks an oracle (harness test).
+  std::string inject;
 };
-
-bool ParseArgs(int argc, char** argv, Args* out) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      out->seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--runs=", 0) == 0) {
-      out->runs = std::atoi(arg.c_str() + 7);
-    } else if (arg.rfind("--net-model=", 0) == 0) {
-      out->net_model = arg.substr(12);
-      if (out->net_model != "analytic" && out->net_model != "flow") {
-        std::fprintf(stderr, "unknown net model: %s\n",
-                     out->net_model.c_str());
-        return false;
-      }
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out->out_dir = arg.substr(6);
-    } else if (arg.rfind("--report=", 0) == 0) {
-      out->report_path = arg.substr(9);
-    } else if (arg.rfind("--replay=", 0) == 0) {
-      out->replay_path = arg.substr(9);
-    } else if (arg == "--dynamic") {
-      out->dynamic = true;
-    } else if (arg == "--inject=perturb-estimate") {
-      out->inject_perturb_estimate = true;
-    } else {
-      if (arg != "--help" && arg != "-h") {
-        std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      }
-      return false;
-    }
-  }
-  return out->runs > 0 || !out->replay_path.empty();
-}
 
 testkit::OracleOptions ToOracleOptions(const Args& args) {
   testkit::OracleOptions options;
   options.sim_net_model = args.net_model == "flow" ? net::NetModel::kFlow
                                                    : net::NetModel::kAnalytic;
-  options.inject_perturb_estimate = args.inject_perturb_estimate;
+  options.inject_perturb_estimate = !args.inject.empty();
   return options;
-}
-
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
 }
 
 int Replay(const Args& args) {
@@ -149,7 +97,7 @@ std::string RenderReport(const Args& args, int resolved, int planned,
                     args.runs);
   json += StrFormat("\"net_model\":\"%s\",\"dynamic\":%s,\"inject\":%s,",
                     args.net_model.c_str(), args.dynamic ? "true" : "false",
-                    args.inject_perturb_estimate ? "true" : "false");
+                    args.inject.empty() ? "false" : "true");
   json += StrFormat("\"resolved\":%d,\"planned\":%d,", resolved, planned);
   json += "\"oracles\":{";
   bool first = true;
@@ -219,7 +167,7 @@ int Fuzz(const Args& args) {
                                   args.out_dir.c_str(), args.seed, run);
     const std::string repro =
         testkit::RenderRepro(minimized, v, args.seed, run, options);
-    if (!WriteFile(record.repro_path, repro)) {
+    if (!WriteFileBytes(record.repro_path, repro).ok()) {
       std::fprintf(stderr, "cannot write %s\n", record.repro_path.c_str());
       io_failed = true;
     }
@@ -233,7 +181,8 @@ int Fuzz(const Args& args) {
   const std::string report = RenderReport(args, resolved, planned,
                                           oracle_runs, oracle_violations,
                                           records);
-  if (!args.report_path.empty() && !WriteFile(args.report_path, report)) {
+  if (!args.report_path.empty() &&
+      !WriteFileBytes(args.report_path, report).ok()) {
     std::fprintf(stderr, "cannot write %s\n", args.report_path.c_str());
     io_failed = true;
   }
@@ -254,13 +203,28 @@ int Fuzz(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    std::fprintf(
-        stderr,
-        "usage: malleus_fuzz [--seed=N] [--runs=N] "
-        "[--net-model=analytic|flow] [--out=DIR] [--report=FILE]\n"
-        "                    [--replay=FILE] [--dynamic] "
-        "[--inject=perturb-estimate]\n");
+  FlagTable flags("malleus_fuzz");
+  flags.Define("seed", &args.seed, "N", "base seed (default 1)");
+  flags.Define("runs", &args.runs, "N", "scenarios to fuzz (default 100)");
+  flags.Define("net-model", &args.net_model, "analytic|flow",
+               "net model for the noisy-sim oracle pass",
+               OneOf({"analytic", "flow"}));
+  flags.Define("out", &args.out_dir, "DIR",
+               "repro output directory (default .)");
+  flags.Define("report", &args.report_path, "FILE",
+               "write the JSON report to FILE");
+  flags.Define("replay", &args.replay_path, "FILE",
+               "re-run the oracles on one scenario file");
+  flags.DefineSwitch("dynamic", &args.dynamic,
+                     "attach a `dynamic = {...}` block to every generated\n"
+                     "scenario, so each run exercises the policy engine's\n"
+                     "oracles (dynamic.*)");
+  flags.Define("inject", &args.inject, "perturb-estimate",
+               "deliberately break an oracle (harness test)",
+               OneOf({"perturb-estimate"}));
+  if (!flags.ParseOrUsage(argc, argv)) return 2;
+  if (args.runs <= 0 && args.replay_path.empty()) {
+    std::fprintf(stderr, "%s", flags.Usage().c_str());
     return 2;
   }
   if (!args.replay_path.empty()) return Replay(args);

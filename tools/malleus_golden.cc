@@ -14,21 +14,18 @@
 // goldens instead (review the diff before committing).
 //
 // Exit status: 0 = all snapshots match (or were written), 1 = drift or a
-// scenario that no longer renders, 2 = bad usage / I/O failure.
-//
-// Flags:
-//   --scenario-dir=DIR   scenarios to snapshot   (default examples/scenarios)
-//   --golden-dir=DIR     goldens location        (default tests/golden)
-//   --update-golden      write snapshots instead of comparing
+// scenario that no longer renders, 2 = bad usage / I/O failure. `--help`
+// lists the flags.
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/file_util.h"
+#include "common/flags.h"
 #include "scenario/scenario.h"
 #include "testkit/golden.h"
 
@@ -41,41 +38,6 @@ struct Args {
   std::string golden_dir = "tests/golden";
   bool update = false;
 };
-
-bool ParseArgs(int argc, char** argv, Args* out) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--scenario-dir=", 0) == 0) {
-      out->scenario_dir = arg.substr(15);
-    } else if (arg.rfind("--golden-dir=", 0) == 0) {
-      out->golden_dir = arg.substr(13);
-    } else if (arg == "--update-golden") {
-      out->update = true;
-    } else {
-      if (arg != "--help" && arg != "-h") {
-        std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
-bool ReadFile(const std::string& path, std::string* content) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *content = buffer.str();
-  return true;
-}
-
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
-}
 
 // The 1-based line number and text of the first line where a and b differ.
 void FirstDiff(const std::string& a, const std::string& b, int* line,
@@ -102,12 +64,14 @@ void FirstDiff(const std::string& a, const std::string& b, int* line,
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    std::fprintf(stderr,
-                 "usage: malleus_golden [--scenario-dir=DIR] "
-                 "[--golden-dir=DIR] [--update-golden]\n");
-    return 2;
-  }
+  FlagTable flags("malleus_golden");
+  flags.Define("scenario-dir", &args.scenario_dir, "DIR",
+               "scenarios to snapshot (default examples/scenarios)");
+  flags.Define("golden-dir", &args.golden_dir, "DIR",
+               "goldens location (default tests/golden)");
+  flags.DefineSwitch("update-golden", &args.update,
+                     "write snapshots instead of comparing");
+  if (!flags.ParseOrUsage(argc, argv)) return 2;
 
   std::error_code ec;
   std::vector<std::filesystem::path> scenarios;
@@ -159,15 +123,15 @@ int main(int argc, char** argv) {
       continue;
     }
     if (args.update) {
-      if (!WriteFile(golden_path, *snapshot)) {
+      if (!WriteFileBytes(golden_path, *snapshot).ok()) {
         std::fprintf(stderr, "cannot write %s\n", golden_path.c_str());
         return 2;
       }
       std::printf("wrote %s\n", golden_path.c_str());
       continue;
     }
-    std::string golden;
-    if (!ReadFile(golden_path, &golden)) {
+    const Result<std::string> golden = ReadFileBytes(golden_path);
+    if (!golden.ok()) {
       std::fprintf(stderr,
                    "%s: missing golden %s (run malleus_golden "
                    "--update-golden)\n",
@@ -175,14 +139,14 @@ int main(int argc, char** argv) {
       drifted = true;
       continue;
     }
-    if (golden == *snapshot) {
+    if (*golden == *snapshot) {
       std::printf("%s: ok\n", name.c_str());
       continue;
     }
     int line = 0;
     std::string golden_line;
     std::string current_line;
-    FirstDiff(golden, *snapshot, &line, &golden_line, &current_line);
+    FirstDiff(*golden, *snapshot, &line, &golden_line, &current_line);
     std::fprintf(stderr,
                  "%s: DRIFT at line %d\n  golden : %s\n  current: %s\n"
                  "  (refresh with malleus_golden --update-golden if "

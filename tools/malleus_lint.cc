@@ -18,21 +18,17 @@
 //                     conservation (lint::LintFlowConservation).
 //
 // Exit status: 0 = no error-level diagnostics anywhere, 1 = at least one
-// error (or a file failed to parse / plan), 2 = bad usage.
-//
-// Flags:
-//   --format=text|json|sarif   output format          (default text)
-//   --no-plan                  skip the planner-dependent passes (5-6)
-//   --list                     print the diagnostic-code registry and exit
+// error (or a file failed to parse / plan), 2 = bad usage. `--help` lists
+// the flags.
 //
 // With json/sarif and several files, all findings merge into one document
 // (the first file is recorded as the SARIF artifact).
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "core/scenario_lint.h"
 #include "lint/diagnostic.h"
 #include "lint/lint.h"
@@ -47,32 +43,6 @@ struct Args {
   bool list = false;
   std::vector<std::string> files;
 };
-
-bool ParseArgs(int argc, char** argv, Args* out) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--format=", 0) == 0) {
-      out->format = arg.substr(9);
-      if (out->format != "text" && out->format != "json" &&
-          out->format != "sarif") {
-        std::fprintf(stderr, "unknown format: %s\n", out->format.c_str());
-        return false;
-      }
-    } else if (arg == "--no-plan") {
-      out->no_plan = true;
-    } else if (arg == "--list") {
-      out->list = true;
-    } else if (arg == "--help" || arg == "-h") {
-      return false;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    } else {
-      out->files.push_back(arg);
-    }
-  }
-  return out->list || !out->files.empty();
-}
 
 // Runs the shared end-to-end lint. Returns false when the file could not
 // even be analyzed (parse or planner failure), which counts as an error
@@ -101,11 +71,18 @@ void PrintPassList() {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    std::fprintf(stderr,
-                 "usage: %s [--format=text|json|sarif] [--no-plan] [--list] "
-                 "FILE.scenario...\n",
-                 argv[0]);
+  FlagTable flags("malleus_lint");
+  flags.Define("format", &args.format, "text|json|sarif",
+               "output format (default text)",
+               OneOf({"text", "json", "sarif"}));
+  flags.DefineSwitch("no-plan", &args.no_plan,
+                     "skip the planner-dependent passes (5-6)");
+  flags.DefineSwitch("list", &args.list,
+                     "print the diagnostic-code registry and exit");
+  flags.DefinePositionals("FILE.scenario", &args.files);
+  if (!flags.ParseOrUsage(argc, argv)) return 2;
+  if (!args.list && args.files.empty()) {
+    std::fprintf(stderr, "%s", flags.Usage().c_str());
     return 2;
   }
   if (args.list) {

@@ -12,111 +12,53 @@
 // `shutdown` request (graceful drain: every admitted request is answered,
 // the solver cache is persisted when --cache-save is set).
 //
-// Flags:
-//   --port=N             TCP listen port on 127.0.0.1 (0 = ephemeral;
-//                        the chosen port is printed either way)
-//   --stdio              serve stdin/stdout instead of TCP
-//   --workers=N          concurrent request executors      (default 2)
-//   --planner-threads=N  threads per planner sweep         (default 1)
-//   --max-queue=N        admission queue bound             (default 64)
-//   --cache-load=FILE    warm-load the solver cache at startup
-//   --cache-save=FILE    persist the solver cache at shutdown
-//
 // Exit status: 0 = clean shutdown, 1 = startup or shutdown failure,
-// 2 = bad usage.
+// 2 = bad usage. `--help` lists the flags.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <string>
 
+#include "common/flags.h"
 #include "serve/server.h"
 #include "serve/transport.h"
 
 using namespace malleus;
 
-namespace {
-
-struct Args {
+int main(int argc, char** argv) {
   int port = 0;
   bool stdio = false;
   serve::ServerOptions options;
-};
+  FlagTable flags("malleus_served");
+  flags.Define("port", &port, "N",
+               "TCP listen port on 127.0.0.1 (0 = ephemeral; the\n"
+               "chosen port is printed either way)",
+               InRange(0, 1 << 20));
+  flags.DefineSwitch("stdio", &stdio, "serve stdin/stdout instead of TCP");
+  flags.Define("workers", &options.num_workers, "N",
+               "concurrent request executors (default 2)",
+               InRange(1, 1 << 20));
+  flags.Define("planner-threads", &options.planner_threads, "N",
+               "threads per planner sweep (default 1)", InRange(1, 1 << 20));
+  flags.Define("max-queue", &options.max_queue, "N",
+               "admission queue bound (default 64)", InRange(1, 1 << 20));
+  flags.Define("cache-load", &options.cache_load_path, "FILE",
+               "warm-load the solver cache at startup");
+  flags.Define("cache-save", &options.cache_save_path, "FILE",
+               "persist the solver cache at shutdown");
+  if (!flags.ParseOrUsage(argc, argv)) return 2;
 
-bool ParseIntFlag(const std::string& arg, const char* prefix, int* out) {
-  const size_t len = std::strlen(prefix);
-  if (arg.rfind(prefix, 0) != 0) return false;
-  char* end = nullptr;
-  const long value = std::strtol(arg.c_str() + len, &end, 10);
-  if (end == nullptr || *end != '\0' || value < 0 || value > 1 << 20) {
-    std::fprintf(stderr, "bad value in %s\n", arg.c_str());
-    std::exit(2);
-  }
-  *out = static_cast<int>(value);
-  return true;
-}
-
-bool ParseArgs(int argc, char** argv, Args* out) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    int value = 0;
-    if (arg == "--stdio") {
-      out->stdio = true;
-    } else if (ParseIntFlag(arg, "--port=", &out->port)) {
-    } else if (ParseIntFlag(arg, "--workers=", &value)) {
-      out->options.num_workers = value;
-    } else if (ParseIntFlag(arg, "--planner-threads=", &value)) {
-      out->options.planner_threads = value;
-    } else if (ParseIntFlag(arg, "--max-queue=", &value)) {
-      out->options.max_queue = value;
-    } else if (arg.rfind("--cache-load=", 0) == 0) {
-      out->options.cache_load_path = arg.substr(13);
-    } else if (arg.rfind("--cache-save=", 0) == 0) {
-      out->options.cache_save_path = arg.substr(13);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  if (out->options.num_workers < 1 || out->options.planner_threads < 1 ||
-      out->options.max_queue < 1) {
-    std::fprintf(stderr,
-                 "--workers/--planner-threads/--max-queue must be >= 1\n");
-    return false;
-  }
-  return true;
-}
-
-void Usage() {
-  std::fprintf(
-      stderr,
-      "usage: malleus_served [--port=N | --stdio] [--workers=N]\n"
-      "                      [--planner-threads=N] [--max-queue=N]\n"
-      "                      [--cache-load=FILE] [--cache-save=FILE]\n");
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    Usage();
-    return 2;
-  }
-
-  serve::Server server(args.options);
+  serve::Server server(options);
   Status status = server.Start();
   if (!status.ok()) {
     std::fprintf(stderr, "start: %s\n", status.ToString().c_str());
     return 1;
   }
 
-  if (args.stdio) {
+  if (stdio) {
     status = serve::ServeStdio(&server, std::cin, std::cout);
   } else {
     serve::TcpServer tcp(&server);
-    status = tcp.Listen(args.port);
+    status = tcp.Listen(port);
     if (status.ok()) {
       // Parseable by scripts that passed --port=0.
       std::fprintf(stdout, "listening on 127.0.0.1:%d\n", tcp.port());

@@ -14,37 +14,14 @@
 // across repeat invocations at any --threads value.
 //
 // Exit status: 0 = sweep completed, 1 = bad bundle / failed sweep / failed
-// output write, 2 = bad usage.
-//
-// Flags:
-//   --grid=FILE        counterfactual grid, one per line (see
-//                      scenario/counterfactual.h for the grammar)
-//   --auto-grid[=full] build the standard grid for the recorded situation;
-//                      `full` additionally sweeps removals AND dampenings
-//                      over every GPU (a 64-GPU bundle yields 250+
-//                      counterfactuals). Default when --grid is absent.
-//   --phase=LABEL      situation to attribute ("overlay", "Normal", "S3",
-//                      ...); default: the implied situation with the most
-//                      stragglers
-//   --report-out=FILE  write the ranked report as JSON
-//   --csv-out=FILE     write the ranked report as RFC 4180 CSV
-//   --threads=N        sweep workers (0 = hardware default); report bytes
-//                      are identical at every value
-//   --no-replan        attribute straggler/bandwidth edits by fixed-plan
-//                      replay alone instead of the better of replay and
-//                      re-plan (force_tp / add_standby_node still re-plan)
-//   --top=N            rows to print in the text table (0 = all)
-//   --verify-snapshot  re-render the scenario's golden snapshot and require
-//                      it to match the bundle's snapshot member byte for
-//                      byte (catches bundles recorded by a drifted build)
+// output write, 2 = bad usage. `--help` lists the flags.
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/file_util.h"
+#include "common/flags.h"
 #include "obs/bundle.h"
 #include "obs/report.h"
 #include "scenario/counterfactual.h"
@@ -58,91 +35,54 @@ namespace {
 struct Args {
   std::string bundle_dir;
   std::string grid_file;
-  bool auto_grid_full = false;
+  std::string auto_grid;
   std::string phase;
   std::string report_out;
   std::string csv_out;
   int threads = 0;
-  bool replan = true;
+  bool no_replan = false;
   int top = 10;
   bool verify_snapshot = false;
 };
-
-bool ParseArgs(int argc, char** argv, Args* out) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--grid=", 0) == 0) {
-      out->grid_file = arg.substr(7);
-    } else if (arg == "--auto-grid") {
-      // The default; accepted for explicitness.
-    } else if (arg == "--auto-grid=full") {
-      out->auto_grid_full = true;
-    } else if (arg.rfind("--phase=", 0) == 0) {
-      out->phase = arg.substr(8);
-    } else if (arg.rfind("--report-out=", 0) == 0) {
-      out->report_out = arg.substr(13);
-    } else if (arg.rfind("--csv-out=", 0) == 0) {
-      out->csv_out = arg.substr(10);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      out->threads = std::atoi(arg.c_str() + 10);
-      if (out->threads < 0) {
-        std::fprintf(stderr, "--threads must be >= 0\n");
-        return false;
-      }
-    } else if (arg == "--no-replan") {
-      out->replan = false;
-    } else if (arg.rfind("--top=", 0) == 0) {
-      out->top = std::atoi(arg.c_str() + 6);
-    } else if (arg == "--verify-snapshot") {
-      out->verify_snapshot = true;
-    } else if (arg == "--help" || arg == "-h") {
-      return false;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    } else if (out->bundle_dir.empty()) {
-      out->bundle_dir = arg;
-    } else {
-      std::fprintf(stderr, "more than one bundle directory given\n");
-      return false;
-    }
-  }
-  if (out->bundle_dir.empty()) {
-    std::fprintf(stderr, "missing bundle directory\n");
-    return false;
-  }
-  return true;
-}
-
-bool ReadFile(const std::string& path, std::string* content) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *content = buffer.str();
-  return true;
-}
-
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
-}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    std::fprintf(
-        stderr,
-        "usage: %s BUNDLE_DIR [--grid=FILE | --auto-grid[=full]] "
-        "[--phase=LABEL] [--report-out=FILE] [--csv-out=FILE] "
-        "[--threads=N] [--no-replan] [--top=N] [--verify-snapshot]\n",
-        argv[0]);
-    return 2;
-  }
+  FlagTable flags("malleus_whatif");
+  flags.Define("grid", &args.grid_file, "FILE",
+               "counterfactual grid, one per line (see\n"
+               "scenario/counterfactual.h for the grammar)");
+  flags.DefineOptional(
+      "auto-grid", &args.auto_grid, "standard", "full",
+      "build the standard grid for the recorded situation;\n"
+      "`full` additionally sweeps removals AND dampenings\n"
+      "over every GPU. Default when --grid is absent.",
+      OneOf({"full"}));
+  flags.Define("phase", &args.phase, "LABEL",
+               "situation to attribute (\"overlay\", \"Normal\", \"S3\",\n"
+               "...); default: the implied situation with the most\n"
+               "stragglers");
+  flags.Define("report-out", &args.report_out, "FILE",
+               "write the ranked report as JSON");
+  flags.Define("csv-out", &args.csv_out, "FILE",
+               "write the ranked report as RFC 4180 CSV");
+  flags.Define("threads", &args.threads, "N",
+               "sweep workers (0 = hardware default); report bytes\n"
+               "are identical at every value",
+               [](int n) { return n >= 0; });
+  flags.DefineSwitch("no-replan", &args.no_replan,
+                     "attribute straggler/bandwidth edits by fixed-plan\n"
+                     "replay alone instead of the better of replay and\n"
+                     "re-plan (force_tp / add_standby_node still re-plan)");
+  flags.Define("top", &args.top, "N",
+               "rows to print in the text table (0 = all)");
+  flags.DefineSwitch("verify-snapshot", &args.verify_snapshot,
+                     "re-render the scenario's golden snapshot and require\n"
+                     "it to match the bundle's snapshot member byte for\n"
+                     "byte (catches bundles recorded by a drifted build)");
+  flags.DefinePositional("BUNDLE_DIR", &args.bundle_dir, /*required=*/true);
+  if (!flags.ParseOrUsage(argc, argv)) return 2;
 
   Result<obs::RunBundle> bundle = obs::LoadRunBundle(args.bundle_dir);
   if (!bundle.ok()) {
@@ -183,14 +123,14 @@ int main(int argc, char** argv) {
 
   std::vector<scenario::Counterfactual> grid;
   if (!args.grid_file.empty()) {
-    std::string text;
-    if (!ReadFile(args.grid_file, &text)) {
+    const Result<std::string> text = ReadFileBytes(args.grid_file);
+    if (!text.ok()) {
       std::fprintf(stderr, "cannot read grid file %s\n",
                    args.grid_file.c_str());
       return 1;
     }
     Result<std::vector<scenario::Counterfactual>> parsed =
-        scenario::ParseCounterfactualGrid(text);
+        scenario::ParseCounterfactualGrid(*text);
     if (!parsed.ok()) {
       std::fprintf(stderr, "%s: %s\n", args.grid_file.c_str(),
                    parsed.status().ToString().c_str());
@@ -205,7 +145,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     scenario::DefaultGridOptions gopts;
-    gopts.dampen_all_gpus = args.auto_grid_full;
+    gopts.dampen_all_gpus = args.auto_grid == "full";
     grid = scenario::DefaultCounterfactualGrid(
         run->resolved.cluster, analyzed->situation, run->resolved.net_model,
         gopts);
@@ -217,7 +157,7 @@ int main(int argc, char** argv) {
 
   whatif::WhatIfOptions options;
   options.num_threads = args.threads;
-  options.replan = args.replan;
+  options.replan = !args.no_replan;
   options.phase = args.phase;
   Result<obs::AttributionReport> report =
       whatif::RunWhatIf(*run, grid, options);
@@ -230,7 +170,8 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   if (!args.report_out.empty()) {
-    if (WriteFile(args.report_out, obs::RenderAttributionJson(*report))) {
+    if (WriteFileBytes(args.report_out, obs::RenderAttributionJson(*report))
+            .ok()) {
       std::printf("wrote JSON report (%zu causes) to %s\n",
                   report->rows.size(), args.report_out.c_str());
     } else {
@@ -239,7 +180,8 @@ int main(int argc, char** argv) {
     }
   }
   if (!args.csv_out.empty()) {
-    if (WriteFile(args.csv_out, obs::RenderAttributionCsv(*report))) {
+    if (WriteFileBytes(args.csv_out, obs::RenderAttributionCsv(*report))
+            .ok()) {
       std::printf("wrote CSV report to %s\n", args.csv_out.c_str());
     } else {
       std::fprintf(stderr, "cannot write %s\n", args.csv_out.c_str());
