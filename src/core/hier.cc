@@ -1,26 +1,21 @@
 #include "core/hier.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "core/work_assignment.h"
-#include "lint/lint.h"
 #include "obs/metrics.h"
 #include "plan/estimator.h"
 #include "solver/solve_cache.h"
 
 namespace malleus {
 namespace core {
-
-std::shared_ptr<HierPlanState> MakeHierPlanState() {
-  return std::make_shared<HierPlanState>();
-}
 
 int ResolveIslandNodes(const topo::ClusterSpec& cluster,
                        const PlannerOptions& options) {
@@ -41,12 +36,6 @@ int ResolveIslandNodes(const topo::ClusterSpec& cluster,
 }
 
 namespace {
-
-double Elapsed(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 // Deterministic largest-remainder split of `total` over the healthy
 // islands, proportional to their capacities, every share >= 1 (requires
@@ -91,9 +80,9 @@ Result<PlanResult> PlanHierarchical(const topo::ClusterSpec& cluster,
                                     const straggler::Situation& situation,
                                     int64_t global_batch,
                                     const PlannerOptions& options,
-                                    int island_nodes, HierPlanState* state) {
-  const auto t_total = std::chrono::steady_clock::now();
-  MALLEUS_CHECK(state != nullptr);
+                                    const std::vector<int>& micro_batches,
+                                    int island_nodes,
+                                    solver::SolveCache* memo) {
   MALLEUS_CHECK_GT(island_nodes, 0);
   MALLEUS_CHECK_EQ(cluster.num_nodes() % island_nodes, 0);
   const int num_islands = cluster.num_nodes() / island_nodes;
@@ -104,7 +93,11 @@ Result<PlanResult> PlanHierarchical(const topo::ClusterSpec& cluster,
   // so islands plan on a flat sub-cluster of the same GPU and link specs.
   const topo::ClusterSpec island_cluster(island_nodes, gpn, cluster.gpu(),
                                          cluster.link());
-  const Planner island_planner(island_cluster, cost);
+  // Island division/layer solves live only as long as this call (see file
+  // comment); the island answers themselves go to `memo`.
+  solver::SolveCache island_solves;
+  solver::SolveCache* island_cache =
+      memo != nullptr ? &island_solves : nullptr;
 
   // Slice the situation per island; Theorem-2 capacity sum(1/x) per island
   // decides both the nominal micro-batch shares and the DP pinning split.
@@ -144,19 +137,7 @@ Result<PlanResult> PlanHierarchical(const topo::ClusterSpec& cluster,
     }
   }
 
-  std::vector<int> micro_batches;
-  if (options.forced_micro_batch > 0) {
-    if (global_batch % options.forced_micro_batch == 0) {
-      micro_batches.push_back(options.forced_micro_batch);
-    }
-  } else {
-    for (int b = 1; b <= kMaxMicroBatch; ++b) {
-      if (global_batch % b == 0) micro_batches.push_back(b);
-    }
-  }
-
-  PlannerTimings timings;
-  PlanResult best;
+  PlanResult best;  // Its timings sum the island sweeps that ran.
   best.estimated_seconds = std::numeric_limits<double>::infinity();
   best.estimated_full_seconds = std::numeric_limits<double>::infinity();
   bool found = false;
@@ -200,7 +181,7 @@ Result<PlanResult> PlanHierarchical(const topo::ClusterSpec& cluster,
 
       // The memo key covers everything that can change this island's
       // answer. enable_solve_cache is deliberately absent (it cannot), and
-      // kMaxMicroBatch is unused once b is pinned.
+      // kMaxMicroBatch plays no part: b is the sweep's only micro-batch.
       solver::CacheKey key;
       key.Tag('H')
           .Int(island_nodes)
@@ -215,58 +196,46 @@ Result<PlanResult> PlanHierarchical(const topo::ClusterSpec& cluster,
           .Int(kMaxDivisionNodes)
           .Doubles(sits[k].rates());
 
-      std::shared_ptr<const HierPlanState::Entry> entry;
-      {
-        std::lock_guard<std::mutex> lock(state->mu);
-        auto it = state->memo.find(key.str());
-        if (it != state->memo.end()) {
-          entry = it->second;
-          ++state->hits;
-          ++hits;
-        } else {
-          ++state->misses;
-          ++misses;
-        }
+      std::shared_ptr<const Result<PlanResult>> entry;
+      if (memo != nullptr) {
+        entry = memo->LookupAs<Result<PlanResult>>(key.str());
       }
-      if (entry == nullptr) {
+      if (entry != nullptr) {
+        ++hits;
+      } else {
+        ++misses;
         PlannerOptions iopts = options;
         iopts.dp_degree = static_cast<int>(dp_share[k]);
-        iopts.forced_micro_batch = b;
-        iopts.island_nodes = -1;  // Islands always run the flat sweep.
-        iopts.num_threads = 1;    // Memoization makes island solves cheap.
-        const Result<PlanResult> solved =
-            island_planner.Plan(sits[k], m_k * b, iopts);
-        auto fresh = std::make_shared<HierPlanState::Entry>();
-        if (solved.ok()) {
-          fresh->feasible = true;
-          fresh->plan = solved->plan;
-          fresh->chosen_tp = solved->chosen_tp;
-          timings.grouping_seconds += solved->timings.grouping_seconds;
-          timings.division_seconds += solved->timings.division_seconds;
-          timings.ordering_seconds += solved->timings.ordering_seconds;
-          timings.assignment_seconds += solved->timings.assignment_seconds;
-        } else {
-          fresh->error = solved.status().ToString();
+        auto solved = std::make_shared<const Result<PlanResult>>(
+            SweepCandidates(island_cluster, cost, sits[k], m_k * b, iopts,
+                            {b}, /*num_threads=*/1, island_cache));
+        if (solved->ok()) {
+          const PlannerTimings& t = (*solved)->timings;
+          best.timings.grouping_seconds += t.grouping_seconds;
+          best.timings.division_seconds += t.division_seconds;
+          best.timings.ordering_seconds += t.ordering_seconds;
+          best.timings.assignment_seconds += t.assignment_seconds;
         }
-        std::lock_guard<std::mutex> lock(state->mu);
-        entry = state->memo.emplace(key.str(), std::move(fresh))
-                    .first->second;
+        if (memo != nullptr) memo->Insert(key.str(), solved);
+        entry = std::move(solved);
       }
-      if (!entry->feasible) {
-        last_error = Status::Infeasible(StrFormat(
-            "island %d (micro-batch %d): %s", k, b, entry->error.c_str()));
+      if (!entry->ok()) {
+        last_error = Status::Infeasible(
+            StrFormat("island %d (micro-batch %d): %s", k, b,
+                      entry->status().ToString().c_str()));
         islands_ok = false;
         break;
       }
-      tp_max = std::max(tp_max, entry->chosen_tp);
-      for (const plan::Pipeline& p : entry->plan.pipelines) {
+      const PlanResult& island = **entry;
+      tp_max = std::max(tp_max, island.chosen_tp);
+      for (const plan::Pipeline& p : island.plan.pipelines) {
         plan::Pipeline remapped = p;
         for (plan::Stage& stage : remapped.stages) {
           for (topo::GpuId& g : stage.group.gpus) g += offset;
         }
         stitched.pipelines.push_back(std::move(remapped));
       }
-      for (topo::GpuId g : entry->plan.standby_gpus) {
+      for (topo::GpuId g : island.plan.standby_gpus) {
         stitched.standby_gpus.push_back(g + offset);
       }
     }
@@ -321,8 +290,6 @@ Result<PlanResult> PlanHierarchical(const topo::ClusterSpec& cluster,
     }
   }
 
-  timings.total_seconds = Elapsed(t_total);
-
   auto& registry = obs::MetricsRegistry::Current();
   registry.GetCounter("planner.hier_solves")->Increment();
   registry.GetGauge("planner.islands")->Set(static_cast<double>(num_islands));
@@ -330,21 +297,8 @@ Result<PlanResult> PlanHierarchical(const topo::ClusterSpec& cluster,
       ->Increment(static_cast<double>(hits));
   registry.GetCounter("planner.island_cache_misses")
       ->Increment(static_cast<double>(misses));
-  registry.GetHistogram("planner.solve_seconds")
-      ->Observe(timings.total_seconds);
 
-  if (!found) {
-    registry.GetCounter("planner.infeasible_solves")->Increment();
-    return last_error;
-  }
-  registry.GetGauge("planner.last_estimate_seconds")
-      ->Set(best.estimated_full_seconds);
-  best.timings = timings;
-
-  lint::LintPlan(best.plan, cluster, cost, &situation, &best.diagnostics);
-  lint::LintEventGraph(best.plan, &best.diagnostics);
-  lint::RecordDiagnosticMetrics(best.diagnostics);
-
+  if (!found) return last_error;
   return best;
 }
 

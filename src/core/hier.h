@@ -13,8 +13,8 @@
 //      default, or an explicit PlannerOptions::island_nodes).
 //   2. For each candidate micro-batch size b, give every island a nominal
 //      share of the micro-batches proportional to its Theorem-2 capacity
-//      sum(1/x) and plan the island with the ordinary flat sweep on an
-//      island-local ClusterSpec, pinned to b.
+//      sum(1/x) and run the planner's own candidate sweep (SweepCandidates)
+//      on an island-local ClusterSpec with b as the only micro-batch size.
 //   3. Stitch: remap island GPU ids by the island offset, concatenate the
 //      pipelines, and re-run the global Eq. (3) data assignment over the
 //      stitched pipelines' true bottlenecks so micro-batches follow the
@@ -22,11 +22,16 @@
 //   4. Keep the b whose stitched plan has the lowest full-step estimate
 //      (strict <, first b wins ties — the flat sweep's tie-break rule).
 //
-// Island solves are memoized in HierPlanState keyed by everything that can
-// change the island's answer (its rates bit-for-bit, b, micro share, DP
-// pin, feature flags). Equal healthy islands therefore collapse into ONE
-// solve, and delta re-planning — one straggler appears somewhere in a
-// 10k-GPU cluster — re-solves exactly the one island whose key changed.
+// Island solves are memoized in the planner's SolveCache under tag 'H',
+// keyed by everything that can change the island's answer (its rates
+// bit-for-bit, b, micro share, DP pin, feature flags). Equal healthy
+// islands therefore collapse into ONE solve, and delta re-planning — one
+// straggler appears somewhere in a 10k-GPU cluster — re-solves exactly the
+// one island whose key changed. 'H' has no cache codec, so island entries
+// are never persisted. An island sweep's own division/layer solves go to a
+// SolveCache local to one call, bounding what the planner's cache keeps.
+// Island sweeps are neither linted nor counted as solves; Planner::Plan
+// lints the stitched winner and records its per-call series once.
 //
 // The decomposition is a heuristic: pipelines never span islands (which is
 // exactly what a pod-aware operator wants), so a model too big for one
@@ -37,38 +42,32 @@
 #define MALLEUS_CORE_HIER_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "common/result.h"
 #include "core/planner.h"
 #include "model/cost_model.h"
-#include "plan/plan.h"
+#include "solver/solve_cache.h"
 #include "straggler/situation.h"
 #include "topology/cluster.h"
 
 namespace malleus {
 namespace core {
 
-/// Persistent island-solve memo. Thread-safe (one internal mutex); owned
-/// by the Planner so warm re-planning survives across Plan() calls.
-struct HierPlanState {
-  /// One island's solved sub-plan, in island-local GPU ids.
-  struct Entry {
-    bool feasible = false;
-    plan::ParallelPlan plan;
-    int chosen_tp = 0;
-    std::string error;  ///< Meaningful iff !feasible.
-  };
-
-  std::mutex mu;
-  std::unordered_map<std::string, std::shared_ptr<const Entry>> memo;
-  // Lifetime hit/miss counters (reported as planner.island_cache_* deltas).
-  int64_t hits = 0;
-  int64_t misses = 0;
-};
+/// The candidate sweep behind Planner::Plan, defined in planner.cc: every
+/// (tp, b, dp) candidate with b from `micro_batches` (each dividing
+/// `global_batch`) on up to `num_threads` workers, memoized in
+/// `solve_cache` when non-null. Uses the DP pin, forced TP and feature
+/// flags of `options`. Records the sweep's work series but neither lints
+/// nor counts a solve; `timings.total_seconds` stays 0.
+Result<PlanResult> SweepCandidates(const topo::ClusterSpec& cluster,
+                                   const model::CostModel& cost,
+                                   const straggler::Situation& situation,
+                                   int64_t global_batch,
+                                   const PlannerOptions& options,
+                                   const std::vector<int>& micro_batches,
+                                   int num_threads,
+                                   solver::SolveCache* solve_cache);
 
 /// The island size (in nodes) Plan() should decompose at, or 0 for the
 /// flat sweep. Explicit island_nodes wins; automatic mode picks the
@@ -81,15 +80,18 @@ int ResolveIslandNodes(const topo::ClusterSpec& cluster,
 /// GPU count at which automatic hierarchical decomposition switches on.
 inline constexpr int kHierAutoMinGpus = 128;
 
-/// Plans `cluster` by island decomposition (see file comment). Returns the
-/// stitched plan, or an infeasibility Status when no micro-batch candidate
+/// Plans `cluster` by island decomposition (see file comment) over the b
+/// in `micro_batches`, memoizing island solves in `memo` (null = no memo).
+/// Returns the stitched plan, or an infeasibility Status when no b
 /// produced a valid stitched plan (the caller falls back to flat).
 Result<PlanResult> PlanHierarchical(const topo::ClusterSpec& cluster,
                                     const model::CostModel& cost,
                                     const straggler::Situation& situation,
                                     int64_t global_batch,
                                     const PlannerOptions& options,
-                                    int island_nodes, HierPlanState* state);
+                                    const std::vector<int>& micro_batches,
+                                    int island_nodes,
+                                    solver::SolveCache* memo);
 
 }  // namespace core
 }  // namespace malleus

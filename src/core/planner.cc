@@ -52,10 +52,6 @@ struct CandidateOutcome {
   double assignment_seconds = 0.0;
 };
 
-int ResolveThreads(int requested) {
-  return requested > 0 ? requested : exec::DefaultPlannerThreads();
-}
-
 // Pool dispatch (thread startup, task handoff, cache cooldown) only
 // amortizes when every worker gets a meaty slice of the sweep; below this
 // many candidates per worker the sweep runs inline instead, which is
@@ -161,66 +157,16 @@ CandidateOutcome EvaluateCandidate(const Candidate& c,
 
 }  // namespace
 
-Result<PlanResult> Planner::Plan(const straggler::Situation& situation,
-                                 int64_t global_batch,
-                                 const PlannerOptions& options) const {
-  const auto t_total = std::chrono::steady_clock::now();
-  if (global_batch <= 0) {
-    return Status::InvalidArgument("global batch must be positive");
-  }
-  if (situation.num_gpus() != cluster_.num_gpus()) {
-    return Status::InvalidArgument("situation does not match cluster");
-  }
-  if (options.forced_tp != 0 && options.forced_tp != 1 &&
-      options.forced_tp != 2 && options.forced_tp != 4 &&
-      options.forced_tp != 8) {
-    return Status::InvalidArgument("forced_tp must be one of 0, 1, 2, 4, 8");
-  }
-  if (options.forced_tp > cluster_.gpus_per_node()) {
-    return Status::Infeasible(
-        StrFormat("forced_tp %d exceeds gpus_per_node %d", options.forced_tp,
-                  cluster_.gpus_per_node()));
-  }
-  if (options.forced_micro_batch < 0) {
-    return Status::InvalidArgument("forced_micro_batch must be >= 0");
-  }
-  if (options.forced_micro_batch > 0 &&
-      global_batch % options.forced_micro_batch != 0) {
-    return Status::Infeasible(
-        StrFormat("forced_micro_batch %d does not divide batch %lld",
-                  options.forced_micro_batch,
-                  static_cast<long long>(global_batch)));
-  }
-  if (options.island_nodes > 0 &&
-      cluster_.num_nodes() % options.island_nodes != 0) {
-    return Status::InvalidArgument(
-        StrFormat("island_nodes %d must divide the node count %d",
-                  options.island_nodes, cluster_.num_nodes()));
-  }
-
-  // Pod-scale clusters decompose hierarchically (core/hier.h): islands are
-  // planned independently and stitched. A pinned DP degree below the
-  // island count cannot be distributed one-per-island, and a hierarchical
-  // infeasibility (e.g. the model does not fit inside one island) is not
-  // final — both fall through to the flat sweep.
-  if (const int island_nodes = ResolveIslandNodes(cluster_, options);
-      island_nodes > 0) {
-    const int num_islands = cluster_.num_nodes() / island_nodes;
-    if (options.dp_degree == 0 || options.dp_degree >= num_islands) {
-      Result<PlanResult> hier =
-          PlanHierarchical(cluster_, cost_, situation, global_batch, options,
-                           island_nodes, hier_state_.get());
-      if (hier.ok()) return hier;
-      obs::MetricsRegistry::Current()
-          .GetCounter("planner.hier_fallbacks")
-          ->Increment();
-    }
-  }
-
-  const int num_threads = ResolveThreads(options.num_threads);
-  solver::SolveCache* solve_cache =
-      options.enable_solve_cache ? &solve_cache_ : nullptr;
-  const solver::SolveCache::Stats cache_before = solve_cache_.stats();
+Result<PlanResult> SweepCandidates(const topo::ClusterSpec& cluster,
+                                   const model::CostModel& cost,
+                                   const straggler::Situation& situation,
+                                   int64_t global_batch,
+                                   const PlannerOptions& options,
+                                   const std::vector<int>& micro_batches,
+                                   int num_threads,
+                                   solver::SolveCache* solve_cache) {
+  solver::SolveCache::Stats cache_before;
+  if (solve_cache != nullptr) cache_before = solve_cache->stats();
 
   PlannerTimings timings;
 
@@ -232,14 +178,14 @@ Result<PlanResult> Planner::Plan(const straggler::Situation& situation,
   };
   std::vector<TpEntry> entries;
   for (int tp : {1, 2, 4, 8}) {
-    if (tp > cluster_.gpus_per_node()) continue;
+    if (tp > cluster.gpus_per_node()) continue;
     if (options.forced_tp > 0 && tp != options.forced_tp) continue;
     GroupingOptions gopts;
     gopts.max_tp_degree = tp;
     gopts.enable_splitting = options.nonuniform_devices;
     const auto t_group = std::chrono::steady_clock::now();
     Result<GroupingResult> grouping =
-        GroupGpus(cluster_, cost_, situation, gopts);
+        GroupGpus(cluster, cost, situation, gopts);
     timings.grouping_seconds += std::max(0.0, Elapsed(t_group));
     if (grouping.ok()) {
       bool duplicate = false;
@@ -275,17 +221,7 @@ Result<PlanResult> Planner::Plan(const straggler::Situation& situation,
           dp_candidates.push_back(dp);
         }
       }
-      // A forced micro-batch pins the sweep to exactly that b (it may sit
-      // above kMaxMicroBatch — the caller asked for it explicitly).
-      const int max_b = options.forced_micro_batch > 0
-                            ? options.forced_micro_batch
-                            : kMaxMicroBatch;
-      for (int b = 1; b <= max_b; ++b) {
-        if (options.forced_micro_batch > 0 &&
-            b != options.forced_micro_batch) {
-          continue;
-        }
-        if (global_batch % b != 0) continue;
+      for (int b : micro_batches) {
         const int64_t total_micro = global_batch / b;
         for (int dp : dp_candidates) {
           if (dp > num_groups || total_micro < dp) continue;
@@ -304,12 +240,12 @@ Result<PlanResult> Planner::Plan(const straggler::Situation& situation,
   std::vector<CandidateOutcome> outcomes(candidates.size());
   // Pool workers start with no MetricsScope of their own, so re-install the
   // caller's registry inside each task — solver metrics recorded off-thread
-  // then land in the same registry as this Plan() call's own series.
+  // then land in the same registry as this sweep's own series.
   obs::MetricsRegistry* metrics = &obs::MetricsRegistry::Current();
   const auto evaluate = [&, metrics](int64_t i) {
     obs::MetricsScope metrics_scope(metrics);
-    outcomes[i] = EvaluateCandidate(candidates[i], cluster_, cost_,
-                                    situation, options, solve_cache);
+    outcomes[i] = EvaluateCandidate(candidates[i], cluster, cost, situation,
+                                    options, solve_cache);
   };
   // Clamp the worker count to what can pay off: never more threads than
   // the hardware can actually run (except when MALLEUS_PLANNER_THREADS
@@ -367,11 +303,9 @@ Result<PlanResult> Planner::Plan(const straggler::Situation& situation,
     }
   }
 
-  timings.total_seconds = Elapsed(t_total);
-
-  const solver::SolveCache::Stats cache_after = solve_cache_.stats();
+  solver::SolveCache::Stats cache_after = cache_before;
+  if (solve_cache != nullptr) cache_after = solve_cache->stats();
   auto& registry = obs::MetricsRegistry::Current();
-  registry.GetCounter("planner.solves")->Increment();
   registry.GetCounter("planner.candidates_explored")
       ->Increment(static_cast<double>(candidates.size()));
   registry.GetCounter("planner.candidates_feasible")
@@ -382,29 +316,97 @@ Result<PlanResult> Planner::Plan(const straggler::Situation& situation,
   registry.GetCounter("planner.cache_misses")
       ->Increment(
           static_cast<double>(cache_after.misses - cache_before.misses));
-  registry.GetHistogram("planner.solve_seconds")
-      ->Observe(timings.total_seconds);
   registry.GetHistogram("planner.grouping_seconds")
       ->Observe(timings.grouping_seconds);
   registry.GetHistogram("planner.division_seconds")
       ->Observe(timings.division_seconds);
 
-  if (!found) {
-    registry.GetCounter("planner.infeasible_solves")->Increment();
-    return last_error;
-  }
-  registry.GetGauge("planner.last_estimate_seconds")
-      ->Set(best.estimated_full_seconds);
+  if (!found) return last_error;
   best.timings = timings;
+  return best;
+}
+
+Result<PlanResult> Planner::Plan(const straggler::Situation& situation,
+                                 int64_t global_batch,
+                                 const PlannerOptions& options) const {
+  const auto t_total = std::chrono::steady_clock::now();
+  if (global_batch <= 0) {
+    return Status::InvalidArgument("global batch must be positive");
+  }
+  if (situation.num_gpus() != cluster_.num_gpus()) {
+    return Status::InvalidArgument("situation does not match cluster");
+  }
+  if (options.forced_tp != 0 && options.forced_tp != 1 &&
+      options.forced_tp != 2 && options.forced_tp != 4 &&
+      options.forced_tp != 8) {
+    return Status::InvalidArgument("forced_tp must be one of 0, 1, 2, 4, 8");
+  }
+  if (options.forced_tp > cluster_.gpus_per_node()) {
+    return Status::Infeasible(
+        StrFormat("forced_tp %d exceeds gpus_per_node %d", options.forced_tp,
+                  cluster_.gpus_per_node()));
+  }
+  if (options.island_nodes > 0 &&
+      cluster_.num_nodes() % options.island_nodes != 0) {
+    return Status::InvalidArgument(
+        StrFormat("island_nodes %d must divide the node count %d",
+                  options.island_nodes, cluster_.num_nodes()));
+  }
+
+  std::vector<int> micro_batches;
+  for (int b = 1; b <= kMaxMicroBatch; ++b) {
+    if (global_batch % b == 0) micro_batches.push_back(b);
+  }
+  solver::SolveCache* solve_cache =
+      options.enable_solve_cache ? &solve_cache_ : nullptr;
+  auto& registry = obs::MetricsRegistry::Current();
+
+  // Pod-scale clusters decompose hierarchically (core/hier.h): islands are
+  // planned independently and stitched. A pinned DP degree below the
+  // island count cannot be distributed one-per-island, and a hierarchical
+  // infeasibility (e.g. the model does not fit inside one island) is not
+  // final — both fall through to the flat sweep.
+  const int island_nodes = ResolveIslandNodes(cluster_, options);
+  Result<PlanResult> result = Status::Infeasible("not decomposed into islands");
+  if (island_nodes > 0 &&
+      (options.dp_degree == 0 ||
+       options.dp_degree >= cluster_.num_nodes() / island_nodes)) {
+    result = PlanHierarchical(cluster_, cost_, situation, global_batch,
+                              options, micro_batches, island_nodes,
+                              solve_cache);
+    if (!result.ok()) {
+      registry.GetCounter("planner.hier_fallbacks")->Increment();
+    }
+  }
+  if (!result.ok()) {
+    const int num_threads = options.num_threads > 0
+                                ? options.num_threads
+                                : exec::DefaultPlannerThreads();
+    result = SweepCandidates(cluster_, cost_, situation, global_batch,
+                             options, micro_batches, num_threads,
+                             solve_cache);
+  }
+
+  const double total_seconds = Elapsed(t_total);
+  registry.GetCounter("planner.solves")->Increment();
+  registry.GetHistogram("planner.solve_seconds")->Observe(total_seconds);
+  if (!result.ok()) {
+    registry.GetCounter("planner.infeasible_solves")->Increment();
+    return result;
+  }
+  result->timings.total_seconds = total_seconds;
+  registry.GetGauge("planner.last_estimate_seconds")
+      ->Set(result->estimated_full_seconds);
 
   // Lint the winner: structural + quality passes under the planning
   // situation, plus a topological audit of its 1F1B schedules. Findings
   // ride along in the result; the engine decides what to do with them.
-  lint::LintPlan(best.plan, cluster_, cost_, &situation, &best.diagnostics);
-  lint::LintEventGraph(best.plan, &best.diagnostics);
-  lint::RecordDiagnosticMetrics(best.diagnostics);
+  lint::LintPlan(result->plan, cluster_, cost_, &situation,
+                 &result->diagnostics);
+  lint::LintEventGraph(result->plan, &result->diagnostics);
+  lint::RecordDiagnosticMetrics(result->diagnostics);
 
-  return best;
+  return result;
 }
 
 Result<PlanResult> Planner::Replan(const straggler::Situation& situation,

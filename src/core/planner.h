@@ -4,25 +4,28 @@
 // solving the upper-level problem (grouping + orchestration) and the
 // lower-level problem (layer + data assignment) for each candidate.
 //
-// Candidates are independent, so Plan() enumerates them all up front and
-// evaluates them concurrently on a malleus::exec thread pool, reducing to
-// the winner with a deterministic rule (lowest full-step estimate, ties to
-// the lowest enumeration index). The result is bit-identical at any thread
-// count, including 1. Repeated subproblems are memoized in a per-planner
+// Plan() is the one entry point: it runs one candidate sweep (over the
+// whole cluster, or per island, see below), lints the winner once and
+// records the per-call planner.* series once. Candidates are independent,
+// so the sweep enumerates them all up front and evaluates them
+// concurrently on a malleus::exec thread pool, reducing to the winner with
+// a deterministic rule (lowest full-step estimate, ties to the lowest
+// enumeration index). The result is bit-identical at any thread count,
+// including 1. Repeated subproblems are memoized in a per-planner
 // solver::SolveCache (see orchestration.h), which also persists across
 // Plan() calls: re-planning under an unchanged situation replays cached
 // solves instead of re-running the division/ILP searches.
 //
 // At pod scale the flat sweep gives way to hierarchical decomposition
-// (core/hier.h): islands — fat-tree pods by default — are planned
-// independently, memoized per island, and stitched across the inter-island
-// fabric, which is what keeps 1k-10k GPU planning sub-second.
+// (core/hier.h): islands — fat-tree pods by default — are swept
+// independently, memoized per island in the same SolveCache, and stitched
+// across the inter-island fabric, which is what keeps 1k-10k GPU planning
+// sub-second.
 
 #ifndef MALLEUS_CORE_PLANNER_H_
 #define MALLEUS_CORE_PLANNER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,14 +64,10 @@ struct PlannerOptions {
   /// hardware concurrency. 1 evaluates inline on the calling thread. The
   /// chosen plan is bit-identical at every thread count.
   int num_threads = 0;
-  /// Memoize division/layer solves in the planner's SolveCache (across
-  /// candidates and across Plan calls). Off re-solves everything; the
-  /// chosen plan is identical either way.
+  /// Memoize division/layer and island solves in the planner's SolveCache
+  /// (across candidates and across Plan calls). Off re-solves everything,
+  /// islands included; the chosen plan is identical either way.
   bool enable_solve_cache = true;
-  /// Pins the micro-batch size to exactly this b (it must divide B); 0
-  /// enumerates [1, kMaxMicroBatch] as usual. The hierarchical
-  /// decomposition pins island sweeps to the globally chosen b with this.
-  int forced_micro_batch = 0;
   /// Hierarchical decomposition (see core/hier.h): plan islands of this
   /// many nodes independently and stitch across the inter-island fabric.
   /// 0 = automatic — islands are the fat-tree pods when the fabric defines
@@ -107,17 +106,11 @@ struct PlanResult {
   lint::DiagnosticSink diagnostics;
 };
 
-/// Persistent state of the hierarchical decomposition (core/hier.h): the
-/// per-island solve memo that makes delta re-planning cheap. Opaque here;
-/// owned by the Planner so it survives across Plan() calls.
-struct HierPlanState;
-std::shared_ptr<HierPlanState> MakeHierPlanState();
-
 /// \brief Deduces the best parallelization plan for the situation.
 class Planner {
  public:
   Planner(const topo::ClusterSpec& cluster, const model::CostModel& cost)
-      : cluster_(cluster), cost_(cost), hier_state_(MakeHierPlanState()) {}
+      : cluster_(cluster), cost_(cost) {}
 
   /// Plans a global batch of `global_batch` sequences under `situation`.
   Result<PlanResult> Plan(const straggler::Situation& situation,
@@ -133,8 +126,9 @@ class Planner {
                             int64_t global_batch,
                             const PlannerOptions& options) const;
 
-  /// The planner's memo of division/layer solves (valid for this planner's
-  /// cost model only). Exposed for tests and cache-management callers.
+  /// The planner's memo of division/layer and island solves (valid for
+  /// this planner's cost model only). Exposed for tests and
+  /// cache-management callers.
   solver::SolveCache& solve_cache() const { return solve_cache_; }
 
  private:
@@ -143,9 +137,6 @@ class Planner {
   /// Keyed to cost_ (see OrchestrationOptions::solve_cache); mutable so
   /// the logically-const Plan() can memoize. Internally thread-safe.
   mutable solver::SolveCache solve_cache_;
-  /// Island-solve memo for the hierarchical path; internally synchronized
-  /// like the solve cache.
-  std::shared_ptr<HierPlanState> hier_state_;
 };
 
 }  // namespace core

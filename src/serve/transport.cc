@@ -34,11 +34,6 @@ void OrderedWriter::Deliver(uint64_t seq, std::string line) {
   }
 }
 
-bool OrderedWriter::Idle() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ready_.empty() && next_write_ == next_seq_;
-}
-
 namespace {
 
 bool BlankLine(const std::string& line) {
@@ -51,23 +46,14 @@ bool BlankLine(const std::string& line) {
 }  // namespace
 
 Status ServeStdio(Server* server, std::istream& in, std::ostream& out) {
-  std::mutex out_mu;
-  OrderedWriter writer([&out, &out_mu](const std::string& line) {
-    std::lock_guard<std::mutex> lock(out_mu);
-    out << line << "\n";
-    out.flush();
-  });
+  // One scripted client: each request runs to completion before the next
+  // line is read, so a replan always sees the register and plan above it.
   std::string line;
   while (!server->shutdown_requested() && std::getline(in, line)) {
     if (BlankLine(line)) continue;
-    const uint64_t seq = writer.NextSeq();
-    server->Submit(line, [&writer, seq](std::string response) {
-      writer.Deliver(seq, std::move(response));
-    });
+    out << server->Handle(std::move(line)) << "\n";
+    out.flush();
   }
-  // Every claimed slot must flush before `writer` goes out of scope.
-  server->Drain();
-  MALLEUS_CHECK(writer.Idle()) << "responses pending after drain";
   return Status::OK();
 }
 

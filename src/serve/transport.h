@@ -2,10 +2,12 @@
 // core, nothing more. Two are provided — stdio (scripted sessions, the
 // smoke test, debugging through a pipe) and TCP (the real daemon).
 //
-// Ordering: execution overlaps across requests, but each connection's
-// responses are written in request order (OrderedWriter buffers
-// out-of-order completions), so a scripted session's output is
-// reproducible byte for byte.
+// Ordering: a stdio stream is one scripted client, so ServeStdio runs its
+// requests one at a time in arrival order — a request sees every effect of
+// the lines above it, and the output is reproducible byte for byte. Over
+// TCP, execution overlaps across requests, but each connection's responses
+// are written in request order (OrderedWriter buffers out-of-order
+// completions).
 //
 // Shutdown: transports poll Server::shutdown_requested() — set when a
 // `shutdown` request is processed — stop reading, drain, and return to
@@ -44,20 +46,17 @@ class OrderedWriter {
   uint64_t NextSeq();
   void Deliver(uint64_t seq, std::string line);
 
-  /// True once every claimed slot has been written.
-  bool Idle() const;
-
  private:
   const std::function<void(const std::string&)> write_line_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::map<uint64_t, std::string> ready_;
   uint64_t next_seq_ = 0;
   uint64_t next_write_ = 0;
 };
 
 /// Serves JSONL request lines from `in` to `out` until EOF or a processed
-/// `shutdown` request; blank lines are ignored. Drains before returning,
-/// so every admitted request's response is written.
+/// `shutdown` request; blank lines are ignored. Each line is answered
+/// before the next is read, so a request never overtakes an earlier one.
 Status ServeStdio(Server* server, std::istream& in, std::ostream& out);
 
 /// \brief TCP JSONL listener: one reader thread per connection, responses

@@ -90,18 +90,27 @@ TEST_F(HierPlannerTest, PlansAreDeterministicAcrossPlannersAndThreads) {
   const Situation s = SeededSituation();
   Planner a(cluster_, cost_);
   Planner b(cluster_, cost_);
+  Planner c(cluster_, cost_);
   PlannerOptions one;
   one.num_threads = 1;
   PlannerOptions four;
   four.num_threads = 4;
+  // No memo at all, islands included; the plan must not notice.
+  PlannerOptions uncached;
+  uncached.enable_solve_cache = false;
   Result<PlanResult> ra = a.Plan(s, 256, one);
   Result<PlanResult> rb = b.Plan(s, 256, four);
+  Result<PlanResult> rc = c.Plan(s, 256, uncached);
   ASSERT_TRUE(ra.ok()) << ra.status();
   ASSERT_TRUE(rb.ok()) << rb.status();
-  EXPECT_EQ(ra->plan.Signature(), rb->plan.Signature());
-  EXPECT_EQ(ra->estimated_seconds, rb->estimated_seconds);
-  EXPECT_EQ(ra->estimated_full_seconds, rb->estimated_full_seconds);
-  EXPECT_EQ(ra->chosen_tp, rb->chosen_tp);
+  ASSERT_TRUE(rc.ok()) << rc.status();
+  EXPECT_EQ(c.solve_cache().size(), 0u);
+  for (const PlanResult* r : {&*rb, &*rc}) {
+    EXPECT_EQ(ra->plan.Signature(), r->plan.Signature());
+    EXPECT_EQ(ra->estimated_seconds, r->estimated_seconds);
+    EXPECT_EQ(ra->estimated_full_seconds, r->estimated_full_seconds);
+    EXPECT_EQ(ra->chosen_tp, r->chosen_tp);
+  }
 }
 
 TEST_F(HierPlannerTest, IdenticalReplanIsAllMemoHits) {
@@ -158,18 +167,19 @@ TEST_F(HierPlannerTest, PinnedDpBelowIslandCountFallsBackToFlat) {
   EXPECT_EQ(r->plan.dp_degree(), 2);
 }
 
-TEST_F(HierPlannerTest, ForcedMicroBatchPinsTheSweep) {
-  const topo::ClusterSpec small = topo::ClusterSpec::A800Cluster(2);
-  Planner planner(small, cost_);
-  PlannerOptions opts;
-  opts.forced_micro_batch = 2;
-  const Situation healthy(small.num_gpus());
-  Result<PlanResult> r = planner.Plan(healthy, 64, opts);
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->plan.micro_batch_size, 2);
-  // A non-dividing pin is an explicit infeasibility, not a crash.
-  opts.forced_micro_batch = 3;
-  EXPECT_FALSE(planner.Plan(healthy, 64, opts).ok());
+TEST_F(HierPlannerTest, OnePlanIsOneSolveAndMemoizesInTheSolveCache) {
+  // Island sweeps are not solves: one hierarchical Plan() adds exactly one
+  // to planner.solves and one planner.solve_seconds observation, and the
+  // island answers land in the planner's own SolveCache.
+  obs::MetricsRegistry registry;
+  obs::MetricsScope scope(&registry);
+  Planner planner(cluster_, cost_);
+  ASSERT_TRUE(planner.Plan(SeededSituation(), 256).ok());
+  EXPECT_GT(registry.GetCounter("planner.hier_solves")->Value(), 0.0);
+  EXPECT_GT(registry.GetCounter("planner.island_cache_misses")->Value(), 0.0);
+  EXPECT_EQ(registry.GetCounter("planner.solves")->Value(), 1.0);
+  EXPECT_EQ(registry.GetHistogram("planner.solve_seconds")->Count(), 1);
+  EXPECT_GT(planner.solve_cache().size(), 0u);
 }
 
 TEST(ScaleTest, KiloGpuPlanIsSubSecond) {

@@ -1,7 +1,7 @@
 // Tests for src/serve: the JSON parser, the versioned JSONL protocol,
 // and the planner-as-a-service server — typed error responses, deadline
 // admission, queue bounds, byte-identical responses across worker counts,
-// cache persistence across restarts, and the TCP transport.
+// cache persistence across restarts, and the stdio and TCP transports.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -413,6 +414,33 @@ TEST(ServerTest, CorruptCacheFileDowngradesToColdStart) {
   EXPECT_EQ(ErrorCodeOf(server.Handle(kPlanLine)), "");
   MALLEUS_CHECK_OK(server.Shutdown());
   std::remove(path.c_str());
+}
+
+// ---------- stdio transport ----------
+
+TEST(StdioTest, ScriptedSessionRunsInOrder) {
+  // A stdio stream is one scripted client: with several workers free to
+  // overlap, each request must still see the ones above it, so the replan
+  // finds the registered cluster and its pinned plan.
+  ServerOptions options = SmallOptions();
+  options.num_workers = 4;
+  options.max_batch = 1;
+  Server server(options);
+  MALLEUS_CHECK_OK(server.Start());
+  std::istringstream in(std::string(kRegisterLine) + "\n" + kPlanLine +
+                        "\n" + kReplanLine + "\n");
+  std::ostringstream out;
+  MALLEUS_CHECK_OK(ServeStdio(&server, in, out));
+  std::istringstream responses(out.str());
+  std::string line;
+  for (int id = 1; id <= 3; ++id) {
+    ASSERT_TRUE(std::getline(responses, line)) << out.str();
+    Result<JsonValue> doc = JsonValue::Parse(line);
+    MALLEUS_CHECK_OK(doc.status());
+    EXPECT_EQ(doc->Find("id")->Int64(), id);
+    EXPECT_EQ(ErrorCodeOf(line), "") << line;
+  }
+  MALLEUS_CHECK_OK(server.Shutdown());
 }
 
 // ---------- TCP transport ----------

@@ -186,6 +186,11 @@ if [[ "$MODE" == "serve" ]]; then
     --target serve_test malleus_served malleus_client_tool
   echo "== serve tests + daemon smoke (ASan/UBSan) =="
   ctest --test-dir build-asan -R 'serve' --output-on-failure -j"$(nproc)"
+  # The stdio session is order-sensitive; repeat it so a race cannot
+  # come back silently.
+  echo "== serve_smoke x10 (ASan/UBSan) =="
+  ctest --test-dir build-asan -R '^serve_smoke$' --repeat until-fail:10 \
+    --output-on-failure
 
   if [[ "$FAST" != 1 || ! -f build-tsan/CMakeCache.txt ]]; then
     cmake -B build-tsan -S . \
