@@ -1,6 +1,6 @@
 // Planner thread-scaling bench: wall time of one Plan() call at worker
 // thread counts {1,2,4,8} across cluster sizes, plus the single-thread
-// speedup from a warm SolveCache (re-planning the same situation). Every
+// speedup from a warm PlannerCache (re-planning the same situation). Every
 // configuration must produce a bit-identical plan — the bench checks the
 // plan signatures and estimates and reports any divergence.
 //
@@ -70,7 +70,7 @@ Measured MeasureCold(const Scenario& sc, const model::CostModel& cost,
   return m;
 }
 
-// Warm-cache re-plan: one cold call fills the planner's SolveCache, then
+// Warm-cache re-plan: one cold call fills the planner's PlannerCache, then
 // the same situation is re-planned on the same planner (single thread).
 Measured MeasureWarm(const Scenario& sc, const model::CostModel& cost) {
   Measured m;

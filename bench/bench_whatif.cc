@@ -1,6 +1,6 @@
 // What-if sweep throughput bench: records a 64-GPU S3 run as a bundle,
 // loads it back, and answers a 200+-counterfactual grid in one RunWhatIf
-// call, reporting counterfactuals/s and the shared SolveCache hit-rate of
+// call, reporting counterfactuals/s and the shared PlannerCache hit-rate of
 // the sweep. The grid excludes capacity-adding counterfactuals
 // (add_standby_node) so the ranking isolates causes of loss — the bench
 // checks that the top-ranked cause is healing an injected S3 straggler

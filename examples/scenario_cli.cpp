@@ -25,7 +25,7 @@
 #include "common/flags.h"
 #include "common/string_util.h"
 #include "common/table.h"
-#include "core/cache_codec.h"
+#include "core/planner_cache.h"
 #include "core/run_log.h"
 #include "core/scenario_lint.h"
 #include "lint/lint.h"
@@ -38,7 +38,6 @@
 #include "policy/runner.h"
 #include "scenario/scenario.h"
 #include "solver/cache_io.h"
-#include "solver/solve_cache.h"
 #include "testkit/golden.h"
 
 using namespace malleus;
@@ -379,35 +378,28 @@ int main(int argc, char** argv) {
   // file. Any failure (missing file, no matching section, corrupt bytes)
   // downgrades to a cold start — persistence must never fail a run.
   const uint64_t cache_fp = core::PlannerCacheFingerprint(cluster, cost);
+  core::PlannerCache& cache = malleus->engine().planner().solve_cache();
   if (!args.cache_load.empty()) {
     Result<std::vector<solver::CacheFileSection>> sections =
         solver::ReadCacheFile(args.cache_load);
-    if (!sections.ok()) {
-      std::fprintf(stderr, "cache load: %s (cold start)\n",
-                   sections.status().ToString().c_str());
+    Status status = sections.status();
+    if (status.ok()) {
+      auto match = std::find_if(sections->begin(), sections->end(),
+                                [&](const solver::CacheFileSection& s) {
+                                  return s.fingerprint == cache_fp;
+                                });
+      status = match != sections->end()
+                   ? cache.Load(match->blob)
+                   : Status::NotFound(args.cache_load +
+                                      " has no section for this "
+                                      "cluster/model");
+    }
+    if (status.ok()) {
+      std::printf("warm solve cache: %zu entries from %s\n", cache.size(),
+                  args.cache_load.c_str());
     } else {
-      solver::SolveCache& cache = malleus->engine().planner().solve_cache();
-      bool matched = false;
-      for (const solver::CacheFileSection& section : *sections) {
-        if (section.fingerprint != cache_fp) continue;
-        matched = true;
-        const Status status =
-            cache.Deserialize(section.blob, core::OrchestrationCacheCodec());
-        if (!status.ok()) {
-          std::fprintf(stderr, "cache load: %s (cold start)\n",
-                       status.ToString().c_str());
-        } else {
-          std::printf("warm solve cache: %zu entries from %s\n",
-                      cache.size(), args.cache_load.c_str());
-        }
-        break;
-      }
-      if (!matched) {
-        std::fprintf(stderr,
-                     "cache load: %s has no section for this cluster/model "
-                     "(cold start)\n",
-                     args.cache_load.c_str());
-      }
+      std::fprintf(stderr, "cache load: %s (cold start)\n",
+                   status.ToString().c_str());
     }
   }
 
@@ -479,29 +471,17 @@ int main(int argc, char** argv) {
   }
   if (!args.cache_save.empty()) {
     // Merge with an existing file: replace this cluster/model's section,
-    // carry every other section forward (same policy as malleus_served).
-    std::vector<solver::CacheFileSection> sections;
+    // carry every other section forward.
     Result<std::vector<solver::CacheFileSection>> existing =
         solver::ReadCacheFile(args.cache_save);
-    if (existing.ok()) {
-      for (solver::CacheFileSection& section : *existing) {
-        if (section.fingerprint != cache_fp) {
-          sections.push_back(std::move(section));
-        }
-      }
-    }
-    solver::CacheFileSection section;
-    section.fingerprint = cache_fp;
-    section.label = StrFormat("scenario_cli %s nodes=%d",
-                              args.model.c_str(), args.nodes);
-    section.blob = malleus->engine().planner().solve_cache().Serialize(
-        core::OrchestrationCacheCodec());
-    sections.push_back(std::move(section));
-    std::sort(sections.begin(), sections.end(),
-              [](const solver::CacheFileSection& a,
-                 const solver::CacheFileSection& b) {
-                return a.fingerprint < b.fingerprint;
-              });
+    const std::vector<solver::CacheFileSection> sections =
+        solver::MergeCacheSection(
+            existing.ok() ? std::move(existing).ValueOrDie()
+                          : std::vector<solver::CacheFileSection>(),
+            {cache_fp,
+             StrFormat("scenario_cli %s nodes=%d", args.model.c_str(),
+                       args.nodes),
+             cache.Serialize()});
     const Status status = solver::WriteCacheFile(args.cache_save, sections);
     if (!status.ok()) {
       std::fprintf(stderr, "cache save: %s\n", status.ToString().c_str());

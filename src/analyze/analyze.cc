@@ -73,8 +73,8 @@ const RuleInfo kRules[] = {
      "in hash-table order, which varies with libstdc++ version, insertion\n"
      "history, and rehash points. If the loop feeds serialized output,\n"
      "hashing, accumulation, or diagnostics, the bytes differ across\n"
-     "runs — the exact bug class the solver-cache serializer fixes by\n"
-     "snapshotting and sorting (solver/solve_cache.cc). Fix: copy to a\n"
+     "runs — the exact bug class the planner-cache serializer fixes by\n"
+     "snapshotting and sorting (core/planner_cache.cc). Fix: copy to a\n"
      "vector and sort by key before consuming, or, when the loop is\n"
      "genuinely order-insensitive (pure lookup, counting), annotate it:\n"
      "// detlint:allow(det.unordered-iteration why order cannot leak).\n"

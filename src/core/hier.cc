@@ -12,7 +12,7 @@
 #include "core/work_assignment.h"
 #include "obs/metrics.h"
 #include "plan/estimator.h"
-#include "solver/solve_cache.h"
+#include "solver/cache_key.h"
 
 namespace malleus {
 namespace core {
@@ -82,7 +82,7 @@ Result<PlanResult> PlanHierarchical(const topo::ClusterSpec& cluster,
                                     const PlannerOptions& options,
                                     const std::vector<int>& micro_batches,
                                     int island_nodes,
-                                    solver::SolveCache* memo) {
+                                    PlannerCache* memo) {
   MALLEUS_CHECK_GT(island_nodes, 0);
   MALLEUS_CHECK_EQ(cluster.num_nodes() % island_nodes, 0);
   const int num_islands = cluster.num_nodes() / island_nodes;
@@ -95,9 +95,8 @@ Result<PlanResult> PlanHierarchical(const topo::ClusterSpec& cluster,
                                          cluster.link());
   // Island division/layer solves live only as long as this call (see file
   // comment); the island answers themselves go to `memo`.
-  solver::SolveCache island_solves;
-  solver::SolveCache* island_cache =
-      memo != nullptr ? &island_solves : nullptr;
+  PlannerCache island_solves;
+  PlannerCache* island_cache = memo != nullptr ? &island_solves : nullptr;
 
   // Slice the situation per island; Theorem-2 capacity sum(1/x) per island
   // decides both the nominal micro-batch shares and the DP pinning split.
@@ -196,10 +195,8 @@ Result<PlanResult> PlanHierarchical(const topo::ClusterSpec& cluster,
           .Int(kMaxDivisionNodes)
           .Doubles(sits[k].rates());
 
-      std::shared_ptr<const Result<PlanResult>> entry;
-      if (memo != nullptr) {
-        entry = memo->LookupAs<Result<PlanResult>>(key.str());
-      }
+      std::shared_ptr<const Result<PlanResult>> entry =
+          memo != nullptr ? memo->FindIsland(key.str()) : nullptr;
       if (entry != nullptr) {
         ++hits;
       } else {

@@ -22,14 +22,15 @@
 //   4. Keep the b whose stitched plan has the lowest full-step estimate
 //      (strict <, first b wins ties — the flat sweep's tie-break rule).
 //
-// Island solves are memoized in the planner's SolveCache under tag 'H',
+// Island solves are memoized in the planner's PlannerCache as 'H' entries,
 // keyed by everything that can change the island's answer (its rates
 // bit-for-bit, b, micro share, DP pin, feature flags). Equal healthy
 // islands therefore collapse into ONE solve, and delta re-planning — one
 // straggler appears somewhere in a 10k-GPU cluster — re-solves exactly the
-// one island whose key changed. 'H' has no cache codec, so island entries
-// are never persisted. An island sweep's own division/layer solves go to a
-// SolveCache local to one call, bounding what the planner's cache keeps.
+// one island whose key changed. PlannerCache::Serialize never writes 'H'
+// entries, so island answers are not persisted. An island sweep's own
+// division/layer solves go to a PlannerCache local to one call, bounding
+// what the planner's cache keeps.
 // Island sweeps are neither linted nor counted as solves; Planner::Plan
 // lints the stitched winner and records its per-call series once.
 //
@@ -46,8 +47,8 @@
 
 #include "common/result.h"
 #include "core/planner.h"
+#include "core/planner_cache.h"
 #include "model/cost_model.h"
-#include "solver/solve_cache.h"
 #include "straggler/situation.h"
 #include "topology/cluster.h"
 
@@ -67,7 +68,7 @@ Result<PlanResult> SweepCandidates(const topo::ClusterSpec& cluster,
                                    const PlannerOptions& options,
                                    const std::vector<int>& micro_batches,
                                    int num_threads,
-                                   solver::SolveCache* solve_cache);
+                                   PlannerCache* solve_cache);
 
 /// The island size (in nodes) Plan() should decompose at, or 0 for the
 /// flat sweep. Explicit island_nodes wins; automatic mode picks the
@@ -91,7 +92,7 @@ Result<PlanResult> PlanHierarchical(const topo::ClusterSpec& cluster,
                                     const PlannerOptions& options,
                                     const std::vector<int>& micro_batches,
                                     int island_nodes,
-                                    solver::SolveCache* memo);
+                                    PlannerCache* memo);
 
 }  // namespace core
 }  // namespace malleus

@@ -9,8 +9,9 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "core/cache_codec.h"
+#include "core/planner_cache.h"
 #include "core/work_assignment.h"
+#include "solver/cache_key.h"
 #include "solver/division.h"
 
 namespace malleus {
@@ -35,9 +36,6 @@ std::vector<int> StagesForSizeOrder(
   return stages;
 }
 
-// The cache value types CachedLayers / CachedOrchestration live in
-// core/cache_codec.h so the persistence codec can name them too.
-
 // Solves Eq. (2) for one ordered stage profile, memoized by the profile.
 // The same (rates, sizes, b, DP) quadruple is solved for every pipeline
 // that shares the composition, for every bundle permutation that reproduces
@@ -45,7 +43,7 @@ std::vector<int> StagesForSizeOrder(
 Result<LayerAssignment> CachedAssignLayers(
     const std::vector<double>& rates, const std::vector<int>& sizes,
     int micro_batch, int dp_degree, const model::CostModel& cost,
-    bool nonuniform_layers, solver::SolveCache* cache) {
+    bool nonuniform_layers, PlannerCache* cache) {
   if (cache == nullptr) {
     return AssignLayers(rates, sizes, micro_batch, dp_degree, cost,
                         nonuniform_layers);
@@ -58,19 +56,14 @@ Result<LayerAssignment> CachedAssignLayers(
                               .Int(dp_degree)
                               .Bool(nonuniform_layers)
                               .str();
-  if (auto hit = cache->LookupAs<CachedLayers>(key)) {
+  if (auto hit = cache->FindLayers(key)) {
     if (!hit->status.ok()) return hit->status;
     return hit->assignment;
   }
   Result<LayerAssignment> r = AssignLayers(rates, sizes, micro_batch,
                                            dp_degree, cost, nonuniform_layers);
-  CachedLayers entry;
-  if (r.ok()) {
-    entry.assignment = *r;
-  } else {
-    entry.status = r.status();
-  }
-  cache->InsertAs(key, std::move(entry));
+  cache->Insert(key, std::make_shared<const CachedLayers>(CachedLayers{
+                         r.status(), r.ok() ? *r : LayerAssignment()}));
   return r;
 }
 
@@ -80,7 +73,7 @@ Result<OrchestratedPipeline> OrderAndAssignLayers(
     const std::vector<int>& group_indices, const GroupingResult& grouping,
     const model::CostModel& cost, int micro_batch, int dp_degree,
     bool nonuniform_layers, std::vector<int>* removed,
-    solver::SolveCache* solve_cache) {
+    PlannerCache* solve_cache) {
   std::vector<int> working = group_indices;
   if (working.empty()) {
     return Status::InvalidArgument("pipeline has no groups");
@@ -329,7 +322,7 @@ Result<OrchestrationResult> Orchestrate(const GroupingResult& grouping,
                               .Bool(options.nonuniform_stages)
                               .Int(kMaxDivisionNodes)
                               .str();
-  if (auto hit = options.solve_cache->LookupAs<CachedOrchestration>(key)) {
+  if (auto hit = options.solve_cache->FindOrchestration(key)) {
     if (!hit->status.ok()) return hit->status;
     OrchestrationResult replay = hit->result;
     // A replay spends no solver time; report what this call actually cost.
@@ -339,13 +332,9 @@ Result<OrchestrationResult> Orchestrate(const GroupingResult& grouping,
   }
   Result<OrchestrationResult> r = OrchestrateImpl(
       grouping, cost, micro_batch, dp_degree, total_micro, options);
-  CachedOrchestration entry;
-  if (r.ok()) {
-    entry.result = *r;
-  } else {
-    entry.status = r.status();
-  }
-  options.solve_cache->InsertAs(key, std::move(entry));
+  options.solve_cache->Insert(
+      key, std::make_shared<const CachedOrchestration>(CachedOrchestration{
+               r.status(), r.ok() ? *r : OrchestrationResult()}));
   return r;
 }
 

@@ -11,10 +11,11 @@
 #include "common/result.h"
 #include "core/grouping.h"
 #include "model/cost_model.h"
-#include "solver/solve_cache.h"
 
 namespace malleus {
 namespace core {
+
+class PlannerCache;  // core/planner_cache.h
 
 /// Node budget of the Eq. (4) division search per Orchestrate call. It is
 /// part of the 'O' and 'H' solve-cache keys, which keep it at the value
@@ -47,13 +48,14 @@ struct OrchestrationOptions {
   /// When false, groups are dealt round-robin into identically sized
   /// pipelines (requires the group count to divide by DP).
   bool nonuniform_stages = true;
-  /// Optional memo of orchestration and layer-assignment solves. The
-  /// orchestration outcome depends only on the grouping's (rate, size)
-  /// profile, the micro-batch size, the DP degree, M and the flags above —
-  /// plus the cost model, which is deliberately NOT part of the key: a
-  /// cache must only ever be used with one cost model (core::Planner keys
-  /// one cache per instance). Null disables memoization.
-  solver::SolveCache* solve_cache = nullptr;
+  /// Optional memo of orchestration ('O') and layer-assignment ('L')
+  /// solves. The orchestration outcome depends only on the grouping's
+  /// (rate, size) profile, the micro-batch size, the DP degree, M and the
+  /// flags above — plus the cost model, which is deliberately NOT part of
+  /// the key: a cache must only ever be used with one cost model
+  /// (core::Planner keeps one cache per instance). Null disables
+  /// memoization.
+  PlannerCache* solve_cache = nullptr;
 };
 
 /// Orchestrates `dp_degree` pipelines over the grouping result and solves
@@ -75,7 +77,7 @@ Result<OrchestratedPipeline> OrderAndAssignLayers(
     const std::vector<int>& group_indices, const GroupingResult& grouping,
     const model::CostModel& cost, int micro_batch, int dp_degree,
     bool nonuniform_layers, std::vector<int>* removed,
-    solver::SolveCache* solve_cache = nullptr);
+    PlannerCache* solve_cache = nullptr);
 
 }  // namespace core
 }  // namespace malleus

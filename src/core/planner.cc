@@ -75,7 +75,7 @@ CandidateOutcome EvaluateCandidate(const Candidate& c,
                                    const model::CostModel& cost,
                                    const straggler::Situation& situation,
                                    const PlannerOptions& options,
-                                   solver::SolveCache* solve_cache) {
+                                   PlannerCache* solve_cache) {
   CandidateOutcome out;
   const GroupingResult& grouping = *c.grouping;
 
@@ -164,8 +164,8 @@ Result<PlanResult> SweepCandidates(const topo::ClusterSpec& cluster,
                                    const PlannerOptions& options,
                                    const std::vector<int>& micro_batches,
                                    int num_threads,
-                                   solver::SolveCache* solve_cache) {
-  solver::SolveCache::Stats cache_before;
+                                   PlannerCache* solve_cache) {
+  PlannerCache::Stats cache_before;
   if (solve_cache != nullptr) cache_before = solve_cache->stats();
 
   PlannerTimings timings;
@@ -303,7 +303,7 @@ Result<PlanResult> SweepCandidates(const topo::ClusterSpec& cluster,
     }
   }
 
-  solver::SolveCache::Stats cache_after = cache_before;
+  PlannerCache::Stats cache_after = cache_before;
   if (solve_cache != nullptr) cache_after = solve_cache->stats();
   auto& registry = obs::MetricsRegistry::Current();
   registry.GetCounter("planner.candidates_explored")
@@ -357,7 +357,7 @@ Result<PlanResult> Planner::Plan(const straggler::Situation& situation,
   for (int b = 1; b <= kMaxMicroBatch; ++b) {
     if (global_batch % b == 0) micro_batches.push_back(b);
   }
-  solver::SolveCache* solve_cache =
+  PlannerCache* solve_cache =
       options.enable_solve_cache ? &solve_cache_ : nullptr;
   auto& registry = obs::MetricsRegistry::Current();
 

@@ -12,13 +12,13 @@
 // a deterministic rule (lowest full-step estimate, ties to the lowest
 // enumeration index). The result is bit-identical at any thread count,
 // including 1. Repeated subproblems are memoized in a per-planner
-// solver::SolveCache (see orchestration.h), which also persists across
+// core::PlannerCache (see planner_cache.h), which also persists across
 // Plan() calls: re-planning under an unchanged situation replays cached
 // solves instead of re-running the division/ILP searches.
 //
 // At pod scale the flat sweep gives way to hierarchical decomposition
 // (core/hier.h): islands — fat-tree pods by default — are swept
-// independently, memoized per island in the same SolveCache, and stitched
+// independently, memoized per island in the same PlannerCache, and stitched
 // across the inter-island fabric, which is what keeps 1k-10k GPU planning
 // sub-second.
 
@@ -32,10 +32,10 @@
 #include "common/result.h"
 #include "core/grouping.h"
 #include "core/orchestration.h"
+#include "core/planner_cache.h"
 #include "lint/lint.h"
 #include "model/cost_model.h"
 #include "plan/plan.h"
-#include "solver/solve_cache.h"
 #include "straggler/situation.h"
 #include "topology/cluster.h"
 
@@ -64,7 +64,7 @@ struct PlannerOptions {
   /// hardware concurrency. 1 evaluates inline on the calling thread. The
   /// chosen plan is bit-identical at every thread count.
   int num_threads = 0;
-  /// Memoize division/layer and island solves in the planner's SolveCache
+  /// Memoize division/layer and island solves in the planner's cache
   /// (across candidates and across Plan calls). Off re-solves everything,
   /// islands included; the chosen plan is identical either way.
   bool enable_solve_cache = true;
@@ -129,14 +129,14 @@ class Planner {
   /// The planner's memo of division/layer and island solves (valid for
   /// this planner's cost model only). Exposed for tests and
   /// cache-management callers.
-  solver::SolveCache& solve_cache() const { return solve_cache_; }
+  PlannerCache& solve_cache() const { return solve_cache_; }
 
  private:
   const topo::ClusterSpec& cluster_;
   const model::CostModel& cost_;
   /// Keyed to cost_ (see OrchestrationOptions::solve_cache); mutable so
   /// the logically-const Plan() can memoize. Internally thread-safe.
-  mutable solver::SolveCache solve_cache_;
+  mutable PlannerCache solve_cache_;
 };
 
 }  // namespace core

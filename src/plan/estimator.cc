@@ -12,23 +12,6 @@ namespace {
 // True iff two stages' layer ranges [a0, a1) and [b0, b1) intersect.
 bool Overlaps(int a0, int a1, int b0, int b1) { return a0 < b1 && b0 < a1; }
 
-// Bottleneck bandwidth of a ring over `gpus`: the NIC when any hop leaves
-// a node, the NVLink port otherwise. (Mirrors the simulator's
-// GroupBottleneckBandwidth; kept local because plan/ sits below sim/.)
-double RingBottleneckBandwidth(const topo::ClusterSpec& cluster,
-                               const std::vector<topo::GpuId>& gpus) {
-  bool cross_node = false;
-  for (topo::GpuId g : gpus) {
-    if (!cluster.SameNode(g, gpus[0])) {
-      cross_node = true;
-      break;
-    }
-  }
-  const double gbps = cross_node ? cluster.link().inter_node_gbps
-                                 : cluster.link().intra_node_gbps;
-  return gbps * 1e9;
-}
-
 }  // namespace
 
 double StageTimePerMicrobatch(const Stage& stage, int micro_batch_size,
@@ -118,6 +101,14 @@ std::vector<GradSyncRing> CollectGradSyncRings(
   return rings;
 }
 
+double AnalyticRingSeconds(const GradSyncRing& ring, int dp_degree,
+                           const topo::ClusterSpec& cluster) {
+  const double dp = static_cast<double>(dp_degree);
+  const double bw = topo::GroupBottleneckBandwidth(cluster, ring.peers);
+  return ring.bytes_per_gpu * ((dp - 1.0) / dp) / bw +
+         2.0 * dp * ring.hop_latency;
+}
+
 double EstimateGradSyncSeconds(const ParallelPlan& p,
                                const model::CostModel& cost,
                                const topo::ClusterSpec& cluster,
@@ -129,10 +120,7 @@ double EstimateGradSyncSeconds(const ParallelPlan& p,
   if (model == net::NetModel::kAnalytic) {
     double sync = 0.0;
     for (const GradSyncRing& ring : rings) {
-      const double bw = RingBottleneckBandwidth(cluster, ring.peers);
-      const double t = ring.bytes_per_gpu * ((dp - 1.0) / dp) / bw +
-                       2.0 * dp * ring.hop_latency;
-      sync = std::max(sync, t);
+      sync = std::max(sync, AnalyticRingSeconds(ring, p.dp_degree(), cluster));
     }
     return sync;
   }

@@ -55,6 +55,13 @@ std::vector<GradSyncRing> CollectGradSyncRings(
     const ParallelPlan& p, const model::CostModel& cost,
     const topo::ClusterSpec& cluster);
 
+/// Closed-form duration of one grad-sync ring at DP degree `dp_degree`:
+/// (dp-1)/dp of the per-GPU traffic at the ring's bottleneck bandwidth
+/// (topo::GroupBottleneckBandwidth) plus the 2*dp hop-latency charge.
+/// EstimateGradSyncSeconds and the analytic step simulator both use it.
+double AnalyticRingSeconds(const GradSyncRing& ring, int dp_degree,
+                           const topo::ClusterSpec& cluster);
+
 /// Estimated duration of the ZeRO-1 gradient-sync phase of one step (the
 /// max over rings; rings run concurrently). With `kAnalytic` each ring is
 /// priced in isolation at its group's bottleneck bandwidth — this is what

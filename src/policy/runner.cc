@@ -8,11 +8,25 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "core/migration.h"
+#include "sim/restart.h"
 
 namespace malleus {
 namespace policy {
 
 namespace {
+
+// Fixed constants of the predicted-amortized-cost model (see runner.h).
+// Re-plan latency for a situation signature never seen before (cold
+// solver caches) and for one seen before (warm); representative of the
+// measured cold/warm Plan() times at 64 GPUs (BENCH_planner_scaling).
+constexpr double kColdReplanSeconds = 0.5;
+constexpr double kWarmReplanSeconds = 0.02;
+// Delta re-plans through the island memo re-solve only the touched
+// islands; priced as this fraction of the full re-plan latency.
+constexpr double kDeltaReplanFraction = 0.25;
+// Amortization horizon: predicted cost = transition + horizon * step.
+// Roughly the expected iterations until the next event.
+constexpr double kHorizonIterations = 50.0;
 
 // Canonical situation fingerprint: every rate at full precision. This keys
 // the runner's cold/warm re-plan memo (see the determinism contract in
@@ -193,7 +207,6 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
 
   std::set<std::string> seen_situations;
   seen_situations.insert(SitSignature(initial));
-  const PolicyCostConfig& costs = options.costs;
 
   // Re-plans keep the current plan's DP degree (paper footnote 2) and fall
   // back to the planner's own DP search when capacity loss rules it out.
@@ -210,7 +223,7 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
     const std::string sig = SitSignature(situation);
     const bool cold = seen_situations.count(sig) == 0;
     const double replan_latency =
-        cold ? costs.cold_replan_seconds : costs.warm_replan_seconds;
+        cold ? kColdReplanSeconds : kWarmReplanSeconds;
 
     ActionEstimates estimates{};
     plan::ParallelPlan candidates[kNumPolicyActions];
@@ -250,7 +263,7 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
         if (step.ok()) {
           estimates[2] = {
               true,
-              costs.delta_replan_fraction * replan_latency +
+              kDeltaReplanFraction * replan_latency +
                   MigrationCost(current, planned->plan, cluster, cost,
                                 sim_options.net_model),
               *step};
@@ -296,10 +309,8 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
           const double restart_io =
               after_failure
                   ? sim::RestartAfterFailureSeconds(cost.CheckpointBytes(),
-                                                    alive_nodes,
-                                                    costs.restart)
-                  : sim::RestartSeconds(cost.CheckpointBytes(), alive_nodes,
-                                        costs.restart);
+                                                    alive_nodes)
+                  : sim::RestartSeconds(cost.CheckpointBytes(), alive_nodes);
           estimates[4] = {true, replan_latency + restart_io, *step};
           candidates[4] = std::move(replanned->plan);
         }
@@ -319,7 +330,7 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
       break;
     }
     PolicyAction action =
-        selector.Select(estimates, event, costs.horizon_iterations);
+        selector.Select(estimates, event, kHorizonIterations);
     if (!estimates[static_cast<int>(action)].feasible) {
       action = static_cast<PolicyAction>(first_feasible);
     }
@@ -342,8 +353,7 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
       case PolicyAction::kDeltaReplan:
       case PolicyAction::kReplan: {
         const double latency = action == PolicyAction::kDeltaReplan
-                                   ? costs.delta_replan_fraction *
-                                         replan_latency
+                                   ? kDeltaReplanFraction * replan_latency
                                    : replan_latency;
         transition.replanned = true;
         transition.planning_seconds = latency;
@@ -376,9 +386,9 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
     audit.step_seconds_after = estimates[a].step_seconds;
     audit.plan_signature = current.Signature();
     audit.predicted_cost_chosen =
-        estimates[a].PredictedCost(costs.horizon_iterations);
+        estimates[a].PredictedCost(kHorizonIterations);
     audit.predicted_cost_tolerate =
-        estimates[0].PredictedCost(costs.horizon_iterations);
+        estimates[0].PredictedCost(kHorizonIterations);
     audit.tolerate_feasible = estimates[0].feasible;
     result.audits.push_back(std::move(audit));
     ++result.action_counts[a];

@@ -9,10 +9,13 @@
 // situation signature); the planner is bit-identical at any thread count;
 // and re-plan latency is priced from the runner's own deterministic memo
 // of seen situation signatures (cold on first sight, warm after) with
-// fixed constants. The planner's SolveCache hit/miss counters would be the
-// "real" latency signal, but they are allowed to vary run-to-run under
-// thread racing, so the memo is the determinism-safe stand-in — the cache
-// still makes the actual planner calls fast; it just doesn't price them.
+// fixed constants (runner.cc: cold/warm re-plan seconds, the delta
+// fraction, the amortization horizon, default restart costs); they are
+// not options because no caller has ever needed other values. The
+// planner cache's hit/miss counters would be the "real" latency signal,
+// but they are allowed to vary run-to-run under thread racing, so the memo
+// is the determinism-safe stand-in — the cache still makes the actual
+// planner calls fast; it just doesn't price them.
 
 #ifndef MALLEUS_POLICY_RUNNER_H_
 #define MALLEUS_POLICY_RUNNER_H_
@@ -28,32 +31,13 @@
 #include "policy/events.h"
 #include "policy/policy.h"
 #include "sim/pipeline_sim.h"
-#include "sim/restart.h"
 #include "straggler/situation.h"
 #include "topology/cluster.h"
 
 namespace malleus {
 namespace policy {
 
-/// Fixed constants of the predicted-amortized-cost model.
-struct PolicyCostConfig {
-  /// Re-plan latency for a situation signature never seen before (cold
-  /// solver caches) and for one seen before (warm). Representative of the
-  /// measured cold/warm Plan() times at 64 GPUs (BENCH_planner_scaling).
-  double cold_replan_seconds = 0.5;
-  double warm_replan_seconds = 0.02;
-  /// Delta re-plans through the island memo re-solve only the touched
-  /// islands; priced as this fraction of the full re-plan latency.
-  double delta_replan_fraction = 0.25;
-  /// Amortization horizon: predicted cost = transition + horizon * step.
-  /// Roughly the expected iterations until the next event.
-  double horizon_iterations = 50.0;
-  /// Checkpoint save/load + framework re-init pricing for restarts.
-  sim::RestartCostConfig restart;
-};
-
 struct DynamicRunOptions {
-  PolicyCostConfig costs;
   /// Planner knobs. dp_degree applies to the initial plan only; every
   /// later re-plan keeps the current plan's DP degree through
   /// core::Planner::Replan (paper footnote 2), which falls back to the

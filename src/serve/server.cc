@@ -551,7 +551,7 @@ Result<std::string> Server::HandleStatus() {
   for (size_t i = 0; i < sessions.size(); ++i) {
     const auto& [name, session] = sessions[i];
     if (i > 0) out += ",";
-    const solver::SolveCache::Stats stats =
+    const core::PlannerCache::Stats stats =
         session->planner().solve_cache().stats();
     out += StrFormat(
         "{\"name\":\"%s\",\"fingerprint\":\"%016llx\",\"gpus\":%d,"

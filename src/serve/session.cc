@@ -4,7 +4,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "core/cache_codec.h"
+#include "core/planner_cache.h"
 
 namespace malleus {
 namespace serve {
@@ -80,8 +80,8 @@ Result<SessionRegistry::RegisterOutcome> SessionRegistry::Register(
     // Warm the fresh session from a parked cache section, if one matches.
     auto pending = pending_.find(fingerprint);
     if (pending != pending_.end()) {
-      const Status loaded = candidate->planner().solve_cache().Deserialize(
-          pending->second.blob, core::OrchestrationCacheCodec());
+      const Status loaded =
+          candidate->planner().solve_cache().Load(pending->second.blob);
       if (loaded.ok()) {
         outcome.warm = true;
         outcome.warm_entries =
@@ -133,23 +133,18 @@ void SessionRegistry::AddPendingSections(
 std::vector<solver::CacheFileSection> SessionRegistry::SnapshotSections()
     const {
   std::lock_guard<std::mutex> lock(mu_);
-  // Fingerprint-ordered map so repeated saves of identical state produce
-  // identical files.
-  std::map<uint64_t, solver::CacheFileSection> sections = pending_;
+  // Parked sections are carried forward; a live session replaces its own.
+  std::vector<solver::CacheFileSection> sections;
+  for (const auto& [fingerprint, section] : pending_) {
+    sections.push_back(section);
+  }
   for (const auto& [fingerprint, session] : by_fingerprint_) {
-    solver::CacheFileSection section;
-    section.fingerprint = fingerprint;
-    section.label = session->name();
-    section.blob = session->planner().solve_cache().Serialize(
-        core::OrchestrationCacheCodec());
-    sections[fingerprint] = std::move(section);
+    sections = solver::MergeCacheSection(
+        std::move(sections),
+        {fingerprint, session->name(),
+         session->planner().solve_cache().Serialize()});
   }
-  std::vector<solver::CacheFileSection> out;
-  out.reserve(sections.size());
-  for (auto& [fingerprint, section] : sections) {
-    out.push_back(std::move(section));
-  }
-  return out;
+  return sections;
 }
 
 int64_t SessionRegistry::num_pending_sections() const {

@@ -9,23 +9,6 @@
 namespace malleus {
 namespace sim {
 
-double GroupBottleneckBandwidth(const topo::ClusterSpec& cluster,
-                                const std::vector<topo::GpuId>& gpus) {
-  // Degenerate groups (see header): no inter-GPU traffic, report the
-  // fastest link so the value never dominates a bottleneck computation.
-  if (gpus.size() <= 1) return cluster.link().intra_node_gbps * 1e9;
-  bool cross_node = false;
-  for (topo::GpuId g : gpus) {
-    if (!cluster.SameNode(g, gpus[0])) {
-      cross_node = true;
-      break;
-    }
-  }
-  const double gbps = cross_node ? cluster.link().inter_node_gbps
-                                 : cluster.link().intra_node_gbps;
-  return gbps * 1e9;
-}
-
 // Alpha cost of a ring collective: n-1 steps, each bounded by the slowest
 // hop of that step; approximated as the sum over the first n-1 hops.
 double RingLatencySeconds(const topo::ClusterSpec& cluster,
@@ -42,7 +25,7 @@ double ReduceScatterSeconds(const topo::ClusterSpec& cluster,
                             double bytes) {
   const size_t n = gpus.size();
   if (n <= 1) return 0.0;
-  const double bw = GroupBottleneckBandwidth(cluster, gpus);
+  const double bw = topo::GroupBottleneckBandwidth(cluster, gpus);
   // Ring reduce-scatter moves (n-1)/n of the data through each link.
   return bytes * (static_cast<double>(n - 1) / n) / bw +
          RingLatencySeconds(cluster, gpus);

@@ -24,17 +24,6 @@
 namespace malleus {
 namespace sim {
 
-/// Bandwidth (bytes/s) of the narrowest link among `gpus` (ring collectives
-/// are bottlenecked by the slowest hop; any cross-node pair forces IB).
-///
-/// Convention for degenerate groups: a single-GPU or empty group performs
-/// no inter-GPU traffic, so there is no bottleneck to report; both return
-/// the intra-node (NVLink) bandwidth — the fastest link — so degenerate
-/// groups never dominate a min() over groups and callers dividing by the
-/// result stay finite. Collective times over such groups are 0 regardless.
-double GroupBottleneckBandwidth(const topo::ClusterSpec& cluster,
-                                const std::vector<topo::GpuId>& gpus);
-
 /// Aggregate alpha (latency) cost of a ring over `gpus`: the sum of the
 /// per-hop latencies of the first n-1 hops (a ring collective takes n-1
 /// steps, each bounded by its hop latency). 0 for degenerate groups.

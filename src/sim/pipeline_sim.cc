@@ -347,11 +347,7 @@ Result<StepResult> SimulateStep(const topo::ClusterSpec& cluster,
 
   if (!rings.empty() && !flow_mode) {
     for (const plan::GradSyncRing& ring : rings) {
-      const double bw = GroupBottleneckBandwidth(cluster, ring.peers);
-      const double t = ring.bytes_per_gpu *
-                           (static_cast<double>(dp - 1) / dp) / bw +
-                       2.0 * dp * ring.hop_latency;
-      sync = std::max(sync, t);
+      sync = std::max(sync, plan::AnalyticRingSeconds(ring, dp, cluster));
     }
   }
 

@@ -1,10 +1,12 @@
 #include "solver/cache_io.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/string_util.h"
-#include "solver/solve_cache.h"
+#include "solver/cache_key.h"
 
 namespace malleus {
 namespace solver {
@@ -78,6 +80,21 @@ Result<std::vector<CacheFileSection>> DecodeCacheFile(
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("cache file has trailing section bytes");
   }
+  return sections;
+}
+
+std::vector<CacheFileSection> MergeCacheSection(
+    std::vector<CacheFileSection> sections, CacheFileSection section) {
+  sections.erase(std::remove_if(sections.begin(), sections.end(),
+                                [&](const CacheFileSection& s) {
+                                  return s.fingerprint == section.fingerprint;
+                                }),
+                 sections.end());
+  sections.push_back(std::move(section));
+  std::sort(sections.begin(), sections.end(),
+            [](const CacheFileSection& a, const CacheFileSection& b) {
+              return a.fingerprint < b.fingerprint;
+            });
   return sections;
 }
 

@@ -1,15 +1,15 @@
 // Persistent solve-cache files: the on-disk format behind malleus_served
 // --cache-save/--cache-load and scenario_cli's matching flags.
 //
-// A file holds one section per solve cache. Sections are tagged with the
+// A file holds one section per planner cache. Sections are tagged with the
 // producing planner's context fingerprint (cluster + cost model, see
-// core::PlannerCacheFingerprint): a SolveCache is only valid for the cost
-// model it was filled under, so loaders match sections by fingerprint and
-// ignore the rest. The file ends in an FNV-1a hash over everything before
-// it; any truncation or bit flip fails the load with a clean Status (the
-// caller cold-starts), and a version bump is rejected before the hash is
-// even checked so future formats fail with a version message instead of
-// "corrupt".
+// core::PlannerCacheFingerprint): a cache is only valid for the cost model
+// it was filled under, so loaders match sections by fingerprint, hand the
+// blob to core::PlannerCache::Load, and ignore the rest. The file ends in
+// an FNV-1a hash over everything before it; any truncation or bit flip
+// fails the load with a clean Status (the caller cold-starts), and a
+// version bump is rejected before the hash is even checked so future
+// formats fail with a version message instead of "corrupt".
 //
 // Layout (all integers little-endian, see solver::wire):
 //   "MLSCACHE"                     8-byte magic
@@ -18,7 +18,7 @@
 //   per section:
 //     u64 fingerprint
 //     u32 label_size, label        human-readable provenance
-//     u32 blob_size, blob          a SolveCache::Serialize() blob
+//     u32 blob_size, blob          a PlannerCache::Serialize() blob
 //   u64 fnv1a64                    over every preceding byte
 
 #ifndef MALLEUS_SOLVER_CACHE_IO_H_
@@ -51,6 +51,15 @@ std::string EncodeCacheFile(const std::vector<CacheFileSection>& sections);
 /// mismatch — never crashes on hostile bytes.
 Result<std::vector<CacheFileSection>> DecodeCacheFile(
     const std::string& bytes);
+
+/// The section rule of every save: `section` replaces the section with its
+/// fingerprint in `sections` or joins them, every other section is kept,
+/// and the result is ordered by fingerprint, so repeated saves of equal
+/// state write identical bytes. scenario_cli merges into the file it
+/// overwrites; malleus_served merges each live session into the sections
+/// it loaded but has not matched (see serve::SessionRegistry).
+std::vector<CacheFileSection> MergeCacheSection(
+    std::vector<CacheFileSection> sections, CacheFileSection section);
 
 /// Writes `sections` to `path` (atomic enough for our purposes: full
 /// rewrite; partial writes are caught by the hash on the next load).

@@ -152,5 +152,22 @@ std::string ClusterSpec::ToString() const {
   return out;
 }
 
+double GroupBottleneckBandwidth(const ClusterSpec& cluster,
+                                const std::vector<GpuId>& gpus) {
+  // Degenerate groups (see header): no inter-GPU traffic, report the
+  // fastest link so the value never dominates a bottleneck computation.
+  if (gpus.size() <= 1) return cluster.link().intra_node_gbps * 1e9;
+  bool cross_node = false;
+  for (GpuId g : gpus) {
+    if (!cluster.SameNode(g, gpus[0])) {
+      cross_node = true;
+      break;
+    }
+  }
+  const double gbps = cross_node ? cluster.link().inter_node_gbps
+                                 : cluster.link().intra_node_gbps;
+  return gbps * 1e9;
+}
+
 }  // namespace topo
 }  // namespace malleus

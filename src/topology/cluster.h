@@ -168,6 +168,17 @@ class ClusterSpec {
   FabricSpec fabric_;
 };
 
+/// Bandwidth (bytes/s) of the narrowest link among `gpus` (ring collectives
+/// are bottlenecked by the slowest hop; any cross-node pair forces IB).
+///
+/// Convention for degenerate groups: a single-GPU or empty group performs
+/// no inter-GPU traffic, so there is no bottleneck to report; both return
+/// the intra-node (NVLink) bandwidth — the fastest link — so degenerate
+/// groups never dominate a min() over groups and callers dividing by the
+/// result stay finite. Collective times over such groups are 0 regardless.
+double GroupBottleneckBandwidth(const ClusterSpec& cluster,
+                                const std::vector<GpuId>& gpus);
+
 }  // namespace topo
 }  // namespace malleus
 

@@ -70,11 +70,11 @@ class PlannerMap {
   }
 
   // Cache traffic summed over every world created so far.
-  solver::SolveCache::Stats TotalCacheStats() const {
+  core::PlannerCache::Stats TotalCacheStats() const {
     std::lock_guard<std::mutex> lock(mu_);
-    solver::SolveCache::Stats total;
+    core::PlannerCache::Stats total;
     for (const auto& [key, entry] : entries_) {
-      const solver::SolveCache::Stats s = entry->planner.solve_cache().stats();
+      const core::PlannerCache::Stats s = entry->planner.solve_cache().stats();
       total.hits += s.hits;
       total.misses += s.misses;
     }
@@ -433,7 +433,7 @@ Result<obs::AttributionReport> RunWhatIf(
   report.rows.reserve(rows.size());
   for (size_t i : order) report.rows.push_back(std::move(rows[i]));
 
-  const solver::SolveCache::Stats cache = planners.TotalCacheStats();
+  const core::PlannerCache::Stats cache = planners.TotalCacheStats();
   report.cache_hits = cache.hits;
   report.cache_misses = cache.misses;
 

@@ -35,7 +35,7 @@
 // by (attributed seconds desc, grid index). Reports therefore render
 // byte-identically across repeat runs at any --threads value. Variants
 // that share a world (same cluster + cost model) share one planner and
-// its solver::SolveCache, so a 250-counterfactual sweep mostly replays
+// its core::PlannerCache, so a 250-counterfactual sweep mostly replays
 // memoized division/layer solves; cache traffic is reported but excluded
 // from the JSON/CSV bytes (see obs/report.h).
 

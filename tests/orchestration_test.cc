@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "core/orchestration.h"
+#include "core/planner_cache.h"
 #include "core/work_assignment.h"
 
 namespace malleus {
@@ -168,7 +169,7 @@ TEST_F(OrchestrationTest, EveryGroupPlacedOrRemoved) {
 }
 
 // Differential: the bundle-permutation + Theorem-3 ordering search (with
-// its SolveCache memoization) must find the same optimal bottleneck as a
+// its PlannerCache memoization) must find the same optimal bottleneck as a
 // brute-force next_permutation sweep over EVERY stage order, each solved
 // with a fresh Eq. (2) call. 50 seeded random size-multisets cover mixed
 // {1,2,4} bundles. When the search drops hopeless groups to standby, the
@@ -194,7 +195,7 @@ TEST(OrchestrationDifferentialTest, MatchesBruteForcePermutationSweep) {
       indices.push_back(i);
     }
 
-    solver::SolveCache cache;
+    PlannerCache cache;
     std::vector<int> removed;
     Result<OrchestratedPipeline> orchestrated = OrderAndAssignLayers(
         indices, g, cost, /*micro_batch=*/1, /*dp_degree=*/1,

@@ -99,11 +99,11 @@ TEST_F(PlannerParallelTest, WarmCacheReplaysInsteadOfResolving) {
   PlannerOptions opts;
   opts.num_threads = 1;
   ASSERT_TRUE(planner.Plan(situation, 32, opts).ok());
-  const solver::SolveCache::Stats after_first = planner.solve_cache().stats();
+  const PlannerCache::Stats after_first = planner.solve_cache().stats();
   EXPECT_GT(after_first.misses, 0);
 
   ASSERT_TRUE(planner.Plan(situation, 32, opts).ok());
-  const solver::SolveCache::Stats after_second =
+  const PlannerCache::Stats after_second =
       planner.solve_cache().stats();
   // The second sweep solves the same candidates: every orchestration
   // lookup hits and no new entries are created.

@@ -167,10 +167,11 @@ TEST_F(HierPlannerTest, PinnedDpBelowIslandCountFallsBackToFlat) {
   EXPECT_EQ(r->plan.dp_degree(), 2);
 }
 
-TEST_F(HierPlannerTest, OnePlanIsOneSolveAndMemoizesInTheSolveCache) {
+TEST_F(HierPlannerTest, OnePlanIsOneSolveAndMemoizesInThePlannerCache) {
   // Island sweeps are not solves: one hierarchical Plan() adds exactly one
   // to planner.solves and one planner.solve_seconds observation, and the
-  // island answers land in the planner's own SolveCache.
+  // island answers land in the planner's own cache as 'H' entries, which
+  // are never serialized (island 'L'/'O' solves stay call-local).
   obs::MetricsRegistry registry;
   obs::MetricsScope scope(&registry);
   Planner planner(cluster_, cost_);
@@ -180,6 +181,9 @@ TEST_F(HierPlannerTest, OnePlanIsOneSolveAndMemoizesInTheSolveCache) {
   EXPECT_EQ(registry.GetCounter("planner.solves")->Value(), 1.0);
   EXPECT_EQ(registry.GetHistogram("planner.solve_seconds")->Count(), 1);
   EXPECT_GT(planner.solve_cache().size(), 0u);
+  PlannerCache restored;
+  ASSERT_TRUE(restored.Load(planner.solve_cache().Serialize()).ok());
+  EXPECT_EQ(restored.size(), 0u);
 }
 
 TEST(ScaleTest, KiloGpuPlanIsSubSecond) {

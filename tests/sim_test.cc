@@ -23,8 +23,8 @@ class CollectiveTest : public ::testing::Test {
 };
 
 TEST_F(CollectiveTest, BottleneckBandwidth) {
-  EXPECT_DOUBLE_EQ(GroupBottleneckBandwidth(cluster_, {0, 1, 2}), 400e9);
-  EXPECT_DOUBLE_EQ(GroupBottleneckBandwidth(cluster_, {0, 8}), 200e9);
+  EXPECT_DOUBLE_EQ(topo::GroupBottleneckBandwidth(cluster_, {0, 1, 2}), 400e9);
+  EXPECT_DOUBLE_EQ(topo::GroupBottleneckBandwidth(cluster_, {0, 8}), 200e9);
 }
 
 TEST_F(CollectiveTest, RingCollectiveScaling) {
@@ -91,8 +91,8 @@ TEST_F(CollectiveTest, BottleneckBandwidthDegenerateGroups) {
   // Documented convention: empty and single-GPU groups move no inter-GPU
   // bytes; report the fastest (intra-node NVLink) bandwidth so degenerate
   // groups never dominate a bottleneck computation.
-  EXPECT_DOUBLE_EQ(GroupBottleneckBandwidth(cluster_, {}), 400e9);
-  EXPECT_DOUBLE_EQ(GroupBottleneckBandwidth(cluster_, {9}), 400e9);
+  EXPECT_DOUBLE_EQ(topo::GroupBottleneckBandwidth(cluster_, {}), 400e9);
+  EXPECT_DOUBLE_EQ(topo::GroupBottleneckBandwidth(cluster_, {9}), 400e9);
 }
 
 TEST(RestartTest, CostComposition) {

@@ -13,9 +13,9 @@
 
 #include "common/rng.h"
 #include "solver/cache_io.h"
+#include "solver/cache_key.h"
 #include "solver/division.h"
 #include "solver/minmax.h"
-#include "solver/solve_cache.h"
 #include "testkit/ilp.h"
 #include "testkit/lp.h"
 
@@ -447,7 +447,7 @@ TEST(IlpTest, NodeCountIsExactAndDeterministic) {
   EXPECT_TRUE(capped.status().IsResourceExhausted());
 }
 
-// ---------- CacheKey / SolveCache ----------
+// ---------- CacheKey / cache files ----------
 
 TEST(CacheKeyTest, EqualInputsEncodeEqually) {
   CacheKey a, b;
@@ -484,135 +484,6 @@ TEST(CacheKeyTest, DoubleKeysUseBitPatterns) {
   pos.Double(0.0);
   neg.Double(-0.0);
   EXPECT_NE(pos.str(), neg.str());  // Conservative: distinct representations.
-}
-
-TEST(SolveCacheTest, TypedRoundTripAndStats) {
-  SolveCache cache;
-  const std::string key = CacheKey().Tag('T').Int(42).str();
-  EXPECT_EQ(cache.LookupAs<int>(key), nullptr);
-  cache.InsertAs<int>(key, 7);
-  std::shared_ptr<const int> hit = cache.LookupAs<int>(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(*hit, 7);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().misses, 1);
-  EXPECT_EQ(cache.stats().hits, 1);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.LookupAs<int>(key), nullptr);
-}
-
-TEST(SolveCacheTest, FirstInsertWinsOnDuplicateKey) {
-  SolveCache cache;
-  const std::string key = CacheKey().Tag('T').Int(1).str();
-  cache.InsertAs<int>(key, 10);
-  cache.InsertAs<int>(key, 20);  // Racing duplicate: must not replace.
-  std::shared_ptr<const int> hit = cache.LookupAs<int>(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(*hit, 10);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(SolveCacheTest, CapacityBoundDropsCache) {
-  SolveCache cache(/*max_entries=*/2);
-  cache.InsertAs<int>(CacheKey().Tag('T').Int(1).str(), 1);
-  cache.InsertAs<int>(CacheKey().Tag('T').Int(2).str(), 2);
-  EXPECT_EQ(cache.size(), 2u);
-  cache.InsertAs<int>(CacheKey().Tag('T').Int(3).str(), 3);
-  // The overflowing insert dropped the old entries and kept the new one.
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_NE(cache.LookupAs<int>(CacheKey().Tag('T').Int(3).str()), nullptr);
-}
-
-// ---------- cache serialization ----------
-
-// A toy codec for tag 'T' with int values, enough to exercise the
-// serialization machinery without dragging in the planner's types.
-CacheCodec IntCodec() {
-  CacheCodec codec;
-  codec.Register(
-      'T',
-      [](const void* value, std::string* out) {
-        wire::PutU64(out,
-                     static_cast<uint64_t>(*static_cast<const int*>(value)));
-      },
-      [](const char* data, size_t size) -> std::shared_ptr<const void> {
-        wire::Reader reader(data, size);
-        uint64_t v = 0;
-        if (!reader.U64(&v) || !reader.AtEnd()) return nullptr;
-        return std::make_shared<const int>(static_cast<int>(v));
-      });
-  return codec;
-}
-
-TEST(SolveCacheSerializationTest, RoundTripRestoresEntries) {
-  const CacheCodec codec = IntCodec();
-  SolveCache cache;
-  cache.InsertAs<int>(CacheKey().Tag('T').Int(1).str(), 10);
-  cache.InsertAs<int>(CacheKey().Tag('T').Int(2).str(), 20);
-  const std::string blob = cache.Serialize(codec);
-
-  SolveCache restored;
-  MALLEUS_CHECK_OK(restored.Deserialize(blob, codec));
-  EXPECT_EQ(restored.size(), 2u);
-  std::shared_ptr<const int> hit =
-      restored.LookupAs<int>(CacheKey().Tag('T').Int(2).str());
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(*hit, 20);
-}
-
-TEST(SolveCacheSerializationTest, SerializeIsInsertionOrderIndependent) {
-  const CacheCodec codec = IntCodec();
-  SolveCache forward, backward;
-  for (int i = 0; i < 8; ++i) {
-    forward.InsertAs<int>(CacheKey().Tag('T').Int(i).str(), i);
-    backward.InsertAs<int>(CacheKey().Tag('T').Int(7 - i).str(), 7 - i);
-  }
-  EXPECT_EQ(forward.Serialize(codec), backward.Serialize(codec));
-}
-
-TEST(SolveCacheSerializationTest, UnknownTagsAreSkippedNotFatal) {
-  const CacheCodec codec = IntCodec();
-  SolveCache cache;
-  cache.InsertAs<int>(CacheKey().Tag('T').Int(1).str(), 10);
-  cache.InsertAs<double>(CacheKey().Tag('Z').Int(1).str(), 3.5);
-  // 'Z' has no encoder: only the 'T' entry is persisted.
-  const std::string blob = cache.Serialize(codec);
-  SolveCache restored;
-  MALLEUS_CHECK_OK(restored.Deserialize(blob, codec));
-  EXPECT_EQ(restored.size(), 1u);
-}
-
-TEST(SolveCacheSerializationTest, TruncatedBlobRejectedAndCacheUntouched) {
-  const CacheCodec codec = IntCodec();
-  SolveCache cache;
-  cache.InsertAs<int>(CacheKey().Tag('T').Int(1).str(), 10);
-  cache.InsertAs<int>(CacheKey().Tag('T').Int(2).str(), 20);
-  const std::string blob = cache.Serialize(codec);
-
-  for (size_t cut : {blob.size() - 1, blob.size() / 2, size_t{1}}) {
-    SolveCache restored;
-    const Status status =
-        restored.Deserialize(blob.substr(0, cut), codec);
-    EXPECT_FALSE(status.ok()) << "cut at " << cut;
-    // All-or-nothing: a bad blob must not leave partial entries behind.
-    EXPECT_EQ(restored.size(), 0u) << "cut at " << cut;
-  }
-}
-
-TEST(SolveCacheSerializationTest, CorruptLengthPrefixRejected) {
-  const CacheCodec codec = IntCodec();
-  SolveCache cache;
-  cache.InsertAs<int>(CacheKey().Tag('T').Int(1).str(), 10);
-  std::string blob = cache.Serialize(codec);
-  // The blob ends in the entry's value string: u32 length + 8 payload
-  // bytes. Flip the length's most significant byte so it points past the
-  // end of the blob; the bounds-checked reader must reject it.
-  blob[blob.size() - 9] = static_cast<char>(blob[blob.size() - 9] ^ 0x7f);
-  SolveCache restored;
-  const Status status = restored.Deserialize(blob, codec);
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(restored.size(), 0u);
 }
 
 TEST(CacheIoTest, FileRoundTripPreservesSections) {
@@ -669,6 +540,21 @@ TEST(CacheIoTest, VersionBumpRejectedWithFailedPrecondition) {
   // Version mismatch is reported as such, checked BEFORE the hash, so a
   // future format upgrade fails with a version message, not "corrupt".
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(CacheIoTest, MergeCacheSectionReplacesItsFingerprintOnly) {
+  std::vector<CacheFileSection> sections(2);
+  sections[0] = {3, "three", "c"};
+  sections[1] = {1, "one", "a"};
+  sections = MergeCacheSection(sections, {1, "one again", "a2"});
+  ASSERT_EQ(sections.size(), 2u);
+  EXPECT_EQ(sections[0].fingerprint, 1u);
+  EXPECT_EQ(sections[0].blob, "a2");  // Replaced.
+  EXPECT_EQ(sections[1].blob, "c");   // Kept.
+  sections = MergeCacheSection(sections, {2, "two", "b"});
+  ASSERT_EQ(sections.size(), 3u);
+  EXPECT_EQ(sections[1].fingerprint, 2u);  // Ordered by fingerprint.
+  EXPECT_EQ(sections[2].fingerprint, 3u);
 }
 
 TEST(CacheIoTest, MissingFileIsNotFound) {

@@ -30,10 +30,12 @@
 #                              #   and sweep it with malleus_whatif under
 #                              #   ASan/UBSan, once per net model, checking
 #                              #   byte-identical repeat reports
-#   tools/check.sh --serve     # the serving control plane: serve_test +
-#                              #   the malleus_served smoke under
-#                              #   ASan/UBSan, then serve_test under TSan
-#                              #   with 4 workers/planner threads
+#   tools/check.sh --serve     # the serving control plane: serve_test,
+#                              #   the malleus_served smoke (with the
+#                              #   scenario_cli cache round trip) and
+#                              #   planner_cache_test under ASan/UBSan,
+#                              #   then serve_test under TSan with 4
+#                              #   workers/planner threads
 #   tools/check.sh --policy    # the online fault-tolerance policy engine:
 #                              #   policy_test + engine_test under
 #                              #   ASan/UBSan, a seeded
@@ -183,9 +185,15 @@ if [[ "$MODE" == "serve" ]]; then
       -DMALLEUS_SANITIZE=address,undefined
   fi
   cmake --build build-asan -j"$(nproc)" \
-    --target serve_test malleus_served malleus_client_tool
+    --target serve_test malleus_served malleus_client_tool scenario_cli \
+             planner_cache_test
   echo "== serve tests + daemon smoke (ASan/UBSan) =="
   ctest --test-dir build-asan -R 'serve' --output-on-failure -j"$(nproc)"
+  # `-R serve` matches no serve_test case name, so run the binaries
+  # directly; PlannerCache::Load parses cache-file bytes from disk.
+  echo "== serve_test + planner cache load tests (ASan/UBSan) =="
+  build-asan/tests/serve_test
+  build-asan/tests/planner_cache_test
   # The stdio session is order-sensitive; repeat it so a race cannot
   # come back silently.
   echo "== serve_smoke x10 (ASan/UBSan) =="
@@ -201,8 +209,8 @@ if [[ "$MODE" == "serve" ]]; then
   echo "== serve_test (TSan, 4 planner threads) =="
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     MALLEUS_PLANNER_THREADS=4 build-tsan/tests/serve_test
-  echo "OK: serve tests + smoke clean under ASan/UBSan, serve_test clean" \
-       "under TSan (4 planner threads)"
+  echo "OK: serve tests + smoke + planner cache loads clean under" \
+       "ASan/UBSan, serve_test clean under TSan (4 planner threads)"
   exit 0
 fi
 
