@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "baselines/deepspeed.h"
 #include "baselines/malleus_adapter.h"
 #include "baselines/megatron.h"
 #include "baselines/oobleck.h"
 #include "baselines/trace_runner.h"
+#include "common/file_util.h"
+#include "common/string_util.h"
+#include "net/fabric.h"
 
 namespace malleus {
 namespace baselines {
@@ -174,6 +179,76 @@ TEST_F(BaselinesTest, TraceRunnerExcludesTransientSteps) {
   for (size_t i = 2; i < 5; ++i) tail_mean += p.step_seconds[i];
   tail_mean /= 3.0;
   EXPECT_NEAR(p.mean_step_seconds, tail_mean, 1e-12);
+}
+
+// Figure 7 protocol on 32B / 4x8 for every framework of Table 2 plus
+// Oobleck: per phase, the mean step time, the transition overheads and
+// every step time (the warm-up steps carry Malleus' detect-and-migrate
+// transient). Pins the baselines' calibration constants, the restart
+// costs and the engine's profiler/re-plan loop at 9 significant digits.
+// Every framework prices communication with the process-default net model,
+// so there is one golden per model.
+std::string RenderFig7Golden(const topo::ClusterSpec& cluster,
+                             const model::CostModel& cost) {
+  core::EngineOptions engine;
+  engine.planning_seconds_override = 0.02;  // Wall time stays out.
+  std::vector<std::unique_ptr<TrainingFramework>> frameworks;
+  frameworks.push_back(
+      std::make_unique<MalleusFramework>(cluster, cost, engine));
+  for (bool restart : {false, true}) {
+    MegatronOptions megatron;
+    megatron.with_restart = restart;
+    frameworks.push_back(
+        std::make_unique<MegatronBaseline>(cluster, cost, megatron));
+    DeepSpeedOptions deepspeed;
+    deepspeed.with_restart = restart;
+    deepspeed.restart_cost.framework_init_seconds = 40.0;
+    frameworks.push_back(
+        std::make_unique<DeepSpeedBaseline>(cluster, cost, deepspeed));
+  }
+  frameworks.push_back(
+      std::make_unique<OobleckBaseline>(cluster, cost, OobleckOptions()));
+
+  const auto trace = straggler::StandardTrace(/*steps_per_phase=*/5);
+  std::string out;
+  for (const auto& framework : frameworks) {
+    out += framework->name() + "\n";
+    Result<std::vector<PhaseStats>> phases =
+        RunTrace(framework.get(), cluster, trace, 64);
+    if (!phases.ok()) {
+      out += "  failed: " + phases.status().ToString() + "\n";
+      continue;
+    }
+    for (const PhaseStats& p : *phases) {
+      out += StrFormat("  %s mean=%s restart=%s migration=%s steps=",
+                       straggler::SituationName(p.situation),
+                       JsonNumber(p.mean_step_seconds).c_str(),
+                       JsonNumber(p.restart_seconds).c_str(),
+                       JsonNumber(p.migration_seconds).c_str());
+      for (size_t s = 0; s < p.step_seconds.size(); ++s) {
+        out += (s == 0 ? "" : ",") + JsonNumber(p.step_seconds[s]);
+      }
+      out += "\n";
+    }
+  }
+  return out;
+}
+
+// On a mismatch the current rendering is written to TempDir(); copy it over
+// the golden only for a deliberate behavior change.
+TEST_F(BaselinesTest, Fig7GoldenPinsAllFiveFrameworks) {
+  const std::string rendered = RenderFig7Golden(cluster_, cost_);
+  const std::string name = StrFormat(
+      "fig7_frameworks_%s", net::NetModelName(net::DefaultNetModel()));
+  const std::string golden_path =
+      std::string(MALLEUS_GOLDEN_DIR) + "/" + name + ".golden";
+  Result<std::string> golden = ReadFileBytes(golden_path);
+  if (!golden.ok() || *golden != rendered) {
+    const std::string actual_path = ::testing::TempDir() + "/" + name;
+    ASSERT_TRUE(WriteFileBytes(actual_path, rendered).ok());
+    ADD_FAILURE() << golden_path << " differs from the rendering written to "
+                  << actual_path;
+  }
 }
 
 }  // namespace
