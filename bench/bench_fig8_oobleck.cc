@@ -19,8 +19,7 @@ void Run() {
   const model::CostModel cost(w.spec, w.cluster.gpu());
   const auto trace = straggler::StandardTrace(/*steps_per_phase=*/8);
 
-  baselines::OobleckBaseline oobleck(w.cluster, cost,
-                                     baselines::OobleckOptions());
+  baselines::OobleckBaseline oobleck(w.cluster, cost);
   baselines::MalleusFramework malleus_fw(w.cluster, cost);
 
   Result<std::vector<baselines::PhaseStats>> ob =

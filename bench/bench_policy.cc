@@ -316,15 +316,11 @@ int Run() {
       {
         baselines::DeepSpeedOptions o;
         o.with_restart = true;
-        o.restart_cost.framework_init_seconds = 40.0;
         frameworks.push_back(std::make_unique<baselines::DeepSpeedBaseline>(
             cluster, cost, o));
       }
-      {
-        baselines::OobleckOptions o;
-        frameworks.push_back(std::make_unique<baselines::OobleckBaseline>(
-            cluster, cost, o));
-      }
+      frameworks.push_back(
+          std::make_unique<baselines::OobleckBaseline>(cluster, cost));
       bool first_baseline = true;
       for (const auto& framework : frameworks) {
         const BaselineOutcome outcome =

@@ -71,7 +71,6 @@ MakeCompetitors(const topo::ClusterSpec& cluster,
   {
     baselines::DeepSpeedOptions o;
     o.with_restart = true;
-    o.restart_cost.framework_init_seconds = 40.0;
     out.push_back(
         std::make_unique<baselines::DeepSpeedBaseline>(cluster, cost, o));
   }

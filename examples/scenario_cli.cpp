@@ -365,6 +365,7 @@ int main(int argc, char** argv) {
   frameworks.push_back(std::move(malleus_fw));
   if (args.baselines) {
     baselines::MegatronOptions mo;
+    mo.net_model = args.net_model;
     mo.seed = args.seed;
     frameworks.push_back(
         std::make_unique<baselines::MegatronBaseline>(cluster, cost, mo));

@@ -11,6 +11,10 @@ namespace {
 
 using lint::Severity;
 
+/// Path prefix where det.banned-function does not fire: benchmarks
+/// legitimately read wall clocks.
+constexpr char kRelaxedPrefix[] = "bench/";
+
 // ----- Registry --------------------------------------------------------
 
 const RuleInfo kRules[] = {
@@ -131,13 +135,11 @@ std::string Location(const std::string& path, int line) {
 class FileAnalyzer {
  public:
   FileAnalyzer(const std::string& path, const LexedFile& file,
-               const SymbolIndex& index, const AnalyzeOptions& options,
-               lint::DiagnosticSink* sink)
+               const SymbolIndex& index, lint::DiagnosticSink* sink)
       : path_(path),
         file_(file),
         toks_(file.toks),
         index_(index),
-        options_(options),
         sink_(sink) {}
 
   void Run() {
@@ -171,10 +173,7 @@ class FileAnalyzer {
   bool PathRelaxed() const {
     std::string p = path_;
     if (p.rfind("./", 0) == 0) p = p.substr(2);
-    for (const std::string& prefix : options_.relaxed_prefixes) {
-      if (p.rfind(prefix, 0) == 0) return true;
-    }
-    return false;
+    return p.rfind(kRelaxedPrefix, 0) == 0;
   }
 
   // --- detlint.bad-allow -----------------------------------------------
@@ -688,7 +687,6 @@ class FileAnalyzer {
   const LexedFile& file_;
   const std::vector<Tok>& toks_;
   const SymbolIndex& index_;
-  const AnalyzeOptions& options_;
   lint::DiagnosticSink* sink_;
 
   std::set<std::string> unordered_types_;
@@ -779,16 +777,8 @@ void SymbolIndex::AddFile(const LexedFile& file) {
 }
 
 void AnalyzeFile(const std::string& path, const LexedFile& file,
-                 const SymbolIndex& index, const AnalyzeOptions& options,
-                 lint::DiagnosticSink* sink) {
-  FileAnalyzer(path, file, index, options, sink).Run();
-}
-
-void AnalyzeSource(const std::string& path, const std::string& source,
-                   const SymbolIndex& index, const AnalyzeOptions& options,
-                   lint::DiagnosticSink* sink) {
-  const LexedFile file = Lex(source);
-  AnalyzeFile(path, file, index, options, sink);
+                 const SymbolIndex& index, lint::DiagnosticSink* sink) {
+  FileAnalyzer(path, file, index, sink).Run();
 }
 
 Result<std::vector<BaselineEntry>> ParseBaseline(const std::string& text) {

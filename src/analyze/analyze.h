@@ -119,25 +119,14 @@ class SymbolIndex {
 
 // ----- Analysis --------------------------------------------------------
 
-struct AnalyzeOptions {
-  /// Path prefixes where det.banned-function does not fire: benchmarks
-  /// legitimately read wall clocks. Matched against the path passed to
-  /// AnalyzeSource after stripping any leading "./".
-  std::vector<std::string> relaxed_prefixes = {"bench/"};
-};
-
 /// Runs every rule over one already-lexed file, appending findings (with
 /// locations "path:line") to `sink`. `index` may cover just this file or a
 /// whole tree; passing a default-constructed index disables
-/// status.discarded.
+/// status.discarded. det.banned-function does not fire under bench/
+/// (benchmarks legitimately read wall clocks), matched after stripping any
+/// leading "./" from `path`.
 void AnalyzeFile(const std::string& path, const LexedFile& file,
-                 const SymbolIndex& index, const AnalyzeOptions& options,
-                 lint::DiagnosticSink* sink);
-
-/// Convenience: Lex + AnalyzeFile over raw source text.
-void AnalyzeSource(const std::string& path, const std::string& source,
-                   const SymbolIndex& index, const AnalyzeOptions& options,
-                   lint::DiagnosticSink* sink);
+                 const SymbolIndex& index, lint::DiagnosticSink* sink);
 
 // ----- Baseline --------------------------------------------------------
 

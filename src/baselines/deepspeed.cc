@@ -5,9 +5,27 @@
 #include <map>
 
 #include "common/string_util.h"
+#include "sim/restart.h"
 
 namespace malleus {
 namespace baselines {
+
+namespace {
+
+/// Asymptotic MFU of the analytic throughput curve
+/// mfu(P) = kMfuMax * (1 - exp(-P / kMfuScaleParams)).
+constexpr double kMfuMax = 0.54;
+constexpr double kMfuScaleParams = 42e9;
+/// Straggler compounding per extra co-located straggler (see header).
+constexpr double kCoStragglerBeta = 0.3;
+/// Communication fraction for models below / above kSmallModelParams.
+constexpr double kCommFractionSmall = 0.35;
+constexpr double kCommFractionLarge = 0.10;
+constexpr double kSmallModelParams = 40e9;
+/// DeepSpeed's framework re-initialization is faster than Megatron's.
+constexpr sim::RestartCostConfig kRestartCost{.framework_init_seconds = 40.0};
+
+}  // namespace
 
 std::string DeepSpeedConfig::ToString() const {
   return StrFormat("DP%dSP%d%s, mbs%d", dp, sp,
@@ -29,15 +47,13 @@ std::string DeepSpeedBaseline::name() const {
 
 double DeepSpeedBaseline::HealthyMfu() const {
   const double params = static_cast<double>(cost_.spec().TotalParams());
-  return options_.mfu_max *
-         (1.0 - std::exp(-params / options_.mfu_scale_params));
+  return kMfuMax * (1.0 - std::exp(-params / kMfuScaleParams));
 }
 
 double DeepSpeedBaseline::CommFraction() const {
   const double params = static_cast<double>(cost_.spec().TotalParams());
-  return params < options_.small_model_params
-             ? options_.comm_fraction_small
-             : options_.comm_fraction_large;
+  return params < kSmallModelParams ? kCommFractionSmall
+                                    : kCommFractionLarge;
 }
 
 double DeepSpeedBaseline::BaseStepSeconds(int num_gpus) const {
@@ -128,7 +144,7 @@ Result<TransitionReport> DeepSpeedBaseline::OnSituationChange(
   excluded_nodes_ = bad;
   active_gpus_ = gpus;
   report.restart_seconds = sim::RestartSeconds(
-      cost_.CheckpointBytes(), alive_nodes, options_.restart_cost);
+      cost_.CheckpointBytes(), alive_nodes, kRestartCost);
   report.description = StrFormat("restarted on %d nodes", alive_nodes);
   return report;
 }
@@ -155,8 +171,7 @@ Result<double> DeepSpeedBaseline::StepSeconds(
       }
     }
     if (k > 0) {
-      x_eff = std::max(
-          x_eff, mx * (1.0 + options_.co_straggler_beta * (k - 1)));
+      x_eff = std::max(x_eff, mx * (1.0 + kCoStragglerBeta * (k - 1)));
     }
   }
   const double f = CommFraction();

@@ -2,6 +2,8 @@
 
 #include "common/string_util.h"
 #include "plan/uniform.h"
+#include "sim/pipeline_sim.h"
+#include "sim/restart.h"
 
 namespace malleus {
 namespace baselines {
@@ -71,16 +73,17 @@ Result<TransitionReport> MegatronBaseline::OnSituationChange(
   plan_ = std::move(tuned).ValueOrDie();
   excluded_nodes_ = bad;
   report.restart_seconds =
-      sim::RestartSeconds(cost_.CheckpointBytes(), alive_nodes,
-                          options_.restart_cost);
+      sim::RestartSeconds(cost_.CheckpointBytes(), alive_nodes);
   report.description = StrFormat("restarted on %d nodes", alive_nodes);
   return report;
 }
 
 Result<double> MegatronBaseline::StepSeconds(
     const straggler::Situation& situation) {
+  sim::SimOptions sim_options;
+  sim_options.net_model = options_.net_model;
   Result<sim::StepResult> step = sim::SimulateStep(
-      cluster_, cost_, plan_, situation, options_.sim_options, &rng_);
+      cluster_, cost_, plan_, situation, sim_options, &rng_);
   if (!step.ok()) return step.status();
   return step->step_seconds;
 }

@@ -8,20 +8,19 @@
 #include <set>
 
 #include "baselines/baseline.h"
+#include "net/fabric.h"
 #include "plan/plan.h"
-#include "sim/pipeline_sim.h"
-#include "sim/restart.h"
 
 namespace malleus {
 namespace baselines {
 
 struct MegatronOptions {
   /// Remove nodes hosting stragglers and restart with a re-tuned uniform
-  /// configuration (the paper's "Megatron-LM w/ Restart").
+  /// configuration (the paper's "Megatron-LM w/ Restart"), at the default
+  /// sim::RestartCostConfig (80 s framework init + checkpoint I/O).
   bool with_restart = false;
-  /// Restart cost parameters (framework init + checkpoint I/O).
-  sim::RestartCostConfig restart_cost;
-  sim::SimOptions sim_options;
+  /// How the simulated steps price communication.
+  net::NetModel net_model = net::DefaultNetModel();
   uint64_t seed = 1;
 };
 

@@ -4,23 +4,33 @@
 
 #include "common/string_util.h"
 #include "core/migration.h"
+#include "net/fabric.h"
 #include "plan/uniform.h"
+#include "sim/pipeline_sim.h"
+#include "sim/restart.h"
 
 namespace malleus {
 namespace baselines {
 
+namespace {
+
+/// Step-time multiplier of the fault-tolerant pipeline templates.
+constexpr double kTemplateOverhead = 1.9;
+/// Minimum nodes a template may use (smaller counts are not templated).
+constexpr int kMinTemplateNodes = 2;
+/// Seed of the simulated kernel jitter.
+constexpr uint64_t kSeed = 3;
+
+}  // namespace
+
 OobleckBaseline::OobleckBaseline(const topo::ClusterSpec& cluster,
-                                 const model::CostModel& cost,
-                                 OobleckOptions options)
-    : cluster_(cluster),
-      cost_(cost),
-      options_(options),
-      rng_(options.seed) {}
+                                 const model::CostModel& cost)
+    : cluster_(cluster), cost_(cost), rng_(kSeed) {}
 
 Result<plan::ParallelPlan> OobleckBaseline::TemplateFor(
     const std::set<topo::NodeId>& excluded) const {
   const int nodes = cluster_.num_nodes() - static_cast<int>(excluded.size());
-  if (nodes < options_.min_template_nodes) {
+  if (nodes < kMinTemplateNodes) {
     return Status::NotFound(
         StrFormat("no pipeline template for %d nodes", nodes));
   }
@@ -76,7 +86,7 @@ Result<TransitionReport> OobleckBaseline::OnSituationChange(
         core::ComputeMigration(plan_, *next, cost_);
     if (migration.ok()) {
       report.migration_seconds = core::MigrationSeconds(
-          *migration, cluster_, options_.sim_options.net_model);
+          *migration, cluster_, net::DefaultNetModel());
       report.description =
           StrFormat("migrated to the %d-node template",
                     cluster_.num_nodes() - static_cast<int>(bad.size()));
@@ -100,8 +110,8 @@ Result<TransitionReport> OobleckBaseline::OnSituationChange(
   plan_ = std::move(next).ValueOrDie();
   const int alive_nodes =
       cluster_.num_nodes() - static_cast<int>(excluded_nodes_.size());
-  report.restart_seconds = sim::RestartSeconds(
-      cost_.CheckpointBytes(), alive_nodes, options_.restart_cost);
+  report.restart_seconds =
+      sim::RestartSeconds(cost_.CheckpointBytes(), alive_nodes);
   report.description = StrFormat("restarted on %d nodes", alive_nodes);
   return report;
 }
@@ -109,9 +119,9 @@ Result<TransitionReport> OobleckBaseline::OnSituationChange(
 Result<double> OobleckBaseline::StepSeconds(
     const straggler::Situation& situation) {
   Result<sim::StepResult> step = sim::SimulateStep(
-      cluster_, cost_, plan_, situation, options_.sim_options, &rng_);
+      cluster_, cost_, plan_, situation, sim::SimOptions(), &rng_);
   if (!step.ok()) return step.status();
-  return step->step_seconds * options_.template_overhead;
+  return step->step_seconds * kTemplateOverhead;
 }
 
 }  // namespace baselines

@@ -7,6 +7,10 @@
 // or falling off the template range forces a full restart. Its templates
 // also carry a constant fault-tolerance efficiency overhead even with no
 // stragglers (the paper measures 1.82-2.49x of Malleus' step time).
+//
+// The calibration is fixed (oobleck.cc): a 1.9x template overhead fitted to
+// Figure 8, templates for 2 or more nodes, the default restart cost, the
+// process-default net model and jitter seed 3.
 
 #ifndef MALLEUS_BASELINES_OOBLECK_H_
 #define MALLEUS_BASELINES_OOBLECK_H_
@@ -16,26 +20,14 @@
 
 #include "baselines/baseline.h"
 #include "plan/plan.h"
-#include "sim/pipeline_sim.h"
-#include "sim/restart.h"
 
 namespace malleus {
 namespace baselines {
 
-struct OobleckOptions {
-  /// Step-time multiplier of the fault-tolerant pipeline templates.
-  double template_overhead = 1.9;
-  /// Minimum nodes a template may use (smaller counts are not templated).
-  int min_template_nodes = 2;
-  sim::RestartCostConfig restart_cost;
-  sim::SimOptions sim_options;
-  uint64_t seed = 3;
-};
-
 class OobleckBaseline : public TrainingFramework {
  public:
   OobleckBaseline(const topo::ClusterSpec& cluster,
-                  const model::CostModel& cost, OobleckOptions options);
+                  const model::CostModel& cost);
 
   std::string name() const override { return "Oobleck"; }
   Status Initialize(int64_t global_batch) override;
@@ -53,7 +45,6 @@ class OobleckBaseline : public TrainingFramework {
 
   const topo::ClusterSpec& cluster_;
   const model::CostModel& cost_;
-  OobleckOptions options_;
   int64_t global_batch_ = 0;
   plan::ParallelPlan plan_;
   std::set<topo::NodeId> excluded_nodes_;

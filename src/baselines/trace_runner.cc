@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/string_util.h"
 #include "core/run_log.h"
 
 namespace malleus {
@@ -11,6 +12,13 @@ Result<std::vector<PhaseStats>> RunTrace(
     TrainingFramework* framework, const topo::ClusterSpec& cluster,
     const std::vector<straggler::TracePhase>& trace, int64_t global_batch,
     const TraceRunOptions& options) {
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (trace[i].steps <= 0) {
+      return Status::InvalidArgument(StrFormat(
+          "trace phase %zu (%s) has %d steps; every phase needs at least one",
+          i, straggler::SituationName(trace[i].id), trace[i].steps));
+    }
+  }
   MALLEUS_RETURN_NOT_OK(framework->Initialize(global_batch));
 
   std::vector<PhaseStats> out;
@@ -28,9 +36,7 @@ Result<std::vector<PhaseStats>> RunTrace(
     stats.migration_seconds = transition->migration_seconds;
     stats.transition_note = transition->description;
 
-    const int steps =
-        phase.steps > 0 ? phase.steps : options.steps_per_phase;
-    for (int s = 0; s < steps; ++s) {
+    for (int s = 0; s < phase.steps; ++s) {
       Result<double> t = framework->StepSeconds(*situation);
       MALLEUS_RETURN_NOT_OK(t.status());
       stats.step_seconds.push_back(*t);

@@ -34,7 +34,6 @@ struct PhaseStats {
 };
 
 struct TraceRunOptions {
-  int steps_per_phase = 10;
   /// Steps excluded from the phase mean (adaptation transient).
   int warmup_steps = 3;
   /// When set, every step is also recorded here under the phase's
@@ -44,7 +43,8 @@ struct TraceRunOptions {
   core::RunLog* run_log = nullptr;
 };
 
-/// Runs `framework` through `trace` and returns per-phase statistics.
+/// Runs `framework` through `trace` and returns per-phase statistics. Each
+/// phase runs its own `steps`; a phase with steps <= 0 is InvalidArgument.
 Result<std::vector<PhaseStats>> RunTrace(
     TrainingFramework* framework, const topo::ClusterSpec& cluster,
     const std::vector<straggler::TracePhase>& trace, int64_t global_batch,

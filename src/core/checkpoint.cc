@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "core/sharding.h"
+#include "sim/restart.h"
 
 namespace malleus {
 namespace core {
@@ -20,7 +21,7 @@ Status VisitStateOwners(const plan::ParallelPlan& p,
   const int num_layers = cost.spec().num_layers;
   const double weight_bytes = 2.0 * cost.spec().ParamsPerLayer();
   const double optimizer_bytes =
-      cost.config().sharded_bytes_per_param * cost.spec().ParamsPerLayer();
+      model::kShardedBytesPerParam * cost.spec().ParamsPerLayer();
 
   for (int layer = 0; layer < num_layers; ++layer) {
     // Weight intervals per replica.
@@ -93,15 +94,14 @@ Result<CheckpointIoPlan> PlanCheckpointLoad(const plan::ParallelPlan& p,
 }
 
 double CheckpointIoSeconds(const CheckpointIoPlan& io,
-                           const topo::ClusterSpec& cluster,
-                           const CheckpointIoConfig& config) {
+                           const topo::ClusterSpec& cluster) {
   std::map<topo::NodeId, double> node_bytes;
   for (const auto& [gpu, bytes] : io.bytes_per_gpu) {
     node_bytes[cluster.NodeOf(gpu)] += bytes;
   }
   double worst = 0.0;
   for (const auto& [node, bytes] : node_bytes) {
-    worst = std::max(worst, bytes / (config.per_node_io_gbps * 1e9));
+    worst = std::max(worst, bytes / (sim::kPerNodeIoGbps * 1e9));
   }
   return worst;
 }

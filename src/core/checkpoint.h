@@ -20,11 +20,6 @@
 namespace malleus {
 namespace core {
 
-struct CheckpointIoConfig {
-  /// Aggregate storage bandwidth available per node (GB/s).
-  double per_node_io_gbps = 2.0;
-};
-
 /// Per-GPU byte volumes of a checkpoint operation.
 struct CheckpointIoPlan {
   std::map<topo::GpuId, double> bytes_per_gpu;
@@ -42,11 +37,10 @@ Result<CheckpointIoPlan> PlanCheckpointLoad(const plan::ParallelPlan& p,
                                             const model::CostModel& cost);
 
 /// Wall time of executing an I/O plan: per node, the sum of its GPUs'
-/// bytes over the node's storage bandwidth; nodes proceed in parallel.
+/// bytes over the node's storage bandwidth (sim::kPerNodeIoGbps, the
+/// bandwidth restarts are priced with); nodes proceed in parallel.
 double CheckpointIoSeconds(const CheckpointIoPlan& io,
-                           const topo::ClusterSpec& cluster,
-                           const CheckpointIoConfig& config =
-                               CheckpointIoConfig());
+                           const topo::ClusterSpec& cluster);
 
 }  // namespace core
 }  // namespace malleus

@@ -56,10 +56,8 @@ MalleusEngine::MalleusEngine(const topo::ClusterSpec& cluster,
       options_(options),
       planner_(cluster, cost),
       executor_(cluster, cost, options.sim.net_model),
-      rng_(options.seed) {
-  profiler_ = std::make_unique<Profiler>(cluster.num_gpus(),
-                                         options_.profiler);
-}
+      profiler_(cluster.num_gpus()),
+      rng_(options.seed) {}
 
 Status MalleusEngine::Initialize(int64_t global_batch) {
   global_batch_ = global_batch;
@@ -70,7 +68,7 @@ Status MalleusEngine::Initialize(int64_t global_batch) {
   MALLEUS_RETURN_NOT_OK(
       GatePlanDiagnostics(initial->diagnostics, "initial plan"));
   MALLEUS_RETURN_NOT_OK(executor_.Install(std::move(initial->plan)));
-  profiler_->AcknowledgeShift();
+  profiler_.AcknowledgeShift();
   initialized_ = true;
   return Status::OK();
 }
@@ -87,7 +85,7 @@ Status MalleusEngine::InitializeWithPlan(plan::ParallelPlan p) {
   MALLEUS_RETURN_NOT_OK(
       GatePlanDiagnostics(diagnostics, "user-provided plan"));
   MALLEUS_RETURN_NOT_OK(executor_.Install(std::move(p)));
-  profiler_->AcknowledgeShift();
+  profiler_.AcknowledgeShift();
   initialized_ = true;
   return Status::OK();
 }
@@ -109,7 +107,7 @@ Result<PlanResult> MalleusEngine::Replan() {
   PlannerOptions opts = options_.planner;
   opts.dp_degree = executor_.current_plan().dp_degree();
   Result<PlanResult> planned =
-      planner_.Replan(profiler_->Estimated(), global_batch_, opts);
+      planner_.Replan(profiler_.Estimated(), global_batch_, opts);
   if (planned.ok()) {
     // A refused plan surfaces as a planning failure: the caller keeps
     // training on the current plan (Step) or aborts recovery.
@@ -123,7 +121,7 @@ Result<StepReport> MalleusEngine::RecoverFromFailure(
     const straggler::Situation& truth) {
   StepReport report;
   for (topo::GpuId g : executor_.current_plan().ActiveGpus()) {
-    if (truth.IsFailed(g)) profiler_->MarkFailed(g);
+    if (truth.IsFailed(g)) profiler_.MarkFailed(g);
   }
   Result<PlanResult> planned = Replan();
   MALLEUS_RETURN_NOT_OK(planned.status());
@@ -136,12 +134,10 @@ Result<StepReport> MalleusEngine::RecoverFromFailure(
   Result<CheckpointIoPlan> load =
       PlanCheckpointLoad(executor_.current_plan(), cost_);
   MALLEUS_RETURN_NOT_OK(load.status());
-  CheckpointIoConfig io_config;
-  io_config.per_node_io_gbps = options_.restart_cost.per_node_io_gbps;
-  report.recovery_seconds = CheckpointIoSeconds(*load, cluster_, io_config);
+  report.recovery_seconds = CheckpointIoSeconds(*load, cluster_);
   report.replanned = true;
   report.plan_signature = executor_.current_plan().Signature();
-  profiler_->AcknowledgeShift();
+  profiler_.AcknowledgeShift();
 
   auto& registry = obs::MetricsRegistry::Current();
   registry.GetCounter("engine.replans")->Increment();
@@ -167,7 +163,7 @@ Result<StepReport> MalleusEngine::RecoverFromFailure(
       sim::SimulateStep(cluster_, cost_, executor_.current_plan(), truth,
                         options_.sim, &rng_);
   MALLEUS_RETURN_NOT_OK(step.status());
-  profiler_->RecordStep(step->measured_rates);
+  profiler_.RecordStep(step->measured_rates);
   report.step_seconds = step->step_seconds;
   report.note = "recovered from GPU failure via checkpoint reload";
   registry.GetCounter("engine.steps")->Increment();
@@ -190,11 +186,11 @@ Result<StepReport> MalleusEngine::Step(const straggler::Situation& truth) {
   // devices that are out of the training so they can be re-included.
   for (topo::GpuId g : InactiveGpus()) {
     if (truth.IsFailed(g)) {
-      profiler_->MarkFailed(g);
+      profiler_.MarkFailed(g);
     } else {
       const double jitter = std::max(
           0.5, 1.0 + rng_.Normal(0.0, options_.sim.timing_noise_stddev));
-      profiler_->RecordProbe(g, truth.rate(g) * jitter);
+      profiler_.RecordProbe(g, truth.rate(g) * jitter);
     }
   }
 
@@ -205,7 +201,7 @@ Result<StepReport> MalleusEngine::Step(const straggler::Situation& truth) {
     if (step.status().IsUnavailable()) return RecoverFromFailure(truth);
     return step.status();
   }
-  profiler_->RecordStep(step->measured_rates);
+  profiler_.RecordStep(step->measured_rates);
 
   StepReport report;
   report.step_seconds = step->step_seconds;
@@ -250,7 +246,7 @@ Result<StepReport> MalleusEngine::Step(const straggler::Situation& truth) {
     return r;
   };
 
-  if (profiler_->ShiftDetected()) {
+  if (profiler_.ShiftDetected()) {
     registry.GetCounter("profiler.shifts_detected")->Increment();
     Result<PlanResult> planned = Replan();
     if (!planned.ok()) {
@@ -258,7 +254,7 @@ Result<StepReport> MalleusEngine::Step(const straggler::Situation& truth) {
       registry.GetCounter("engine.replan_failures")->Increment();
       report.note = StrFormat("re-planning failed: %s",
                               planned.status().ToString().c_str());
-      profiler_->AcknowledgeShift();
+      profiler_.AcknowledgeShift();
       return finish(std::move(report));
     }
     report.replanned = true;
@@ -280,7 +276,7 @@ Result<StepReport> MalleusEngine::Step(const straggler::Situation& truth) {
     } else {
       report.note = "re-planned; plan unchanged";
     }
-    profiler_->AcknowledgeShift();
+    profiler_.AcknowledgeShift();
   }
   return finish(std::move(report));
 }

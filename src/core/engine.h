@@ -13,7 +13,6 @@
 #ifndef MALLEUS_CORE_ENGINE_H_
 #define MALLEUS_CORE_ENGINE_H_
 
-#include <memory>
 #include <string>
 
 #include "common/result.h"
@@ -22,16 +21,15 @@
 #include "core/planner.h"
 #include "core/profiler.h"
 #include "sim/pipeline_sim.h"
-#include "sim/restart.h"
 
 namespace malleus {
 namespace core {
 
+/// The profiler runs at its paper defaults (5% shift threshold) and
+/// checkpoint reloads at sim::kPerNodeIoGbps.
 struct EngineOptions {
   PlannerOptions planner;
-  ProfilerOptions profiler;
   sim::SimOptions sim;
-  sim::RestartCostConfig restart_cost;
   /// When >= 0, StepReport::planning_seconds uses this fixed value instead
   /// of the planner's measured wall time. Measured time is the honest
   /// overlap model (S5.3) but makes step reports -- and thus trace/JSONL
@@ -85,7 +83,7 @@ class MalleusEngine {
   const plan::ParallelPlan& current_plan() const {
     return executor_.current_plan();
   }
-  const Profiler& profiler() const { return *profiler_; }
+  const Profiler& profiler() const { return profiler_; }
 
   /// The engine's planner (and through it the solve cache). Mutable access
   /// exists so hosts can warm or persist the cache around the engine's own
@@ -116,7 +114,7 @@ class MalleusEngine {
   EngineOptions options_;
   Planner planner_;
   Executor executor_;
-  std::unique_ptr<Profiler> profiler_;
+  Profiler profiler_;
   Rng rng_;
   int64_t global_batch_ = 0;
   bool initialized_ = false;

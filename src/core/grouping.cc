@@ -14,6 +14,10 @@ namespace core {
 
 namespace {
 
+/// A straggler qualifies for a splitting attempt when its rate exceeds this
+/// threshold (non-stragglers never do).
+constexpr double kSplitRateThreshold = 1.05;
+
 // A node's GPUs sorted by straggling rate descending (Theorem 1 order).
 struct NodeState {
   std::vector<topo::GpuId> gpus;   // Sorted by rate descending.
@@ -200,7 +204,7 @@ Result<GroupingResult> GroupGpus(const topo::ClusterSpec& cluster,
     // Group splitting: consider isolating stragglers, heaviest first.
     if (options.enable_splitting && k > 1) {
       for (int idx = 0; idx < live; ++idx) {
-        if (st.rates[idx] <= options.split_rate_threshold) break;
+        if (st.rates[idx] <= kSplitRateThreshold) break;
         // Find the block currently containing position idx.
         int block = 0, pos = 0;
         while (pos + sizes[block] <= idx) {

@@ -38,12 +38,10 @@ struct GroupingOptions {
   /// Maximum TP degree of this grouping pass (the planner enumerates
   /// {1, 2, 4, 8}).
   int max_tp_degree = 8;
-  /// Enables heavy-straggler isolation via group splitting. Disabled for
-  /// the Figure 9 ablation (non-uniform devices/stages off).
+  /// Enables heavy-straggler isolation via group splitting of GPUs whose
+  /// rate exceeds 1.05 (grouping.cc). Disabled for the Figure 9 ablation
+  /// (non-uniform devices/stages off).
   bool enable_splitting = true;
-  /// A straggler qualifies for a splitting attempt when its rate exceeds
-  /// this threshold (non-stragglers never do).
-  double split_rate_threshold = 1.05;
 };
 
 /// Groups all live GPUs of `cluster` under `situation`.

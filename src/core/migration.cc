@@ -54,7 +54,7 @@ Result<MigrationPlan> ComputeMigration(const plan::ParallelPlan& from,
   // shard (fp32 master + Adam moments).
   const double bytes_weights = 2.0 * params;
   const double bytes_optimizer =
-      cost.config().sharded_bytes_per_param * params / dp_to;
+      model::kShardedBytesPerParam * params / dp_to;
 
   std::map<std::pair<topo::GpuId, topo::GpuId>, double> fused;
   for (int layer = 0; layer < num_layers; ++layer) {

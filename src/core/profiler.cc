@@ -9,6 +9,25 @@
 namespace malleus {
 namespace core {
 
+namespace {
+
+/// Relative change between two consecutive per-GPU estimates that counts
+/// as "an obvious shift in the straggling situation" (paper S5.2: 5%).
+constexpr double kShiftThreshold = 0.05;
+
+/// Estimates within this relative distance of 1.0 snap to exactly 1.0, so
+/// kernel jitter does not masquerade as a straggler.
+constexpr double kHealthyBand = 0.03;
+
+/// Straggler estimates are quantized onto a log-scale grid of this relative
+/// pitch. Equally-impaired GPUs then report *identical* rates, which both
+/// stabilizes shift detection under kernel jitter and preserves the
+/// planner's "majority share the same y-hat" structure (Eq. (4) collapses
+/// identical groups; see S4.3.2).
+constexpr double kRateQuantum = 0.04;
+
+}  // namespace
+
 Profiler::Profiler(int num_gpus, ProfilerOptions options)
     : options_(options),
       estimate_(num_gpus),
@@ -17,7 +36,7 @@ Profiler::Profiler(int num_gpus, ProfilerOptions options)
 
 void Profiler::Update(topo::GpuId gpu, double normalized) {
   if (estimate_.IsFailed(gpu)) return;  // Only probes can clear failure.
-  if (std::fabs(normalized - 1.0) < options_.healthy_band) {
+  if (std::fabs(normalized - 1.0) < kHealthyBand) {
     if (normalized != 1.0) {
       obs::MetricsRegistry::Current()
           .GetCounter("profiler.snap_to_healthy")
@@ -30,12 +49,12 @@ void Profiler::Update(topo::GpuId gpu, double normalized) {
     const double prev = estimate_.rate(gpu);
     value = options_.ema_alpha * normalized +
             (1.0 - options_.ema_alpha) * prev;
-    if (std::fabs(value - 1.0) < options_.healthy_band) value = 1.0;
+    if (std::fabs(value - 1.0) < kHealthyBand) value = 1.0;
   }
   value = std::max(value, 1.0);
-  if (value > 1.0 && options_.rate_quantum > 0) {
-    const double q = options_.rate_quantum;
-    value = std::exp(std::round(std::log(value) / q) * q);
+  if (value > 1.0) {
+    value = std::exp(std::round(std::log(value) / kRateQuantum) *
+                     kRateQuantum);
   }
   estimate_.SetRate(gpu, value);
   has_sample_[gpu] = true;
@@ -57,7 +76,7 @@ void Profiler::RecordStep(const std::vector<double>& measured_rates) {
   double median = positive[positive.size() / 2];
   // If the majority of the fleet is straggling, the median itself is a
   // straggler; only trust it as "nominal" when it looks healthy.
-  if (median > 1.0 + options_.healthy_band || median <= 0) median = 1.0;
+  if (median > 1.0 + kHealthyBand || median <= 0) median = 1.0;
 
   for (int g = 0; g < estimate_.num_gpus(); ++g) {
     if (measured_rates[g] > 0) {
@@ -95,7 +114,7 @@ bool Profiler::ShiftDetected() const {
     if (now == base) continue;  // Also covers inf == inf.
     if (std::isinf(now) != std::isinf(base)) return true;
     const double rel = std::fabs(now - base) / base;
-    if (rel > options_.shift_threshold) return true;
+    if (rel > kShiftThreshold) return true;
   }
   return false;
 }

@@ -14,23 +14,14 @@
 namespace malleus {
 namespace core {
 
+/// The shift threshold (the paper's 5%), the healthy band and the rate
+/// quantum are named constants in profiler.cc; only the smoothing factor
+/// is settable.
 struct ProfilerOptions {
-  /// Relative change between two consecutive per-GPU estimates that counts
-  /// as "an obvious shift in the straggling situation" (paper: 5%).
-  double shift_threshold = 0.05;
   /// Exponential smoothing factor for new measurements. The default of 1
   /// (no smoothing) matches the paper's consecutive-iteration comparison;
-  /// the healthy band below absorbs kernel jitter instead.
+  /// the healthy band (profiler.cc) absorbs kernel jitter instead.
   double ema_alpha = 1.0;
-  /// Estimates within this relative distance of 1.0 snap to exactly 1.0,
-  /// so kernel jitter does not masquerade as a straggler.
-  double healthy_band = 0.03;
-  /// Straggler estimates are quantized onto a log-scale grid of this
-  /// relative pitch. Equally-impaired GPUs then report *identical* rates,
-  /// which both stabilizes shift detection under kernel jitter and
-  /// preserves the planner's "majority share the same y-hat" structure
-  /// (Eq. (4) collapses identical groups; see S4.3.2).
-  double rate_quantum = 0.04;
 };
 
 /// \brief Online estimator of per-GPU straggling rates.

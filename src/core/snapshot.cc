@@ -32,36 +32,29 @@ double DeterministicStepSeconds(const plan::ParallelPlan& p,
 std::string PlanResultSnapshot(const PlanResult& result,
                                const topo::ClusterSpec& cluster,
                                const model::CostModel& cost,
-                               const straggler::Situation& situation,
-                               const SnapshotOptions& options) {
-  const int d = options.digits;
+                               const straggler::Situation& situation) {
   std::string out;
   out += StrFormat("chosen_tp = %d\n", result.chosen_tp);
   out += StrFormat("estimate.objective_seconds = %s\n",
-                   JsonNumber(result.estimated_seconds, d).c_str());
+                   JsonNumber(result.estimated_seconds).c_str());
   out += StrFormat("estimate.full_step_seconds = %s\n",
-                   JsonNumber(result.estimated_full_seconds, d).c_str());
+                   JsonNumber(result.estimated_full_seconds).c_str());
   const plan::StepEstimate est =
       plan::EstimateStep(result.plan, cost, situation);
   out += StrFormat("estimate.pipeline_model_seconds = %s\n",
-                   JsonNumber(est.step_seconds, d).c_str());
+                   JsonNumber(est.step_seconds).c_str());
   for (net::NetModel m : {net::NetModel::kAnalytic, net::NetModel::kFlow}) {
     out += StrFormat(
         "gradsync.%s_seconds = %s\n", net::NetModelName(m),
-        JsonNumber(
-            plan::EstimateGradSyncSeconds(result.plan, cost, cluster, m), d)
+        JsonNumber(plan::EstimateGradSyncSeconds(result.plan, cost, cluster, m))
             .c_str());
   }
-  if (options.include_sim) {
-    for (net::NetModel m :
-         {net::NetModel::kAnalytic, net::NetModel::kFlow}) {
-      out += StrFormat(
-          "sim.%s_step_seconds = %s\n", net::NetModelName(m),
-          JsonNumber(DeterministicStepSeconds(result.plan, cluster, cost,
-                                              situation, m),
-                     d)
-              .c_str());
-    }
+  for (net::NetModel m : {net::NetModel::kAnalytic, net::NetModel::kFlow}) {
+    out += StrFormat(
+        "sim.%s_step_seconds = %s\n", net::NetModelName(m),
+        JsonNumber(DeterministicStepSeconds(result.plan, cluster, cost,
+                                            situation, m))
+            .c_str());
   }
   out += StrFormat("plan.signature = %s\n", result.plan.Signature().c_str());
   out += "plan:\n";

@@ -6,7 +6,10 @@
 // grad-sync estimate under BOTH network cost models, and one deterministic
 // (noise-free) simulated step under both models. Wall-clock quantities
 // (PlannerTimings) are deliberately excluded — a snapshot must be
-// byte-identical across machines and runs.
+// byte-identical across machines and runs. Every floating-point field has
+// 9 significant digits: genuine behavioral drift shows, and so does a
+// sub-ulp refactor (e.g. an fma the compiler contracts differently) — that
+// is the point of a golden trace.
 
 #ifndef MALLEUS_CORE_SNAPSHOT_H_
 #define MALLEUS_CORE_SNAPSHOT_H_
@@ -21,25 +24,13 @@
 namespace malleus {
 namespace core {
 
-struct SnapshotOptions {
-  /// Significant digits for every floating-point field. 9 digits tracks
-  /// genuine behavioral drift while shrugging off sub-ulp refactors
-  /// (e.g. an fma the compiler contracts differently would still diff —
-  /// that is the point of a golden trace).
-  int digits = 9;
-  /// Include one simulated step (timing noise 0) per net model. Costs a
-  /// SimulateStep per model; turn off for snapshot-heavy sweeps.
-  bool include_sim = true;
-};
-
 /// Renders `result` (a Planner::Plan outcome under `situation`) as a
 /// stable, human-diffable text block. Deterministic for deterministic
 /// inputs; independent of thread counts, caches and MALLEUS_NET_MODEL.
 std::string PlanResultSnapshot(const PlanResult& result,
                                const topo::ClusterSpec& cluster,
                                const model::CostModel& cost,
-                               const straggler::Situation& situation,
-                               const SnapshotOptions& options = {});
+                               const straggler::Situation& situation);
 
 }  // namespace core
 }  // namespace malleus

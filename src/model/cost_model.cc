@@ -11,6 +11,39 @@ namespace model {
 bool IsValidTpDegree(int n) { return n == 1 || n == 2 || n == 4 || n == 8; }
 
 namespace {
+
+// Calibration constants of the roofline model (DESIGN §5).
+
+/// Fraction of peak FLOPS achieved by the fused kernels (per-kernel
+/// efficiency, excluding pipeline bubbles / DP sync which the event
+/// simulator accounts for separately).
+constexpr double kKernelEfficiency = 0.65;
+
+/// TP communication overhead epsilon_n for n = 1, 2, 4, 8 (indexed by
+/// log2 n): zeta_n = flops * (1 + eps_n) / (n * peak * kernel_efficiency).
+constexpr double kTpOverhead[4] = {0.0, 0.05, 0.12, 0.22};
+
+/// Activation bytes per token per layer = attn_coeff * h + mlp_coeff * ffn
+/// (bf16 intermediates, FlashAttention so no s x s score tensor).
+constexpr double kActBytesAttnCoeff = 16.0;
+constexpr double kActBytesMlpCoeff = 4.0;
+
+/// Peak fwd+bwd activation memory relative to the stashed fwd activations
+/// (activation gradients + kernel workspaces live alongside the stash).
+constexpr double kFwdBwdActFactor = 2.0;
+
+/// Bytes per parameter written to a checkpoint (weights + optimizer).
+constexpr double kCheckpointBytesPerParam = 14.0;
+
+/// Fraction of usable memory the *planner* may budget (GroupCapacityBytes).
+/// Keeping headroom avoids razor-edge plans that leave re-planning with
+/// no feasible moves; final plan validation still checks 100%.
+constexpr double kPlanningMemoryHeadroom = 0.94;
+
+/// Activation checkpointing: fraction of the stashed activations that
+/// remain resident (layer-boundary tensors only).
+constexpr double kAcActFraction = 0.15;
+
 int Log2Exact(int n) {
   int k = 0;
   while ((1 << k) < n) ++k;
@@ -27,9 +60,9 @@ double CostModel::ZetaSeconds(int tp_degree, int micro_batch) const {
   MALLEUS_CHECK(IsValidTpDegree(tp_degree)) << "tp_degree=" << tp_degree;
   MALLEUS_CHECK_GT(micro_batch, 0);
   const double flops = spec_.TrainFlopsPerLayer(micro_batch);
-  const double eps = config_.tp_overhead[Log2Exact(tp_degree)];
+  const double eps = kTpOverhead[Log2Exact(tp_degree)];
   const double throughput =
-      tp_degree * gpu_.peak_tflops * 1e12 * config_.kernel_efficiency;
+      tp_degree * gpu_.peak_tflops * 1e12 * kKernelEfficiency;
   return flops * (1.0 + eps) / throughput;
 }
 
@@ -53,16 +86,16 @@ double CostModel::GroupRate(const std::vector<double>& gpu_rates) const {
 double CostModel::StateBytesPerLayer(int dp_degree) const {
   MALLEUS_CHECK_GT(dp_degree, 0);
   const double per_param = config_.replicated_bytes_per_param +
-                           config_.sharded_bytes_per_param / dp_degree;
+                           kShardedBytesPerParam / dp_degree;
   return static_cast<double>(spec_.ParamsPerLayer()) * per_param;
 }
 
 double CostModel::ActBytesFwd(int micro_batch, bool activation_ckpt) const {
-  const double per_token = config_.act_bytes_attn_coeff * spec_.hidden_size +
-                           config_.act_bytes_mlp_coeff * spec_.ffn_hidden_size;
+  const double per_token = kActBytesAttnCoeff * spec_.hidden_size +
+                           kActBytesMlpCoeff * spec_.ffn_hidden_size;
   const double full =
       static_cast<double>(micro_batch) * spec_.seq_len * per_token;
-  return activation_ckpt ? full * config_.ac_act_fraction : full;
+  return activation_ckpt ? full * kAcActFraction : full;
 }
 
 double CostModel::ActBytesFwdBwd(int micro_batch,
@@ -70,8 +103,7 @@ double CostModel::ActBytesFwdBwd(int micro_batch,
   // Under checkpointing only one layer at a time re-materializes its full
   // working set; that transient buffer is amortized into the reserved gap,
   // so the per-layer peak scales with the resident fraction.
-  return config_.fwd_bwd_act_factor * ActBytesFwd(micro_batch,
-                                                  activation_ckpt);
+  return kFwdBwdActFactor * ActBytesFwd(micro_batch, activation_ckpt);
 }
 
 double CostModel::MuBytes(int micro_batch, int stage_index, int num_stages,
@@ -91,7 +123,7 @@ double CostModel::NuBytes(int micro_batch, int stage_index, int num_stages,
   MALLEUS_CHECK_GE(stage_index, 1);
   MALLEUS_CHECK_LE(stage_index, num_stages);
   const double per_param = config_.replicated_bytes_per_param +
-                           config_.sharded_bytes_per_param / dp_degree;
+                           kShardedBytesPerParam / dp_degree;
   const double emb_states =
       static_cast<double>(spec_.vocab_size) * spec_.hidden_size * per_param;
   const double tokens = static_cast<double>(micro_batch) * spec_.seq_len;
@@ -116,7 +148,7 @@ double CostModel::GroupCapacityBytes(int group_size,
                                      double min_usable_bytes) const {
   MALLEUS_CHECK_GT(group_size, 0);
   // C_{i,j} = k_{i,j} * (min_X C_X - G); UsableBytes already removes G.
-  return group_size * min_usable_bytes * config_.planning_memory_headroom;
+  return group_size * min_usable_bytes * kPlanningMemoryHeadroom;
 }
 
 double CostModel::GroupCapacityBytes(int group_size) const {
@@ -134,8 +166,7 @@ double CostModel::GradSyncBytesPerLayer() const {
 }
 
 double CostModel::CheckpointBytes() const {
-  return config_.checkpoint_bytes_per_param *
-         static_cast<double>(spec_.TotalParams());
+  return kCheckpointBytesPerParam * static_cast<double>(spec_.TotalParams());
 }
 
 double CostModel::Mfu(double step_seconds, int global_batch,

@@ -23,46 +23,23 @@
 namespace malleus {
 namespace model {
 
-/// Tunable constants of the analytic model.
+/// Bytes per parameter that ZeRO-1 shards across DP ranks (fp32 master
+/// weights + Adam moments). Migration and checkpoint volumes use it too.
+inline constexpr double kShardedBytesPerParam = 12.0;
+
+/// Compute overhead of re-running the forward pass during backward under
+/// activation checkpointing (the estimator and the simulator scale the
+/// backward pass by it).
+inline constexpr double kAcComputeOverhead = 4.0 / 3.0;
+
+/// The one setting of the analytic model a caller may change. Every other
+/// coefficient (kernel efficiency, TP overheads, activation sizes, memory
+/// headroom) is a named constant in cost_model.cc.
 struct CostModelConfig {
-  /// Fraction of peak FLOPS achieved by the fused kernels (per-kernel
-  /// efficiency, excluding pipeline bubbles / DP sync which the event
-  /// simulator accounts for separately).
-  double kernel_efficiency = 0.65;
-
-  /// TP communication overhead epsilon_n for n = 1, 2, 4, 8 (indexed by
-  /// log2 n): zeta_n = flops * (1 + eps_n) / (n * peak * kernel_efficiency).
-  double tp_overhead[4] = {0.0, 0.05, 0.12, 0.22};
-
-  /// Activation bytes per token per layer = attn_coeff * h + mlp_coeff * ffn
-  /// (bf16 intermediates, FlashAttention so no s x s score tensor).
-  double act_bytes_attn_coeff = 16.0;
-  double act_bytes_mlp_coeff = 4.0;
-
-  /// Peak fwd+bwd activation memory relative to the stashed fwd activations
-  /// (activation gradients + kernel workspaces live alongside the stash).
-  double fwd_bwd_act_factor = 2.0;
-
   /// Bytes per parameter that are replicated on every DP rank
   /// (bf16 weights + fp32 gradient-accumulation buffers).
+  /// bench_fig10_costmodel sets 4.0 for a bf16-gradient recipe.
   double replicated_bytes_per_param = 6.0;
-  /// Bytes per parameter that ZeRO-1 shards across DP ranks
-  /// (fp32 master weights + Adam moments).
-  double sharded_bytes_per_param = 12.0;
-
-  /// Bytes per parameter written to a checkpoint (weights + optimizer).
-  double checkpoint_bytes_per_param = 14.0;
-
-  /// Fraction of usable memory the *planner* may budget (GroupCapacityBytes).
-  /// Keeping headroom avoids razor-edge plans that leave re-planning with
-  /// no feasible moves; final plan validation still checks 100%.
-  double planning_memory_headroom = 0.94;
-
-  /// Activation checkpointing: fraction of the stashed activations that
-  /// remain resident (layer-boundary tensors only) and the compute
-  /// overhead of re-running the forward pass during backward.
-  double ac_act_fraction = 0.15;
-  double ac_compute_overhead = 4.0 / 3.0;
 };
 
 /// \brief Profiled-equivalent cost model for one (model, GPU) pair.

@@ -25,9 +25,8 @@ double StageTimePerMicrobatch(const Stage& stage, int micro_batch_size,
 StepEstimate EstimateStep(const ParallelPlan& p, const model::CostModel& cost,
                           const straggler::Situation& situation) {
   StepEstimate est;
-  const double ac_factor = p.activation_checkpointing
-                               ? cost.config().ac_compute_overhead
-                               : 1.0;
+  const double ac_factor =
+      p.activation_checkpointing ? model::kAcComputeOverhead : 1.0;
   for (const Pipeline& pipe : p.pipelines) {
     double max_t = 0.0;
     double sum_t = 0.0;

@@ -249,9 +249,8 @@ std::vector<Counterfactual> DefaultCounterfactualGrid(
   std::vector<Counterfactual> grid;
   auto add = [&grid](Counterfactual cf) { grid.push_back(std::move(cf)); };
 
-  // Straggler removals: every GPU (scale + cross-check) or stragglers only.
+  // Straggler removals: every GPU (scale + cross-check).
   for (topo::GpuId g = 0; g < cluster.num_gpus(); ++g) {
-    if (!options.per_gpu_removals && !situation.IsStraggler(g)) continue;
     Counterfactual cf;
     cf.kind = CounterfactualKind::kRemoveStraggler;
     cf.gpu = g;
@@ -260,14 +259,10 @@ std::vector<Counterfactual> DefaultCounterfactualGrid(
   // Dampenings target actual stragglers by default: dampening a healthy
   // GPU is definitionally the identity (the full grid sweeps them anyway
   // as ~0-attribution cross-checks).
-  std::vector<topo::GpuId> dampen_targets;
-  if (options.dampen_all_gpus) {
-    dampen_targets = cluster.AllGpus();
-  } else {
-    dampen_targets = situation.Stragglers();
-  }
+  const std::vector<topo::GpuId> dampen_targets =
+      options.dampen_all_gpus ? cluster.AllGpus() : situation.Stragglers();
   for (topo::GpuId g : dampen_targets) {
-    for (double f : options.dampen_factors) {
+    for (double f : {0.75, 0.5, 0.25}) {
       Counterfactual cf;
       cf.kind = CounterfactualKind::kDampenStraggler;
       cf.gpu = g;
@@ -283,14 +278,12 @@ std::vector<Counterfactual> DefaultCounterfactualGrid(
     cf.kind = CounterfactualKind::kScaleNvlink;
     add(cf);
   }
-  if (options.tp_sweep) {
-    for (int tp : {1, 2, 4, 8}) {
-      if (tp > cluster.gpus_per_node()) continue;
-      Counterfactual cf;
-      cf.kind = CounterfactualKind::kForceTp;
-      cf.tp = tp;
-      add(cf);
-    }
+  for (int tp : {1, 2, 4, 8}) {
+    if (tp > cluster.gpus_per_node()) continue;
+    Counterfactual cf;
+    cf.kind = CounterfactualKind::kForceTp;
+    cf.tp = tp;
+    add(cf);
   }
   for (int n : options.standby_nodes) {
     Counterfactual cf;
@@ -298,14 +291,12 @@ std::vector<Counterfactual> DefaultCounterfactualGrid(
     cf.nodes = n;
     add(cf);
   }
-  if (options.swap_net_model) {
-    Counterfactual cf;
-    cf.kind = CounterfactualKind::kSwapNetModel;
-    cf.net_model = base_model == net::NetModel::kAnalytic
+  Counterfactual swap;
+  swap.kind = CounterfactualKind::kSwapNetModel;
+  swap.net_model = base_model == net::NetModel::kAnalytic
                        ? net::NetModel::kFlow
                        : net::NetModel::kAnalytic;
-    add(cf);
-  }
+  add(swap);
   return grid;
 }
 

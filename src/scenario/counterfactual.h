@@ -73,14 +73,12 @@ Result<Counterfactual> ParseCounterfactual(const std::string& text);
 Result<std::vector<Counterfactual>> ParseCounterfactualGrid(
     const std::string& text);
 
+/// The settable part of the standard grid. The rest is fixed: removals
+/// over EVERY GPU (healthy ones included — their attribution must come out
+/// ~0, which both scales the grid to the cluster and cross-checks the
+/// engine), dampen factors {0.75, 0.5, 0.25}, force_tp over {1,2,4,8}
+/// capped by gpus_per_node, and the swap to the other net model.
 struct DefaultGridOptions {
-  /// Sweep remove_straggler over EVERY GPU (healthy ones included — their
-  /// attribution must come out ~0, which both scales the grid to the
-  /// cluster and cross-checks the engine). When false, only GPUs that are
-  /// stragglers in `situation` are swept.
-  bool per_gpu_removals = true;
-  /// Dampen factors applied to each straggler GPU.
-  std::vector<double> dampen_factors = {0.75, 0.5, 0.25};
   /// Sweep the dampen factors over EVERY GPU instead of stragglers only.
   /// Dampening a healthy GPU is definitionally the identity, so the extra
   /// rows are ~0-attribution cross-checks; this is the "full" grid the
@@ -89,12 +87,8 @@ struct DefaultGridOptions {
   bool dampen_all_gpus = false;
   /// Bandwidth scales applied to the NIC and to NVLink, each.
   std::vector<double> bandwidth_factors = {0.5, 2.0, 4.0};
-  /// Enumerate force_tp over {1,2,4,8} (capped by gpus_per_node).
-  bool tp_sweep = true;
   /// Standby-node additions to try.
   std::vector<int> standby_nodes = {1};
-  /// Include the swap to the other net model.
-  bool swap_net_model = true;
 };
 
 /// The standard counterfactual grid for `situation` on `cluster`:

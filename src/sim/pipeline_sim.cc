@@ -243,7 +243,7 @@ Result<StepResult> SimulateStep(const topo::ClusterSpec& cluster,
       if (p.activation_checkpointing) {
         // Checkpointing re-runs the forward during backward; the forward
         // pass itself is unchanged.
-        ps.bwd[j] += (cost.config().ac_compute_overhead - 1.0) * t_full;
+        ps.bwd[j] += (model::kAcComputeOverhead - 1.0) * t_full;
       }
       if (j > 0 && options.include_p2p) {
         ps.send[j] = pipe.stages[j - 1].group.gpus.back();

@@ -7,13 +7,17 @@
 namespace malleus {
 namespace sim {
 
+/// Aggregate checkpoint I/O bandwidth per node (GB/s, parallel save/load).
+/// Restarts and core::CheckpointIoSeconds both price storage with it.
+inline constexpr double kPerNodeIoGbps = 2.0;
+
 struct RestartCostConfig {
   /// Framework re-initialization: process launch, resource allocation,
   /// communication-group construction (paper S7.2 lists this as a major
   /// component of the 199-442 s Megatron restart overhead).
   double framework_init_seconds = 80.0;
   /// Aggregate checkpoint I/O bandwidth per node (parallel save/load).
-  double per_node_io_gbps = 2.0;
+  double per_node_io_gbps = kPerNodeIoGbps;
 };
 
 /// Seconds to save a checkpoint of `checkpoint_bytes`, restart the job, and

@@ -42,9 +42,8 @@ PipelineBuild BuildPipeline(Graph* g, const plan::ParallelPlan& p,
   const int pp = pipe.num_stages();
   const int64_t m = pipe.num_microbatches;
   const int b = p.micro_batch_size;
-  const double ac = p.activation_checkpointing
-                        ? cost.config().ac_compute_overhead
-                        : 1.0;
+  const double ac =
+      p.activation_checkpointing ? model::kAcComputeOverhead : 1.0;
 
   PipelineBuild out;
   out.fwd_ids.assign(pp, std::vector<OpId>(m, -1));
@@ -218,8 +217,7 @@ Result<Graph> BuildStepGraph(const plan::ParallelPlan& p,
     double shard_bytes = 0.0;
     for (const SliceRing& ring : rings) {
       if (ring.optimizer_owner == gpu) {
-        shard_bytes += ring.bytes *
-                       cost.config().sharded_bytes_per_param / 2.0;
+        shard_bytes += ring.bytes * model::kShardedBytesPerParam / 2.0;
       }
     }
     opt.base_seconds = shard_bytes / options.optimizer_bytes_per_second;

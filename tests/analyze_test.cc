@@ -35,7 +35,7 @@ lint::DiagnosticSink Analyze(const std::string& path,
     index.AddFile(others.back());
   }
   lint::DiagnosticSink sink;
-  AnalyzeFile(path, file, index, AnalyzeOptions(), &sink);
+  AnalyzeFile(path, file, index, &sink);
   return sink;
 }
 

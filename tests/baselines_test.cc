@@ -118,7 +118,7 @@ TEST_F(BaselinesTest, DeepSpeedTunerRespectsMemory) {
 }
 
 TEST_F(BaselinesTest, OobleckOverheadEvenWhenHealthy) {
-  OobleckBaseline o(cluster_, cost_, OobleckOptions());
+  OobleckBaseline o(cluster_, cost_);
   MegatronBaseline m(cluster_, cost_, MegatronOptions());
   ASSERT_TRUE(o.Initialize(64).ok());
   ASSERT_TRUE(m.Initialize(64).ok());
@@ -126,7 +126,7 @@ TEST_F(BaselinesTest, OobleckOverheadEvenWhenHealthy) {
 }
 
 TEST_F(BaselinesTest, OobleckMigratesOnNodeLossRestartsOnRecovery) {
-  OobleckBaseline o(cluster_, cost_, OobleckOptions());
+  OobleckBaseline o(cluster_, cost_);
   ASSERT_TRUE(o.Initialize(64).ok());
   // Losing a node: template exists -> migration.
   Result<TransitionReport> lose = o.OnSituationChange(WithStraggler(0, 2));
@@ -142,7 +142,7 @@ TEST_F(BaselinesTest, OobleckMigratesOnNodeLossRestartsOnRecovery) {
 }
 
 TEST_F(BaselinesTest, OobleckRestartsWhenTemplateMissing) {
-  OobleckBaseline o(cluster_, cost_, OobleckOptions());
+  OobleckBaseline o(cluster_, cost_);
   ASSERT_TRUE(o.Initialize(64).ok());
   // Stragglers on 3 of 4 nodes: the 1-node template does not exist.
   straggler::Situation s(cluster_.num_gpus());
@@ -181,6 +181,21 @@ TEST_F(BaselinesTest, TraceRunnerExcludesTransientSteps) {
   EXPECT_NEAR(p.mean_step_seconds, tail_mean, 1e-12);
 }
 
+TEST_F(BaselinesTest, TraceRunnerRejectsPhasesWithoutSteps) {
+  for (int steps : {0, -1}) {
+    MegatronBaseline m(cluster_, cost_, MegatronOptions());
+    Result<std::vector<PhaseStats>> stats =
+        RunTrace(&m, cluster_,
+                 {{straggler::SituationId::kNormal, 2},
+                  {straggler::SituationId::kS1, steps}},
+                 64);
+    ASSERT_FALSE(stats.ok());
+    EXPECT_TRUE(stats.status().IsInvalidArgument()) << stats.status();
+    EXPECT_NE(stats.status().message().find("phase 1"), std::string::npos)
+        << stats.status();
+  }
+}
+
 // Figure 7 protocol on 32B / 4x8 for every framework of Table 2 plus
 // Oobleck: per phase, the mean step time, the transition overheads and
 // every step time (the warm-up steps carry Malleus' detect-and-migrate
@@ -202,12 +217,10 @@ std::string RenderFig7Golden(const topo::ClusterSpec& cluster,
         std::make_unique<MegatronBaseline>(cluster, cost, megatron));
     DeepSpeedOptions deepspeed;
     deepspeed.with_restart = restart;
-    deepspeed.restart_cost.framework_init_seconds = 40.0;
     frameworks.push_back(
         std::make_unique<DeepSpeedBaseline>(cluster, cost, deepspeed));
   }
-  frameworks.push_back(
-      std::make_unique<OobleckBaseline>(cluster, cost, OobleckOptions()));
+  frameworks.push_back(std::make_unique<OobleckBaseline>(cluster, cost));
 
   const auto trace = straggler::StandardTrace(/*steps_per_phase=*/5);
   std::string out;

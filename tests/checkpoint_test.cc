@@ -38,8 +38,7 @@ TEST_F(CheckpointTest, SaveVolumeIsWeightsPlusOptimizer) {
   // (embedding/head states excluded from the per-layer model).
   const double layers = cost_.spec().num_layers *
                         static_cast<double>(cost_.spec().ParamsPerLayer());
-  const double expected =
-      layers * (2.0 + cost_.config().sharded_bytes_per_param);
+  const double expected = layers * (2.0 + model::kShardedBytesPerParam);
   EXPECT_NEAR(save->total_bytes, expected, expected * 1e-9);
 }
 
@@ -76,9 +75,7 @@ TEST_F(CheckpointTest, IoSecondsBottleneckedByBusiestNode) {
   io.bytes_per_gpu[1] = 10e9;  // Node 0.
   io.bytes_per_gpu[8] = 4e9;   // Node 1.
   io.total_bytes = 24e9;
-  CheckpointIoConfig cfg;
-  cfg.per_node_io_gbps = 2.0;
-  EXPECT_NEAR(CheckpointIoSeconds(io, cluster_, cfg), 20e9 / 2e9, 1e-9);
+  EXPECT_NEAR(CheckpointIoSeconds(io, cluster_), 20e9 / 2e9, 1e-9);
 }
 
 TEST_F(CheckpointTest, MoreNodesLoadFaster) {

@@ -136,7 +136,7 @@ TEST_F(PlanTest, EstimatorAcOverhead) {
   const double base = EstimateStep(p, cost_, healthy).step_seconds;
   p.activation_checkpointing = true;
   EXPECT_NEAR(EstimateStep(p, cost_, healthy).step_seconds,
-              base * cost_.config().ac_compute_overhead, 1e-9);
+              base * model::kAcComputeOverhead, 1e-9);
 }
 
 TEST_F(PlanTest, UniformBuilderRejectsBadConfigs) {

@@ -127,7 +127,7 @@ TEST_F(ShardingTest, MigrationMovesOnlyAffectedLayers) {
   Result<MigrationPlan> m = ComputeMigration(from, to, cost_);
   ASSERT_TRUE(m.ok());
   const double layer_bytes =
-      (2.0 + cost_.config().sharded_bytes_per_param / 2) *
+      (2.0 + model::kShardedBytesPerParam / 2) *
       static_cast<double>(cost_.spec().ParamsPerLayer());
   EXPECT_NEAR(m->total_bytes, layer_bytes, layer_bytes * 0.01);
 }
@@ -143,7 +143,7 @@ TEST_F(ShardingTest, MigrationVolumeBoundedByModelStates) {
   const double upper =
       to.dp_degree() *
           (2.0 * static_cast<double>(cost_.spec().TotalParams())) +
-      cost_.config().sharded_bytes_per_param *
+      model::kShardedBytesPerParam *
           static_cast<double>(cost_.spec().TotalParams());
   EXPECT_GT(m->total_bytes, 0.0);
   EXPECT_LT(m->total_bytes, upper);

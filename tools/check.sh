@@ -56,7 +56,10 @@
 #
 # Lint preset (--lint) — the static-analysis gate, in five stages:
 #   1. a -Werror build (-DMALLEUS_WERROR=ON): compiler warnings fail
-#      (including [[nodiscard]] Status/Result discards);
+#      (including [[nodiscard]] Status/Result discards); bench_e2e/ is
+#      configured into build-lint-e2e and its bench_e2e target built the
+#      same way, so a library API change that breaks the benchmark fails
+#      here rather than in a benchmark run;
 #   2. malleus_lint over examples/scenarios/*.scenario: every shipped
 #      scenario must be free of error-level diagnostics;
 #   3. malleus_detlint over src/ tools/ tests/ bench/ examples/ against
@@ -143,6 +146,14 @@ if [[ "$MODE" == "lint" ]]; then
   echo "== -Werror build =="
   cmake --build "$BUILD_DIR" -j"$(nproc)"
 
+  echo "== -Werror build of bench_e2e =="
+  if [[ "$FAST" != 1 || ! -f build-lint-e2e/CMakeCache.txt ]]; then
+    cmake -S bench_e2e -B build-lint-e2e \
+      -DCMAKE_BUILD_TYPE=Release \
+      -DMALLEUS_WERROR=ON
+  fi
+  cmake --build build-lint-e2e -j"$(nproc)" --target bench_e2e
+
   echo "== malleus_lint over shipped scenarios =="
   "$BUILD_DIR/tools/malleus_lint" examples/scenarios/*.scenario
 
@@ -166,8 +177,8 @@ if [[ "$MODE" == "lint" ]]; then
   echo "== format check =="
   tools/format.sh --check
 
-  echo "OK: -Werror build + scenario lint + detlint + clang-tidy" \
-       "+ format check"
+  echo "OK: -Werror build (tree + bench_e2e) + scenario lint + detlint" \
+       "+ clang-tidy + format check"
   exit 0
 fi
 

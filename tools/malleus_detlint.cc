@@ -176,10 +176,9 @@ int main(int argc, char** argv) {
     lexed.emplace_back(path, analyze::Lex(*source));
     index.AddFile(lexed.back().second);
   }
-  const analyze::AnalyzeOptions options;
   lint::DiagnosticSink raw;
   for (const auto& [path, file] : lexed) {
-    analyze::AnalyzeFile(path, file, index, options, &raw);
+    analyze::AnalyzeFile(path, file, index, &raw);
   }
   lint::DiagnosticSink sink;
   analyze::ApplyBaseline(baseline, raw, &sink);
