@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the planning and simulation
 // building blocks: LP/ILP solvers, bottleneck allocation, the Eq. (4)
-// division, GPU grouping, full planning runs, step simulation, and
-// migration diffing. Also benchmarks the DP-degree-enumeration planner
-// mode (the footnote-2 extension) against the pinned-DP mode.
+// division, GPU grouping, full planning runs, step simulation, migration
+// diffing and plan signatures. Also benchmarks the DP-degree-enumeration
+// planner mode (the footnote-2 extension) against the pinned-DP mode.
 
 #include <benchmark/benchmark.h>
 
@@ -154,6 +154,23 @@ void BM_MigrationDiff(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MigrationDiff);
+
+// The change-detection key of a 64-GPU plan (serve responses, the policy
+// runner's simulation memo, the engine's run log).
+void BM_PlanSignature(benchmark::State& state) {
+  const topo::ClusterSpec cluster = topo::ClusterSpec::A800Cluster(8);
+  const model::CostModel cost(model::ModelSpec::Llama110B(), cluster.gpu());
+  core::Planner planner(cluster, cost);
+  straggler::Situation s =
+      straggler::Situation::Canonical(cluster, straggler::SituationId::kS4)
+          .ValueOrDie();
+  auto planned = planner.Plan(s, 64);
+  MALLEUS_CHECK_OK(planned.status());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(planned->plan.Signature());
+  }
+}
+BENCHMARK(BM_PlanSignature);
 
 }  // namespace
 }  // namespace malleus

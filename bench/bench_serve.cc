@@ -7,8 +7,11 @@
 //   1. Warm re-plan throughput: closed-loop clients (one per worker) each
 //      issue identical `replan` requests against a warmed session;
 //      p50/p99 latency and requests/s, at --threads and at one worker.
-//      Every response must be byte-identical across both runs (the
-//      protocol's determinism contract).
+//      After the first, every one of them is a hit in the planner's 'R'
+//      memo (core/planner_cache.h): no sweep and no lint, so this
+//      measures the served path around one lookup. Every response must
+//      be byte-identical across both runs (the protocol's determinism
+//      contract).
 //   2. Restart: the first server's cache is saved, a new server
 //      --cache-load's it, and its *first* planning request after register
 //      is timed — the same full `plan` request the cold server answered

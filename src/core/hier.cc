@@ -196,7 +196,7 @@ Result<PlanResult> PlanHierarchical(const topo::ClusterSpec& cluster,
           .Doubles(sits[k].rates());
 
       std::shared_ptr<const Result<PlanResult>> entry =
-          memo != nullptr ? memo->FindIsland(key.str()) : nullptr;
+          memo != nullptr ? memo->FindPlan(key.str()) : nullptr;
       if (entry != nullptr) {
         ++hits;
       } else {

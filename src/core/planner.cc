@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <memory>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -12,6 +14,7 @@
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "plan/estimator.h"
+#include "solver/cache_key.h"
 
 namespace malleus {
 namespace core {
@@ -412,16 +415,52 @@ Result<PlanResult> Planner::Plan(const straggler::Situation& situation,
 Result<PlanResult> Planner::Replan(const straggler::Situation& situation,
                                    int64_t global_batch,
                                    const PlannerOptions& options) const {
+  const auto t_lookup = std::chrono::steady_clock::now();
+  auto& registry = obs::MetricsRegistry::Current();
+  // The memo key covers every input that can change the answer. The
+  // thread count cannot (the sweep is bit-identical at any count), and
+  // neither can the cost model or cluster, which this planner fixes.
+  std::string key;
+  if (options.enable_solve_cache) {
+    key = solver::CacheKey()
+              .Tag('R')
+              .Int(global_batch)
+              .Int(options.dp_degree)
+              .Int(options.forced_tp)
+              .Bool(options.nonuniform_devices)
+              .Bool(options.nonuniform_layers)
+              .Bool(options.nonuniform_data)
+              .Int(options.island_nodes)
+              .Doubles(situation.rates())
+              .str();
+    if (std::shared_ptr<const Result<PlanResult>> memo =
+            solve_cache_.FindPlan(key)) {
+      registry.GetCounter("planner.replan_memo_hits")->Increment();
+      Result<PlanResult> replay = *memo;
+      if (replay.ok()) {
+        replay->timings = PlannerTimings();
+        replay->timings.total_seconds = Elapsed(t_lookup);
+      }
+      return replay;
+    }
+  }
+
   Result<PlanResult> planned = Plan(situation, global_batch, options);
-  if (planned.ok() || options.dp_degree <= 0) return planned;
-  // Capacity loss can leave too few groups for the pinned degree; the
-  // planner's own DP search picks the new one.
-  obs::MetricsRegistry::Current()
-      .GetCounter("planner.replan_fallbacks")
-      ->Increment();
-  PlannerOptions unpinned = options;
-  unpinned.dp_degree = 0;
-  return Plan(situation, global_batch, unpinned);
+  if (!planned.ok() && options.dp_degree > 0 &&
+      planned.status().IsInfeasible()) {
+    // Capacity loss can leave too few groups for the pinned degree; the
+    // planner's own DP search picks the new one. Argument errors are
+    // returned as they are: unpinning cannot fix them.
+    registry.GetCounter("planner.replan_fallbacks")->Increment();
+    PlannerOptions unpinned = options;
+    unpinned.dp_degree = 0;
+    planned = Plan(situation, global_batch, unpinned);
+  }
+  if (options.enable_solve_cache) {
+    solve_cache_.Insert(key,
+                        std::make_shared<const Result<PlanResult>>(planned));
+  }
+  return planned;
 }
 
 }  // namespace core

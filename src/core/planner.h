@@ -13,8 +13,9 @@
 // enumeration index). The result is bit-identical at any thread count,
 // including 1. Repeated subproblems are memoized in a per-planner
 // core::PlannerCache (see planner_cache.h), which also persists across
-// Plan() calls: re-planning under an unchanged situation replays cached
-// solves instead of re-running the division/ILP searches.
+// Plan() calls: planning under an unchanged situation replays cached
+// solves instead of re-running the division/ILP searches, and Replan()
+// of a situation it has already answered is one lookup.
 //
 // At pod scale the flat sweep gives way to hierarchical decomposition
 // (core/hier.h): islands — fat-tree pods by default — are swept
@@ -64,9 +65,10 @@ struct PlannerOptions {
   /// hardware concurrency. 1 evaluates inline on the calling thread. The
   /// chosen plan is bit-identical at every thread count.
   int num_threads = 0;
-  /// Memoize division/layer and island solves in the planner's cache
-  /// (across candidates and across Plan calls). Off re-solves everything,
-  /// islands included; the chosen plan is identical either way.
+  /// Memoize division/layer, island and Replan() answers in the planner's
+  /// cache (across candidates and across calls). Off re-solves everything,
+  /// islands and re-plans included; the chosen plan is identical either
+  /// way.
   bool enable_solve_cache = true;
   /// Hierarchical decomposition (see core/hier.h): plan islands of this
   /// many nodes independently and stitch across the inter-island fabric.
@@ -119,15 +121,23 @@ class Planner {
       const;
 
   /// The one online re-plan rule (engine, policy and serve): Plan() with
-  /// `options.dp_degree` pinned; when that fails, Plan() again with the
-  /// degree unpinned, counted in `planner.replan_fallbacks`. With
-  /// dp_degree == 0 this is exactly Plan().
+  /// `options.dp_degree` pinned; when that is Infeasible, Plan() again with
+  /// the degree unpinned, counted in `planner.replan_fallbacks`. Every
+  /// other error is returned as is. With dp_degree == 0 this is Plan().
+  ///
+  /// The final answer (after any fallback, errors included) is memoized in
+  /// the planner cache under tag 'R', keyed by the situation's rates, the
+  /// batch and every option except num_threads and enable_solve_cache. A
+  /// repeated call is a lookup: it counts `planner.replan_memo_hits`, runs
+  /// no sweep and no lint, records no solve metric, and returns the stored
+  /// result with zero timings except `total_seconds`, the lookup's own
+  /// wall time. With enable_solve_cache == false nothing is memoized.
   Result<PlanResult> Replan(const straggler::Situation& situation,
                             int64_t global_batch,
                             const PlannerOptions& options) const;
 
-  /// The planner's memo of division/layer and island solves (valid for
-  /// this planner's cost model only). Exposed for tests and
+  /// The planner's memo of division/layer, island and re-plan solves
+  /// (valid for this planner's cost model only). Exposed for tests and
   /// cache-management callers.
   PlannerCache& solve_cache() const { return solve_cache_; }
 

@@ -101,14 +101,14 @@ std::shared_ptr<const CachedOrchestration> DecodeOrchestration(
 
 }  // namespace
 
-std::shared_ptr<const Result<PlanResult>> PlannerCache::FindIsland(
+std::shared_ptr<const Result<PlanResult>> PlannerCache::FindPlan(
     const std::string& key) {
-  return Find(islands_, key);
+  return Find(plans_, key);
 }
 
 void PlannerCache::Insert(const std::string& key,
                           std::shared_ptr<const Result<PlanResult>> value) {
-  Put(&islands_, key, std::move(value));
+  Put(&plans_, key, std::move(value));
 }
 
 PlannerCache::Stats PlannerCache::stats() const {

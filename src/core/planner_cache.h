@@ -11,16 +11,17 @@
 //   'L'  CachedLayers          one Eq. (2) layer solve (orchestration.cc)
 //   'O'  CachedOrchestration   one whole-Orchestrate outcome (same file)
 //   'H'  Result<PlanResult>    one island sweep (hier.cc)
+//   'R'  Result<PlanResult>    one whole Planner::Replan answer (planner.cc)
 //
 // Every kind shares one mutex, one hit/miss count and one entry bound.
 //
 // A cache is only meaningful for one cost model, which the keys leave out
 // (core::Planner keeps one cache per instance). Serialize()/Load() persist
 // the 'L' and 'O' entries so a daemon or CLI can warm-load a planner across
-// process restarts (solver/cache_io.h is the file format); 'H' entries are
-// never written. Persisted caches carry PlannerCacheFingerprint — a hash of
-// the cluster and model-spec descriptions — and loaders match it before
-// calling Load().
+// process restarts (solver/cache_io.h is the file format); 'H' and 'R'
+// entries are never written. Persisted caches carry
+// PlannerCacheFingerprint — a hash of the cluster and model-spec
+// descriptions — and loaders match it before calling Load().
 //
 // Thread-safety: every operation takes the one internal mutex. Two threads
 // racing on the same missing key both solve and both insert; the solvers
@@ -90,10 +91,9 @@ class PlannerCache {
       const std::string& key) {
     return Find(orchestrations_, key);
   }
-  /// Island lookups and inserts are defined in planner_cache.cc, where
-  /// PlanResult is complete.
-  std::shared_ptr<const Result<PlanResult>> FindIsland(
-      const std::string& key);
+  /// Plan lookups and inserts ('H' islands, 'R' re-plans) are defined in
+  /// planner_cache.cc, where PlanResult is complete.
+  std::shared_ptr<const Result<PlanResult>> FindPlan(const std::string& key);
 
   /// Stores `value` under `key`. An existing entry is kept (first insert
   /// wins on a race; both racers computed the same value).
@@ -147,20 +147,20 @@ class PlannerCache {
     if (SizeLocked() >= max_entries_ && map->count(key) == 0) {
       layers_.clear();
       orchestrations_.clear();
-      islands_.clear();
+      plans_.clear();
     }
     map->emplace(key, std::move(value));
   }
 
   size_t SizeLocked() const {
-    return layers_.size() + orchestrations_.size() + islands_.size();
+    return layers_.size() + orchestrations_.size() + plans_.size();
   }
 
   const size_t max_entries_;
   mutable std::mutex mu_;
   Map<CachedLayers> layers_;
   Map<CachedOrchestration> orchestrations_;
-  Map<Result<PlanResult>> islands_;
+  Map<Result<PlanResult>> plans_;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
 };

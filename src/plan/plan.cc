@@ -1,6 +1,9 @@
 #include "plan/plan.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
+#include <string>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -113,22 +116,45 @@ std::string ParallelPlan::ToString() const {
   return out;
 }
 
+namespace {
+
+// Appends the decimal form of `v` (what "%d"/"%lld" print).
+void AppendInt(std::string* out, int64_t v) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
+}
+
+}  // namespace
+
 std::string ParallelPlan::Signature() const {
-  std::string sig = StrFormat("b%d%s|", micro_batch_size,
-                              activation_checkpointing ? "ac" : "");
+  std::string sig = "b";
+  AppendInt(&sig, micro_batch_size);
+  if (activation_checkpointing) sig += "ac";
+  sig += '|';
   for (const Pipeline& pipe : pipelines) {
-    sig += StrFormat("m%lld[", static_cast<long long>(pipe.num_microbatches));
+    sig += 'm';
+    AppendInt(&sig, pipe.num_microbatches);
+    sig += '[';
     for (const Stage& s : pipe.stages) {
-      sig += StrFormat("l%d(", s.num_layers);
-      for (topo::GpuId g : s.group.gpus) sig += StrFormat("%d,", g);
-      sig += ")";
+      sig += 'l';
+      AppendInt(&sig, s.num_layers);
+      sig += '(';
+      for (topo::GpuId g : s.group.gpus) {
+        AppendInt(&sig, g);
+        sig += ',';
+      }
+      sig += ')';
     }
-    sig += "]";
+    sig += ']';
   }
   if (!standby_gpus.empty()) {
     sig += "s(";
-    for (topo::GpuId g : standby_gpus) sig += StrFormat("%d,", g);
-    sig += ")";
+    for (topo::GpuId g : standby_gpus) {
+      AppendInt(&sig, g);
+      sig += ',';
+    }
+    sig += ')';
   }
   return sig;
 }

@@ -1,6 +1,8 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -162,14 +164,14 @@ Result<straggler::Situation> BuildSituation(const Session& session,
 // byte-identical for identical requests at any worker/thread count.
 std::string RenderPlanJson(const std::string& cluster_name,
                            const core::PlanResult& result,
-                           bool plan_changed) {
+                           const std::string& signature, bool plan_changed) {
   const plan::ParallelPlan& p = result.plan;
   std::string out = StrFormat(
       "{\"cluster\":\"%s\",\"signature\":\"%s\",\"plan_changed\":%s,"
       "\"batch\":%lld,\"micro_batch\":%d,\"tp\":%d,\"dp\":%d,"
       "\"estimated_seconds\":%s,\"estimated_full_seconds\":%s,"
       "\"warnings\":%d,\"pipelines\":[",
-      JsonEscape(cluster_name).c_str(), JsonEscape(p.Signature()).c_str(),
+      JsonEscape(cluster_name).c_str(), JsonEscape(signature).c_str(),
       plan_changed ? "true" : "false",
       static_cast<long long>(p.global_batch), p.micro_batch_size,
       result.chosen_tp, p.dp_degree(),
@@ -452,7 +454,8 @@ Result<std::string> Server::HandlePlan(const JsonValue& params, bool replan) {
 
   core::PlannerOptions popts;
   popts.num_threads = options_.planner_threads;
-  const Session::LastPlan previous = session->last_plan();
+  const std::shared_ptr<const Session::LastPlan> previous =
+      session->last_plan();
   if (replan) {
     // Footnote 2 of the paper: re-planning keeps the DP degree (model
     // state memory depends on it). Keep the prior plan's, or an explicit
@@ -461,24 +464,26 @@ Result<std::string> Server::HandlePlan(const JsonValue& params, bool replan) {
     MALLEUS_ASSIGN_OR_RETURN(int64_t dp, OptionalInt(params, "dp", 0));
     if (dp < 0) return Status::InvalidArgument("param 'dp' must be >= 1");
     if (dp == 0) {
-      if (!previous.valid) {
+      if (previous == nullptr) {
         return Status::FailedPrecondition(
             "replan requires a prior plan for this cluster (or an explicit "
             "'dp')");
       }
-      dp = previous.plan.dp_degree();
+      dp = previous->plan.dp_degree();
     }
     popts.dp_degree = static_cast<int>(dp);
   }
 
-  // 'plan' leaves dp_degree at 0, for which Replan is exactly Plan.
+  // 'plan' leaves dp_degree at 0, for which Replan is a memoized Plan.
   MALLEUS_ASSIGN_OR_RETURN(core::PlanResult result,
                            session->planner().Replan(situation, batch, popts));
-  const std::string signature = result.plan.Signature();
-  const bool plan_changed = !previous.valid || signature != previous.signature;
-  session->set_last_plan(result.plan);
+  std::string signature = result.plan.Signature();
+  const bool plan_changed =
+      previous == nullptr || signature != previous->signature;
+  std::string body = RenderPlanJson(name, result, signature, plan_changed);
+  session->set_last_plan(std::move(result.plan), std::move(signature));
   session->IncrementPlansServed();
-  return RenderPlanJson(name, result, plan_changed);
+  return body;
 }
 
 Result<std::string> Server::HandleEstimate(const JsonValue& params) {
@@ -486,19 +491,19 @@ Result<std::string> Server::HandleEstimate(const JsonValue& params) {
                            RequireString(params, "cluster"));
   MALLEUS_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
                            registry_.Find(name));
-  const Session::LastPlan last = session->last_plan();
-  if (!last.valid) {
+  const std::shared_ptr<const Session::LastPlan> last = session->last_plan();
+  if (last == nullptr) {
     return Status::FailedPrecondition(
         "estimate requires a prior plan for this cluster");
   }
   MALLEUS_ASSIGN_OR_RETURN(straggler::Situation situation,
                            BuildSituation(*session, params));
   const plan::StepEstimate estimate =
-      plan::EstimateStep(last.plan, session->cost(), situation);
+      plan::EstimateStep(last->plan, session->cost(), situation);
   return StrFormat(
       "{\"cluster\":\"%s\",\"signature\":\"%s\",\"step_seconds\":%s,"
       "\"simplified_seconds\":%s,\"pipeline_seconds\":%s}",
-      JsonEscape(name).c_str(), JsonEscape(last.signature).c_str(),
+      JsonEscape(name).c_str(), JsonEscape(last->signature).c_str(),
       JsonNumber(estimate.step_seconds).c_str(),
       JsonNumber(estimate.simplified_seconds).c_str(),
       DoubleArrayJson(estimate.pipeline_seconds).c_str());
@@ -561,7 +566,7 @@ Result<std::string> Server::HandleStatus() {
         static_cast<unsigned long long>(session->fingerprint()),
         session->cluster().num_gpus(),
         static_cast<long long>(session->plans_served()),
-        session->last_plan().valid ? "true" : "false",
+        session->last_plan() != nullptr ? "true" : "false",
         session->planner().solve_cache().size(),
         static_cast<long long>(stats.hits),
         static_cast<long long>(stats.misses));
@@ -606,6 +611,7 @@ void Server::FoldRequestMetrics(obs::MetricsRegistry* request_metrics) {
       {"planner.cache_hits", "serve.planner_cache_hits"},
       {"planner.cache_misses", "serve.planner_cache_misses"},
       {"planner.replan_fallbacks", "serve.planner_replan_fallbacks"},
+      {"planner.replan_memo_hits", "serve.planner_replan_memo_hits"},
   };
   for (const auto& [from, to] : kFolded) {
     const double value = request_metrics->GetCounter(from)->Value();

@@ -18,16 +18,16 @@ Session::Session(std::string name, scenario::ScenarioSpec spec,
       planner_(resolved_.cluster, cost_),
       fingerprint_(core::PlannerCacheFingerprint(resolved_.cluster, cost_)) {}
 
-Session::LastPlan Session::last_plan() const {
+std::shared_ptr<const Session::LastPlan> Session::last_plan() const {
   std::lock_guard<std::mutex> lock(mu_);
   return last_plan_;
 }
 
-void Session::set_last_plan(const plan::ParallelPlan& plan) {
+void Session::set_last_plan(plan::ParallelPlan plan, std::string signature) {
+  auto next = std::make_shared<const LastPlan>(
+      LastPlan{std::move(plan), std::move(signature)});
   std::lock_guard<std::mutex> lock(mu_);
-  last_plan_.valid = true;
-  last_plan_.plan = plan;
-  last_plan_.signature = plan.Signature();
+  last_plan_.swap(next);  // The old snapshot is released after the lock.
 }
 
 int64_t Session::plans_served() const {

@@ -52,14 +52,15 @@ class Session {
   uint64_t fingerprint() const { return fingerprint_; }
 
   /// The plan most recently produced by `plan`/`replan` for this session
-  /// (re-plans pin its DP degree, per the paper's footnote 2).
+  /// (re-plans pin its DP degree, per the paper's footnote 2), with its
+  /// Signature(). Readers share the immutable snapshot; a set replaces it.
   struct LastPlan {
-    bool valid = false;
     plan::ParallelPlan plan;
     std::string signature;
   };
-  LastPlan last_plan() const;
-  void set_last_plan(const plan::ParallelPlan& plan);
+  /// nullptr until the first plan.
+  std::shared_ptr<const LastPlan> last_plan() const;
+  void set_last_plan(plan::ParallelPlan plan, std::string signature);
 
   /// Plans served (plan + replan) against this session, for `status`.
   int64_t plans_served() const;
@@ -74,7 +75,7 @@ class Session {
   const uint64_t fingerprint_;
 
   mutable std::mutex mu_;
-  LastPlan last_plan_;
+  std::shared_ptr<const LastPlan> last_plan_;
   int64_t plans_served_ = 0;
 };
 

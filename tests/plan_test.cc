@@ -276,6 +276,32 @@ TEST_F(PlanTest, SignatureOfEmptyAndDegeneratePlans) {
   EXPECT_NE(a.Signature(), b.Signature());
 }
 
+TEST_F(PlanTest, SignatureMatchesHandWrittenStrings) {
+  ParallelPlan p;
+  p.micro_batch_size = 2;
+  Pipeline a;
+  a.num_microbatches = 12;
+  a.stages = {Stage{TpGroup{{0, 1}}, 30}, Stage{TpGroup{{10, 11}}, 30}};
+  Pipeline b;
+  b.num_microbatches = 20;
+  b.stages = {Stage{TpGroup{{123}}, 60}};
+  p.pipelines = {a, b};
+  EXPECT_EQ(p.Signature(), "b2|m12[l30(0,1,)l30(10,11,)]m20[l60(123,)]");
+
+  // Standby GPUs, in plan order, after the pipelines.
+  p.standby_gpus = {1024, 7};
+  EXPECT_EQ(p.Signature(),
+            "b2|m12[l30(0,1,)l30(10,11,)]m20[l60(123,)]s(1024,7,)");
+
+  // Activation checkpointing marks the micro-batch; 64-bit micro-batch
+  // counts print in full.
+  p.activation_checkpointing = true;
+  p.pipelines = {b};
+  p.pipelines[0].num_microbatches = int64_t{12345678901};
+  p.standby_gpus.clear();
+  EXPECT_EQ(p.Signature(), "b2ac|m12345678901[l60(123,)]");
+}
+
 using PlanDeathTest = PlanTest;
 
 TEST_F(PlanDeathTest, StageMemoryRejectsBadPipelineIndex) {

@@ -70,11 +70,11 @@ TEST(PlannerCacheTest, TypedRoundTripAndStats) {
   cache.Insert(OrchestrationKey(1), Orchestration(2));
   EXPECT_NE(cache.FindOrchestration(OrchestrationKey(1)), nullptr);
   const std::string island = solver::CacheKey().Tag('H').Int(1).str();
-  EXPECT_EQ(cache.FindIsland(island), nullptr);
+  EXPECT_EQ(cache.FindPlan(island), nullptr);
   cache.Insert(island, std::make_shared<const Result<PlanResult>>(
                            Status::Infeasible("island too small")));
   std::shared_ptr<const Result<PlanResult>> island_hit =
-      cache.FindIsland(island);
+      cache.FindPlan(island);
   ASSERT_NE(island_hit, nullptr);
   EXPECT_FALSE(island_hit->ok());
 
@@ -172,6 +172,25 @@ TEST(PlannerCacheLoadTest, WarmLoadedPlannerReplaysTheSamePlan) {
   EXPECT_EQ(warm.solve_cache().stats().misses, 0);
   EXPECT_GT(warm.solve_cache().stats().hits, 0);
   EXPECT_EQ(warm.solve_cache().Serialize(), blob);
+}
+
+TEST(PlannerCacheLoadTest, ReplanMemoIsNeverSerialized) {
+  const topo::ClusterSpec cluster = topo::ClusterSpec::A800Cluster(1);
+  const model::CostModel cost(model::ModelSpec::Tiny(), topo::GpuSpec());
+  straggler::Situation situation(cluster.num_gpus());
+  situation.SetLevel(3, 2);
+  PlannerOptions pinned;
+  pinned.dp_degree = 2;
+  pinned.num_threads = 1;
+
+  const Planner replanned(cluster, cost);
+  const Planner planned(cluster, cost);
+  ASSERT_TRUE(replanned.Replan(situation, 16, pinned).ok());
+  ASSERT_TRUE(planned.Plan(situation, 16, pinned).ok());
+  // The same solves plus one 'R' entry, which stays in memory only.
+  EXPECT_EQ(replanned.solve_cache().size(), planned.solve_cache().size() + 1);
+  EXPECT_EQ(replanned.solve_cache().Serialize(),
+            planned.solve_cache().Serialize());
 }
 
 TEST(PlannerCacheLoadTest, SerializeIsInsertionOrderIndependent) {

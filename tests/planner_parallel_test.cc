@@ -8,10 +8,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/planner.h"
 #include "exec/thread_pool.h"
+#include "lint/diagnostic.h"
 #include "model/cost_model.h"
 #include "obs/metrics.h"
 #include "straggler/situation.h"
@@ -170,6 +172,36 @@ TEST_F(PlannerParallelTest, TimingComponentsNonNegativeAndBounded) {
   const double component_sum = t.grouping_seconds + t.division_seconds +
                                t.ordering_seconds + t.assignment_seconds;
   EXPECT_LE(component_sum, t.total_seconds);
+}
+
+TEST_F(PlannerParallelTest, ConcurrentReplansOfOneSituationAgree) {
+  // Racing threads may all miss the 'R' memo and all sweep; the first
+  // insert wins and every caller still gets the same answer.
+  const Situation situation = SeededSituation();
+  const Planner planner(cluster_, cost_);
+  PlannerOptions opts;
+  opts.dp_degree = 2;
+  opts.num_threads = 2;
+  constexpr int kThreads = 4;
+  std::vector<Result<PlanResult>> results(
+      kThreads, Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      results[t] = planner.Replan(situation, 32, opts);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const Result<PlanResult>& r : results) {
+    ASSERT_TRUE(r.ok()) << r.status();
+    ExpectSamePlan(*results[0], *r);
+    EXPECT_EQ(lint::RenderText(r->diagnostics),
+              lint::RenderText(results[0]->diagnostics));
+  }
+  // A later call is a lookup of that same answer.
+  Result<PlanResult> again = planner.Replan(situation, 32, opts);
+  ASSERT_TRUE(again.ok()) << again.status();
+  ExpectSamePlan(*results[0], *again);
 }
 
 }  // namespace

@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/planner.h"
 #include "model/cost_model.h"
+#include "obs/metrics.h"
 #include "plan/estimator.h"
 #include "straggler/situation.h"
 #include "topology/cluster.h"
@@ -176,6 +180,154 @@ TEST_F(PlannerScenarioTest, AblationFlagsDegradeQuality) {
   Result<PlanResult> weak = planner_.Plan(*s, 64, data_only);
   ASSERT_TRUE(weak.ok()) << weak.status();
   EXPECT_LE(best->estimated_seconds, weak->estimated_seconds * (1 + 1e-9));
+}
+
+// ---- Replan: the fallback rule and the 'R' memo ----
+
+double CounterValue(obs::MetricsRegistry& registry, const char* name) {
+  return registry.GetCounter(name)->Value();
+}
+
+TEST_F(PlannerScenarioTest, ReplanReturnsArgumentErrorsWithoutFallingBack) {
+  obs::MetricsRegistry registry;
+  obs::MetricsScope scope(&registry);
+  PlannerOptions pinned;
+  pinned.dp_degree = 2;
+  Result<PlanResult> r =
+      planner_.Replan(Situation(cluster_.num_gpus()), 0, pinned);
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  r = planner_.Replan(Situation(cluster_.num_gpus() - 1), 64, pinned);
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  // Unpinning cannot fix an argument error, so there was no second Plan.
+  EXPECT_EQ(CounterValue(registry, "planner.replan_fallbacks"), 0.0);
+}
+
+TEST_F(PlannerScenarioTest, RepeatedReplanIsOneMemoLookup) {
+  const Situation s =
+      Situation::Canonical(cluster_, SituationId::kS3).ValueOrDie();
+  PlannerOptions opts;
+  opts.dp_degree = 2;
+  opts.num_threads = 1;
+  Result<PlanResult> first = planner_.Replan(s, 64, opts);
+  ASSERT_TRUE(first.ok()) << first.status();
+
+  obs::MetricsRegistry registry;
+  obs::MetricsScope scope(&registry);
+  const PlannerCache::Stats before = planner_.solve_cache().stats();
+  Result<PlanResult> again = planner_.Replan(s, 64, opts);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->plan.Signature(), first->plan.Signature());
+  EXPECT_EQ(again->estimated_seconds, first->estimated_seconds);
+  EXPECT_EQ(again->estimated_full_seconds, first->estimated_full_seconds);
+  EXPECT_EQ(again->chosen_tp, first->chosen_tp);
+  const auto& want = first->diagnostics.diagnostics();
+  const auto& got = again->diagnostics.diagnostics();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].ToString(), want[i].ToString());
+  }
+  // A lookup: no sweep ran, so only its own wall time is reported.
+  EXPECT_EQ(again->timings.grouping_seconds, 0.0);
+  EXPECT_EQ(again->timings.division_seconds, 0.0);
+  EXPECT_EQ(again->timings.ordering_seconds, 0.0);
+  EXPECT_EQ(again->timings.assignment_seconds, 0.0);
+  EXPECT_GE(again->timings.total_seconds, 0.0);
+  EXPECT_EQ(CounterValue(registry, "planner.replan_memo_hits"), 1.0);
+  EXPECT_EQ(CounterValue(registry, "planner.solves"), 0.0);
+  EXPECT_EQ(planner_.solve_cache().stats().misses, before.misses);
+}
+
+TEST_F(PlannerScenarioTest, ReplanMemoMissesOnEveryKeyedInput) {
+  const Situation s =
+      Situation::Canonical(cluster_, SituationId::kS3).ValueOrDie();
+  PlannerOptions base;
+  base.dp_degree = 2;
+  base.num_threads = 1;
+  ASSERT_TRUE(planner_.Replan(s, 64, base).ok());
+
+  obs::MetricsRegistry registry;
+  obs::MetricsScope scope(&registry);
+  const auto hits = [&] {
+    return CounterValue(registry, "planner.replan_memo_hits");
+  };
+  const auto solves = [&] { return CounterValue(registry, "planner.solves"); };
+
+  // The thread count is not keyed: the answer is the same at any count.
+  PlannerOptions threads = base;
+  threads.num_threads = 4;
+  ASSERT_TRUE(planner_.Replan(s, 64, threads).ok());
+  EXPECT_EQ(hits(), 1.0);
+
+  std::vector<std::pair<const char*, PlannerOptions>> variants;
+  const auto add = [&](const char* label, auto edit) {
+    PlannerOptions o = base;
+    edit(&o);
+    variants.emplace_back(label, o);
+  };
+  add("dp_degree", [](PlannerOptions* o) { o->dp_degree = 4; });
+  add("forced_tp", [](PlannerOptions* o) { o->forced_tp = 4; });
+  add("nonuniform_devices",
+      [](PlannerOptions* o) { o->nonuniform_devices = false; });
+  add("nonuniform_layers",
+      [](PlannerOptions* o) { o->nonuniform_layers = false; });
+  add("nonuniform_data", [](PlannerOptions* o) { o->nonuniform_data = false; });
+  add("island_nodes", [](PlannerOptions* o) { o->island_nodes = -1; });
+  for (const auto& [label, options] : variants) {
+    SCOPED_TRACE(label);
+    const double solves0 = solves();
+    Result<PlanResult> r = planner_.Replan(s, 64, options);
+    EXPECT_EQ(hits(), 1.0) << r.status();
+    EXPECT_GT(solves(), solves0);
+  }
+
+  const double solves0 = solves();
+  ASSERT_TRUE(planner_.Replan(s, 32, base).ok());
+  EXPECT_EQ(hits(), 1.0);
+  Situation nudged = s;
+  nudged.SetRate(5, std::nextafter(s.rate(5), 2.0 * s.rate(5)));
+  ASSERT_TRUE(planner_.Replan(nudged, 64, base).ok());
+  EXPECT_EQ(hits(), 1.0);
+  EXPECT_EQ(solves(), solves0 + 2.0);
+
+  // Every answer above was memoized under its own key.
+  ASSERT_TRUE(planner_.Replan(nudged, 64, base).ok());
+  EXPECT_EQ(hits(), 2.0);
+}
+
+TEST_F(PlannerScenarioTest, MemoizedFallbackReplaysWithoutFallingBackAgain) {
+  obs::MetricsRegistry registry;
+  obs::MetricsScope scope(&registry);
+  const Situation s =
+      Situation::Canonical(cluster_, SituationId::kS3).ValueOrDie();
+  PlannerOptions pinned;
+  pinned.dp_degree = 99;  // More pipelines than the cluster has groups.
+  Result<PlanResult> first = planner_.Replan(s, 64, pinned);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(CounterValue(registry, "planner.replan_fallbacks"), 1.0);
+
+  Result<PlanResult> again = planner_.Replan(s, 64, pinned);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->plan.Signature(), first->plan.Signature());
+  EXPECT_EQ(CounterValue(registry, "planner.replan_fallbacks"), 1.0);
+  EXPECT_EQ(CounterValue(registry, "planner.replan_memo_hits"), 1.0);
+}
+
+TEST_F(PlannerScenarioTest, ReplanWithTheCacheOffMemoizesNothing) {
+  obs::MetricsRegistry registry;
+  obs::MetricsScope scope(&registry);
+  const Situation s =
+      Situation::Canonical(cluster_, SituationId::kS3).ValueOrDie();
+  PlannerOptions opts;
+  opts.dp_degree = 2;
+  opts.enable_solve_cache = false;
+  Result<PlanResult> first = planner_.Replan(s, 64, opts);
+  Result<PlanResult> again = planner_.Replan(s, 64, opts);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->plan.Signature(), first->plan.Signature());
+  EXPECT_EQ(planner_.solve_cache().size(), 0u);
+  EXPECT_EQ(CounterValue(registry, "planner.replan_memo_hits"), 0.0);
+  EXPECT_EQ(CounterValue(registry, "planner.solves"), 2.0);
 }
 
 TEST(PlannerLargeTest, Llama70BOn64Gpus) {

@@ -240,6 +240,34 @@ TEST(ServerTest, ReplanFallsBackWhenThePinnedDpIsInfeasible) {
   MALLEUS_CHECK_OK(server.Shutdown());
 }
 
+TEST(ServerTest, RepeatedReplanIsServedFromTheMemo) {
+  Server server(SmallOptions());
+  MALLEUS_CHECK_OK(server.Start());
+  EXPECT_EQ(ErrorCodeOf(server.Handle(kRegisterLine)), "");
+  EXPECT_EQ(ErrorCodeOf(server.Handle(kPlanLine)), "");
+  const std::string first = server.Handle(kReplanLine);
+  EXPECT_EQ(ErrorCodeOf(first), "");
+  obs::MetricsRegistry& metrics = server.metrics();
+  const double solves = metrics.GetCounter("serve.planner_solves")->Value();
+  const double hits =
+      metrics.GetCounter("serve.planner_replan_memo_hits")->Value();
+
+  // The same pinned situation again: one memo lookup, the same response
+  // except that the plan did not change this time.
+  const std::string again = server.Handle(kReplanLine);
+  Result<JsonValue> a = JsonValue::Parse(first);
+  Result<JsonValue> b = JsonValue::Parse(again);
+  MALLEUS_CHECK_OK(a.status());
+  MALLEUS_CHECK_OK(b.status());
+  EXPECT_EQ(b->Find("result")->Find("signature")->string_value(),
+            a->Find("result")->Find("signature")->string_value());
+  EXPECT_FALSE(b->Find("result")->Find("plan_changed")->bool_value());
+  EXPECT_EQ(metrics.GetCounter("serve.planner_solves")->Value(), solves);
+  EXPECT_EQ(metrics.GetCounter("serve.planner_replan_memo_hits")->Value(),
+            hits + 1.0);
+  MALLEUS_CHECK_OK(server.Shutdown());
+}
+
 TEST(ServerTest, TypedErrorResponses) {
   Server server(SmallOptions());
   MALLEUS_CHECK_OK(server.Start());
