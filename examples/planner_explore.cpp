@@ -6,7 +6,6 @@
 //   $ ./examples/planner_explore [straggler_gpu=0] [level=3]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/string_util.h"
 #include "core/grouping.h"
@@ -18,8 +17,13 @@
 using namespace malleus;
 
 int main(int argc, char** argv) {
-  const int straggler_gpu = argc > 1 ? std::atoi(argv[1]) : 0;
-  const int level = argc > 2 ? std::atoi(argv[2]) : 3;
+  int straggler_gpu = 0;
+  int level = 3;
+  if ((argc > 1 && !ParseValue(argv[1], &straggler_gpu).ok()) ||
+      (argc > 2 && !ParseValue(argv[2], &level).ok())) {
+    std::fprintf(stderr, "usage: %s [straggler_gpu=0] [level=3]\n", argv[0]);
+    return 2;
+  }
 
   const topo::ClusterSpec cluster = topo::ClusterSpec::A800Cluster(4);
   const model::CostModel cost(model::ModelSpec::Llama32B(), cluster.gpu());

@@ -139,7 +139,7 @@ bool ParseArgs(int argc, char** argv, Args* out) {
       "net-model", "analytic|flow",
       "comm pricing: isolated closed forms, or the\n"
       "contention-aware flow-level fabric simulator\n"
-      "(default: build/env default, see net/fabric.h)",
+      "(default: MALLEUS_NET_MODEL, else analytic)",
       [out](const std::string& name) -> Status {
         MALLEUS_ASSIGN_OR_RETURN(out->net_model, net::ParseNetModel(name));
         return Status::OK();

@@ -1,7 +1,7 @@
 #include "analyze/analyze.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <string_view>
 
 #include "common/string_util.h"
 
@@ -816,8 +816,8 @@ Result<std::vector<BaselineEntry>> ParseBaseline(const std::string& text) {
           loc.c_str()));
     }
     e.file = loc.substr(0, colon);
-    e.line = std::atoi(loc.c_str() + colon + 1);
-    if (e.line <= 0) {
+    if (!ParseValue(std::string_view(loc).substr(colon + 1), &e.line).ok() ||
+        e.line <= 0) {
       return Status::InvalidArgument(
           StrFormat("baseline line %d: bad line number in '%s'", line_no,
                     loc.c_str()));

@@ -13,15 +13,14 @@
 //   if (!flags.ParseOrUsage(argc, argv)) return 2;
 //
 // Syntax: --name=VALUE, or a bare --name for switches and optional-value
-// flags. Values are parsed from the whole string ("12abc" is not an
-// integer) and must fit the target type. --help and -h request the usage
-// text. Any other argument that starts with '-' is an unknown flag; the
-// rest are positional.
+// flags. Values are read by ParseValue (common/string_util.h): the whole
+// string ("12abc" is not an integer), and the value must fit the target
+// type. --help and -h request the usage text. Any other argument that
+// starts with '-' is an unknown flag; the rest are positional.
 
 #ifndef MALLEUS_COMMON_FLAGS_H_
 #define MALLEUS_COMMON_FLAGS_H_
 
-#include <charconv>
 #include <functional>
 #include <string>
 #include <type_traits>
@@ -29,33 +28,13 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/string_util.h"
 
 namespace malleus {
 
 /// Accepts or rejects a parsed flag value.
 template <typename T>
 using FlagValidator = std::function<bool(const T&)>;
-
-/// Parses the whole of `text` as a T: a std::string or an integer type.
-/// InvalidArgument, with the reason, when it is not one or does not fit.
-template <typename T>
-Status ParseFlagValue(const std::string& text, T* out) {
-  if constexpr (std::is_same_v<T, std::string>) {
-    *out = text;
-  } else {
-    const char* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-    if (ec == std::errc::result_out_of_range) {
-      return Status::InvalidArgument("out of range");
-    }
-    if (ec != std::errc() || ptr != end) {
-      return Status::InvalidArgument(std::is_signed_v<T>
-                                         ? "not an integer"
-                                         : "not an unsigned integer");
-    }
-  }
-  return Status::OK();
-}
 
 /// Accepts values in [lo, hi].
 template <typename T>
@@ -81,7 +60,7 @@ class FlagTable {
         Form::kValue,
         [out, valid = std::move(valid)](const std::string* text) {
           T value{};
-          MALLEUS_RETURN_NOT_OK(ParseFlagValue(*text, &value));
+          MALLEUS_RETURN_NOT_OK(ParseValue(*text, &value));
           if (valid && !valid(value)) return Status::InvalidArgument("");
           *out = std::move(value);
           return Status::OK();

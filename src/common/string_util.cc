@@ -1,11 +1,55 @@
 #include "common/string_util.h"
 
+#include <cctype>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
 
 namespace malleus {
+
+std::vector<std::string> SplitWords(std::string_view s) {
+  std::vector<std::string> words;
+  size_t pos = 0;
+  while (pos < s.size()) {
+    if (std::isspace(static_cast<unsigned char>(s[pos]))) {
+      ++pos;
+      continue;
+    }
+    size_t end = pos;
+    while (end < s.size() &&
+           !std::isspace(static_cast<unsigned char>(s[end]))) {
+      ++end;
+    }
+    words.emplace_back(s.substr(pos, end - pos));
+    pos = end;
+  }
+  return words;
+}
+
+const std::string* KeyValues::Find(const std::string& key) const {
+  for (const auto& [k, v] : pairs) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
+
+Result<KeyValues> ParseKeyValues(std::span<const std::string> words) {
+  KeyValues out;
+  for (const std::string& word : words) {
+    const size_t eq = word.find('=');
+    if (eq == std::string::npos || eq == 0) {
+      return Status::InvalidArgument("expected key=value, got '" + word +
+                                     "'");
+    }
+    std::string key = word.substr(0, eq);
+    if (out.Find(key) != nullptr) {
+      return Status::InvalidArgument("duplicate key '" + key + "'");
+    }
+    out.pairs.emplace_back(std::move(key), word.substr(eq + 1));
+  }
+  return out;
+}
 
 std::string StrFormat(const char* fmt, ...) {
   va_list args;

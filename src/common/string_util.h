@@ -1,13 +1,71 @@
-// String formatting helpers shared across modules.
+// String formatting and parsing helpers shared across modules.
 
 #ifndef MALLEUS_COMMON_STRING_UTIL_H_
 #define MALLEUS_COMMON_STRING_UTIL_H_
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "common/result.h"
+
 namespace malleus {
+
+/// Parses the whole of `text` as a T: a std::string (taken verbatim), an
+/// integer type or a double. Numbers are read locale-free with
+/// std::from_chars, so no leading whitespace, '+' or trailing junk is
+/// accepted; the value must fit T, and a double must be finite. On any
+/// failure *out is left untouched and the InvalidArgument says why.
+template <typename T>
+Status ParseValue(std::string_view text, T* out) {
+  static_assert(std::is_same_v<T, std::string> || std::is_same_v<T, double> ||
+                    (std::is_integral_v<T> && !std::is_same_v<T, bool>),
+                "ParseValue reads std::string, integers and double");
+  if constexpr (std::is_same_v<T, std::string>) {
+    *out = std::string(text);
+  } else {
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec == std::errc::result_out_of_range) {
+      return Status::InvalidArgument("out of range");
+    }
+    if (ec != std::errc() || ptr != end) {
+      return Status::InvalidArgument(std::is_same_v<T, double> ? "not a number"
+                                     : std::is_signed_v<T>
+                                         ? "not an integer"
+                                         : "not an unsigned integer");
+    }
+    if constexpr (std::is_same_v<T, double>) {
+      if (!std::isfinite(value)) {
+        return Status::InvalidArgument("not a finite number");
+      }
+    }
+    *out = value;
+  }
+  return Status::OK();
+}
+
+/// The whitespace-separated words of `s`, in order.
+std::vector<std::string> SplitWords(std::string_view s);
+
+/// "key=value" words, in their written order.
+struct KeyValues {
+  std::vector<std::pair<std::string, std::string>> pairs;
+
+  /// The value of `key`, or null when it was not given.
+  const std::string* Find(const std::string& key) const;
+};
+
+/// Splits each word at its first '='. InvalidArgument on a word without
+/// '=' or with an empty key, and on a key given twice.
+Result<KeyValues> ParseKeyValues(std::span<const std::string> words);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace malleus {
 namespace exec {
@@ -106,25 +107,30 @@ void ThreadPool::WorkerLoop(int worker_index) {
   }
 }
 
-int DefaultPlannerThreads() {
-  if (const char* env = std::getenv("MALLEUS_PLANNER_THREADS");
-      env != nullptr && *env != '\0') {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 1) return static_cast<int>(parsed);
-  }
+namespace {
+
+// MALLEUS_PLANNER_THREADS when it holds a whole positive integer, else 0.
+int PlannerThreadsFromEnv() {
+  const char* env = std::getenv("MALLEUS_PLANNER_THREADS");
+  int threads = 0;
+  if (env == nullptr || !ParseValue(env, &threads).ok()) return 0;
+  return std::max(threads, 0);
+}
+
+int HardwareThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw >= 1 ? static_cast<int>(hw) : 1;
 }
 
+}  // namespace
+
+int DefaultPlannerThreads() {
+  const int env = PlannerThreadsFromEnv();
+  return env >= 1 ? env : HardwareThreads();
+}
+
 int ConcurrencyCap() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  int cap = hw >= 1 ? static_cast<int>(hw) : 1;
-  if (const char* env = std::getenv("MALLEUS_PLANNER_THREADS");
-      env != nullptr && *env != '\0') {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 1) cap = std::max(cap, static_cast<int>(parsed));
-  }
-  return cap;
+  return std::max(HardwareThreads(), PlannerThreadsFromEnv());
 }
 
 void ParallelFor(ThreadPool* pool, int64_t n,

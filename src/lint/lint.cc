@@ -21,7 +21,9 @@ std::string StageLoc(size_t i, size_t j) {
 
 /// Largest straggling rate the fitted model x = 1 + 1.44k covers (the
 /// paper injects levels k in {1,2,3,8}; Appendix B.7).
-double MaxFittedRate() { return straggler::RateForLevel(8); }
+double MaxFittedRate() {
+  return straggler::RateForLevel(straggler::kMaxFittedLevel);
+}
 
 }  // namespace
 
@@ -471,7 +473,7 @@ void LintScenario(const scenario::ScenarioSpec& spec, DiagnosticSink* sink) {
       if (s.level < 0) {
         sink->Report(Severity::kError, kLintSituationBadRate, loc,
                      StrFormat("straggler level %d is negative", s.level));
-      } else if (s.level > 8) {
+      } else if (s.level > straggler::kMaxFittedLevel) {
         sink->Report(Severity::kWarn, kLintSituationRateAboveFit, loc,
                      StrFormat("level %d exceeds the fitted range k <= 8 "
                                "(rate %.2f)",
@@ -517,7 +519,7 @@ void LintScenario(const scenario::ScenarioSpec& spec, DiagnosticSink* sink) {
     if (d.diurnal_period < 1) {
       bad(StrFormat("diurnal_period %d must be >= 1", d.diurnal_period));
     }
-    if (d.max_level < 1 || d.max_level > 8) {
+    if (d.max_level < 1 || d.max_level > straggler::kMaxFittedLevel) {
       bad(StrFormat("max_level %d must be in [1, 8]", d.max_level));
     }
     // Saturation: with per-GPU arrival probability p and mean heal time r,

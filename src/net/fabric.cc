@@ -22,11 +22,7 @@ Result<NetModel> ParseNetModel(const std::string& name) {
 
 NetModel DefaultNetModel() {
   static const NetModel cached = [] {
-#if defined(MALLEUS_DEFAULT_NET_MODEL_FLOW) && MALLEUS_DEFAULT_NET_MODEL_FLOW
-    NetModel model = NetModel::kFlow;
-#else
     NetModel model = NetModel::kAnalytic;
-#endif
     if (const char* env = std::getenv("MALLEUS_NET_MODEL");
         env != nullptr && *env != '\0') {
       Result<NetModel> parsed = ParseNetModel(env);

@@ -47,10 +47,8 @@ const char* NetModelName(NetModel model);
 Result<NetModel> ParseNetModel(const std::string& name);
 
 /// The process-wide default: the MALLEUS_NET_MODEL environment variable
-/// ("analytic" / "flow") when set and valid, otherwise the compile-time
-/// default (kAnalytic, or kFlow when built with
-/// -DMALLEUS_DEFAULT_NET_MODEL_FLOW=1; the `flow-sim` CMake preset sets
-/// this). Read once and cached for the process lifetime.
+/// ("analytic" / "flow") when set and valid, otherwise kAnalytic. Read
+/// once and cached for the process lifetime.
 NetModel DefaultNetModel();
 
 /// Index into Fabric's link table.

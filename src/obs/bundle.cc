@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdlib>
 #include <filesystem>
 #include <sstream>
+#include <string_view>
 
 #include "common/file_util.h"
 #include "common/hash.h"
@@ -127,7 +127,11 @@ Result<RunBundle> LoadRunBundle(const std::string& dir) {
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 3);
     if (key == "version") {
-      bundle.version = std::atoi(value.c_str());
+      if (!ParseValue(value, &bundle.version).ok()) {
+        return Status::InvalidArgument(
+            StrFormat("bundle manifest line %d: bad version '%s'", line_no,
+                      value.c_str()));
+      }
     } else if (key == "producer") {
       bundle.producer = value;
     } else if (key == "content_hash") {
@@ -137,16 +141,18 @@ Result<RunBundle> LoadRunBundle(const std::string& dir) {
       // containing spaces still parses.
       const size_t hash_pos = value.rfind(" hash=");
       const size_t size_pos = value.rfind(" size=", hash_pos);
+      Listed f;
       if (hash_pos == std::string::npos || size_pos == std::string::npos ||
-          size_pos >= hash_pos) {
+          size_pos >= hash_pos ||
+          !ParseValue(std::string_view(value).substr(
+                          size_pos + 6, hash_pos - size_pos - 6),
+                      &f.size)
+               .ok()) {
         return Status::InvalidArgument(
             StrFormat("bundle manifest line %d: malformed file entry: %s",
                       line_no, value.c_str()));
       }
-      Listed f;
       f.name = value.substr(0, size_pos);
-      f.size = static_cast<size_t>(
-          std::strtoull(value.c_str() + size_pos + 6, nullptr, 10));
       f.hash = value.substr(hash_pos + 6);
       if (!ValidMemberName(f.name) || f.hash.size() != 16) {
         return Status::InvalidArgument(

@@ -1,6 +1,6 @@
 #include "scenario/counterfactual.h"
 
-#include <cstdlib>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -11,77 +11,18 @@ namespace scenario {
 
 namespace {
 
-// Splits on runs of spaces/tabs.
-std::vector<std::string> Tokens(const std::string& line) {
-  std::vector<std::string> out;
-  std::string tok;
-  for (char c : line) {
-    if (c == ' ' || c == '\t') {
-      if (!tok.empty()) out.push_back(std::move(tok));
-      tok.clear();
-    } else {
-      tok += c;
-    }
-  }
-  if (!tok.empty()) out.push_back(std::move(tok));
-  return out;
-}
-
-// "key=value" tokens after the kind word; duplicate or unknown keys fail.
-struct KeyValues {
-  std::vector<std::pair<std::string, std::string>> pairs;
-
-  const std::string* Find(const std::string& key) const {
-    for (const auto& [k, v] : pairs) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-Result<KeyValues> ParseKeyValues(const std::vector<std::string>& tokens) {
-  KeyValues out;
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    const size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos || eq == 0) {
-      return Status::InvalidArgument("expected key=value, got '" +
-                                     tokens[i] + "'");
-    }
-    const std::string key = tokens[i].substr(0, eq);
-    if (out.Find(key) != nullptr) {
-      return Status::InvalidArgument("duplicate key '" + key + "'");
-    }
-    out.pairs.emplace_back(key, tokens[i].substr(eq + 1));
-  }
-  return out;
-}
-
-Result<int> ParseInt(const std::string& key, const KeyValues& kv) {
+// Reads the required `key` into *out.
+template <typename T>
+Status ReadKey(const KeyValues& kv, const std::string& key, T* out) {
   const std::string* v = kv.Find(key);
   if (v == nullptr) {
     return Status::InvalidArgument("missing required key '" + key + "'");
   }
-  char* end = nullptr;
-  const long parsed = std::strtol(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0') {
+  if (Status read = ParseValue(*v, out); !read.ok()) {
     return Status::InvalidArgument("cannot parse " + key + "='" + *v +
-                                   "' as an integer");
+                                   "': " + read.message());
   }
-  return static_cast<int>(parsed);
-}
-
-Result<double> ParseDouble(const std::string& key, const KeyValues& kv) {
-  const std::string* v = kv.Find(key);
-  if (v == nullptr) {
-    return Status::InvalidArgument("missing required key '" + key + "'");
-  }
-  char* end = nullptr;
-  const double parsed = std::strtod(v->c_str(), &end);
-  if (end == v->c_str() || *end != '\0') {
-    return Status::InvalidArgument("cannot parse " + key + "='" + *v +
-                                   "' as a number");
-  }
-  return parsed;
+  return Status::OK();
 }
 
 Status CheckKeys(const KeyValues& kv,
@@ -143,73 +84,57 @@ std::string Counterfactual::Label() const {
 }
 
 Result<Counterfactual> ParseCounterfactual(const std::string& text) {
-  const std::vector<std::string> tokens = Tokens(text);
-  if (tokens.empty()) {
+  const std::vector<std::string> words = SplitWords(text);
+  if (words.empty()) {
     return Status::InvalidArgument("empty counterfactual");
   }
-  Result<KeyValues> kv = ParseKeyValues(tokens);
-  if (!kv.ok()) return kv.status();
+  MALLEUS_ASSIGN_OR_RETURN(const KeyValues kv,
+                           ParseKeyValues(std::span(words).subspan(1)));
 
   Counterfactual cf;
-  const std::string& kind = tokens[0];
+  const std::string& kind = words[0];
   if (kind == "remove_straggler") {
     cf.kind = CounterfactualKind::kRemoveStraggler;
-    if (Status s = CheckKeys(*kv, {"gpu"}); !s.ok()) return s;
-    Result<int> gpu = ParseInt("gpu", *kv);
-    if (!gpu.ok()) return gpu.status();
-    if (*gpu < 0) return Status::InvalidArgument("gpu must be >= 0");
-    cf.gpu = *gpu;
+    MALLEUS_RETURN_NOT_OK(CheckKeys(kv, {"gpu"}));
+    MALLEUS_RETURN_NOT_OK(ReadKey(kv, "gpu", &cf.gpu));
+    if (cf.gpu < 0) return Status::InvalidArgument("gpu must be >= 0");
   } else if (kind == "dampen_straggler") {
     cf.kind = CounterfactualKind::kDampenStraggler;
-    if (Status s = CheckKeys(*kv, {"gpu", "factor"}); !s.ok()) return s;
-    Result<int> gpu = ParseInt("gpu", *kv);
-    if (!gpu.ok()) return gpu.status();
-    if (*gpu < 0) return Status::InvalidArgument("gpu must be >= 0");
-    cf.gpu = *gpu;
-    Result<double> factor = ParseDouble("factor", *kv);
-    if (!factor.ok()) return factor.status();
-    if (!(*factor >= 0.0) || *factor >= 1.0) {
+    MALLEUS_RETURN_NOT_OK(CheckKeys(kv, {"gpu", "factor"}));
+    MALLEUS_RETURN_NOT_OK(ReadKey(kv, "gpu", &cf.gpu));
+    if (cf.gpu < 0) return Status::InvalidArgument("gpu must be >= 0");
+    MALLEUS_RETURN_NOT_OK(ReadKey(kv, "factor", &cf.factor));
+    if (!(cf.factor >= 0.0) || cf.factor >= 1.0) {
       return Status::InvalidArgument(
           "dampen factor must be in [0, 1): 0 heals the GPU entirely, "
           "1 would change nothing");
     }
-    cf.factor = *factor;
   } else if (kind == "scale_nic" || kind == "scale_nvlink") {
     cf.kind = kind == "scale_nic" ? CounterfactualKind::kScaleNic
                                   : CounterfactualKind::kScaleNvlink;
-    if (Status s = CheckKeys(*kv, {"factor"}); !s.ok()) return s;
-    Result<double> factor = ParseDouble("factor", *kv);
-    if (!factor.ok()) return factor.status();
-    if (!(*factor > 0.0)) {
+    MALLEUS_RETURN_NOT_OK(CheckKeys(kv, {"factor"}));
+    MALLEUS_RETURN_NOT_OK(ReadKey(kv, "factor", &cf.factor));
+    if (!(cf.factor > 0.0)) {
       return Status::InvalidArgument("bandwidth factor must be > 0");
     }
-    cf.factor = *factor;
   } else if (kind == "force_tp") {
     cf.kind = CounterfactualKind::kForceTp;
-    if (Status s = CheckKeys(*kv, {"tp"}); !s.ok()) return s;
-    Result<int> tp = ParseInt("tp", *kv);
-    if (!tp.ok()) return tp.status();
-    if (*tp != 1 && *tp != 2 && *tp != 4 && *tp != 8) {
+    MALLEUS_RETURN_NOT_OK(CheckKeys(kv, {"tp"}));
+    MALLEUS_RETURN_NOT_OK(ReadKey(kv, "tp", &cf.tp));
+    if (cf.tp != 1 && cf.tp != 2 && cf.tp != 4 && cf.tp != 8) {
       return Status::InvalidArgument("tp must be one of 1, 2, 4, 8");
     }
-    cf.tp = *tp;
   } else if (kind == "add_standby_node") {
     cf.kind = CounterfactualKind::kAddStandbyNode;
-    if (Status s = CheckKeys(*kv, {"nodes"}); !s.ok()) return s;
-    Result<int> nodes = ParseInt("nodes", *kv);
-    if (!nodes.ok()) return nodes.status();
-    if (*nodes < 1) return Status::InvalidArgument("nodes must be >= 1");
-    cf.nodes = *nodes;
+    MALLEUS_RETURN_NOT_OK(CheckKeys(kv, {"nodes"}));
+    MALLEUS_RETURN_NOT_OK(ReadKey(kv, "nodes", &cf.nodes));
+    if (cf.nodes < 1) return Status::InvalidArgument("nodes must be >= 1");
   } else if (kind == "net_model") {
     cf.kind = CounterfactualKind::kSwapNetModel;
-    if (Status s = CheckKeys(*kv, {"model"}); !s.ok()) return s;
-    const std::string* model = kv->Find("model");
-    if (model == nullptr) {
-      return Status::InvalidArgument("missing required key 'model'");
-    }
-    Result<net::NetModel> parsed = net::ParseNetModel(*model);
-    if (!parsed.ok()) return parsed.status();
-    cf.net_model = *parsed;
+    MALLEUS_RETURN_NOT_OK(CheckKeys(kv, {"model"}));
+    std::string model;
+    MALLEUS_RETURN_NOT_OK(ReadKey(kv, "model", &model));
+    MALLEUS_ASSIGN_OR_RETURN(cf.net_model, net::ParseNetModel(model));
   } else {
     return Status::InvalidArgument("unknown counterfactual kind '" + kind +
                                    "'");
@@ -229,7 +154,7 @@ Result<std::vector<Counterfactual>> ParseCounterfactualGrid(
     // Strip comments (counterfactual lines contain no string literals).
     const size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
-    if (Tokens(line).empty()) continue;
+    if (SplitWords(line).empty()) continue;
     Result<Counterfactual> cf = ParseCounterfactual(line);
     if (!cf.ok()) {
       return Status::InvalidArgument(

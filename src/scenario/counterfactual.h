@@ -16,8 +16,10 @@
 //   add_standby_node nodes=1          # grow the cluster by healthy nodes
 //   net_model model=flow              # re-price comm under this model
 //
-// Parsing is purely syntactic (like scenario.h): range checks that need
-// the cluster (GPU ids) happen when the engine applies the counterfactual.
+// Parsing is purely syntactic (like scenario.h), with the same value rules
+// (DESIGN.md §10, "Scenario files and other text inputs"): a key given
+// twice is an error. Range checks that need the cluster (GPU ids) happen
+// when the engine applies the counterfactual.
 // The ClusterSpec is homogeneous, so the bandwidth scales apply fleet-wide
 // — "this node's NIC is degraded" is modeled as "what if every NIC ran at
 // factor x", the right question under the paper's nominally-uniform

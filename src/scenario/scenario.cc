@@ -1,7 +1,7 @@
 #include "scenario/scenario.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <string_view>
 
 #include "common/file_util.h"
 #include "common/string_util.h"
@@ -28,54 +28,28 @@ Status LineError(int line, const std::string& what) {
   return Status::InvalidArgument(StrFormat("line %d: %s", line, what.c_str()));
 }
 
-// Parses a whole-string integer; false on trailing garbage or empty input.
-bool ParseInt64(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-// "GPU:LEVEL" or "GPU:xRATE".
+// "GPU:LEVEL", "GPU:xRATE", or "GPU:xinf" for a failed GPU.
 Status ParseStraggler(const std::string& value, int line,
                       StragglerEntry* out) {
   const size_t colon = value.find(':');
   if (colon == std::string::npos) {
     return LineError(line, "straggler must be GPU:LEVEL or GPU:xRATE");
   }
-  int64_t gpu = 0;
-  if (!ParseInt64(Trim(value.substr(0, colon)), &gpu)) {
+  if (!ParseValue(Trim(value.substr(0, colon)), &out->gpu).ok()) {
     return LineError(line, "straggler GPU id is not an integer");
   }
-  out->gpu = static_cast<topo::GpuId>(gpu);
   out->line = line;
   const std::string rest = Trim(value.substr(colon + 1));
-  if (!rest.empty() && rest[0] == 'x') {
-    double rate = 0.0;
-    if (!ParseDouble(rest.substr(1), &rate)) {
+  out->is_rate = !rest.empty() && rest[0] == 'x';
+  if (rest == "xinf") {
+    out->rate = straggler::kFailedRate;
+  } else if (out->is_rate) {
+    if (!ParseValue(std::string_view(rest).substr(1), &out->rate).ok()) {
       return LineError(line, "straggler rate is not a number");
     }
-    out->rate = rate;
-    out->is_rate = true;
-    return Status::OK();
-  }
-  int64_t level = 0;
-  if (!ParseInt64(rest, &level)) {
+  } else if (!ParseValue(rest, &out->level).ok()) {
     return LineError(line, "straggler level is not an integer");
   }
-  out->level = static_cast<int>(level);
-  out->is_rate = false;
   return Status::OK();
 }
 
@@ -89,77 +63,37 @@ Status ParseDynamic(const std::string& value, int line, DynamicSpec* out) {
   *out = DynamicSpec();
   out->enabled = true;
   out->line = line;
-  const std::string inner = value.substr(1, value.size() - 2);
-  size_t pos = 0;
-  while (pos < inner.size()) {
-    while (pos < inner.size() &&
-           std::isspace(static_cast<unsigned char>(inner[pos]))) {
-      ++pos;
-    }
-    if (pos >= inner.size()) break;
-    size_t end = pos;
-    while (end < inner.size() &&
-           !std::isspace(static_cast<unsigned char>(inner[end]))) {
-      ++end;
-    }
-    const std::string pair = inner.substr(pos, end - pos);
-    pos = end;
-    const size_t eq = pair.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= pair.size()) {
-      return LineError(line, "dynamic entry must be key=value: " + pair);
-    }
-    const std::string key = pair.substr(0, eq);
-    const std::string val = pair.substr(eq + 1);
-    int64_t n = 0;
-    double d = 0.0;
+  const Result<KeyValues> kv =
+      ParseKeyValues(SplitWords(value.substr(1, value.size() - 2)));
+  if (!kv.ok()) return LineError(line, "dynamic block: " + kv.status().message());
+  for (const auto& [key, val] : kv->pairs) {
+    Status read;
     if (key == "iterations") {
-      if (!ParseInt64(val, &n)) return LineError(line, "bad dynamic iterations");
-      out->iterations = static_cast<int>(n);
+      read = ParseValue(val, &out->iterations);
     } else if (key == "straggle_rate") {
-      if (!ParseDouble(val, &d)) {
-        return LineError(line, "bad dynamic straggle_rate");
-      }
-      out->straggle_rate = d;
+      read = ParseValue(val, &out->straggle_rate);
     } else if (key == "fail_rate") {
-      if (!ParseDouble(val, &d)) return LineError(line, "bad dynamic fail_rate");
-      out->fail_rate = d;
+      read = ParseValue(val, &out->fail_rate);
     } else if (key == "node_fail_rate") {
-      if (!ParseDouble(val, &d)) {
-        return LineError(line, "bad dynamic node_fail_rate");
-      }
-      out->node_fail_rate = d;
+      read = ParseValue(val, &out->node_fail_rate);
     } else if (key == "recover_iters") {
-      if (!ParseInt64(val, &n)) {
-        return LineError(line, "bad dynamic recover_iters");
-      }
-      out->recover_iters = static_cast<int>(n);
+      read = ParseValue(val, &out->recover_iters);
     } else if (key == "flap_prob") {
-      if (!ParseDouble(val, &d)) return LineError(line, "bad dynamic flap_prob");
-      out->flap_prob = d;
+      read = ParseValue(val, &out->flap_prob);
     } else if (key == "flap_period") {
-      if (!ParseInt64(val, &n)) {
-        return LineError(line, "bad dynamic flap_period");
-      }
-      out->flap_period = static_cast<int>(n);
+      read = ParseValue(val, &out->flap_period);
     } else if (key == "diurnal_amplitude") {
-      if (!ParseDouble(val, &d)) {
-        return LineError(line, "bad dynamic diurnal_amplitude");
-      }
-      out->diurnal_amplitude = d;
+      read = ParseValue(val, &out->diurnal_amplitude);
     } else if (key == "diurnal_period") {
-      if (!ParseInt64(val, &n)) {
-        return LineError(line, "bad dynamic diurnal_period");
-      }
-      out->diurnal_period = static_cast<int>(n);
+      read = ParseValue(val, &out->diurnal_period);
     } else if (key == "max_level") {
-      if (!ParseInt64(val, &n)) return LineError(line, "bad dynamic max_level");
-      out->max_level = static_cast<int>(n);
+      read = ParseValue(val, &out->max_level);
     } else if (key == "seed") {
-      if (!ParseInt64(val, &n)) return LineError(line, "bad dynamic seed");
-      out->seed = static_cast<uint64_t>(n);
+      read = ParseValue(val, &out->seed);
     } else {
       return LineError(line, "unknown dynamic key: " + key);
     }
+    if (!read.ok()) return LineError(line, "bad dynamic " + key);
   }
   return Status::OK();
 }
@@ -194,41 +128,27 @@ Result<ScenarioSpec> ParseScenarioString(const std::string& text) {
     const std::string value = Trim(line.substr(eq + 1));
     if (value.empty()) return LineError(line_no, "empty value for " + key);
 
-    int64_t n = 0;
+    Status read;
     if (key == "model") {
       spec.model = value;
     } else if (key == "nodes") {
-      if (!ParseInt64(value, &n)) return LineError(line_no, "bad nodes");
-      spec.nodes = static_cast<int>(n);
+      read = ParseValue(value, &spec.nodes);
     } else if (key == "gpus_per_node") {
-      if (!ParseInt64(value, &n)) {
-        return LineError(line_no, "bad gpus_per_node");
-      }
-      spec.gpus_per_node = static_cast<int>(n);
+      read = ParseValue(value, &spec.gpus_per_node);
     } else if (key == "batch") {
-      if (!ParseInt64(value, &n)) return LineError(line_no, "bad batch");
-      spec.batch = n;
+      read = ParseValue(value, &spec.batch);
     } else if (key == "steps") {
-      if (!ParseInt64(value, &n)) return LineError(line_no, "bad steps");
-      spec.steps = static_cast<int>(n);
+      read = ParseValue(value, &spec.steps);
     } else if (key == "seed") {
-      if (!ParseInt64(value, &n)) return LineError(line_no, "bad seed");
-      spec.seed = static_cast<uint64_t>(n);
+      read = ParseValue(value, &spec.seed);
     } else if (key == "net_model") {
       spec.net_model = value;
     } else if (key == "fabric") {
       spec.fabric = value;
     } else if (key == "nodes_per_pod") {
-      if (!ParseInt64(value, &n)) {
-        return LineError(line_no, "bad nodes_per_pod");
-      }
-      spec.nodes_per_pod = static_cast<int>(n);
+      read = ParseValue(value, &spec.nodes_per_pod);
     } else if (key == "oversubscription") {
-      double d = 0.0;
-      if (!ParseDouble(value, &d)) {
-        return LineError(line_no, "bad oversubscription");
-      }
-      spec.oversubscription = d;
+      read = ParseValue(value, &spec.oversubscription);
     } else if (key == "phase") {
       spec.phases.push_back(value);
     } else if (key == "straggler") {
@@ -240,6 +160,7 @@ Result<ScenarioSpec> ParseScenarioString(const std::string& text) {
     } else {
       return LineError(line_no, "unknown key: " + key);
     }
+    if (!read.ok()) return LineError(line_no, "bad " + key);
   }
   return spec;
 }
@@ -251,9 +172,6 @@ std::string SerializeScenario(const ScenarioSpec& spec) {
   out += StrFormat("gpus_per_node = %d\n", spec.gpus_per_node);
   out += StrFormat("batch = %lld\n", static_cast<long long>(spec.batch));
   out += StrFormat("steps = %d\n", spec.steps);
-  // The parser reads seeds through strtoll, so only seeds below 2^63
-  // round-trip; everything in the tree (flag defaults, the fuzzer's
-  // generator) stays in that range.
   out += StrFormat("seed = %llu\n",
                    static_cast<unsigned long long>(spec.seed));
   if (!spec.net_model.empty()) {
@@ -273,7 +191,7 @@ std::string SerializeScenario(const ScenarioSpec& spec) {
   }
   for (const StragglerEntry& s : spec.stragglers) {
     if (s.is_rate) {
-      // %.17g round-trips every finite double exactly through strtod.
+      // %.17g round-trips every finite double exactly through ParseValue.
       out += StrFormat("straggler = %d:x%.17g\n", s.gpu, s.rate);
     } else {
       out += StrFormat("straggler = %d:%d\n", s.gpu, s.level);

@@ -28,15 +28,18 @@
 //               recover_iters=80 flap_prob=0.3 flap_period=25
 //               diurnal_amplitude=0.8 diurnal_period=200 max_level=3 }
 //
-// (shown wrapped; the file form is one physical line). Unknown inner keys
-// are parse errors like unknown top-level keys; value ranges are checked
+// (shown wrapped; the file form is one physical line). Unknown or
+// repeated inner keys are parse errors; value ranges are checked
 // by lint (scenario.dynamic-invalid-value / scenario.dynamic-saturated).
 //
 // Parsing is purely syntactic: unknown keys, malformed lines and
-// unparsable numbers fail with a Status naming the line. Semantic
-// validity (model names, phase names, GPU ranges, rate ranges) is the
-// job of the lint passes (lint::LintScenario), so a tool can report
-// every problem in one pass instead of dying on the first.
+// unparsable numbers fail with a Status naming the line. Numbers follow
+// ParseValue's rules (DESIGN.md §10, "Scenario files and other text
+// inputs"): the whole value, fitting its field's type, doubles finite;
+// `GPU:xinf` marks a failed GPU. Semantic validity (model names, phase
+// names, GPU ranges, rate ranges) is the job of the lint passes
+// (lint::LintScenario), so a tool can report every problem in one pass
+// instead of dying on the first.
 
 #ifndef MALLEUS_SCENARIO_SCENARIO_H_
 #define MALLEUS_SCENARIO_SCENARIO_H_

@@ -130,9 +130,11 @@ Result<straggler::Situation> BuildSituation(const Session& session,
             "each 'stragglers' entry needs exactly one of 'level'/'rate'");
       }
       if (level != nullptr) {
-        if (!level->IsInt64() || level->Int64() < 1 || level->Int64() > 6) {
+        if (!level->IsInt64() || level->Int64() < 1 ||
+            level->Int64() > straggler::kMaxFittedLevel) {
           return Status::OutOfRange(
-              "straggler 'level' must be an integer in [1, 6]");
+              StrFormat("straggler 'level' must be an integer in [1, %d]",
+                        straggler::kMaxFittedLevel));
         }
         situation.SetLevel(id, static_cast<int>(level->Int64()));
       } else {

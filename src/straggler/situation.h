@@ -24,6 +24,10 @@ namespace straggler {
 /// Level 0 means not a straggler (rate 1.0).
 double RateForLevel(int level);
 
+/// Highest straggler level the x = 1 + 1.44k fit covers (the paper's
+/// App. B.7 injects up to k = 8, x = 12.52).
+inline constexpr int kMaxFittedLevel = 8;
+
 /// Rate used to mark a completely failed (unresponsive) GPU.
 inline constexpr double kFailedRate = std::numeric_limits<double>::infinity();
 

@@ -300,6 +300,20 @@ TEST(BaselineTest, ParsesEntriesAndRejectsMissingReason) {
   EXPECT_FALSE(ParseBaseline("just-a-code\n").ok());
 }
 
+TEST(BaselineTest, LineNumbersAreWholePositiveIntegers) {
+  for (const char* bad :
+       {"det.banned-function path.cc:12abc why\n",
+        "det.banned-function path.cc:0 why\n",
+        "det.banned-function path.cc:-3 why\n",
+        "det.banned-function path.cc:4294967308 why\n"}) {
+    const Result<std::vector<BaselineEntry>> parsed = ParseBaseline(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_NE(parsed.status().message().find("bad line number"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
 TEST(BaselineTest, SuppressesMatchesAndReportsStaleEntries) {
   lint::DiagnosticSink raw;
   raw.Report(lint::Severity::kError, kRuleBannedFunction, "src/a.cc:12",

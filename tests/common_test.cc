@@ -206,6 +206,54 @@ TEST(StringUtilTest, JsonSanitizeLeavesStringsAndNumbersAlone) {
             "{\"a\":\"x\\\"inf\\\"y\",\"b\":null}");
 }
 
+TEST(StringUtilTest, ParseValueReadsWholeFiniteValuesThatFit) {
+  double d = 0.0;
+  EXPECT_TRUE(ParseValue("2.5000000000000004", &d).ok());
+  EXPECT_EQ(d, 2.5000000000000004);
+  EXPECT_TRUE(ParseValue("1e-3", &d).ok());
+  EXPECT_EQ(d, 1e-3);
+  for (const char* bad : {"inf", "-inf", "infinity", "nan", "NAN", "nan(1)",
+                          "2.5x", "2.5 ", " 2.5", "+2.5", "", "1e400",
+                          "0x1p3"}) {
+    EXPECT_TRUE(ParseValue(bad, &d).IsInvalidArgument()) << bad;
+  }
+  EXPECT_EQ(d, 1e-3);  // Rejected values leave the target untouched.
+
+  int n = 0;
+  EXPECT_TRUE(ParseValue("-12", &n).ok());
+  EXPECT_EQ(n, -12);
+  EXPECT_FALSE(ParseValue("4294967297", &n).ok());
+  EXPECT_FALSE(ParseValue("4abc", &n).ok());
+  EXPECT_EQ(n, -12);
+  uint64_t u = 0;
+  EXPECT_TRUE(ParseValue("18446744073709551615", &u).ok());
+  EXPECT_EQ(u, std::numeric_limits<uint64_t>::max());
+  EXPECT_FALSE(ParseValue("-1", &u).ok());
+  std::string text;
+  EXPECT_TRUE(ParseValue(" as is ", &text).ok());
+  EXPECT_EQ(text, " as is ");
+}
+
+TEST(StringUtilTest, KeyValueWordsSplitOnceAndRejectDuplicates) {
+  EXPECT_EQ(SplitWords("  a=1\tb=2=3  c \n"),
+            (std::vector<std::string>{"a=1", "b=2=3", "c"}));
+  EXPECT_TRUE(SplitWords(" \t ").empty());
+  const std::vector<std::string> words = {"a=1", "b=2=3", "c="};
+  const Result<KeyValues> kv = ParseKeyValues(words);
+  ASSERT_TRUE(kv.ok()) << kv.status().ToString();
+  ASSERT_EQ(kv->pairs.size(), 3u);
+  EXPECT_EQ(*kv->Find("b"), "2=3");
+  EXPECT_EQ(*kv->Find("c"), "");
+  EXPECT_EQ(kv->Find("d"), nullptr);
+  const std::vector<std::string> twice = {"a=1", "a=2"};
+  EXPECT_NE(ParseKeyValues(twice).status().message().find("duplicate key"),
+            std::string::npos);
+  const std::vector<std::string> bare = {"a"};
+  EXPECT_FALSE(ParseKeyValues(bare).ok());
+  const std::vector<std::string> no_key = {"=1"};
+  EXPECT_FALSE(ParseKeyValues(no_key).ok());
+}
+
 TEST(TablePrinterTest, RendersAlignedTable) {
   TablePrinter t("demo");
   t.SetHeader({"name", "value"});

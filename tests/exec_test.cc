@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -151,6 +153,24 @@ TEST(DefaultPlannerThreadsTest, HonorsEnvironmentVariable) {
   EXPECT_GE(DefaultPlannerThreads(), 1);
   ASSERT_EQ(unsetenv("MALLEUS_PLANNER_THREADS"), 0);
   EXPECT_GE(DefaultPlannerThreads(), 1);
+}
+
+TEST(DefaultPlannerThreadsTest, TrailingJunkFallsBackToTheDefault) {
+  ASSERT_EQ(unsetenv("MALLEUS_PLANNER_THREADS"), 0);
+  const int fallback = DefaultPlannerThreads();
+  const int cap = ConcurrencyCap();
+  // "4abc" and a count above the hardware's both read as junk, not as
+  // their leading digits.
+  for (const std::string& junk :
+       {std::string("4abc"), std::to_string(fallback + 3) + "abc"}) {
+    ASSERT_EQ(setenv("MALLEUS_PLANNER_THREADS", junk.c_str(), 1), 0);
+    EXPECT_EQ(DefaultPlannerThreads(), fallback) << junk;
+    EXPECT_EQ(ConcurrencyCap(), cap) << junk;
+  }
+  ASSERT_EQ(setenv("MALLEUS_PLANNER_THREADS", "5", 1), 0);
+  EXPECT_EQ(DefaultPlannerThreads(), 5);
+  EXPECT_EQ(ConcurrencyCap(), std::max(cap, 5));
+  ASSERT_EQ(unsetenv("MALLEUS_PLANNER_THREADS"), 0);
 }
 
 }  // namespace

@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
+#include "common/rng.h"
 #include "net/fabric.h"
 #include "scenario/scenario.h"
 #include "straggler/situation.h"
+#include "testkit/generator.h"
 
 namespace malleus {
 namespace scenario {
@@ -95,6 +99,57 @@ TEST(ScenarioParseTest, StragglerSyntax) {
   Result<ScenarioSpec> semantic = ParseScenarioString("straggler = 999:99\n");
   ASSERT_TRUE(semantic.ok()) << semantic.status().ToString();
   EXPECT_EQ(semantic->stragglers[0].gpu, 999);
+}
+
+TEST(ScenarioParseTest, NumbersMustFitTheirField) {
+  // Each of these read as some other value before: truncated to the
+  // field, saturated, or the leading digits of the text.
+  for (const char* text :
+       {"nodes = 4294967297\n", "gpus_per_node = 2147483648\n",
+        "batch = 9223372036854775808\n", "steps = 6x\n", "seed = -1\n",
+        "seed = 18446744073709551616\n", "nodes_per_pod = 1.5\n",
+        "straggler = 4294967296:2\n", "straggler = 3:4294967297\n",
+        "dynamic = { iterations=4294967396 }\n",
+        "dynamic = { seed=-1 }\n", "dynamic = { max_level=8abc }\n"}) {
+    Result<ScenarioSpec> spec = ParseScenarioString(text);
+    EXPECT_TRUE(spec.status().IsInvalidArgument()) << text;
+  }
+  Result<ScenarioSpec> nodes = ParseScenarioString("nodes = 4294967297\n");
+  EXPECT_NE(nodes.status().message().find("line 1: bad nodes"),
+            std::string::npos)
+      << nodes.status().ToString();
+  Result<ScenarioSpec> iterations =
+      ParseScenarioString("\ndynamic = { iterations=4294967396 }\n");
+  EXPECT_NE(iterations.status().message().find(
+                "line 2: bad dynamic iterations"),
+            std::string::npos)
+      << iterations.status().ToString();
+}
+
+TEST(ScenarioParseTest, RatesMustBeFinite) {
+  for (const char* text :
+       {"oversubscription = nan\n", "oversubscription = inf\n",
+        "straggler = 3:xnan\n", "straggler = 3:x1e400\n",
+        "straggler = 3:x-inf\n", "straggler = 3:xinfinity\n",
+        "dynamic = { straggle_rate=nan }\n",
+        "dynamic = { diurnal_amplitude=1e999 }\n"}) {
+    Result<ScenarioSpec> spec = ParseScenarioString(text);
+    EXPECT_TRUE(spec.status().IsInvalidArgument()) << text;
+  }
+  // "xinf" is the failed-GPU marker the serializer writes, not a number.
+  Result<ScenarioSpec> failed = ParseScenarioString("straggler = 3:xinf\n");
+  ASSERT_TRUE(failed.ok()) << failed.status().ToString();
+  EXPECT_TRUE(failed->stragglers[0].is_rate);
+  EXPECT_EQ(failed->stragglers[0].rate, straggler::kFailedRate);
+}
+
+TEST(ScenarioParseTest, DuplicateDynamicKeyIsAnError) {
+  Result<ScenarioSpec> spec = ParseScenarioString(
+      "dynamic = { iterations=10 straggle_rate=0.1 iterations=20 }\n");
+  ASSERT_FALSE(spec.ok());
+  EXPECT_NE(spec.status().message().find("duplicate key 'iterations'"),
+            std::string::npos)
+      << spec.status().ToString();
 }
 
 TEST(ScenarioParseTest, LoadScenarioFileNotFound) {
@@ -281,6 +336,89 @@ TEST(ScenarioSerializeTest, RoundTripsFabricFields) {
   rail.fabric = "rail";
   rail.oversubscription = 2.0;
   ExpectRoundTrips(rail);
+}
+
+// Every field of `spec` survives Serialize -> Parse with the same bits;
+// only `source` and the per-entry line numbers describe provenance.
+void ExpectRoundTripsFieldByField(const ScenarioSpec& spec) {
+  const std::string text = SerializeScenario(spec);
+  Result<ScenarioSpec> back = ParseScenarioString(text);
+  ASSERT_TRUE(back.ok()) << back.status().ToString() << "\n" << text;
+  EXPECT_EQ(back->model, spec.model) << text;
+  EXPECT_EQ(back->nodes, spec.nodes) << text;
+  EXPECT_EQ(back->gpus_per_node, spec.gpus_per_node) << text;
+  EXPECT_EQ(back->batch, spec.batch) << text;
+  EXPECT_EQ(back->steps, spec.steps) << text;
+  EXPECT_EQ(back->seed, spec.seed) << text;
+  EXPECT_EQ(back->net_model, spec.net_model) << text;
+  EXPECT_EQ(back->fabric, spec.fabric) << text;
+  EXPECT_EQ(back->nodes_per_pod, spec.nodes_per_pod) << text;
+  EXPECT_EQ(back->oversubscription, spec.oversubscription) << text;
+  EXPECT_EQ(back->phases, spec.phases) << text;
+  ASSERT_EQ(back->stragglers.size(), spec.stragglers.size()) << text;
+  for (size_t i = 0; i < spec.stragglers.size(); ++i) {
+    const StragglerEntry& want = spec.stragglers[i];
+    const StragglerEntry& got = back->stragglers[i];
+    EXPECT_EQ(got.gpu, want.gpu) << text;
+    EXPECT_EQ(got.is_rate, want.is_rate) << text;
+    EXPECT_EQ(got.level, want.is_rate ? 0 : want.level) << text;
+    EXPECT_EQ(got.rate, want.is_rate ? want.rate : 1.0) << text;
+  }
+  const DynamicSpec& want = spec.dynamic;
+  const DynamicSpec& got = back->dynamic;
+  EXPECT_EQ(got.enabled, want.enabled) << text;
+  if (!want.enabled) return;
+  EXPECT_EQ(got.iterations, want.iterations) << text;
+  EXPECT_EQ(got.straggle_rate, want.straggle_rate) << text;
+  EXPECT_EQ(got.fail_rate, want.fail_rate) << text;
+  EXPECT_EQ(got.node_fail_rate, want.node_fail_rate) << text;
+  EXPECT_EQ(got.recover_iters, want.recover_iters) << text;
+  EXPECT_EQ(got.flap_prob, want.flap_prob) << text;
+  EXPECT_EQ(got.flap_period, want.flap_period) << text;
+  EXPECT_EQ(got.diurnal_amplitude, want.diurnal_amplitude) << text;
+  EXPECT_EQ(got.diurnal_period, want.diurnal_period) << text;
+  EXPECT_EQ(got.max_level, want.max_level) << text;
+  EXPECT_EQ(got.seed, want.seed) << text;
+}
+
+TEST(ScenarioSerializeTest, RoundTripsEveryGeneratedScenario) {
+  testkit::GeneratorOptions with_dynamic;
+  with_dynamic.dynamic_prob = 1.0;
+  for (uint64_t run = 0; run < 300; ++run) {
+    Rng rng(testkit::MixSeed(7, run));
+    ExpectRoundTripsFieldByField(testkit::GenerateScenario(
+        &rng, run % 2 == 0 ? testkit::GeneratorOptions() : with_dynamic));
+  }
+}
+
+TEST(ScenarioSerializeTest, RoundTripsTheLargestSeeds) {
+  ScenarioSpec spec;
+  spec.seed = std::numeric_limits<uint64_t>::max();
+  spec.dynamic.enabled = true;
+  spec.dynamic.seed = std::numeric_limits<uint64_t>::max();
+  ExpectRoundTripsFieldByField(spec);
+}
+
+TEST(ScenarioSerializeTest, RoundTripsSeventeenDigitRates) {
+  ScenarioSpec spec;
+  spec.fabric = "rail";
+  spec.oversubscription = 2.0000000000000004;
+  StragglerEntry rate;
+  rate.gpu = 5;
+  rate.rate = 12.520000000000001;
+  rate.is_rate = true;
+  StragglerEntry failed;
+  failed.gpu = 6;
+  failed.rate = straggler::kFailedRate;
+  failed.is_rate = true;
+  spec.stragglers = {rate, failed};
+  spec.dynamic.enabled = true;
+  spec.dynamic.straggle_rate = 0.1 + 0.2;
+  spec.dynamic.fail_rate = 1.0 / 3.0;
+  spec.dynamic.node_fail_rate = 5e-324;  // The smallest subnormal.
+  spec.dynamic.flap_prob = 0.30000000000000004;
+  spec.dynamic.diurnal_amplitude = 0.79999999999999993;
+  ExpectRoundTripsFieldByField(spec);
 }
 
 TEST(ScenarioResolveTest, ResolvesHierarchicalFabrics) {

@@ -23,6 +23,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/transport.h"
+#include "straggler/situation.h"
 
 namespace malleus {
 namespace serve {
@@ -300,6 +301,36 @@ TEST(ServerTest, TypedErrorResponses) {
 
   // After all of the above the server still answers normally.
   EXPECT_EQ(ErrorCodeOf(server.Handle(kPlanLine)), "");
+  MALLEUS_CHECK_OK(server.Shutdown());
+}
+
+TEST(ServerTest, StragglerLevelsCoverTheFittedRange) {
+  Server server(SmallOptions());
+  MALLEUS_CHECK_OK(server.Start());
+  EXPECT_EQ(ErrorCodeOf(server.Handle(kRegisterLine)), "");
+  const auto plan = [&server](const std::string& straggler) {
+    return server.Handle(
+        "{\"v\":1,\"id\":5,\"method\":\"plan\",\"params\":{"
+        "\"cluster\":\"c1\",\"stragglers\":[" +
+        straggler + "]}}");
+  };
+  // The paper's highest injected level, 8, is the same situation as its
+  // rate.
+  const std::string by_level = plan("{\"gpu\":3,\"level\":8}");
+  const std::string by_rate = plan(StrFormat(
+      "{\"gpu\":3,\"rate\":%.17g}", straggler::RateForLevel(8)));
+  ASSERT_EQ(ErrorCodeOf(by_level), "") << by_level;
+  ASSERT_EQ(ErrorCodeOf(by_rate), "") << by_rate;
+  Result<JsonValue> level_doc = JsonValue::Parse(by_level);
+  Result<JsonValue> rate_doc = JsonValue::Parse(by_rate);
+  MALLEUS_CHECK_OK(level_doc.status());
+  MALLEUS_CHECK_OK(rate_doc.status());
+  EXPECT_EQ(level_doc->Find("result")->Find("signature")->string_value(),
+            rate_doc->Find("result")->Find("signature")->string_value());
+
+  const std::string beyond = plan("{\"gpu\":3,\"level\":9}");
+  EXPECT_EQ(ErrorCodeOf(beyond), "OUT_OF_RANGE");
+  EXPECT_NE(beyond.find("[1, 8]"), std::string::npos) << beyond;
   MALLEUS_CHECK_OK(server.Shutdown());
 }
 

@@ -146,6 +146,38 @@ TEST(RunBundleTest, GarbageManifestFailsWithStatus) {
   EXPECT_FALSE(obs::LoadRunBundle(dir).ok());
 }
 
+TEST(RunBundleTest, ManifestNumbersMustBeWhole) {
+  const std::string dir = ScratchDir("manifest_numbers");
+  ASSERT_TRUE(obs::WriteRunBundle(dir, MakeBundle()).ok());
+  const std::string manifest = ReadFileAt(dir + "/MANIFEST");
+  ASSERT_TRUE(obs::LoadRunBundle(dir).ok());
+  const auto edited = [&](const std::string& from, const std::string& to) {
+    std::string text = manifest;
+    const size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+  };
+  ASSERT_TRUE(
+      WriteFileAt(dir + "/MANIFEST", edited("version = 1\n", "version = 1abc\n")));
+  Result<obs::RunBundle> loaded = obs::LoadRunBundle(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("bad version '1abc'"),
+            std::string::npos)
+      << loaded.status().ToString();
+  const size_t size_at = manifest.find(" size=");
+  ASSERT_NE(size_at, std::string::npos);
+  const size_t digits_end = manifest.find(' ', size_at + 6);
+  const std::string size_field = manifest.substr(size_at, digits_end - size_at);
+  ASSERT_TRUE(WriteFileAt(dir + "/MANIFEST",
+                          edited(size_field, size_field + "junk")));
+  loaded = obs::LoadRunBundle(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("malformed file entry"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
 TEST(RunBundleTest, NonexistentDirectoryFailsWithStatus) {
   EXPECT_FALSE(obs::LoadRunBundle("no/such/bundle/dir").ok());
 }
@@ -188,6 +220,22 @@ TEST(CounterfactualTest, GridParserSkipsCommentsAndRejectsBadLines) {
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().ToString().find("2"), std::string::npos)
       << bad.status().ToString();
+}
+
+TEST(CounterfactualTest, NumbersMustFitTheirField) {
+  for (const char* line :
+       {"remove_straggler gpu=4294967296", "remove_straggler gpu=9abc",
+        "dampen_straggler gpu=1 factor=nan", "scale_nic factor=inf",
+        "scale_nvlink factor=1e400", "force_tp tp=4294967304",
+        "add_standby_node nodes=+1", "remove_straggler gpu=1 gpu=2"}) {
+    Result<scenario::Counterfactual> cf = scenario::ParseCounterfactual(line);
+    EXPECT_TRUE(cf.status().IsInvalidArgument())
+        << line << " parsed as " << (cf.ok() ? cf->Label() : "");
+  }
+  Result<scenario::Counterfactual> wide =
+      scenario::ParseCounterfactual("remove_straggler gpu=4294967296");
+  EXPECT_NE(wide.status().message().find("out of range"), std::string::npos)
+      << wide.status().ToString();
 }
 
 TEST(CounterfactualTest, DefaultGridCoversEveryKindDeterministically) {
