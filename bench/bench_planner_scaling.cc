@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -130,7 +131,7 @@ topo::ClusterSpec ScaleCluster(int nodes, int gpn, int nodes_per_pod,
   return topo::ClusterSpec(nodes, gpn, topo::GpuSpec(), topo::LinkSpec(), f);
 }
 
-std::string RunScale() {
+void RunScale(JsonWriter* json) {
   struct ScaleCase {
     std::string label;
     int nodes, gpn, pod;
@@ -142,11 +143,10 @@ std::string RunScale() {
       {"8192 GPUs (1024n fat-tree, pods of 16)", 1024, 8, 16, 8192},
   };
 
-  std::string json = "\"scale\":[";
+  json->Key("scale").BeginArray();
   TablePrinter table("hierarchical planning at scale (fat-tree, 4:1 spine)");
   table.SetHeader({"Scenario", "cold plan", "warm delta re-plan",
                    "sub-second", "valid"});
-  bool first = true;
   for (const ScaleCase& c : cases) {
     const topo::ClusterSpec cluster = ScaleCluster(c.nodes, c.gpn, c.pod, 4.0);
     const model::CostModel cost(model::ModelSpec::Tiny(), cluster.gpu());
@@ -180,18 +180,14 @@ std::string RunScale() {
     table.AddRow({c.label, StrFormat("%.3fs", cold),
                   StrFormat("%.3fs", warm), sub_second ? "yes" : "NO",
                   valid ? "yes" : "NO"});
-    if (!first) json += ",";
-    first = false;
-    json += StrFormat(
-        "{\"label\":\"%s\",\"gpus\":%d,\"cold_seconds\":%.6f,"
-        "\"warm_replan_seconds\":%.6f,\"sub_second\":%s,"
-        "\"plan_valid\":%s}",
-        JsonEscape(c.label).c_str(), c.nodes * c.gpn, cold, warm,
-        sub_second ? "true" : "false", valid ? "true" : "false");
+    json->BeginObject().Key("label").String(c.label);
+    json->Key("gpus").Int(c.nodes * c.gpn).Key("cold_seconds").Fixed(cold, 6);
+    json->Key("warm_replan_seconds").Fixed(warm, 6);
+    json->Key("sub_second").Bool(sub_second).Key("plan_valid").Bool(valid);
+    json->EndObject();
   }
-  json += "]";
+  json->EndArray();
   table.Print();
-  return json;
 }
 
 // ---------------------------------------------------------------------------
@@ -220,7 +216,7 @@ std::vector<net::Flow> ScaleFlows(const topo::ClusterSpec& cluster) {
   return flows;
 }
 
-std::string RunFlowSim() {
+void RunFlowSim(JsonWriter* json) {
   const topo::ClusterSpec cluster = ScaleCluster(32, 8, 4, 4.0);
   const net::Fabric fabric(cluster);
   const std::vector<net::Flow> flows = ScaleFlows(cluster);
@@ -266,12 +262,11 @@ std::string RunFlowSim() {
                 StrFormat("%.2fx", speedup), identical ? "yes" : "NO"});
   table.Print();
 
-  return StrFormat(
-      "\"flowsim\":{\"flows\":%d,\"legacy_seconds\":%.6f,"
-      "\"incremental_seconds\":%.6f,\"speedup\":%.3f,"
-      "\"bit_identical\":%s}",
-      static_cast<int>(flows.size()), legacy_seconds, incr_seconds, speedup,
-      identical ? "true" : "false");
+  json->Key("flowsim").BeginObject().Key("flows").Uint(flows.size());
+  json->Key("legacy_seconds").Fixed(legacy_seconds, 6);
+  json->Key("incremental_seconds").Fixed(incr_seconds, 6);
+  json->Key("speedup").Fixed(speedup, 3).Key("bit_identical").Bool(identical);
+  json->EndObject();
 }
 
 void Run() {
@@ -295,11 +290,11 @@ void Run() {
     scenarios.push_back(std::move(sc));
   }
 
-  std::string json = "{\"bench\":\"planner_scaling\",\"scenarios\":[";
+  JsonWriter json = BeginBenchJson();
+  json.Key("bench").String("planner_scaling").Key("scenarios").BeginArray();
   TablePrinter table("planner thread scaling (cold cache, best of 3)");
   table.SetHeader({"Scenario", "1 thread", "2 threads", "4 threads",
                    "8 threads", "8T speedup", "cache speedup", "identical"});
-  bool first = true;
   for (const Scenario& sc : scenarios) {
     const model::CostModel cost(sc.spec, sc.cluster.gpu());
     std::vector<Measured> by_threads;
@@ -329,35 +324,32 @@ void Run() {
                   StrFormat("%.2fx", speedup_cache),
                   identical ? "yes" : "NO"});
 
-    if (!first) json += ",";
-    first = false;
-    json += StrFormat("{\"label\":\"%s\",\"threads\":[",
-                      JsonEscape(sc.label).c_str());
+    json.BeginObject().Key("label").String(sc.label);
+    json.Key("threads").BeginArray();
     for (size_t i = 0; i < by_threads.size(); ++i) {
-      if (i > 0) json += ",";
-      json += StrFormat("{\"threads\":%d,\"seconds\":%.6f,\"speedup\":%.3f}",
-                        kThreadCounts[i], by_threads[i].seconds,
-                        by_threads[0].seconds / by_threads[i].seconds);
+      json.BeginObject().Key("threads").Int(kThreadCounts[i]);
+      json.Key("seconds").Fixed(by_threads[i].seconds, 6);
+      const double speedup = by_threads[0].seconds / by_threads[i].seconds;
+      json.Key("speedup").Fixed(speedup, 3).EndObject();
     }
-    json += StrFormat(
-        "],\"cache\":{\"cold_seconds\":%.6f,\"warm_seconds\":%.6f,"
-        "\"nocache_seconds\":%.6f,\"speedup\":%.3f},"
-        "\"identical_plans\":%s}",
-        by_threads[0].seconds, warm.seconds, nocache.seconds, speedup_cache,
-        identical ? "true" : "false");
+    json.EndArray().Key("cache").BeginObject();
+    json.Key("cold_seconds").Fixed(by_threads[0].seconds, 6);
+    json.Key("warm_seconds").Fixed(warm.seconds, 6);
+    json.Key("nocache_seconds").Fixed(nocache.seconds, 6);
+    json.Key("speedup").Fixed(speedup_cache, 3).EndObject();
+    json.Key("identical_plans").Bool(identical).EndObject();
   }
-  json += "],";
+  json.EndArray();
   table.Print();
   std::printf(
       "\nIdentical = plan signature and full-step estimate match across all\n"
       "thread counts, warm/cold cache and cache-off. Thread speedups are\n"
       "bounded by the machine's core count; on a single-core host all\n"
       "thread columns measure the same serialized work.\n\n");
-  json += RunScale() + ",";
+  RunScale(&json);
   std::printf("\n");
-  json += RunFlowSim();
-  json += "}\n";
-  WriteBenchJson("planner_scaling", json);
+  RunFlowSim(&json);
+  WriteBenchJson("planner_scaling", std::move(json));
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/deepspeed.h"
@@ -221,17 +222,14 @@ SelectorOutcome RunSelector(const std::string& name,
   return out;
 }
 
-std::string ActionCountsJson(const int counts[policy::kNumPolicyActions]) {
-  std::string json = "{";
+void WriteActionCounts(const int counts[policy::kNumPolicyActions],
+                       JsonWriter* json) {
+  json->BeginObject();
   for (int a = 0; a < policy::kNumPolicyActions; ++a) {
-    if (a > 0) json += ",";
-    json += StrFormat(
-        "\"%s\":%d",
-        policy::PolicyActionName(static_cast<policy::PolicyAction>(a)),
-        counts[a]);
+    json->Key(policy::PolicyActionName(static_cast<policy::PolicyAction>(a)))
+        .Int(counts[a]);
   }
-  json += "}";
-  return json;
+  json->EndObject();
 }
 
 int Run() {
@@ -244,8 +242,11 @@ int Run() {
 
   int adaptive_wins = 0;
   bool deterministic = true;
-  std::string scenarios_json = "[";
-  bool first_case = true;
+  // Each case's summary precedes its per-selector rows, and the run's
+  // precedes every case, so the nested arrays render first and are
+  // spliced in as finished values.
+  JsonWriter scenarios_json;
+  scenarios_json.BeginArray();
 
   for (const DynamicCase& c : cases) {
     const uint64_t seed = c.dynamic.seed != 0 ? c.dynamic.seed : 1;
@@ -258,8 +259,8 @@ int Run() {
     double adaptive_goodput = 0.0;
     double best_fixed_goodput = 0.0;
     std::string best_fixed;
-    std::string selectors_json = "[";
-    bool first_selector = true;
+    JsonWriter selectors_json;
+    selectors_json.BeginArray();
     for (const std::string& name : selector_names) {
       std::string log1;
       const SelectorOutcome outcome = RunSelector(
@@ -290,21 +291,20 @@ int Run() {
         best_fixed_goodput = outcome.goodput;
         best_fixed = name;
       }
-      if (!first_selector) selectors_json += ",";
-      first_selector = false;
-      selectors_json += StrFormat(
-          "{\"name\":\"%s\",\"ok\":%s,\"goodput\":%.6f,"
-          "\"wall_seconds\":%.3f,\"transition_seconds\":%.3f,"
-          "\"events\":%d,\"actions\":%s}",
-          name.c_str(), outcome.ok ? "true" : "false", outcome.goodput,
-          outcome.wall_seconds, outcome.transition_seconds,
-          outcome.events_applied,
-          ActionCountsJson(outcome.action_counts).c_str());
+      JsonWriter& row = selectors_json.BeginObject();
+      row.Key("name").String(name).Key("ok").Bool(outcome.ok);
+      row.Key("goodput").Fixed(outcome.goodput, 6);
+      row.Key("wall_seconds").Fixed(outcome.wall_seconds, 3);
+      row.Key("transition_seconds").Fixed(outcome.transition_seconds, 3);
+      row.Key("events").Int(outcome.events_applied);
+      WriteActionCounts(outcome.action_counts, &row.Key("actions"));
+      row.EndObject();
     }
-    selectors_json += "]";
+    selectors_json.EndArray();
 
     // The competitor frameworks over the same trace, segment-wise.
-    std::string baselines_json = "[";
+    JsonWriter baselines_json;
+    baselines_json.BeginArray();
     {
       std::vector<std::unique_ptr<baselines::TrainingFramework>> frameworks;
       {
@@ -321,7 +321,6 @@ int Run() {
       }
       frameworks.push_back(
           std::make_unique<baselines::OobleckBaseline>(cluster, cost));
-      bool first_baseline = true;
       for (const auto& framework : frameworks) {
         const BaselineOutcome outcome =
             DriveBaseline(*framework, cluster, trace, global_batch);
@@ -332,16 +331,14 @@ int Run() {
                       outcome.name.c_str(), outcome.goodput,
                       outcome.wall_seconds);
         }
-        if (!first_baseline) baselines_json += ",";
-        first_baseline = false;
-        baselines_json += StrFormat(
-            "{\"name\":\"%s\",\"stalled\":%s,\"goodput\":%.6f,"
-            "\"wall_seconds\":%.3f}",
-            outcome.name.c_str(), outcome.stalled ? "true" : "false",
-            outcome.goodput, outcome.wall_seconds);
+        JsonWriter& row = baselines_json.BeginObject();
+        row.Key("name").String(outcome.name);
+        row.Key("stalled").Bool(outcome.stalled);
+        row.Key("goodput").Fixed(outcome.goodput, 6);
+        row.Key("wall_seconds").Fixed(outcome.wall_seconds, 3).EndObject();
       }
     }
-    baselines_json += "]";
+    baselines_json.EndArray();
 
     const bool adaptive_won = adaptive_goodput + 1e-9 >= best_fixed_goodput;
     if (adaptive_won) ++adaptive_wins;
@@ -349,36 +346,32 @@ int Run() {
                 adaptive_goodput, best_fixed.c_str(), best_fixed_goodput,
                 adaptive_won ? "win" : "loss");
 
-    if (!first_case) scenarios_json += ",";
-    first_case = false;
-    scenarios_json += StrFormat(
-        "{\"label\":\"%s\",\"events\":%zu,\"iterations\":%lld,"
-        "\"adaptive_goodput\":%.6f,\"best_fixed\":\"%s\","
-        "\"best_fixed_goodput\":%.6f,\"adaptive_win\":%s,"
-        "\"selectors\":%s,\"baselines\":%s}",
-        c.label.c_str(), trace.events.size(),
-        static_cast<long long>(trace.iterations), adaptive_goodput,
-        best_fixed.c_str(), best_fixed_goodput,
-        adaptive_won ? "true" : "false", selectors_json.c_str(),
-        baselines_json.c_str());
+    JsonWriter& row = scenarios_json.BeginObject();
+    row.Key("label").String(c.label);
+    row.Key("events").Uint(trace.events.size());
+    row.Key("iterations").Int(trace.iterations);
+    row.Key("adaptive_goodput").Fixed(adaptive_goodput, 6);
+    row.Key("best_fixed").String(best_fixed);
+    row.Key("best_fixed_goodput").Fixed(best_fixed_goodput, 6);
+    row.Key("adaptive_win").Bool(adaptive_won);
+    row.Key("selectors").Raw(selectors_json.str());
+    row.Key("baselines").Raw(baselines_json.str()).EndObject();
   }
-  scenarios_json += "]";
+  scenarios_json.EndArray();
 
   const bool adaptive_ok = adaptive_wins >= 3;
   std::printf("\nadaptive wins %d of %zu scenario(s); thread-deterministic: "
               "%s\n",
               adaptive_wins, cases.size(), deterministic ? "yes" : "NO");
 
-  std::string json = "{";
-  json += "\"bench\":\"policy\",\"cluster\":\"A800x8\",\"model\":\"32b\",";
-  json += StrFormat("\"adaptive_wins\":%d,\"scenario_count\":%zu,",
-                    adaptive_wins, cases.size());
-  json += StrFormat("\"adaptive_ok\":%s,\"deterministic\":%s,",
-                    adaptive_ok ? "true" : "false",
-                    deterministic ? "true" : "false");
-  json += "\"scenarios\":" + scenarios_json;
-  json += "}";
-  WriteBenchJson("policy", json);
+  JsonWriter json = BeginBenchJson();
+  json.Key("bench").String("policy").Key("cluster").String("A800x8");
+  json.Key("model").String("32b").Key("adaptive_wins").Int(adaptive_wins);
+  json.Key("scenario_count").Uint(cases.size());
+  json.Key("adaptive_ok").Bool(adaptive_ok);
+  json.Key("deterministic").Bool(deterministic);
+  json.Key("scenarios").Raw(scenarios_json.str());
+  WriteBenchJson("policy", std::move(json));
   DumpBenchMetrics("policy");
   return adaptive_ok && deterministic ? 0 : 1;
 }

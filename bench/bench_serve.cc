@@ -31,6 +31,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -38,14 +39,14 @@
 #include "common/string_util.h"
 #include "common/table.h"
 #include "serve/json.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 
 namespace malleus {
 namespace bench {
 namespace {
 
-constexpr char kScenario[] =
-    "model = 70b\\nnodes = 8\\nbatch = 64\\nphase = s3";
+constexpr char kScenario[] = "model = 70b\nnodes = 8\nbatch = 64\nphase = s3";
 
 double Now() {
   return std::chrono::duration<double>(
@@ -53,23 +54,39 @@ double Now() {
       .count();
 }
 
-std::string Line(const char* method, const std::string& params) {
+std::string Line(const char* method, const JsonWriter& params) {
   // A fixed request id keeps full response lines byte-comparable across
   // runs (ids are client-chosen; the server does not require uniqueness).
-  return StrFormat("{\"v\":1,\"id\":7,\"method\":\"%s\",\"params\":%s}",
-                   method, params.c_str());
+  return serve::RequestLine(7, method, params.str(), /*deadline_ms=*/-1);
 }
 
 std::string RegisterLine() {
-  return Line("register", StrFormat("{\"name\":\"c64\",\"scenario\":\"%s\"}",
-                                    kScenario));
+  JsonWriter params;
+  params.BeginObject().Key("name").String("c64");
+  params.Key("scenario").String(kScenario).EndObject();
+  return Line("register", params);
+}
+
+// A plan or replan of cluster c64 under situation s3.
+std::string PlanLine(const char* method) {
+  JsonWriter params;
+  params.BeginObject().Key("cluster").String("c64");
+  params.Key("situation").String("s3").EndObject();
+  return Line(method, params);
+}
+
+// The "result" member of a response line; null for an error response.
+serve::JsonValue ResultOf(const std::string& response) {
+  const Result<serve::JsonValue> doc = serve::JsonValue::Parse(response);
+  const serve::JsonValue* result = doc->Find("result");
+  return result != nullptr ? *result : serve::JsonValue::Null();
 }
 
 // Expects an ok response; aborts loudly otherwise so a broken server
 // cannot produce plausible-looking numbers.
 std::string MustOk(serve::Server* server, const std::string& line) {
   std::string response = server->Handle(line);
-  if (response.find("\"ok\":true") == std::string::npos) {
+  if (ResultOf(response).is_null()) {
     std::fprintf(stderr, "request failed:\n  %s\n  %s\n", line.c_str(),
                  response.c_str());
     std::exit(1);
@@ -141,10 +158,8 @@ int Main(int argc, char** argv) {
                                                  : "/tmp");
   std::remove(cache_path.c_str());
 
-  const std::string plan_line =
-      Line("plan", "{\"cluster\":\"c64\",\"situation\":\"s3\"}");
-  const std::string replan_line =
-      Line("replan", "{\"cluster\":\"c64\",\"situation\":\"s3\"}");
+  const std::string plan_line = PlanLine("plan");
+  const std::string replan_line = PlanLine("replan");
 
   // ---- Server A: cold plan, then sustained warm re-plan load. ----
   serve::ServerOptions options;
@@ -178,7 +193,7 @@ int Main(int argc, char** argv) {
     serve::Server server(single);
     MALLEUS_CHECK(server.Start().ok());
     MustOk(&server, RegisterLine());
-    MustOk(&server, Line("plan", "{\"cluster\":\"c64\",\"situation\":\"s3\"}"));
+    MustOk(&server, plan_line);
     warm_single = RunLoad(&server, replan_line, 1, requests);
   }
   std::set<std::string> all_responses = warm_loaded.distinct_responses;
@@ -200,7 +215,7 @@ int Main(int argc, char** argv) {
     serve::Server server(warm);
     MALLEUS_CHECK(server.Start().ok());
     const std::string reg = MustOk(&server, RegisterLine());
-    warm_registered = reg.find("\"warm\":true") != std::string::npos;
+    warm_registered = ResultOf(reg).Find("warm")->bool_value();
     const double t0 = Now();
     const std::string warm_plan_response = MustOk(&server, plan_line);
     warm_first_plan_seconds = Now() - t0;
@@ -233,25 +248,26 @@ int Main(int argc, char** argv) {
                 warm_plan_matches ? "yes" : "NO"});
   table.Print();
 
-  std::string json = StrFormat(
-      "{\"scenario\":\"70b-8x8-s3\",\"requests\":%d,\"load\":["
-      "{\"workers\":%d,\"throughput_rps\":%.1f,\"p50_ms\":%.3f,"
-      "\"p99_ms\":%.3f},"
-      "{\"workers\":1,\"throughput_rps\":%.1f,\"p50_ms\":%.3f,"
-      "\"p99_ms\":%.3f}],"
-      "\"identical_responses\":%s,"
-      "\"cache\":{\"cold_plan_seconds\":%.6f,"
-      "\"warm_first_plan_seconds\":%.6f,\"restart_speedup\":%.1f,"
-      "\"warm_loaded\":%s,\"warm_plan_matches_cold\":%s},"
-      "\"passes\":{\"throughput_500rps\":%s,\"restart_speedup_50x\":%s}}\n",
-      requests, threads, warm_loaded.throughput_rps, warm_loaded.p50_ms,
-      warm_loaded.p99_ms, warm_single.throughput_rps, warm_single.p50_ms,
-      warm_single.p99_ms, identical ? "true" : "false", cold_plan_seconds,
-      warm_first_plan_seconds, restart_speedup,
-      warm_registered ? "true" : "false",
-      warm_plan_matches ? "true" : "false",
-      throughput_ok ? "true" : "false", speedup_ok ? "true" : "false");
-  WriteBenchJson("serve", json);
+  JsonWriter json = BeginBenchJson();
+  json.Key("scenario").String("70b-8x8-s3").Key("requests").Int(requests);
+  json.Key("load").BeginArray();
+  for (const auto& [workers, load] :
+       {std::pair(threads, warm_loaded), std::pair(1, warm_single)}) {
+    json.BeginObject().Key("workers").Int(workers);
+    json.Key("throughput_rps").Fixed(load.throughput_rps, 1);
+    json.Key("p50_ms").Fixed(load.p50_ms, 3);
+    json.Key("p99_ms").Fixed(load.p99_ms, 3).EndObject();
+  }
+  json.EndArray().Key("identical_responses").Bool(identical);
+  json.Key("cache").BeginObject();
+  json.Key("cold_plan_seconds").Fixed(cold_plan_seconds, 6);
+  json.Key("warm_first_plan_seconds").Fixed(warm_first_plan_seconds, 6);
+  json.Key("restart_speedup").Fixed(restart_speedup, 1);
+  json.Key("warm_loaded").Bool(warm_registered);
+  json.Key("warm_plan_matches_cold").Bool(warm_plan_matches).EndObject();
+  json.Key("passes").BeginObject().Key("throughput_500rps").Bool(throughput_ok);
+  json.Key("restart_speedup_50x").Bool(speedup_ok).EndObject();
+  WriteBenchJson("serve", std::move(json));
 
   std::remove(cache_path.c_str());
   return (identical && warm_registered && warm_plan_matches) ? 0 : 1;

@@ -98,18 +98,23 @@ inline double GeoMean(const std::vector<double>& values) {
   return std::exp(log_sum / values.size());
 }
 
-/// Writes a bench's machine-readable result JSON to BENCH_<name>.json in
-/// the working directory (or under $MALLEUS_BENCH_OUT_DIR when set), so
-/// harness runs leave a stable artifact next to the binary output.
-/// `json` must be a non-empty object; the host's core count and the
-/// build's git commit (MALLEUS_BENCH_COMMIT, set by bench/CMakeLists.txt)
-/// are prepended to its members as "host_nproc" and "commit".
-/// The benches printf-format their numbers; a NaN/Inf slipping through
-/// (e.g. a 0/0 improvement ratio on a failed baseline) would make the
-/// whole artifact unparsable, so non-finite number tokens are rewritten
-/// to `null` before the file is written.
-inline void WriteBenchJson(const char* bench_name, const std::string& json) {
-  MALLEUS_CHECK(json.size() > 2 && json[0] == '{' && json[1] != '}');
+/// Starts a bench's machine-readable result: an open JSON object whose
+/// first members are the host's core count ("host_nproc") and the build's
+/// git commit ("commit", MALLEUS_BENCH_COMMIT, set by bench/CMakeLists.txt).
+inline JsonWriter BeginBenchJson() {
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("host_nproc").Uint(std::thread::hardware_concurrency());
+  json.Key("commit").String(MALLEUS_BENCH_COMMIT);
+  return json;
+}
+
+/// Closes the object `json` (from BeginBenchJson) and writes it, with a
+/// trailing newline, to BENCH_<name>.json in the working directory (or
+/// under $MALLEUS_BENCH_OUT_DIR when set), so harness runs leave a stable
+/// artifact next to the binary output.
+inline void WriteBenchJson(const char* bench_name, JsonWriter json) {
+  json.EndObject();
   std::string path;
   if (const char* dir = std::getenv("MALLEUS_BENCH_OUT_DIR");
       dir != nullptr && *dir != '\0') {
@@ -121,12 +126,7 @@ inline void WriteBenchJson(const char* bench_name, const std::string& json) {
     std::fprintf(stderr, "cannot write bench result to %s\n", path.c_str());
     return;
   }
-  const std::string sane = JsonSanitizeNonFinite(
-      StrFormat("{\"host_nproc\":%u,\"commit\":%s,",
-                std::thread::hardware_concurrency(),
-                JsonQuote(MALLEUS_BENCH_COMMIT).c_str()) +
-      json.substr(1));
-  std::fwrite(sane.data(), 1, sane.size(), f);
+  std::fprintf(f, "%s\n", json.str().c_str());
   std::fclose(f);
   std::printf("\nwrote %s\n", path.c_str());
 }
@@ -148,12 +148,11 @@ inline void DumpBenchMetrics(const char* bench_name) {
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write bench metrics to %s\n", path);
     } else {
-      const std::string json = StrFormat(
-          "{\"bench\":\"%s\",\"net_model\":\"%s\",\"metrics\":%s}\n",
-          JsonEscape(bench_name).c_str(),
-          net::NetModelName(net::DefaultNetModel()),
-          registry.ToJson().c_str());
-      std::fwrite(json.data(), 1, json.size(), f);
+      JsonWriter json;
+      json.BeginObject().Key("bench").String(bench_name);
+      json.Key("net_model").String(net::NetModelName(net::DefaultNetModel()));
+      json.Key("metrics").Raw(registry.ToJson()).EndObject();
+      std::fprintf(f, "%s\n", json.str().c_str());
       std::fclose(f);
     }
   }

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -156,31 +157,26 @@ int Run() {
           .GetHistogram("planner.solve_seconds")
           ->Snapshot();
 
-  std::string json = "{";
-  json += StrFormat("\"bench\":\"whatif\",\"gpus\":%d,",
-                    run->resolved.cluster.num_gpus());
-  json += StrFormat("\"phase\":\"%s\",", JsonEscape(report->phase).c_str());
-  json += StrFormat("\"counterfactuals\":%zu,", grid.size());
-  json += StrFormat("\"sweep_seconds\":%.6f,", sweep_seconds);
-  json += StrFormat("\"counterfactuals_per_second\":%.3f,", per_second);
-  json += StrFormat("\"cache_hits\":%lld,\"cache_misses\":%lld,",
-                    static_cast<long long>(report->cache_hits),
-                    static_cast<long long>(report->cache_misses));
-  json += StrFormat("\"cache_hit_rate\":%.4f,", hit_rate);
-  json += StrFormat("\"baseline_step_seconds\":%.6f,",
-                    report->baseline_step_seconds);
-  json += StrFormat("\"top_cause\":\"%s\",", JsonEscape(top.cause).c_str());
-  json += StrFormat("\"top_cause_seconds\":%.6f,", top.attributed_seconds);
-  json += StrFormat("\"top_cause_is_injected_straggler\":%s,",
-                    top_is_injected ? "true" : "false");
-  json += StrFormat("\"byte_identical_repeat\":%s,",
-                    byte_identical ? "true" : "false");
-  json += StrFormat(
-      "\"planner_solve_seconds\":{\"count\":%lld,\"p50\":%s,\"p95\":%s,"
-      "\"p99\":%s}}",
-      static_cast<long long>(solves.count), JsonNumber(solves.p50).c_str(),
-      JsonNumber(solves.p95).c_str(), JsonNumber(solves.p99).c_str());
-  WriteBenchJson("whatif", json);
+  JsonWriter json = BeginBenchJson();
+  json.Key("bench").String("whatif");
+  json.Key("gpus").Int(run->resolved.cluster.num_gpus());
+  json.Key("phase").String(report->phase);
+  json.Key("counterfactuals").Uint(grid.size());
+  json.Key("sweep_seconds").Fixed(sweep_seconds, 6);
+  json.Key("counterfactuals_per_second").Fixed(per_second, 3);
+  json.Key("cache_hits").Int(report->cache_hits);
+  json.Key("cache_misses").Int(report->cache_misses);
+  json.Key("cache_hit_rate").Fixed(hit_rate, 4);
+  json.Key("baseline_step_seconds").Fixed(report->baseline_step_seconds, 6);
+  json.Key("top_cause").String(top.cause);
+  json.Key("top_cause_seconds").Fixed(top.attributed_seconds, 6);
+  json.Key("top_cause_is_injected_straggler").Bool(top_is_injected);
+  json.Key("byte_identical_repeat").Bool(byte_identical);
+  json.Key("planner_solve_seconds").BeginObject();
+  json.Key("count").Int(solves.count).Key("p50").Number(solves.p50);
+  json.Key("p95").Number(solves.p95).Key("p99").Number(solves.p99);
+  json.EndObject();
+  WriteBenchJson("whatif", std::move(json));
 
   return (top_is_injected && byte_identical) ? 0 : 1;
 }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <cstring>
 
 namespace malleus {
 
@@ -122,39 +121,50 @@ std::string CsvEscape(const std::string& field) {
   return out;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
+namespace {
+
+void AppendJsonEscaped(std::string_view s, std::string* out) {
   for (char c : s) {
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
+          *out += StrFormat("\\u%04x", c);
         } else {
-          out += c;
+          *out += c;
         }
     }
   }
+}
+
+}  // namespace
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  AppendJsonEscaped(s, &out);
   return out;
 }
 
 std::string JsonQuote(const std::string& s) {
-  return "\"" + JsonEscape(s) + "\"";
+  std::string out = "\"";
+  AppendJsonEscaped(s, &out);
+  out += '"';
+  return out;
 }
 
 std::string JsonNumber(double v, int significant_digits) {
@@ -167,57 +177,37 @@ std::string JsonFixed(double v, int decimals) {
   return StrFormat("%.*f", decimals, v);
 }
 
-std::string JsonSanitizeNonFinite(const std::string& json) {
-  std::string out;
-  out.reserve(json.size());
-  bool in_string = false;
-  size_t i = 0;
-  auto matches = [&](size_t pos, const char* word) {
-    const size_t n = std::strlen(word);
-    if (json.compare(pos, n, word) != 0) return size_t{0};
-    return n;
-  };
-  while (i < json.size()) {
-    const char c = json[i];
-    if (in_string) {
-      out += c;
-      if (c == '\\' && i + 1 < json.size()) {
-        out += json[i + 1];
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      ++i;
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-      out += c;
-      ++i;
-      continue;
-    }
-    // A non-finite printf rendering can only start at a sign or at the
-    // token itself; "-nan" / "-inf" must swallow the sign too (a bare
-    // `-null` would still be invalid JSON).
-    size_t p = i;
-    if (c == '-' || c == '+') ++p;
-    size_t n = matches(p, "nan");
-    if (n == 0) n = matches(p, "inf");
-    if (n != 0) {
-      p += n;
-      if (json.compare(p, 5, "inity") == 0) p += 5;  // "infinity"
-      if (p < json.size() && json[p] == '(') {       // "nan(0x...)" payloads
-        const size_t close = json.find(')', p);
-        if (close != std::string::npos) p = close + 1;
-      }
-      out += "null";
-      i = p;
-      continue;
-    }
-    out += c;
-    ++i;
-  }
-  return out;
+JsonWriter& JsonWriter::Open(char bracket) {
+  Raw(std::string_view(&bracket, 1));
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Close(char bracket) {
+  out_ += bracket;
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  String(key);
+  out_ += ':';
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view s) {
+  Raw("\"");
+  AppendJsonEscaped(s, &out_);
+  out_ += '"';
+  return *this;
+}
+
+JsonWriter& JsonWriter::Raw(std::string_view json) {
+  if (need_comma_) out_ += ',';
+  out_ += json;
+  need_comma_ = true;
+  return *this;
 }
 
 }  // namespace malleus

@@ -107,11 +107,51 @@ std::string JsonNumber(double v, int significant_digits = 9);
 /// JsonNumber.
 std::string JsonFixed(double v, int decimals);
 
-/// Repairs a JSON document whose numeric fields were printf-formatted
-/// without a finiteness check: every bare `nan`/`inf` token (with optional
-/// sign, and `nan(...)` payloads) outside string literals is replaced with
-/// `null`. Content inside strings is left untouched.
-std::string JsonSanitizeNonFinite(const std::string& json);
+/// \brief The one compact JSON writer. It places every comma and colon,
+/// escapes strings as JsonQuote does, renders integers exactly and every
+/// double by the JsonNumber (significant digits) or JsonFixed (decimals)
+/// rule, so a non-finite value always becomes `null`. No whitespace is
+/// written and there are no options:
+///
+///   JsonWriter w;
+///   w.BeginObject().Key("gpus").Int(8).Key("rates").BeginArray();
+///   for (double rate : rates) w.Number(rate);
+///   w.EndArray().EndObject();  // {"gpus":8,"rates":[1.5,null]}
+///
+/// The caller keeps the nesting balanced and gives every object member a
+/// Key before its value.
+class JsonWriter {
+ public:
+  JsonWriter& BeginObject() { return Open('{'); }
+  JsonWriter& EndObject() { return Close('}'); }
+  JsonWriter& BeginArray() { return Open('['); }
+  JsonWriter& EndArray() { return Close(']'); }
+  /// The next object member's key; the next call writes its value.
+  JsonWriter& Key(std::string_view key);
+
+  JsonWriter& String(std::string_view s);
+  JsonWriter& Bool(bool b) { return Raw(b ? "true" : "false"); }
+  JsonWriter& Int(int64_t v) { return Raw(std::to_string(v)); }
+  JsonWriter& Uint(uint64_t v) { return Raw(std::to_string(v)); }
+  JsonWriter& Number(double v, int significant_digits = 9) {
+    return Raw(JsonNumber(v, significant_digits));
+  }
+  JsonWriter& Fixed(double v, int decimals) {
+    return Raw(JsonFixed(v, decimals));
+  }
+  /// A value another JsonWriter already rendered, copied verbatim.
+  JsonWriter& Raw(std::string_view json);
+
+  /// The document so far.
+  const std::string& str() const { return out_; }
+
+ private:
+  JsonWriter& Open(char bracket);
+  JsonWriter& Close(char bracket);
+
+  std::string out_;
+  bool need_comma_ = false;  // The next value or key follows a sibling.
+};
 
 }  // namespace malleus
 

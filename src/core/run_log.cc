@@ -95,30 +95,28 @@ std::string RunLog::ToJsonl() const {
   std::string out;
   for (size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
-    out += StrFormat(
-        "{\"kind\":\"step\",\"step\":%zu,\"phase\":\"%s\","
-        "\"step_seconds\":%.6f,\"migration_seconds\":%.6f,"
-        "\"recovery_seconds\":%.6f,\"planning_seconds\":%.6f,"
-        "\"planning_overflow_seconds\":%.6f,\"replanned\":%s,"
-        "\"note\":\"%s\"}\n",
-        i, JsonEscape(e.phase).c_str(), e.report.step_seconds,
-        e.report.migration_seconds, e.report.recovery_seconds,
-        e.report.planning_seconds, e.report.planning_overflow_seconds,
-        e.report.replanned ? "true" : "false",
-        JsonEscape(e.report.note).c_str());
+    const StepReport& r = e.report;
+    JsonWriter w;
+    w.BeginObject().Key("kind").String("step").Key("step").Uint(i);
+    w.Key("phase").String(e.phase);
+    w.Key("step_seconds").Fixed(r.step_seconds, 6);
+    w.Key("migration_seconds").Fixed(r.migration_seconds, 6);
+    w.Key("recovery_seconds").Fixed(r.recovery_seconds, 6);
+    w.Key("planning_seconds").Fixed(r.planning_seconds, 6);
+    w.Key("planning_overflow_seconds").Fixed(r.planning_overflow_seconds, 6);
+    w.Key("replanned").Bool(r.replanned).Key("note").String(r.note);
+    out += w.EndObject().str() + "\n";
   }
   for (const RunEvent& ev : events_) {
-    out += StrFormat(
-        "{\"kind\":\"event\",\"step\":%lld,\"type\":\"%s\","
-        "\"phase\":\"%s\",\"seconds\":%.6f,\"detail\":\"%s\"",
-        static_cast<long long>(ev.step), RunEventTypeName(ev.type),
-        JsonEscape(ev.phase).c_str(), ev.seconds,
-        JsonEscape(ev.detail).c_str());
+    JsonWriter w;
+    w.BeginObject().Key("kind").String("event").Key("step").Int(ev.step);
+    w.Key("type").String(RunEventTypeName(ev.type));
+    w.Key("phase").String(ev.phase).Key("seconds").Fixed(ev.seconds, 6);
+    w.Key("detail").String(ev.detail);
     if (!ev.plan_signature.empty()) {
-      out += StrFormat(",\"plan_signature\":\"%s\"",
-                       JsonEscape(ev.plan_signature).c_str());
+      w.Key("plan_signature").String(ev.plan_signature);
     }
-    out += "}\n";
+    out += w.EndObject().str() + "\n";
   }
   return out;
 }

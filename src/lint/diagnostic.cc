@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "common/string_util.h"
 #include "obs/metrics.h"
@@ -81,32 +80,28 @@ std::string RenderText(const DiagnosticSink& sink) {
 
 namespace {
 
-std::string ParamsJson(const std::vector<DiagParam>& params) {
-  std::vector<std::string> parts;
-  parts.reserve(params.size());
-  for (const DiagParam& p : params) {
-    parts.push_back(JsonQuote(p.key) + ":" + JsonQuote(p.value));
-  }
-  return "{" + Join(parts, ",") + "}";
+void WriteParams(const std::vector<DiagParam>& params, JsonWriter* w) {
+  w->BeginObject();
+  for (const DiagParam& p : params) w->Key(p.key).String(p.value);
+  w->EndObject();
 }
 
 }  // namespace
 
 std::string RenderJson(const DiagnosticSink& sink) {
-  std::vector<std::string> items;
-  items.reserve(sink.size());
+  JsonWriter w;
+  w.BeginObject().Key("diagnostics").BeginArray();
   for (const Diagnostic& d : sink.diagnostics()) {
-    items.push_back(StrFormat(
-        "{\"code\":%s,\"severity\":%s,\"location\":%s,\"message\":%s,"
-        "\"params\":%s}",
-        JsonQuote(d.code).c_str(), JsonQuote(SeverityName(d.severity)).c_str(),
-        JsonQuote(d.location).c_str(), JsonQuote(d.message).c_str(),
-        ParamsJson(d.params).c_str()));
+    w.BeginObject().Key("code").String(d.code);
+    w.Key("severity").String(SeverityName(d.severity));
+    w.Key("location").String(d.location).Key("message").String(d.message);
+    WriteParams(d.params, &w.Key("params"));
+    w.EndObject();
   }
-  return StrFormat(
-      "{\"diagnostics\":[%s],\"errors\":%d,\"warnings\":%d,\"notes\":%d}",
-      Join(items, ",").c_str(), sink.num_errors(), sink.num_warnings(),
-      sink.num_notes());
+  w.EndArray().Key("errors").Int(sink.num_errors());
+  w.Key("warnings").Int(sink.num_warnings()).Key("notes").Int(sink.num_notes());
+  w.EndObject();
+  return w.str();
 }
 
 namespace {
@@ -151,61 +146,52 @@ std::string RenderSarif(const DiagnosticSink& sink,
 
   // One reportingDescriptor per distinct code, in first-seen order.
   std::vector<std::string> rule_ids;
-  std::set<std::string> seen;
-  for (const Diagnostic& d : sink.diagnostics()) {
-    if (seen.insert(d.code).second) rule_ids.push_back(d.code);
-  }
   std::map<std::string, int> rule_index;
-  std::vector<std::string> rules;
-  for (size_t i = 0; i < rule_ids.size(); ++i) {
-    rule_index[rule_ids[i]] = static_cast<int>(i);
-    rules.push_back(StrFormat("{\"id\":%s}", JsonQuote(rule_ids[i]).c_str()));
+  for (const Diagnostic& d : sink.diagnostics()) {
+    const int next = static_cast<int>(rule_ids.size());
+    if (rule_index.emplace(d.code, next).second) rule_ids.push_back(d.code);
   }
 
-  std::vector<std::string> results;
-  results.reserve(sink.size());
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("$schema").String("https://json.schemastore.org/sarif-2.1.0.json");
+  w.Key("version").String("2.1.0").Key("runs").BeginArray().BeginObject();
+  w.Key("tool").BeginObject().Key("driver").BeginObject();
+  w.Key("name").String(tool).Key("rules").BeginArray();
+  for (const std::string& id : rule_ids) {
+    w.BeginObject().Key("id").String(id).EndObject();
+  }
+  w.EndArray().EndObject().EndObject();
+  if (!artifact.empty()) {
+    w.Key("artifacts").BeginArray().BeginObject().Key("location");
+    w.BeginObject().Key("uri").String(artifact).EndObject();
+    w.EndObject().EndArray();
+  }
+  w.Key("results").BeginArray();
   for (const Diagnostic& d : sink.diagnostics()) {
-    std::string location;
+    w.BeginObject().Key("ruleId").String(d.code);
+    w.Key("ruleIndex").Int(rule_index.at(d.code));
+    w.Key("level").String(sarif_level(d.severity));
+    w.Key("message").BeginObject().Key("text").String(d.message).EndObject();
     if (!d.location.empty()) {
+      w.Key("locations").BeginArray().BeginObject();
       std::string file;
       int line = 0;
-      std::string physical;
       if (SplitFileLine(d.location, &file, &line)) {
-        physical = StrFormat(
-            "\"physicalLocation\":{\"artifactLocation\":{\"uri\":%s},"
-            "\"region\":{\"startLine\":%d}},",
-            JsonQuote(file).c_str(), line);
+        w.Key("physicalLocation").BeginObject().Key("artifactLocation");
+        w.BeginObject().Key("uri").String(file).EndObject();
+        w.Key("region").BeginObject().Key("startLine").Int(line).EndObject();
+        w.EndObject();
       }
-      location = StrFormat(
-          ",\"locations\":[{%s\"logicalLocations\":[{\"fullyQualifiedName\":"
-          "%s}]}]",
-          physical.c_str(), JsonQuote(d.location).c_str());
+      w.Key("logicalLocations").BeginArray().BeginObject();
+      w.Key("fullyQualifiedName").String(d.location).EndObject().EndArray();
+      w.EndObject().EndArray();
     }
-    std::string properties;
-    if (!d.params.empty()) {
-      properties = ",\"properties\":" + ParamsJson(d.params);
-    }
-    results.push_back(StrFormat(
-        "{\"ruleId\":%s,\"ruleIndex\":%d,\"level\":\"%s\","
-        "\"message\":{\"text\":%s}%s%s}",
-        JsonQuote(d.code).c_str(), rule_index[d.code],
-        sarif_level(d.severity), JsonQuote(d.message).c_str(),
-        location.c_str(), properties.c_str()));
+    if (!d.params.empty()) WriteParams(d.params, &w.Key("properties"));
+    w.EndObject();
   }
-
-  std::string artifacts;
-  if (!artifact.empty()) {
-    artifacts = StrFormat(
-        ",\"artifacts\":[{\"location\":{\"uri\":%s}}]",
-        JsonQuote(artifact).c_str());
-  }
-  return StrFormat(
-      "{\"$schema\":"
-      "\"https://json.schemastore.org/sarif-2.1.0.json\","
-      "\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":"
-      "{\"name\":%s,\"rules\":[%s]}}%s,\"results\":[%s]}]}",
-      JsonQuote(tool).c_str(), Join(rules, ",").c_str(), artifacts.c_str(),
-      Join(results, ",").c_str());
+  w.EndArray().EndObject().EndArray().EndObject();
+  return w.str();
 }
 
 void RecordDiagnosticMetrics(const DiagnosticSink& sink) {

@@ -213,38 +213,25 @@ std::string MetricsRegistry::ToText() const {
 
 std::string MetricsRegistry::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"counters\":{";
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject().Key("counters").BeginObject();
   for (const auto& [name, counter] : counters_) {
-    if (!first) out += ",";
-    first = false;
-    out += StrFormat("\"%s\":%s", JsonEscape(name).c_str(),
-                     JsonNumber(counter->Value()).c_str());
+    w.Key(name).Number(counter->Value());
   }
-  out += "},\"gauges\":{";
-  first = true;
+  w.EndObject().Key("gauges").BeginObject();
   for (const auto& [name, gauge] : gauges_) {
-    if (!first) out += ",";
-    first = false;
-    out += StrFormat("\"%s\":%s", JsonEscape(name).c_str(),
-                     JsonNumber(gauge->Value()).c_str());
+    w.Key(name).Number(gauge->Value());
   }
-  out += "},\"histograms\":{";
-  first = true;
+  w.EndObject().Key("histograms").BeginObject();
   for (const auto& [name, histogram] : histograms_) {
-    if (!first) out += ",";
-    first = false;
     const HistogramSnapshot s = histogram->Snapshot();
-    out += StrFormat(
-        "\"%s\":{\"count\":%lld,\"sum\":%s,\"min\":%s,\"max\":%s,"
-        "\"p50\":%s,\"p95\":%s,\"p99\":%s}",
-        JsonEscape(name).c_str(), static_cast<long long>(s.count),
-        JsonNumber(s.sum).c_str(), JsonNumber(s.min).c_str(),
-        JsonNumber(s.max).c_str(), JsonNumber(s.p50).c_str(),
-        JsonNumber(s.p95).c_str(), JsonNumber(s.p99).c_str());
+    w.Key(name).BeginObject().Key("count").Int(s.count);
+    w.Key("sum").Number(s.sum).Key("min").Number(s.min);
+    w.Key("max").Number(s.max).Key("p50").Number(s.p50);
+    w.Key("p95").Number(s.p95).Key("p99").Number(s.p99).EndObject();
   }
-  out += "}}";
-  return out;
+  w.EndObject().EndObject();
+  return w.str();
 }
 
 void MetricsRegistry::ResetAll() {

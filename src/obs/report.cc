@@ -11,55 +11,37 @@ namespace obs {
 
 std::string RenderAttributionJson(const AttributionReport& report,
                                   int digits) {
-  std::string out = "{";
-  out += "\"title\":" + JsonQuote(report.title);
-  out += ",\"scenario\":" + JsonQuote(report.scenario);
-  out += ",\"phase\":" + JsonQuote(report.phase);
-  out += ",\"net_model\":" + JsonQuote(report.net_model);
-  out += ",\"baseline\":{";
-  out += "\"step_seconds\":" +
-         JsonNumber(report.baseline_step_seconds, digits);
-  out += ",\"compute_span_seconds\":" +
-         JsonNumber(report.baseline_compute_seconds, digits);
-  out += ",\"comm_span_seconds\":" +
-         JsonNumber(report.baseline_comm_seconds, digits);
-  out += ",\"sync_span_seconds\":" +
-         JsonNumber(report.baseline_sync_seconds, digits);
-  out += "}";
-  // Cache hit/miss counts are deliberately NOT rendered: under a parallel
-  // sweep two workers can race on the same key and both miss, so the
-  // counts vary run to run — like wall-clock, they are provenance, not
-  // result. They stay in the struct for the text render and the bench.
-  out += ",\"causes\":[";
+  JsonWriter w;
+  w.BeginObject().Key("title").String(report.title);
+  w.Key("scenario").String(report.scenario).Key("phase").String(report.phase);
+  w.Key("net_model").String(report.net_model).Key("baseline").BeginObject();
+  w.Key("step_seconds").Number(report.baseline_step_seconds, digits);
+  w.Key("compute_span_seconds").Number(report.baseline_compute_seconds, digits);
+  w.Key("comm_span_seconds").Number(report.baseline_comm_seconds, digits);
+  w.Key("sync_span_seconds").Number(report.baseline_sync_seconds, digits);
+  w.EndObject();
+  // Cache hit/miss counts are deliberately NOT rendered, here or in the
+  // text: under a parallel sweep two workers can race on the same key and
+  // both miss, so the counts vary run to run — like wall-clock, they are
+  // provenance, not result. They stay in the struct for bench_whatif.
+  w.Key("causes").BeginArray();
   for (size_t i = 0; i < report.rows.size(); ++i) {
     const AttributionRow& r = report.rows[i];
-    if (i > 0) out += ",";
-    out += "{";
-    out += StrFormat("\"rank\":%zu", i + 1);
-    out += ",\"cause\":" + JsonQuote(r.cause);
-    out += ",\"kind\":" + JsonQuote(r.kind);
-    out += ",\"attributed_seconds\":" +
-           JsonNumber(r.attributed_seconds, digits);
-    out += ",\"attributed_fraction\":" +
-           JsonNumber(r.attributed_fraction, digits);
-    out += ",\"replay_step_seconds\":" +
-           JsonNumber(r.replay_step_seconds, digits);
-    out += ",\"replan_step_seconds\":" +
-           JsonNumber(r.replan_step_seconds, digits);
-    out += ",\"compute_delta_seconds\":" +
-           JsonNumber(r.compute_delta_seconds, digits);
-    out += ",\"comm_delta_seconds\":" +
-           JsonNumber(r.comm_delta_seconds, digits);
-    out += ",\"sync_delta_seconds\":" +
-           JsonNumber(r.sync_delta_seconds, digits);
-    out += ",\"plan_signature\":" + JsonQuote(r.plan_signature);
-    out += std::string(",\"plan_changed\":") +
-           (r.plan_changed ? "true" : "false");
-    out += ",\"error\":" + JsonQuote(r.error);
-    out += "}";
+    w.BeginObject().Key("rank").Uint(i + 1).Key("cause").String(r.cause);
+    w.Key("kind").String(r.kind);
+    w.Key("attributed_seconds").Number(r.attributed_seconds, digits);
+    w.Key("attributed_fraction").Number(r.attributed_fraction, digits);
+    w.Key("replay_step_seconds").Number(r.replay_step_seconds, digits);
+    w.Key("replan_step_seconds").Number(r.replan_step_seconds, digits);
+    w.Key("compute_delta_seconds").Number(r.compute_delta_seconds, digits);
+    w.Key("comm_delta_seconds").Number(r.comm_delta_seconds, digits);
+    w.Key("sync_delta_seconds").Number(r.sync_delta_seconds, digits);
+    w.Key("plan_signature").String(r.plan_signature);
+    w.Key("plan_changed").Bool(r.plan_changed).Key("error").String(r.error);
+    w.EndObject();
   }
-  out += "]}";
-  return out;
+  w.EndArray().EndObject();
+  return w.str();
 }
 
 std::string RenderAttributionCsv(const AttributionReport& report,
@@ -129,16 +111,7 @@ std::string RenderAttributionText(const AttributionReport& report,
     table.AddRow({"...", StrFormat("(%zu more)", report.rows.size() - n),
                   "", "", "", "", ""});
   }
-  std::string out = table.ToString();
-  const int64_t lookups = report.cache_hits + report.cache_misses;
-  if (lookups > 0) {
-    out += StrFormat("solve cache: %lld hits / %lld lookups (%.1f%%)\n",
-                     static_cast<long long>(report.cache_hits),
-                     static_cast<long long>(lookups),
-                     100.0 * static_cast<double>(report.cache_hits) /
-                         static_cast<double>(lookups));
-  }
-  return out;
+  return table.ToString();
 }
 
 }  // namespace obs

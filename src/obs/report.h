@@ -10,9 +10,9 @@
 //
 // Determinism contract: the renderers are pure functions of the report
 // struct; callers that order rows deterministically and exclude wall-clock
-// quantities get byte-identical JSON and CSV across runs. Floats render
-// through JsonNumber (JSON, `null` for non-finite) and with fixed
-// significant digits in the CSV.
+// quantities get byte-identical JSON, CSV and text at any sweep thread
+// count. Floats render through the JsonNumber rule (JSON, `null` for
+// non-finite) and with fixed significant digits in the CSV.
 
 #ifndef MALLEUS_OBS_REPORT_H_
 #define MALLEUS_OBS_REPORT_H_
@@ -66,10 +66,10 @@ struct AttributionReport {
   double baseline_compute_seconds = 0.0;
   double baseline_comm_seconds = 0.0;
   double baseline_sync_seconds = 0.0;
-  /// Solver-cache traffic of the sweep that produced the report. Rendered
-  /// in the text output and consumed by bench_whatif only — never in the
-  /// JSON/CSV, whose bytes must not depend on sweep interleaving (racing
-  /// workers can double-miss a key, so these counts are nondeterministic).
+  /// Solver-cache traffic of the sweep that produced the report. Consumed
+  /// by bench_whatif only — never rendered, since every report's bytes must
+  /// not depend on sweep interleaving (racing workers can double-miss a
+  /// key, so these counts are nondeterministic).
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   /// Rows, already ranked (most attributed seconds first).

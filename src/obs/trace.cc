@@ -11,19 +11,9 @@ namespace {
 
 // Microseconds with fixed sub-ns precision: deterministic text for
 // deterministic inputs, and fine-grained enough for any simulated span.
-// Routed through the shared JSON helper so a non-finite timestamp (a bug
-// upstream) degrades to `null` instead of invalid JSON.
-std::string FormatMicros(double us) { return JsonFixed(us, 4); }
-
-void AppendArgs(const std::vector<TraceArg>& args, std::string* out) {
-  *out += "{";
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (i > 0) *out += ",";
-    *out += StrFormat("\"%s\":%s", JsonEscape(args[i].key).c_str(),
-                      args[i].json_value.c_str());
-  }
-  *out += "}";
-}
+// The JsonFixed rule turns a non-finite timestamp (a bug upstream) into
+// `null` instead of invalid JSON.
+constexpr int kMicrosDecimals = 4;
 
 }  // namespace
 
@@ -94,59 +84,42 @@ void TraceRecorder::AddInstant(std::string name, std::string category,
 
 std::string TraceRecorder::ToChromeTraceJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  auto sep = [&out, &first]() {
-    if (!first) out += ",";
-    first = false;
+  JsonWriter w;
+  w.BeginObject().Key("traceEvents").BeginArray();
+  // Track-naming metadata, each with one pre-rendered arg. sort_index
+  // keeps the Perfetto track order equal to the first-use order instead of
+  // alphabetical.
+  auto metadata = [&w](size_t pid, size_t tid, const char* name,
+                       const char* arg, const std::string& arg_json) {
+    w.BeginObject().Key("ph").String("M").Key("pid").Uint(pid);
+    w.Key("tid").Uint(tid).Key("name").String(name).Key("args").BeginObject();
+    w.Key(arg).Raw(arg_json).EndObject().EndObject();
   };
-  // Track-naming metadata. sort_index keeps the Perfetto track order equal
-  // to the first-use order instead of alphabetical.
   for (size_t p = 0; p < processes_.size(); ++p) {
-    sep();
-    out += StrFormat(
-        "{\"ph\":\"M\",\"pid\":%zu,\"tid\":0,\"name\":\"process_name\","
-        "\"args\":{\"name\":\"%s\"}}",
-        p, JsonEscape(processes_[p].name).c_str());
-    sep();
-    out += StrFormat(
-        "{\"ph\":\"M\",\"pid\":%zu,\"tid\":0,\"name\":\"process_sort_index\","
-        "\"args\":{\"sort_index\":%zu}}",
-        p, p);
-    for (size_t t = 0; t < processes_[p].threads.size(); ++t) {
-      sep();
-      out += StrFormat(
-          "{\"ph\":\"M\",\"pid\":%zu,\"tid\":%zu,\"name\":\"thread_name\","
-          "\"args\":{\"name\":\"%s\"}}",
-          p, t, JsonEscape(processes_[p].threads[t]).c_str());
-      sep();
-      out += StrFormat(
-          "{\"ph\":\"M\",\"pid\":%zu,\"tid\":%zu,"
-          "\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":%zu}}",
-          p, t, t);
+    const Process& process = processes_[p];
+    metadata(p, 0, "process_name", "name", JsonQuote(process.name));
+    metadata(p, 0, "process_sort_index", "sort_index", std::to_string(p));
+    for (size_t t = 0; t < process.threads.size(); ++t) {
+      metadata(p, t, "thread_name", "name", JsonQuote(process.threads[t]));
+      metadata(p, t, "thread_sort_index", "sort_index", std::to_string(t));
     }
   }
   for (const TraceEvent& e : events_) {
-    sep();
-    out += StrFormat(
-        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\",\"pid\":%d,"
-        "\"tid\":%d,\"ts\":%s",
-        JsonEscape(e.name).c_str(), JsonEscape(e.category).c_str(), e.phase,
-        e.track.pid, e.track.tid, FormatMicros(e.start_us).c_str());
-    if (e.phase == 'X') {
-      out += StrFormat(",\"dur\":%s", FormatMicros(e.duration_us).c_str());
-    }
-    if (e.phase == 'i') {
-      out += ",\"s\":\"t\"";  // Instant scope: thread.
-    }
+    w.BeginObject().Key("name").String(e.name).Key("cat").String(e.category);
+    w.Key("ph").String(std::string_view(&e.phase, 1));
+    w.Key("pid").Int(e.track.pid).Key("tid").Int(e.track.tid);
+    w.Key("ts").Fixed(e.start_us, kMicrosDecimals);
+    if (e.phase == 'X') w.Key("dur").Fixed(e.duration_us, kMicrosDecimals);
+    if (e.phase == 'i') w.Key("s").String("t");  // Instant scope: thread.
     if (!e.args.empty()) {
-      out += ",\"args\":";
-      AppendArgs(e.args, &out);
+      w.Key("args").BeginObject();
+      for (const TraceArg& arg : e.args) w.Key(arg.key).Raw(arg.json_value);
+      w.EndObject();
     }
-    out += "}";
+    w.EndObject();
   }
-  out += "],\"displayTimeUnit\":\"ms\"}";
-  return out;
+  w.EndArray().Key("displayTimeUnit").String("ms").EndObject();
+  return w.str();
 }
 
 size_t TraceRecorder::num_events() const {

@@ -1,8 +1,7 @@
 // Minimal JSON document model and recursive-descent parser for the serve
-// wire protocol. The repo already renders JSON (common/string_util.h's
-// JsonEscape/JsonNumber and the hand-built writers in bench/); this header
-// adds the missing read side so the daemon can accept requests without an
-// external dependency.
+// wire protocol. The library writes JSON through JsonWriter
+// (common/string_util.h); this header is the read side, so the daemon can
+// accept requests without an external dependency.
 //
 // Scope is deliberately the protocol's needs, not a general library:
 // full JSON grammar (null/bool/number/string/array/object, \uXXXX escapes
@@ -61,8 +60,8 @@ class JsonValue {
   /// Object member lookup; null when absent or this is not an object.
   const JsonValue* Find(const std::string& key) const;
 
-  // Construction helpers (used by tests; the server renders responses as
-  // strings directly and never builds trees).
+  // Construction helpers (used by tests; the server renders responses
+  // through JsonWriter and never builds trees).
   static JsonValue Null();
   static JsonValue Bool(bool b);
   static JsonValue Number(double v);

@@ -80,9 +80,10 @@ const char* WireErrorCode(StatusCode code) {
 }
 
 std::string OkResponse(int64_t id, const std::string& result_json) {
-  return StrFormat("{\"v\":%d,\"id\":%lld,\"ok\":true,\"result\":%s}",
-                   kProtocolVersion, static_cast<long long>(id),
-                   result_json.c_str());
+  JsonWriter w;
+  w.BeginObject().Key("v").Int(kProtocolVersion).Key("id").Int(id);
+  w.Key("ok").Bool(true).Key("result").Raw(result_json).EndObject();
+  return w.str();
 }
 
 std::string ErrorResponse(int64_t id, const Status& status) {
@@ -92,27 +93,22 @@ std::string ErrorResponse(int64_t id, const Status& status) {
 
 std::string ErrorResponseCode(int64_t id, const char* code,
                               const std::string& message) {
-  return StrFormat(
-      "{\"v\":%d,\"id\":%lld,\"ok\":false,"
-      "\"error\":{\"code\":\"%s\",\"message\":\"%s\"}}",
-      kProtocolVersion, static_cast<long long>(id), code,
-      JsonEscape(message).c_str());
+  JsonWriter w;
+  w.BeginObject().Key("v").Int(kProtocolVersion).Key("id").Int(id);
+  w.Key("ok").Bool(false).Key("error").BeginObject().Key("code").String(code);
+  w.Key("message").String(message).EndObject().EndObject();
+  return w.str();
 }
 
 std::string RequestLine(int64_t id, const std::string& method,
                         const std::string& params_json, int64_t deadline_ms) {
-  std::string line =
-      StrFormat("{\"v\":%d,\"id\":%lld,\"method\":\"%s\"", kProtocolVersion,
-                static_cast<long long>(id), JsonEscape(method).c_str());
-  if (!params_json.empty()) {
-    line += ",\"params\":" + params_json;
-  }
-  if (deadline_ms >= 0) {
-    line += StrFormat(",\"deadline_ms\":%lld",
-                      static_cast<long long>(deadline_ms));
-  }
-  line += "}";
-  return line;
+  JsonWriter w;
+  w.BeginObject().Key("v").Int(kProtocolVersion).Key("id").Int(id);
+  w.Key("method").String(method);
+  if (!params_json.empty()) w.Key("params").Raw(params_json);
+  if (deadline_ms >= 0) w.Key("deadline_ms").Int(deadline_ms);
+  w.EndObject();
+  return w.str();
 }
 
 }  // namespace serve

@@ -26,24 +26,9 @@ int64_t ElapsedMs(Clock::time_point since, Clock::time_point now) {
       .count();
 }
 
-std::string IntArrayJson(const std::vector<int>& values) {
-  std::string out = "[";
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ",";
-    out += StrFormat("%d", values[i]);
-  }
-  out += "]";
-  return out;
-}
-
-std::string DoubleArrayJson(const std::vector<double>& values) {
-  std::string out = "[";
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ",";
-    out += JsonNumber(values[i]);
-  }
-  out += "]";
-  return out;
+// A session fingerprint as the 16 hex digits the wire carries.
+std::string FingerprintHex(uint64_t fingerprint) {
+  return StrFormat("%016llx", static_cast<unsigned long long>(fingerprint));
 }
 
 // Param extraction helpers: each returns a typed wire error naming the key
@@ -168,51 +153,44 @@ std::string RenderPlanJson(const std::string& cluster_name,
                            const core::PlanResult& result,
                            const std::string& signature, bool plan_changed) {
   const plan::ParallelPlan& p = result.plan;
-  std::string out = StrFormat(
-      "{\"cluster\":\"%s\",\"signature\":\"%s\",\"plan_changed\":%s,"
-      "\"batch\":%lld,\"micro_batch\":%d,\"tp\":%d,\"dp\":%d,"
-      "\"estimated_seconds\":%s,\"estimated_full_seconds\":%s,"
-      "\"warnings\":%d,\"pipelines\":[",
-      JsonEscape(cluster_name).c_str(), JsonEscape(signature).c_str(),
-      plan_changed ? "true" : "false",
-      static_cast<long long>(p.global_batch), p.micro_batch_size,
-      result.chosen_tp, p.dp_degree(),
-      JsonNumber(result.estimated_seconds).c_str(),
-      JsonNumber(result.estimated_full_seconds).c_str(),
-      result.diagnostics.num_warnings());
-  for (size_t i = 0; i < p.pipelines.size(); ++i) {
-    const plan::Pipeline& pipe = p.pipelines[i];
-    if (i > 0) out += ",";
-    out += StrFormat("{\"microbatches\":%lld,\"stages\":[",
-                     static_cast<long long>(pipe.num_microbatches));
-    for (size_t j = 0; j < pipe.stages.size(); ++j) {
-      const plan::Stage& stage = pipe.stages[j];
-      if (j > 0) out += ",";
-      out += StrFormat("{\"layers\":%d,\"gpus\":%s}", stage.num_layers,
-                       IntArrayJson(stage.group.gpus).c_str());
+  JsonWriter w;
+  w.BeginObject().Key("cluster").String(cluster_name);
+  w.Key("signature").String(signature).Key("plan_changed").Bool(plan_changed);
+  w.Key("batch").Int(p.global_batch).Key("micro_batch").Int(p.micro_batch_size);
+  w.Key("tp").Int(result.chosen_tp).Key("dp").Int(p.dp_degree());
+  w.Key("estimated_seconds").Number(result.estimated_seconds);
+  w.Key("estimated_full_seconds").Number(result.estimated_full_seconds);
+  w.Key("warnings").Int(result.diagnostics.num_warnings());
+  w.Key("pipelines").BeginArray();
+  for (const plan::Pipeline& pipe : p.pipelines) {
+    w.BeginObject().Key("microbatches").Int(pipe.num_microbatches);
+    w.Key("stages").BeginArray();
+    for (const plan::Stage& stage : pipe.stages) {
+      w.BeginObject().Key("layers").Int(stage.num_layers);
+      w.Key("gpus").BeginArray();
+      for (int gpu : stage.group.gpus) w.Int(gpu);
+      w.EndArray().EndObject();
     }
-    out += "]}";
+    w.EndArray().EndObject();
   }
-  out += StrFormat("],\"standby\":%s}", IntArrayJson(p.standby_gpus).c_str());
-  return out;
+  w.EndArray().Key("standby").BeginArray();
+  for (int gpu : p.standby_gpus) w.Int(gpu);
+  w.EndArray().EndObject();
+  return w.str();
 }
 
 std::string RenderDiagnosticsJson(const lint::DiagnosticSink& sink) {
-  std::string out =
-      StrFormat("{\"errors\":%d,\"warnings\":%d,\"notes\":%d,"
-                "\"diagnostics\":[",
-                sink.num_errors(), sink.num_warnings(), sink.num_notes());
-  for (size_t i = 0; i < sink.diagnostics().size(); ++i) {
-    const lint::Diagnostic& d = sink.diagnostics()[i];
-    if (i > 0) out += ",";
-    out += StrFormat(
-        "{\"severity\":\"%s\",\"code\":\"%s\",\"location\":\"%s\","
-        "\"message\":\"%s\"}",
-        lint::SeverityName(d.severity), JsonEscape(d.code).c_str(),
-        JsonEscape(d.location).c_str(), JsonEscape(d.message).c_str());
+  JsonWriter w;
+  w.BeginObject().Key("errors").Int(sink.num_errors());
+  w.Key("warnings").Int(sink.num_warnings()).Key("notes").Int(sink.num_notes());
+  w.Key("diagnostics").BeginArray();
+  for (const lint::Diagnostic& d : sink.diagnostics()) {
+    w.BeginObject().Key("severity").String(lint::SeverityName(d.severity));
+    w.Key("code").String(d.code).Key("location").String(d.location);
+    w.Key("message").String(d.message).EndObject();
   }
-  out += "]}";
-  return out;
+  w.EndArray().EndObject();
+  return w.str();
 }
 
 }  // namespace
@@ -431,14 +409,14 @@ Result<std::string> Server::HandleRegister(const JsonValue& params) {
   }
   MALLEUS_ASSIGN_OR_RETURN(SessionRegistry::RegisterOutcome outcome,
                            registry_.Register(name, std::move(spec)));
-  return StrFormat(
-      "{\"cluster\":\"%s\",\"fingerprint\":\"%016llx\",\"gpus\":%d,"
-      "\"shared\":%s,\"warm\":%s,\"warm_entries\":%lld}",
-      JsonEscape(name).c_str(),
-      static_cast<unsigned long long>(outcome.session->fingerprint()),
-      outcome.session->cluster().num_gpus(),
-      outcome.shared ? "true" : "false", outcome.warm ? "true" : "false",
-      static_cast<long long>(outcome.warm_entries));
+  const Session& session = *outcome.session;
+  JsonWriter w;
+  w.BeginObject().Key("cluster").String(name);
+  w.Key("fingerprint").String(FingerprintHex(session.fingerprint()));
+  w.Key("gpus").Int(session.cluster().num_gpus());
+  w.Key("shared").Bool(outcome.shared).Key("warm").Bool(outcome.warm);
+  w.Key("warm_entries").Int(outcome.warm_entries).EndObject();
+  return w.str();
 }
 
 Result<std::string> Server::HandlePlan(const JsonValue& params, bool replan) {
@@ -502,13 +480,15 @@ Result<std::string> Server::HandleEstimate(const JsonValue& params) {
                            BuildSituation(*session, params));
   const plan::StepEstimate estimate =
       plan::EstimateStep(last->plan, session->cost(), situation);
-  return StrFormat(
-      "{\"cluster\":\"%s\",\"signature\":\"%s\",\"step_seconds\":%s,"
-      "\"simplified_seconds\":%s,\"pipeline_seconds\":%s}",
-      JsonEscape(name).c_str(), JsonEscape(last->signature).c_str(),
-      JsonNumber(estimate.step_seconds).c_str(),
-      JsonNumber(estimate.simplified_seconds).c_str(),
-      DoubleArrayJson(estimate.pipeline_seconds).c_str());
+  JsonWriter w;
+  w.BeginObject().Key("cluster").String(name);
+  w.Key("signature").String(last->signature);
+  w.Key("step_seconds").Number(estimate.step_seconds);
+  w.Key("simplified_seconds").Number(estimate.simplified_seconds);
+  w.Key("pipeline_seconds").BeginArray();
+  for (double seconds : estimate.pipeline_seconds) w.Number(seconds);
+  w.EndArray().EndObject();
+  return w.str();
 }
 
 Result<std::string> Server::HandleLint(const JsonValue& params) {
@@ -532,49 +512,42 @@ Result<std::string> Server::HandleStatus() {
     queue_depth = queue_.size();
   }
   obs::Histogram* latency = metrics_.GetHistogram("serve.request_seconds");
-  std::string out = StrFormat(
-      "{\"protocol\":%d,\"workers\":%d,\"planner_threads\":%d,"
-      "\"queue_depth\":%zu,\"max_queue\":%d,"
-      "\"requests\":%.0f,\"rejected\":%.0f,\"deadline_exceeded\":%.0f,"
-      "\"errors\":%.0f,\"parse_errors\":%.0f,"
-      "\"latency_ms\":{\"p50\":%s,\"p95\":%s,\"p99\":%s},"
-      "\"planner_solves\":%.0f,\"cache_hits\":%.0f,\"cache_misses\":%.0f,"
-      "\"pending_cache_sections\":%lld,\"sessions\":[",
-      kProtocolVersion, options_.num_workers, options_.planner_threads,
-      queue_depth, options_.max_queue,
-      metrics_.GetCounter("serve.requests")->Value(),
-      metrics_.GetCounter("serve.rejected")->Value(),
-      metrics_.GetCounter("serve.deadline_exceeded")->Value(),
-      metrics_.GetCounter("serve.errors")->Value(),
-      metrics_.GetCounter("serve.parse_errors")->Value(),
-      JsonNumber(latency->Quantile(0.50) * 1e3, 4).c_str(),
-      JsonNumber(latency->Quantile(0.95) * 1e3, 4).c_str(),
-      JsonNumber(latency->Quantile(0.99) * 1e3, 4).c_str(),
-      metrics_.GetCounter("serve.planner_solves")->Value(),
-      metrics_.GetCounter("serve.planner_cache_hits")->Value(),
-      metrics_.GetCounter("serve.planner_cache_misses")->Value(),
-      static_cast<long long>(registry_.num_pending_sections()));
-  const auto sessions = registry_.List();
-  for (size_t i = 0; i < sessions.size(); ++i) {
-    const auto& [name, session] = sessions[i];
-    if (i > 0) out += ",";
-    const core::PlannerCache::Stats stats =
-        session->planner().solve_cache().stats();
-    out += StrFormat(
-        "{\"name\":\"%s\",\"fingerprint\":\"%016llx\",\"gpus\":%d,"
-        "\"plans_served\":%lld,\"has_plan\":%s,\"cache_entries\":%zu,"
-        "\"cache_hits\":%lld,\"cache_misses\":%lld}",
-        JsonEscape(name).c_str(),
-        static_cast<unsigned long long>(session->fingerprint()),
-        session->cluster().num_gpus(),
-        static_cast<long long>(session->plans_served()),
-        session->last_plan() != nullptr ? "true" : "false",
-        session->planner().solve_cache().size(),
-        static_cast<long long>(stats.hits),
-        static_cast<long long>(stats.misses));
+  JsonWriter w;
+  w.BeginObject().Key("protocol").Int(kProtocolVersion);
+  w.Key("workers").Int(options_.num_workers);
+  w.Key("planner_threads").Int(options_.planner_threads);
+  w.Key("queue_depth").Uint(queue_depth);
+  w.Key("max_queue").Int(options_.max_queue);
+  auto counter = [&](const char* key, const std::string& series) {
+    w.Key(key).Fixed(metrics_.GetCounter("serve." + series)->Value(), 0);
+  };
+  for (const char* name : {"requests", "rejected", "deadline_exceeded",
+                           "errors", "parse_errors"}) {
+    counter(name, name);
   }
-  out += "]}";
-  return out;
+  w.Key("latency_ms").BeginObject();
+  w.Key("p50").Number(latency->Quantile(0.50) * 1e3, 4);
+  w.Key("p95").Number(latency->Quantile(0.95) * 1e3, 4);
+  w.Key("p99").Number(latency->Quantile(0.99) * 1e3, 4).EndObject();
+  counter("planner_solves", "planner_solves");
+  counter("cache_hits", "planner_cache_hits");
+  counter("cache_misses", "planner_cache_misses");
+  w.Key("pending_cache_sections").Int(registry_.num_pending_sections());
+  w.Key("sessions").BeginArray();
+  for (const auto& [name, session] : registry_.List()) {
+    const core::PlannerCache& cache = session->planner().solve_cache();
+    const core::PlannerCache::Stats stats = cache.stats();
+    w.BeginObject().Key("name").String(name);
+    w.Key("fingerprint").String(FingerprintHex(session->fingerprint()));
+    w.Key("gpus").Int(session->cluster().num_gpus());
+    w.Key("plans_served").Int(session->plans_served());
+    w.Key("has_plan").Bool(session->last_plan() != nullptr);
+    w.Key("cache_entries").Uint(cache.size());
+    w.Key("cache_hits").Int(stats.hits).Key("cache_misses").Int(stats.misses);
+    w.EndObject();
+  }
+  w.EndArray().EndObject();
+  return w.str();
 }
 
 Result<std::string> Server::HandleSaveCache(const JsonValue& params) {
@@ -595,13 +568,17 @@ Result<std::string> Server::HandleSaveCache(const JsonValue& params) {
   const std::vector<solver::CacheFileSection> sections =
       registry_.SnapshotSections();
   MALLEUS_RETURN_NOT_OK(solver::WriteCacheFile(path, sections));
-  return StrFormat("{\"path\":\"%s\",\"sections\":%zu}",
-                   JsonEscape(path).c_str(), sections.size());
+  JsonWriter w;
+  w.BeginObject().Key("path").String(path);
+  w.Key("sections").Uint(sections.size()).EndObject();
+  return w.str();
 }
 
 Result<std::string> Server::HandleShutdown() {
   shutdown_requested_.store(true);
-  return std::string("{\"draining\":true}");
+  JsonWriter w;
+  w.BeginObject().Key("draining").Bool(true).EndObject();
+  return w.str();
 }
 
 void Server::FoldRequestMetrics(obs::MetricsRegistry* request_metrics) {

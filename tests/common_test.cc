@@ -1,5 +1,5 @@
-// Unit tests for src/common: Status, Result, Rng, string utils, TablePrinter,
-// file I/O and the command-line flag table.
+// Unit tests for src/common: Status, Result, Rng, string utils, the JSON
+// writer, TablePrinter, file I/O and the command-line flag table.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/table.h"
+#include "serve/json.h"
 
 namespace malleus {
 namespace {
@@ -185,25 +186,97 @@ TEST(StringUtilTest, JsonNumberNonFiniteBecomesNull) {
   EXPECT_EQ(JsonNumber(std::nan("")), "null");
 }
 
-TEST(StringUtilTest, JsonSanitizeRewritesBareNonFiniteTokens) {
-  EXPECT_EQ(JsonSanitizeNonFinite("{\"a\":inf}"), "{\"a\":null}");
-  EXPECT_EQ(JsonSanitizeNonFinite("{\"a\":-inf}"), "{\"a\":null}");
-  EXPECT_EQ(JsonSanitizeNonFinite("{\"a\":nan}"), "{\"a\":null}");
-  EXPECT_EQ(JsonSanitizeNonFinite("{\"a\":-nan}"), "{\"a\":null}");
-  EXPECT_EQ(JsonSanitizeNonFinite("[inf,nan,-inf]"), "[null,null,null]");
-  EXPECT_EQ(JsonSanitizeNonFinite("{\"a\":nan(0x8000000000000)}"),
-            "{\"a\":null}");
-  EXPECT_EQ(JsonSanitizeNonFinite("{\"a\":infinity}"), "{\"a\":null}");
+TEST(JsonWriterTest, PlacesEveryCommaInNestedAndEmptyContainers) {
+  JsonWriter w;
+  w.BeginObject()
+      .Key("empty_object").BeginObject().EndObject()
+      .Key("empty_array").BeginArray().EndArray()
+      .Key("list").BeginArray();
+  w.Int(1).BeginObject().EndObject().BeginArray().EndArray();
+  w.BeginObject().Key("a").Bool(true).Key("b").String("").EndObject();
+  w.BeginArray().BeginArray().Int(2).EndArray().String("x").EndArray();
+  w.EndArray().Key("raw").Raw("[3,4]").Key("last").Bool(false).EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"empty_object\":{},\"empty_array\":[],\"list\":[1,{},[],"
+            "{\"a\":true,\"b\":\"\"},[[2],\"x\"]],\"raw\":[3,4],"
+            "\"last\":false}");
+
+  JsonWriter top;
+  top.BeginArray().EndArray();
+  EXPECT_EQ(top.str(), "[]");
 }
 
-TEST(StringUtilTest, JsonSanitizeLeavesStringsAndNumbersAlone) {
-  // "inf"/"nan" inside string literals are content, not numbers.
-  EXPECT_EQ(JsonSanitizeNonFinite("{\"label\":\"inf speedup\"}"),
-            "{\"label\":\"inf speedup\"}");
-  EXPECT_EQ(JsonSanitizeNonFinite("{\"nan\":1.5e-3}"), "{\"nan\":1.5e-3}");
-  // Escaped quotes must not desynchronize the in-string tracker.
-  EXPECT_EQ(JsonSanitizeNonFinite("{\"a\":\"x\\\"inf\\\"y\",\"b\":inf}"),
-            "{\"a\":\"x\\\"inf\\\"y\",\"b\":null}");
+TEST(JsonWriterTest, EscapesKeysAndStringsLikeJsonQuote) {
+  const std::string nasty =
+      std::string("q\"b\\n\nr\rt\t\x01\x1f") + '\0' + "\x7f/é";
+  JsonWriter w;
+  w.BeginObject().Key(nasty).String(nasty).EndObject();
+  const std::string quoted =
+      "\"q\\\"b\\\\n\\nr\\rt\\t\\u0001\\u001f\\u0000\x7f/é\"";
+  EXPECT_EQ(JsonQuote(nasty), quoted);
+  EXPECT_EQ(w.str(), "{" + quoted + ":" + quoted + "}");
+}
+
+TEST(JsonWriterTest, BothNumberRulesRenderNonFiniteAsNull) {
+  const double inf = std::numeric_limits<double>::infinity();
+  JsonWriter w;
+  w.BeginArray();
+  for (double v : {std::nan(""), inf, -inf}) w.Number(v).Fixed(v, 6);
+  w.Number(1.0 / 3.0).Number(1.0 / 3.0, 3).Fixed(2.5, 0).Fixed(-1.25, 4);
+  w.EndArray();
+  EXPECT_EQ(w.str(),
+            "[null,null,null,null,null,null,0.333333333,0.333,2,-1.2500]");
+}
+
+TEST(JsonWriterTest, IntegersAreExactAtTheirExtremes) {
+  JsonWriter w;
+  w.BeginArray()
+      .Int(std::numeric_limits<int64_t>::min())
+      .Int(std::numeric_limits<int64_t>::max())
+      .Int(0)
+      .Uint(std::numeric_limits<uint64_t>::max())
+      .EndArray();
+  EXPECT_EQ(w.str(),
+            "[-9223372036854775808,9223372036854775807,0,"
+            "18446744073709551615]");
+}
+
+TEST(JsonWriterTest, DeepDocumentRoundTripsThroughTheParser) {
+  constexpr int kDepth = 20;
+  JsonWriter w;
+  for (int d = 0; d < kDepth; ++d) {
+    w.BeginObject()
+        .Key("depth").Int(d)
+        .Key("name").String("level \"" + std::to_string(d) + "\"\n")
+        .Key("values").BeginArray()
+        .Number(0.1 * d, 17).Fixed(d + 0.5, 1).Bool(d % 2 == 0)
+        .Number(std::nan(""))
+        .EndArray()
+        .Key("child");
+  }
+  w.BeginArray().EndArray();
+  for (int d = 0; d < kDepth; ++d) w.EndObject();
+
+  Result<serve::JsonValue> doc = serve::JsonValue::Parse(w.str());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const serve::JsonValue* node = &*doc;
+  for (int d = 0; d < kDepth; ++d) {
+    ASSERT_TRUE(node->is_object());
+    ASSERT_EQ(node->members().size(), 4u);
+    EXPECT_EQ(node->Find("depth")->Int64(), d);
+    EXPECT_EQ(node->Find("name")->string_value(),
+              "level \"" + std::to_string(d) + "\"\n");
+    const std::vector<serve::JsonValue>& values =
+        node->Find("values")->array();
+    ASSERT_EQ(values.size(), 4u);
+    EXPECT_EQ(values[0].number(), 0.1 * d);
+    EXPECT_EQ(values[1].number(), d + 0.5);
+    EXPECT_EQ(values[2].bool_value(), d % 2 == 0);
+    EXPECT_TRUE(values[3].is_null());
+    node = node->Find("child");
+  }
+  ASSERT_TRUE(node->is_array());
+  EXPECT_TRUE(node->array().empty());
 }
 
 TEST(StringUtilTest, ParseValueReadsWholeFiniteValuesThatFit) {

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -17,6 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/uniform.h"
+#include "serve/json.h"
 #include "sim/pipeline_sim.h"
 #include "topology/cluster.h"
 
@@ -24,161 +24,8 @@ namespace malleus {
 namespace obs {
 namespace {
 
-// Minimal recursive-descent JSON well-formedness checker. Accepts exactly
-// the grammar of RFC 8259; returns false on any syntax error. Enough to
-// prove the exporters emit parseable JSON without an external library.
-class JsonValidator {
- public:
-  explicit JsonValidator(const std::string& text) : s_(text) {}
-
-  bool Validate() {
-    SkipWs();
-    if (!Value()) return false;
-    SkipWs();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool Value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  bool Object() {
-    ++pos_;  // '{'
-    SkipWs();
-    if (Peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!String()) return false;
-      SkipWs();
-      if (Peek() != ':') return false;
-      ++pos_;
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool Array() {
-    ++pos_;  // '['
-    SkipWs();
-    if (Peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool String() {
-    if (Peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) return false;  // bare control
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-        const char e = s_[pos_];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (pos_ >= s_.size() || !std::isxdigit(s_[pos_])) return false;
-          }
-        } else if (std::string("\"\\/bfnrt").find(e) == std::string::npos) {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    return false;
-  }
-
-  bool Number() {
-    const size_t start = pos_;
-    if (Peek() == '-') ++pos_;
-    if (!std::isdigit(Peek())) return false;
-    while (std::isdigit(Peek())) ++pos_;
-    if (Peek() == '.') {
-      ++pos_;
-      if (!std::isdigit(Peek())) return false;
-      while (std::isdigit(Peek())) ++pos_;
-    }
-    if (Peek() == 'e' || Peek() == 'E') {
-      ++pos_;
-      if (Peek() == '+' || Peek() == '-') ++pos_;
-      if (!std::isdigit(Peek())) return false;
-      while (std::isdigit(Peek())) ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool Literal(const char* lit) {
-    const size_t n = std::string(lit).size();
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  char Peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  void SkipWs() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-            s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  const std::string& s_;
-  size_t pos_ = 0;
-};
-
 bool IsValidJson(const std::string& text) {
-  return JsonValidator(text).Validate();
+  return serve::JsonValue::Parse(text).ok();
 }
 
 TEST(JsonValidatorTest, SelfCheck) {

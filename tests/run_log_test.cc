@@ -1,8 +1,12 @@
-// Tests for core/run_log: aggregation, phase means, and CSV export.
+// Tests for core/run_log: aggregation, phase means, and CSV/JSONL export.
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/run_log.h"
+#include "serve/json.h"
 
 namespace malleus {
 namespace core {
@@ -128,6 +132,27 @@ TEST(RunLogTest, JsonlHasStepAndEventLines) {
   EXPECT_NE(jsonl.find("\"type\":\"plan_adopted\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"plan_signature\":\"sig-1\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"replanned\":true"), std::string::npos);
+}
+
+TEST(RunLogTest, JsonlRendersNonFiniteSecondsAsNull) {
+  RunLog log;
+  StepReport report = MakeReport(1.5, 0.0, 0.0, true);
+  report.planning_seconds = std::numeric_limits<double>::infinity();
+  log.Record("S1", report);
+  const std::string jsonl = log.ToJsonl();
+  // One step line, then the replan event that carries planning_seconds.
+  const size_t newline = jsonl.find('\n');
+  ASSERT_NE(newline, std::string::npos);
+  Result<serve::JsonValue> step =
+      serve::JsonValue::Parse(jsonl.substr(0, newline));
+  ASSERT_TRUE(step.ok()) << step.status().ToString();
+  EXPECT_TRUE(step->Find("planning_seconds")->is_null());
+  EXPECT_EQ(step->Find("step_seconds")->number(), 1.5);
+  Result<serve::JsonValue> event = serve::JsonValue::Parse(
+      jsonl.substr(newline + 1, jsonl.size() - newline - 2));
+  ASSERT_TRUE(event.ok()) << event.status().ToString();
+  EXPECT_EQ(event->Find("type")->string_value(), "replan");
+  EXPECT_TRUE(event->Find("seconds")->is_null());
 }
 
 TEST(RunLogTest, IntegratesWithEngine) {

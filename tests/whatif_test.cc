@@ -433,6 +433,8 @@ TEST(WhatIfEngineTest, ReportBytesAreThreadCountInvariant) {
 
   EXPECT_EQ(obs::RenderAttributionJson(*a), obs::RenderAttributionJson(*b));
   EXPECT_EQ(obs::RenderAttributionCsv(*a), obs::RenderAttributionCsv(*b));
+  EXPECT_EQ(obs::RenderAttributionText(*a, 0),
+            obs::RenderAttributionText(*b, 0));
 }
 
 TEST(WhatIfEngineTest, InjectedStragglerOutranksHealthyRemovals) {

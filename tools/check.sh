@@ -29,7 +29,8 @@
 #   tools/check.sh --whatif    # record every example scenario as a bundle
 #                              #   and sweep it with malleus_whatif under
 #                              #   ASan/UBSan, once per net model, checking
-#                              #   byte-identical repeat reports
+#                              #   byte-identical reports at 1 and 4
+#                              #   threads
 #   tools/check.sh --serve     # the serving control plane: serve_test,
 #                              #   the malleus_served smoke (with the
 #                              #   scenario_cli cache round trip) and
@@ -305,8 +306,10 @@ if [[ "$MODE" == "whatif" ]]; then
   # Record-and-sweep every shipped scenario in the instrumented build so
   # the whole bundle + what-if pipeline (scenario_cli --record-out,
   # LoadRunBundle, the counterfactual sweep, both report renderers) runs
-  # under ASan/UBSan, once per net model. Each bundle is swept twice and
-  # the ranked JSON/CSV reports must come out byte-identical.
+  # under ASan/UBSan, once per net model. Each bundle is swept twice, at
+  # --threads=1 and --threads=4, and the ranked JSON/CSV reports and the
+  # text report on stdout (minus its "wrote ..." lines, which name the
+  # output files) must come out byte-identical.
   cmake --build "$BUILD_DIR" -j"$(nproc)" \
     --target scenario_cli malleus_whatif_tool
   out_dir="$BUILD_DIR/whatif-out"
@@ -320,17 +323,22 @@ if [[ "$MODE" == "whatif" ]]; then
       MALLEUS_NET_MODEL="$net_model" "$BUILD_DIR/examples/scenario_cli" \
         --scenario="$scenario" --record-out="$bundle" >/dev/null
       MALLEUS_NET_MODEL="$net_model" "$BUILD_DIR/tools/malleus_whatif" \
-        "$bundle" --auto-grid --verify-snapshot --top=3 \
-        --report-out="$bundle.a.json" --csv-out="$bundle.a.csv"
+        "$bundle" --auto-grid --verify-snapshot --threads=1 --top=3 \
+        --report-out="$bundle.a.json" --csv-out="$bundle.a.csv" \
+        >"$bundle.a.txt"
       MALLEUS_NET_MODEL="$net_model" "$BUILD_DIR/tools/malleus_whatif" \
-        "$bundle" --auto-grid --top=0 \
-        --report-out="$bundle.b.json" --csv-out="$bundle.b.csv" >/dev/null
+        "$bundle" --auto-grid --verify-snapshot --threads=4 --top=3 \
+        --report-out="$bundle.b.json" --csv-out="$bundle.b.csv" \
+        >"$bundle.b.txt"
+      cat "$bundle.a.txt"
       cmp "$bundle.a.json" "$bundle.b.json"
       cmp "$bundle.a.csv" "$bundle.b.csv"
+      cmp <(grep -v '^wrote ' "$bundle.a.txt") \
+          <(grep -v '^wrote ' "$bundle.b.txt")
     done
   done
   echo "OK: recorded + swept every example scenario under ASan/UBSan" \
-       "(analytic + flow net models, byte-identical repeat reports)"
+       "(analytic + flow models, reports identical at 1 and 4 threads)"
   exit 0
 fi
 

@@ -46,19 +46,19 @@ Result<std::string> InjectScenario(const std::string& params,
     return Status::NotFound(
         StrFormat("cannot read scenario file %s", path.c_str()));
   }
-  const std::string field =
-      StrFormat("\"scenario\":%s", JsonQuote(*text).c_str());
-  if (params.empty() || params == "{}") {
-    return StrFormat("{%s}", field.c_str());
-  }
-  // Validate, then splice the field in after the opening brace.
+  JsonWriter injected;
+  injected.BeginObject().Key("scenario").String(*text).EndObject();
+  if (params.empty() || params == "{}") return injected.str();
+  // Validate, then splice the member in after the opening brace.
   MALLEUS_ASSIGN_OR_RETURN(serve::JsonValue parsed,
                            serve::JsonValue::Parse(params));
   if (!parsed.is_object()) {
     return Status::InvalidArgument("PARAMS_JSON must be a JSON object");
   }
+  const std::string& rendered = injected.str();
+  const std::string member = rendered.substr(1, rendered.size() - 2);
   const size_t brace = params.find('{');
-  return params.substr(0, brace + 1) + field +
+  return params.substr(0, brace + 1) + member +
          (parsed.members().empty() ? "" : ",") + params.substr(brace + 1);
 }
 

@@ -92,38 +92,29 @@ std::string RenderReport(const Args& args, int resolved, int planned,
                          const std::map<std::string, int>& oracle_runs,
                          const std::map<std::string, int>& oracle_violations,
                          const std::vector<ViolationRecord>& records) {
-  std::string json = "{";
-  json += StrFormat("\"seed\":%" PRIu64 ",\"runs\":%d,", args.seed,
-                    args.runs);
-  json += StrFormat("\"net_model\":\"%s\",\"dynamic\":%s,\"inject\":%s,",
-                    args.net_model.c_str(), args.dynamic ? "true" : "false",
-                    args.inject.empty() ? "false" : "true");
-  json += StrFormat("\"resolved\":%d,\"planned\":%d,", resolved, planned);
-  json += "\"oracles\":{";
-  bool first = true;
+  JsonWriter json;
+  json.BeginObject().Key("seed").Uint(args.seed).Key("runs").Int(args.runs);
+  json.Key("net_model").String(args.net_model);
+  json.Key("dynamic").Bool(args.dynamic);
+  json.Key("inject").Bool(!args.inject.empty());
+  json.Key("resolved").Int(resolved).Key("planned").Int(planned);
+  json.Key("oracles").BeginObject();
   for (const auto& [oracle, runs] : oracle_runs) {
-    if (!first) json += ",";
-    first = false;
     const auto it = oracle_violations.find(oracle);
-    json += StrFormat("\"%s\":{\"runs\":%d,\"violations\":%d}",
-                      JsonEscape(oracle).c_str(), runs,
-                      it == oracle_violations.end() ? 0 : it->second);
+    const int violations = it == oracle_violations.end() ? 0 : it->second;
+    json.Key(oracle).BeginObject().Key("runs").Int(runs);
+    json.Key("violations").Int(violations).EndObject();
   }
-  json += "},\"violations\":[";
-  first = true;
+  json.EndObject().Key("violations").BeginArray();
   for (const ViolationRecord& record : records) {
-    if (!first) json += ",";
-    first = false;
-    json += StrFormat(
-        "{\"run\":%d,\"seed\":%" PRIu64
-        ",\"oracle\":\"%s\",\"message\":\"%s\",\"repro\":\"%s\"}",
-        record.run, record.run_seed,
-        JsonEscape(record.violation.oracle).c_str(),
-        JsonEscape(record.violation.message).c_str(),
-        JsonEscape(record.repro_path).c_str());
+    json.BeginObject().Key("run").Int(record.run);
+    json.Key("seed").Uint(record.run_seed);
+    json.Key("oracle").String(record.violation.oracle);
+    json.Key("message").String(record.violation.message);
+    json.Key("repro").String(record.repro_path).EndObject();
   }
-  json += "]}";
-  return json;
+  json.EndArray().EndObject();
+  return json.str();
 }
 
 int Fuzz(const Args& args) {
