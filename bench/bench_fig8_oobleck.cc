@@ -20,13 +20,13 @@ void Run() {
   const auto trace = straggler::StandardTrace(/*steps_per_phase=*/8);
 
   baselines::OobleckBaseline oobleck(w.cluster, cost);
-  baselines::MalleusFramework malleus_fw(w.cluster, cost);
+  core::MalleusEngine malleus(w.cluster, cost);
 
   Result<std::vector<baselines::PhaseStats>> ob =
       baselines::RunTrace(&oobleck, w.cluster, trace, w.global_batch);
   MALLEUS_CHECK_OK(ob.status());
   Result<std::vector<baselines::PhaseStats>> ml =
-      baselines::RunTrace(&malleus_fw, w.cluster, trace, w.global_batch);
+      baselines::RunTrace(&malleus, w.cluster, trace, w.global_batch);
   MALLEUS_CHECK_OK(ml.status());
 
   TablePrinter table("Figure 8 (32B): Oobleck vs Malleus along the trace");

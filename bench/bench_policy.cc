@@ -2,9 +2,12 @@
 // scenarios (flapping stragglers, correlated node failures, diurnal
 // contention, and a mixed regime), each driven through the policy
 // engine's six selectors (adaptive + five fixed policies) via
-// policy::RunDynamic and, segment-wise over the same event trace, through
-// the Megatron-LM (with restarts), DeepSpeed (with restarts) and
-// Oobleck-style baselines.
+// policy::RunDynamic and, through the same trace driver (core::Drive) over
+// the same event timeline, the Megatron-LM (with restarts), DeepSpeed
+// (with restarts) and Oobleck-style baselines. The baselines step once per
+// iteration, and their goodput uses the adaptive run's numeraire (the
+// healthy step of Malleus' initial plan), so every row of a scenario is in
+// the same units.
 //
 // Two verdicts gate the exit code:
 //   - determinism: the adaptive run's obs run log is byte-identical at
@@ -27,6 +30,7 @@
 #include "baselines/oobleck.h"
 #include "bench_util.h"
 #include "core/run_log.h"
+#include "core/trace_driver.h"
 #include "policy/events.h"
 #include "policy/policy.h"
 #include "policy/runner.h"
@@ -114,72 +118,11 @@ struct SelectorOutcome {
   double transition_seconds = 0.0;
   int events_applied = 0;
   int action_counts[policy::kNumPolicyActions] = {0, 0, 0, 0, 0};
+  /// The run's goodput numeraire (healthy step of the initial plan).
+  double healthy_step_seconds = 0.0;
   bool ok = false;
   std::string error;
 };
-
-struct BaselineOutcome {
-  std::string name;
-  double goodput = 0.0;
-  double wall_seconds = 0.0;
-  bool stalled = false;  ///< Hit an infeasible situation and stopped.
-};
-
-// Drives one TrainingFramework segment-wise through the event trace: the
-// framework steps at its current configuration until the next event, then
-// sees the new situation (and pays any restart/migration it reports).
-// Goodput uses the framework's own healthy step time as the numeraire, so
-// template overheads (Oobleck) count against it exactly as in the paper.
-BaselineOutcome DriveBaseline(baselines::TrainingFramework& framework,
-                              const topo::ClusterSpec& cluster,
-                              const policy::EventTrace& trace,
-                              int64_t global_batch) {
-  BaselineOutcome out;
-  out.name = framework.name();
-  straggler::Situation situation(cluster.num_gpus());
-  if (!framework.Initialize(global_batch).ok()) {
-    out.stalled = true;
-    return out;
-  }
-  const Result<double> healthy = framework.StepSeconds(situation);
-  if (!healthy.ok() || !std::isfinite(*healthy) || *healthy <= 0.0) {
-    out.stalled = true;
-    return out;
-  }
-  double wall = 0.0;
-  int64_t at = 0;
-  auto advance = [&](int64_t until) -> bool {
-    if (until <= at) return true;
-    const Result<double> step = framework.StepSeconds(situation);
-    if (!step.ok() || !std::isfinite(*step)) return false;
-    wall += static_cast<double>(until - at) * *step;
-    at = until;
-    return true;
-  };
-  for (const policy::ClusterEvent& event : trace.events) {
-    if (!advance(event.iteration)) {
-      out.stalled = true;
-      return out;
-    }
-    policy::ApplyEvent(cluster, event, &situation);
-    const Result<baselines::TransitionReport> transition =
-        framework.OnSituationChange(situation);
-    if (!transition.ok()) {
-      out.stalled = true;
-      return out;
-    }
-    wall += transition->restart_seconds + transition->migration_seconds;
-  }
-  if (!advance(trace.iterations)) {
-    out.stalled = true;
-    return out;
-  }
-  out.wall_seconds = wall;
-  out.goodput =
-      wall > 0.0 ? static_cast<double>(trace.iterations) * *healthy / wall
-                 : 0.0;
-  return out;
-}
 
 SelectorOutcome RunSelector(const std::string& name,
                             const topo::ClusterSpec& cluster,
@@ -211,6 +154,7 @@ SelectorOutcome RunSelector(const std::string& name,
     return out;
   }
   out.ok = true;
+  out.healthy_step_seconds = run->healthy_step_seconds;
   out.goodput = run->goodput;
   out.wall_seconds = run->wall_seconds;
   out.transition_seconds = run->transition_seconds;
@@ -257,6 +201,7 @@ int Run() {
                 static_cast<long long>(trace.iterations));
 
     double adaptive_goodput = 0.0;
+    double healthy_step_seconds = 0.0;
     double best_fixed_goodput = 0.0;
     std::string best_fixed;
     JsonWriter selectors_json;
@@ -277,6 +222,7 @@ int Run() {
       }
       if (name == "adaptive") {
         adaptive_goodput = outcome.goodput;
+        healthy_step_seconds = outcome.healthy_step_seconds;
         // Determinism gate: the same trace at planner threads 4 must
         // produce a byte-identical obs run log.
         std::string log4;
@@ -302,41 +248,37 @@ int Run() {
     }
     selectors_json.EndArray();
 
-    // The competitor frameworks over the same trace, segment-wise.
+    // The competitor frameworks over the same timeline, one step per
+    // iteration, in the adaptive run's goodput units.
+    const core::Timeline timeline = policy::EventTimeline(
+        cluster, straggler::Situation(cluster.num_gpus()), trace);
+    std::unique_ptr<core::TrainingFramework> frameworks[] = {
+        std::make_unique<baselines::MegatronBaseline>(
+            cluster, cost, baselines::MegatronOptions{.with_restart = true}),
+        std::make_unique<baselines::DeepSpeedBaseline>(
+            cluster, cost, baselines::DeepSpeedOptions{.with_restart = true}),
+        std::make_unique<baselines::OobleckBaseline>(cluster, cost)};
     JsonWriter baselines_json;
     baselines_json.BeginArray();
-    {
-      std::vector<std::unique_ptr<baselines::TrainingFramework>> frameworks;
-      {
-        baselines::MegatronOptions o;
-        o.with_restart = true;
-        frameworks.push_back(std::make_unique<baselines::MegatronBaseline>(
-            cluster, cost, o));
+    for (const auto& framework : frameworks) {
+      core::DriveResult drive;
+      drive.stop = framework->Initialize(global_batch);
+      if (drive.stop.ok()) {
+        drive = core::Drive(framework.get(), timeline, healthy_step_seconds);
       }
-      {
-        baselines::DeepSpeedOptions o;
-        o.with_restart = true;
-        frameworks.push_back(std::make_unique<baselines::DeepSpeedBaseline>(
-            cluster, cost, o));
+      const bool stalled = !drive.stop.ok();
+      if (stalled) {
+        std::printf("  %-22s stalled: %s\n", framework->name().c_str(),
+                    drive.stop.ToString().c_str());
+      } else {
+        std::printf("  %-22s goodput %.4f  wall %10.1f s\n",
+                    framework->name().c_str(), drive.goodput,
+                    drive.wall_seconds);
       }
-      frameworks.push_back(
-          std::make_unique<baselines::OobleckBaseline>(cluster, cost));
-      for (const auto& framework : frameworks) {
-        const BaselineOutcome outcome =
-            DriveBaseline(*framework, cluster, trace, global_batch);
-        if (outcome.stalled) {
-          std::printf("  %-22s stalled\n", outcome.name.c_str());
-        } else {
-          std::printf("  %-22s goodput %.4f  wall %10.1f s\n",
-                      outcome.name.c_str(), outcome.goodput,
-                      outcome.wall_seconds);
-        }
-        JsonWriter& row = baselines_json.BeginObject();
-        row.Key("name").String(outcome.name);
-        row.Key("stalled").Bool(outcome.stalled);
-        row.Key("goodput").Fixed(outcome.goodput, 6);
-        row.Key("wall_seconds").Fixed(outcome.wall_seconds, 3).EndObject();
-      }
+      JsonWriter& row = baselines_json.BeginObject();
+      row.Key("name").String(framework->name()).Key("stalled").Bool(stalled);
+      row.Key("goodput").Fixed(drive.goodput, 6);
+      row.Key("wall_seconds").Fixed(drive.wall_seconds, 3).EndObject();
     }
     baselines_json.EndArray();
 

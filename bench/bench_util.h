@@ -12,13 +12,12 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/baseline.h"
 #include "baselines/deepspeed.h"
-#include "baselines/malleus_adapter.h"
 #include "baselines/megatron.h"
 #include "baselines/oobleck.h"
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "core/engine.h"
 #include "model/cost_model.h"
 #include "net/fabric.h"
 #include "obs/metrics.h"
@@ -54,10 +53,10 @@ inline std::vector<Workload> AllWorkloads() {
 }
 
 /// The competitor set of Table 2, in the paper's row order.
-inline std::vector<std::unique_ptr<baselines::TrainingFramework>>
+inline std::vector<std::unique_ptr<core::TrainingFramework>>
 MakeCompetitors(const topo::ClusterSpec& cluster,
                 const model::CostModel& cost) {
-  std::vector<std::unique_ptr<baselines::TrainingFramework>> out;
+  std::vector<std::unique_ptr<core::TrainingFramework>> out;
   {
     baselines::DeepSpeedOptions o;
     out.push_back(
@@ -80,7 +79,7 @@ MakeCompetitors(const topo::ClusterSpec& cluster,
     out.push_back(
         std::make_unique<baselines::MegatronBaseline>(cluster, cost, o));
   }
-  out.push_back(std::make_unique<baselines::MalleusFramework>(cluster, cost));
+  out.push_back(std::make_unique<core::MalleusEngine>(cluster, cost));
   return out;
 }
 

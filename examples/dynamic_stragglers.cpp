@@ -21,26 +21,32 @@ int main() {
   MALLEUS_CHECK_OK(engine.Initialize(/*global_batch=*/64));
   std::printf("initial plan:\n%s\n", engine.current_plan().ToString().c_str());
 
-  for (const straggler::TracePhase& phase :
-       straggler::StandardTrace(/*steps_per_phase=*/6)) {
-    Result<straggler::Situation> truth =
-        straggler::Situation::Canonical(cluster, phase.id);
-    MALLEUS_CHECK_OK(truth.status());
-    std::printf("--- %s  (%s)\n", straggler::SituationName(phase.id),
-                truth->ToString().c_str());
-    for (int step = 0; step < phase.steps; ++step) {
-      Result<core::StepReport> r = engine.Step(*truth);
-      MALLEUS_CHECK_OK(r.status());
-      std::printf("  step %d: %.1f s", step, r->step_seconds);
-      if (r->replanned) {
+  Result<core::Timeline> timeline = core::PhaseTimeline(
+      cluster, straggler::StandardTrace(/*steps_per_phase=*/6));
+  MALLEUS_CHECK_OK(timeline.status());
+  const core::DriveResult drive =
+      core::Drive(&engine, *timeline, /*healthy_step_seconds=*/0.0);
+  MALLEUS_CHECK_OK(drive.stop);
+
+  for (size_t i = 1; i < drive.segments.size(); ++i) {
+    const core::ChangePoint& point = timeline->changes[i - 1];
+    std::printf("--- %s  (%s)\n", point.label.c_str(),
+                point.situation.ToString().c_str());
+    int step = 0;
+    for (const core::StepReport& r : drive.segments[i].steps) {
+      std::printf("  step %d: %.1f s", step++, r.step_seconds);
+      if (r.replanned) {
         std::printf("  [re-planned in %.2f s (overlapped)%s%s]",
-                    r->planning_seconds,
-                    r->migration_seconds > 0 ? ", migrated" : "",
-                    r->note.empty() ? "" : (", " + r->note).c_str());
+                    r.planning_seconds,
+                    r.migration_seconds > 0 ? ", migrated" : "",
+                    r.note.empty() ? "" : (", " + r.note).c_str());
       }
       std::printf("\n");
     }
   }
+  std::printf("\n%lld iterations: %.1f s training + %.1f s transitions\n",
+              static_cast<long long>(drive.iterations_run),
+              drive.training_seconds, drive.transition_seconds);
   std::printf("\nfinal plan:\n%s", engine.current_plan().ToString().c_str());
   return 0;
 }

@@ -14,27 +14,6 @@
 
 using namespace malleus;
 
-namespace {
-
-void RunSteps(core::MalleusEngine& engine, const straggler::Situation& truth,
-              const char* phase, int steps) {
-  std::printf("--- %s\n", phase);
-  for (int i = 0; i < steps; ++i) {
-    Result<core::StepReport> r = engine.Step(truth);
-    MALLEUS_CHECK_OK(r.status());
-    std::printf("  step: %.1f s", r->step_seconds);
-    if (r->recovery_seconds > 0) {
-      std::printf("  [checkpoint reload %.0f s]", r->recovery_seconds);
-    }
-    if (r->replanned) std::printf("  [re-planned]");
-    if (!r->note.empty()) std::printf("  (%s)", r->note.c_str());
-    std::printf("  active GPUs: %zu\n",
-                engine.current_plan().ActiveGpus().size());
-  }
-}
-
-}  // namespace
-
 int main() {
   const topo::ClusterSpec cluster = topo::ClusterSpec::A800Cluster(4);
   const model::CostModel cost(model::ModelSpec::Llama32B(), cluster.gpu());
@@ -42,13 +21,35 @@ int main() {
   core::MalleusEngine engine(cluster, cost);
   MALLEUS_CHECK_OK(engine.Initialize(/*global_batch=*/64));
 
-  straggler::Situation healthy(cluster.num_gpus());
-  RunSteps(engine, healthy, "all GPUs healthy", 3);
-
+  const straggler::Situation healthy(cluster.num_gpus());
   straggler::Situation failed(cluster.num_gpus());
   failed.Fail(/*gpu=*/5);
-  RunSteps(engine, failed, "GPU 5 becomes unresponsive", 4);
+  // GPU 5 fails at iteration 3 and returns at iteration 7.
+  const core::Timeline timeline{healthy,
+                                {{0, healthy, "all GPUs healthy"},
+                                 {3, failed, "GPU 5 becomes unresponsive"},
+                                 {7, healthy, "GPU 5 recovers"}},
+                                12};
+  const core::DriveResult drive =
+      core::Drive(&engine, timeline, /*healthy_step_seconds=*/0.0);
+  MALLEUS_CHECK_OK(drive.stop);
 
-  RunSteps(engine, healthy, "GPU 5 recovers", 5);
+  for (size_t i = 1; i < drive.segments.size(); ++i) {
+    std::printf("--- %s\n", timeline.changes[i - 1].label.c_str());
+    for (const core::StepReport& r : drive.segments[i].steps) {
+      std::printf("  step: %.1f s", r.step_seconds);
+      if (r.recovery_seconds > 0) {
+        std::printf("  [checkpoint reload %.0f s]", r.recovery_seconds);
+      }
+      if (r.replanned) std::printf("  [re-planned]");
+      if (!r.note.empty()) std::printf("  (%s)", r.note.c_str());
+      std::printf("\n");
+    }
+  }
+  std::printf("\n%lld iterations: %.1f s training + %.1f s transitions; "
+              "active GPUs: %zu\n",
+              static_cast<long long>(drive.iterations_run),
+              drive.training_seconds, drive.transition_seconds,
+              engine.current_plan().ActiveGpus().size());
   return 0;
 }

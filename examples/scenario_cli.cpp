@@ -18,13 +18,13 @@
 #include <vector>
 
 #include "baselines/deepspeed.h"
-#include "baselines/malleus_adapter.h"
 #include "baselines/megatron.h"
 #include "baselines/trace_runner.h"
 #include "common/file_util.h"
 #include "common/flags.h"
 #include "common/string_util.h"
 #include "common/table.h"
+#include "core/engine.h"
 #include "core/planner_cache.h"
 #include "core/run_log.h"
 #include "core/scenario_lint.h"
@@ -346,7 +346,7 @@ int main(int argc, char** argv) {
   std::printf("batch   : %lld sequences/step\n\n",
                static_cast<long long>(args.batch));
 
-  std::vector<std::unique_ptr<baselines::TrainingFramework>> frameworks;
+  std::vector<std::unique_ptr<core::TrainingFramework>> frameworks;
   obs::TraceRecorder trace_recorder;
   core::RunLog run_log;
   core::EngineOptions eng;
@@ -359,10 +359,10 @@ int main(int argc, char** argv) {
   if (!args.trace_out.empty() || !args.record_out.empty()) {
     eng.sim.trace = &trace_recorder;
   }
-  auto malleus_fw =
-      std::make_unique<baselines::MalleusFramework>(cluster, cost, eng);
-  baselines::MalleusFramework* malleus = malleus_fw.get();
-  frameworks.push_back(std::move(malleus_fw));
+  auto malleus_engine =
+      std::make_unique<core::MalleusEngine>(cluster, cost, eng);
+  core::MalleusEngine* malleus = malleus_engine.get();
+  frameworks.push_back(std::move(malleus_engine));
   if (args.baselines) {
     baselines::MegatronOptions mo;
     mo.net_model = args.net_model;
@@ -379,7 +379,7 @@ int main(int argc, char** argv) {
   // file. Any failure (missing file, no matching section, corrupt bytes)
   // downgrades to a cold start — persistence must never fail a run.
   const uint64_t cache_fp = core::PlannerCacheFingerprint(cluster, cost);
-  core::PlannerCache& cache = malleus->engine().planner().solve_cache();
+  core::PlannerCache& cache = malleus->planner().solve_cache();
   if (!args.cache_load.empty()) {
     Result<std::vector<solver::CacheFileSection>> sections =
         solver::ReadCacheFile(args.cache_load);

@@ -118,21 +118,15 @@ Status DeepSpeedBaseline::Initialize(int64_t global_batch) {
   return Status::OK();
 }
 
-Result<TransitionReport> DeepSpeedBaseline::OnSituationChange(
+Result<core::TransitionReport> DeepSpeedBaseline::OnSituationChange(
     const straggler::Situation& situation) {
-  TransitionReport report;
-  if (!options_.with_restart) {
-    report.description = "static config kept";
-    return report;
-  }
+  core::TransitionReport report;
+  if (!options_.with_restart) return report;
   std::set<topo::NodeId> bad;
   for (topo::GpuId g : situation.Stragglers()) {
     bad.insert(cluster_.NodeOf(g));
   }
-  if (bad == excluded_nodes_) {
-    report.description = "node set unchanged";
-    return report;
-  }
+  if (bad == excluded_nodes_) return report;
   const int alive_nodes = cluster_.num_nodes() - static_cast<int>(bad.size());
   if (alive_nodes <= 0) {
     return Status::Unavailable("every node hosts a straggler");
@@ -145,11 +139,10 @@ Result<TransitionReport> DeepSpeedBaseline::OnSituationChange(
   active_gpus_ = gpus;
   report.restart_seconds = sim::RestartSeconds(
       cost_.CheckpointBytes(), alive_nodes, kRestartCost);
-  report.description = StrFormat("restarted on %d nodes", alive_nodes);
   return report;
 }
 
-Result<double> DeepSpeedBaseline::StepSeconds(
+Result<core::StepReport> DeepSpeedBaseline::Step(
     const straggler::Situation& situation) {
   if (active_gpus_ <= 0) {
     return Status::FailedPrecondition("not initialized");
@@ -176,7 +169,10 @@ Result<double> DeepSpeedBaseline::StepSeconds(
   }
   const double f = CommFraction();
   const double jitter = std::max(0.5, 1.0 + rng_.Normal(0.0, 0.01));
-  return BaseStepSeconds(active_gpus_) * ((1.0 - f) * x_eff + f) * jitter;
+  core::StepReport report;
+  report.step_seconds =
+      BaseStepSeconds(active_gpus_) * ((1.0 - f) * x_eff + f) * jitter;
+  return report;
 }
 
 }  // namespace baselines

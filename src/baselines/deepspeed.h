@@ -21,7 +21,9 @@
 
 #include <set>
 
-#include "baselines/baseline.h"
+#include "common/rng.h"
+#include "core/trace_driver.h"
+#include "model/cost_model.h"
 
 namespace malleus {
 namespace baselines {
@@ -43,16 +45,17 @@ struct DeepSpeedOptions {
   uint64_t seed = 1;
 };
 
-class DeepSpeedBaseline : public TrainingFramework {
+class DeepSpeedBaseline : public core::TrainingFramework {
  public:
   DeepSpeedBaseline(const topo::ClusterSpec& cluster,
                     const model::CostModel& cost, DeepSpeedOptions options);
 
   std::string name() const override;
   Status Initialize(int64_t global_batch) override;
-  Result<TransitionReport> OnSituationChange(
+  Result<core::TransitionReport> OnSituationChange(
       const straggler::Situation& situation) override;
-  Result<double> StepSeconds(const straggler::Situation& situation) override;
+  Result<core::StepReport> Step(
+      const straggler::Situation& situation) override;
 
   const DeepSpeedConfig& current_config() const { return config_; }
 

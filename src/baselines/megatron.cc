@@ -1,6 +1,5 @@
 #include "baselines/megatron.h"
 
-#include "common/string_util.h"
 #include "plan/uniform.h"
 #include "sim/pipeline_sim.h"
 #include "sim/restart.h"
@@ -41,18 +40,12 @@ std::set<topo::NodeId> MegatronBaseline::StragglerNodes(
   return nodes;
 }
 
-Result<TransitionReport> MegatronBaseline::OnSituationChange(
+Result<core::TransitionReport> MegatronBaseline::OnSituationChange(
     const straggler::Situation& situation) {
-  TransitionReport report;
-  if (!options_.with_restart) {
-    report.description = "static plan kept";
-    return report;
-  }
+  core::TransitionReport report;
+  if (!options_.with_restart) return report;
   const std::set<topo::NodeId> bad = StragglerNodes(situation);
-  if (bad == excluded_nodes_) {
-    report.description = "node set unchanged";
-    return report;
-  }
+  if (bad == excluded_nodes_) return report;
   // Remove (or re-add) whole nodes, re-tune manually, restart the task.
   std::vector<topo::GpuId> gpus;
   int alive_nodes = 0;
@@ -74,18 +67,19 @@ Result<TransitionReport> MegatronBaseline::OnSituationChange(
   excluded_nodes_ = bad;
   report.restart_seconds =
       sim::RestartSeconds(cost_.CheckpointBytes(), alive_nodes);
-  report.description = StrFormat("restarted on %d nodes", alive_nodes);
   return report;
 }
 
-Result<double> MegatronBaseline::StepSeconds(
+Result<core::StepReport> MegatronBaseline::Step(
     const straggler::Situation& situation) {
   sim::SimOptions sim_options;
   sim_options.net_model = options_.net_model;
   Result<sim::StepResult> step = sim::SimulateStep(
       cluster_, cost_, plan_, situation, sim_options, &rng_);
   if (!step.ok()) return step.status();
-  return step->step_seconds;
+  core::StepReport report;
+  report.step_seconds = step->step_seconds;
+  return report;
 }
 
 }  // namespace baselines

@@ -7,7 +7,9 @@
 
 #include <set>
 
-#include "baselines/baseline.h"
+#include "common/rng.h"
+#include "core/trace_driver.h"
+#include "model/cost_model.h"
 #include "net/fabric.h"
 #include "plan/plan.h"
 
@@ -24,16 +26,17 @@ struct MegatronOptions {
   uint64_t seed = 1;
 };
 
-class MegatronBaseline : public TrainingFramework {
+class MegatronBaseline : public core::TrainingFramework {
  public:
   MegatronBaseline(const topo::ClusterSpec& cluster,
                    const model::CostModel& cost, MegatronOptions options);
 
   std::string name() const override;
   Status Initialize(int64_t global_batch) override;
-  Result<TransitionReport> OnSituationChange(
+  Result<core::TransitionReport> OnSituationChange(
       const straggler::Situation& situation) override;
-  Result<double> StepSeconds(const straggler::Situation& situation) override;
+  Result<core::StepReport> Step(
+      const straggler::Situation& situation) override;
 
   /// The active uniform plan (exposed for the Table 6 configuration dump).
   const plan::ParallelPlan& current_plan() const { return plan_; }

@@ -59,18 +59,15 @@ Status OobleckBaseline::Initialize(int64_t global_batch) {
   return Status::OK();
 }
 
-Result<TransitionReport> OobleckBaseline::OnSituationChange(
+Result<core::TransitionReport> OobleckBaseline::OnSituationChange(
     const straggler::Situation& situation) {
-  TransitionReport report;
+  core::TransitionReport report;
   last_restarted_ = false;
   std::set<topo::NodeId> bad;
   for (topo::GpuId g : situation.Stragglers()) {
     bad.insert(cluster_.NodeOf(g));
   }
-  if (bad == excluded_nodes_) {
-    report.description = "node set unchanged";
-    return report;
-  }
+  if (bad == excluded_nodes_) return report;
 
   Result<plan::ParallelPlan> next = TemplateFor(bad);
   // Live migration only works when shedding nodes onto an existing
@@ -87,9 +84,6 @@ Result<TransitionReport> OobleckBaseline::OnSituationChange(
     if (migration.ok()) {
       report.migration_seconds = core::MigrationSeconds(
           *migration, cluster_, net::DefaultNetModel());
-      report.description =
-          StrFormat("migrated to the %d-node template",
-                    cluster_.num_nodes() - static_cast<int>(bad.size()));
       plan_ = std::move(next).ValueOrDie();
       excluded_nodes_ = bad;
       return report;
@@ -112,16 +106,17 @@ Result<TransitionReport> OobleckBaseline::OnSituationChange(
       cluster_.num_nodes() - static_cast<int>(excluded_nodes_.size());
   report.restart_seconds =
       sim::RestartSeconds(cost_.CheckpointBytes(), alive_nodes);
-  report.description = StrFormat("restarted on %d nodes", alive_nodes);
   return report;
 }
 
-Result<double> OobleckBaseline::StepSeconds(
+Result<core::StepReport> OobleckBaseline::Step(
     const straggler::Situation& situation) {
   Result<sim::StepResult> step = sim::SimulateStep(
       cluster_, cost_, plan_, situation, sim::SimOptions(), &rng_);
   if (!step.ok()) return step.status();
-  return step->step_seconds * kTemplateOverhead;
+  core::StepReport report;
+  report.step_seconds = step->step_seconds * kTemplateOverhead;
+  return report;
 }
 
 }  // namespace baselines

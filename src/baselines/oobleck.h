@@ -18,22 +18,25 @@
 #include <map>
 #include <set>
 
-#include "baselines/baseline.h"
+#include "common/rng.h"
+#include "core/trace_driver.h"
+#include "model/cost_model.h"
 #include "plan/plan.h"
 
 namespace malleus {
 namespace baselines {
 
-class OobleckBaseline : public TrainingFramework {
+class OobleckBaseline : public core::TrainingFramework {
  public:
   OobleckBaseline(const topo::ClusterSpec& cluster,
                   const model::CostModel& cost);
 
   std::string name() const override { return "Oobleck"; }
   Status Initialize(int64_t global_batch) override;
-  Result<TransitionReport> OnSituationChange(
+  Result<core::TransitionReport> OnSituationChange(
       const straggler::Situation& situation) override;
-  Result<double> StepSeconds(const straggler::Situation& situation) override;
+  Result<core::StepReport> Step(
+      const straggler::Situation& situation) override;
 
   /// Whether the last transition required a restart (for Figure 8).
   bool last_transition_restarted() const { return last_restarted_; }

@@ -1,56 +1,33 @@
 #include "baselines/trace_runner.h"
 
 #include <algorithm>
-
-#include "common/string_util.h"
-#include "core/run_log.h"
+#include <utility>
 
 namespace malleus {
 namespace baselines {
 
 Result<std::vector<PhaseStats>> RunTrace(
-    TrainingFramework* framework, const topo::ClusterSpec& cluster,
+    core::TrainingFramework* framework, const topo::ClusterSpec& cluster,
     const std::vector<straggler::TracePhase>& trace, int64_t global_batch,
     const TraceRunOptions& options) {
-  for (size_t i = 0; i < trace.size(); ++i) {
-    if (trace[i].steps <= 0) {
-      return Status::InvalidArgument(StrFormat(
-          "trace phase %zu (%s) has %d steps; every phase needs at least one",
-          i, straggler::SituationName(trace[i].id), trace[i].steps));
-    }
-  }
+  MALLEUS_ASSIGN_OR_RETURN(core::Timeline timeline,
+                           core::PhaseTimeline(cluster, trace));
   MALLEUS_RETURN_NOT_OK(framework->Initialize(global_batch));
-
+  const core::DriveResult drive =
+      core::Drive(framework, timeline, /*healthy_step_seconds=*/0.0);
   std::vector<PhaseStats> out;
-  for (const straggler::TracePhase& phase : trace) {
-    Result<straggler::Situation> situation =
-        straggler::Situation::Canonical(cluster, phase.id);
-    MALLEUS_RETURN_NOT_OK(situation.status());
-
+  for (size_t i = 1; i < drive.segments.size(); ++i) {
+    const core::DrivenSegment& segment = drive.segments[i];
     PhaseStats stats;
-    stats.situation = phase.id;
-    Result<TransitionReport> transition =
-        framework->OnSituationChange(*situation);
-    MALLEUS_RETURN_NOT_OK(transition.status());
-    stats.restart_seconds = transition->restart_seconds;
-    stats.migration_seconds = transition->migration_seconds;
-    stats.transition_note = transition->description;
-
-    for (int s = 0; s < phase.steps; ++s) {
-      Result<double> t = framework->StepSeconds(*situation);
-      MALLEUS_RETURN_NOT_OK(t.status());
-      stats.step_seconds.push_back(*t);
+    stats.situation = trace[i - 1].id;
+    stats.restart_seconds = segment.transition.restart_seconds;
+    stats.migration_seconds = segment.transition.migration_seconds;
+    for (const core::StepReport& report : segment.steps) {
       if (options.run_log != nullptr) {
-        core::StepReport report;
-        if (const core::StepReport* last = framework->last_step_report()) {
-          report = *last;
-        } else {
-          report.step_seconds = *t;
-        }
-        options.run_log->Record(straggler::SituationName(phase.id), report);
+        options.run_log->Record(timeline.changes[i - 1].label, report);
       }
+      stats.step_seconds.push_back(report.TotalSeconds());
     }
-
     const int warmup = std::max(
         0, std::min<int>(options.warmup_steps,
                          static_cast<int>(stats.step_seconds.size()) - 1));
@@ -63,6 +40,7 @@ Result<std::vector<PhaseStats>> RunTrace(
     stats.mean_step_seconds = count > 0 ? sum / count : 0.0;
     out.push_back(std::move(stats));
   }
+  MALLEUS_RETURN_NOT_OK(drive.stop);
   return out;
 }
 

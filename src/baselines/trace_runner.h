@@ -1,5 +1,8 @@
-// Drives a TrainingFramework through a straggler-situation trace (the
-// Figure 7 protocol) and collects per-phase statistics.
+// The Figure 7 protocol: plays straggler-situation phases through the one
+// trace driver (core::PhaseTimeline, core::Drive), one step per iteration,
+// and folds the step reports into per-phase statistics. A step's value is
+// its TotalSeconds(), so the engine's detect-and-migrate transient lands in
+// the steps, while the baselines' restarts land at the phase boundary.
 
 #ifndef MALLEUS_BASELINES_TRACE_RUNNER_H_
 #define MALLEUS_BASELINES_TRACE_RUNNER_H_
@@ -7,16 +10,12 @@
 #include <string>
 #include <vector>
 
-#include "baselines/baseline.h"
+#include "core/run_log.h"
+#include "core/trace_driver.h"
 #include "straggler/situation.h"
 #include "topology/cluster.h"
 
 namespace malleus {
-
-namespace core {
-class RunLog;
-}  // namespace core
-
 namespace baselines {
 
 /// Statistics of one trace phase for one framework.
@@ -30,23 +29,21 @@ struct PhaseStats {
   /// Overheads paid at the transition into this phase.
   double restart_seconds = 0.0;
   double migration_seconds = 0.0;
-  std::string transition_note;
 };
 
 struct TraceRunOptions {
   /// Steps excluded from the phase mean (adaptation transient).
   int warmup_steps = 3;
-  /// When set, every step is also recorded here under the phase's
-  /// situation name. Frameworks that expose a detailed StepReport (see
-  /// TrainingFramework::last_step_report) contribute it verbatim; others
-  /// contribute a report carrying just the step time.
+  /// When set, every step's report is also recorded here under the
+  /// phase's situation name.
   core::RunLog* run_log = nullptr;
 };
 
-/// Runs `framework` through `trace` and returns per-phase statistics. Each
-/// phase runs its own `steps`; a phase with steps <= 0 is InvalidArgument.
+/// Initializes `framework`, runs it through `trace` and returns per-phase
+/// statistics, or the drive's stop status. Each phase runs its own
+/// `steps`; a phase with steps <= 0 is InvalidArgument.
 Result<std::vector<PhaseStats>> RunTrace(
-    TrainingFramework* framework, const topo::ClusterSpec& cluster,
+    core::TrainingFramework* framework, const topo::ClusterSpec& cluster,
     const std::vector<straggler::TracePhase>& trace, int64_t global_batch,
     const TraceRunOptions& options = TraceRunOptions());
 

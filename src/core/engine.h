@@ -20,6 +20,7 @@
 #include "core/executor.h"
 #include "core/planner.h"
 #include "core/profiler.h"
+#include "core/trace_driver.h"
 #include "sim/pipeline_sim.h"
 
 namespace malleus {
@@ -39,46 +40,25 @@ struct EngineOptions {
   uint64_t seed = 42;
 };
 
-/// What happened during one engine step.
-struct StepReport {
-  /// Training time of the iteration itself.
-  double step_seconds = 0.0;
-  /// Time spent migrating model states after re-planning (not overlapped).
-  double migration_seconds = 0.0;
-  /// Checkpoint-reload time after a failure (not overlapped).
-  double recovery_seconds = 0.0;
-  /// Wall time of the planner run; overlapped with training (S5.3) except
-  /// for `planning_overflow_seconds` = max(0, planning - step).
-  double planning_seconds = 0.0;
-  double planning_overflow_seconds = 0.0;
-  bool replanned = false;
-  std::string note;
-  /// Fingerprint of the plan adopted this step (plan::ParallelPlan::
-  /// Signature()); set only when a re-plan installed a different plan.
-  std::string plan_signature;
-
-  /// Total wall-clock cost of the step including transition overheads.
-  double TotalSeconds() const {
-    return step_seconds + migration_seconds + recovery_seconds +
-           planning_overflow_seconds;
-  }
-};
-
-class MalleusEngine {
+/// Malleus as a TrainingFramework. It detects shifts itself, so it keeps
+/// the default OnSituationChange, which pays nothing.
+class MalleusEngine : public TrainingFramework {
  public:
   MalleusEngine(const topo::ClusterSpec& cluster,
                 const model::CostModel& cost,
                 EngineOptions options = EngineOptions());
 
+  std::string name() const override { return "Malleus"; }
+
   /// Plans for a healthy cluster and installs the initial plan.
-  Status Initialize(int64_t global_batch);
+  Status Initialize(int64_t global_batch) override;
 
   /// Installs a user-provided initial plan instead.
   Status InitializeWithPlan(plan::ParallelPlan p);
 
   /// Executes one training iteration under the true (hidden) situation.
   /// The engine only observes it through simulated measurements.
-  Result<StepReport> Step(const straggler::Situation& truth);
+  Result<StepReport> Step(const straggler::Situation& truth) override;
 
   const plan::ParallelPlan& current_plan() const {
     return executor_.current_plan();

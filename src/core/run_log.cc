@@ -46,10 +46,6 @@ void RunLog::Record(const std::string& phase, const StepReport& report) {
   }
 }
 
-void RunLog::RecordEvent(RunEvent event) {
-  events_.push_back(std::move(event));
-}
-
 RunLog::Summary RunLog::Summarize() const {
   Summary s;
   for (const Entry& e : entries_) {

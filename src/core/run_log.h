@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "core/engine.h"
+#include "core/trace_driver.h"
 
 namespace malleus {
 namespace core {
@@ -45,9 +45,6 @@ class RunLog {
   /// derives the typed events the report implies (replan, migrate, fail +
   /// recover, plan-adopted).
   void Record(const std::string& phase, const StepReport& report);
-
-  /// Appends an event that did not come from a StepReport.
-  void RecordEvent(RunEvent event);
 
   int num_steps() const { return static_cast<int>(entries_.size()); }
   const std::vector<RunEvent>& events() const { return events_; }

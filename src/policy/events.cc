@@ -261,5 +261,17 @@ void ApplyEvent(const topo::ClusterSpec& cluster, const ClusterEvent& event,
   }
 }
 
+core::Timeline EventTimeline(const topo::ClusterSpec& cluster,
+                             const straggler::Situation& initial,
+                             const EventTrace& trace) {
+  core::Timeline timeline{initial, {}, trace.iterations};
+  straggler::Situation situation = initial;
+  for (const ClusterEvent& event : trace.events) {
+    ApplyEvent(cluster, event, &situation);
+    timeline.changes.push_back({event.iteration, situation, event.ToString()});
+  }
+  return timeline;
+}
+
 }  // namespace policy
 }  // namespace malleus

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/trace_driver.h"
 #include "scenario/scenario.h"
 #include "straggler/situation.h"
 #include "topology/cluster.h"
@@ -77,6 +78,13 @@ EventTrace GenerateEventTrace(const topo::ClusterSpec& cluster,
 /// Node-scoped events touch every GPU of the node.
 void ApplyEvent(const topo::ClusterSpec& cluster, const ClusterEvent& event,
                 straggler::Situation* situation);
+
+/// `trace` as a core::Timeline from `initial`: one change point per event,
+/// at its iteration, carrying the situation after applying every event up
+/// to it in order, labelled with ClusterEvent::ToString().
+core::Timeline EventTimeline(const topo::ClusterSpec& cluster,
+                             const straggler::Situation& initial,
+                             const EventTrace& trace);
 
 }  // namespace policy
 }  // namespace malleus

@@ -4,10 +4,12 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "core/migration.h"
+#include "core/trace_driver.h"
 #include "sim/restart.h"
 
 namespace malleus {
@@ -109,119 +111,93 @@ double MigrationCost(const plan::ParallelPlan& from,
   return core::MigrationSeconds(*migration, cluster, net_model);
 }
 
-}  // namespace
-
-Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
-                                    const model::CostModel& cost,
-                                    const straggler::Situation& initial,
-                                    const EventTrace& trace,
-                                    int64_t global_batch,
-                                    const PolicySelector& selector,
-                                    const DynamicRunOptions& options) {
-  if (initial.num_gpus() != cluster.num_gpus()) {
-    return Status::InvalidArgument("situation does not match cluster");
+// The policy engine's run as the trace driver's framework. Each
+// event-free segment is one memoized report; each change point prices the
+// five actions, asks the selector once and executes its choice. The k-th
+// change point is the k-th event of `trace` (see EventTimeline), which
+// supplies the event the selector and the restart pricing see.
+class PolicyRun : public core::TrainingFramework {
+ public:
+  PolicyRun(const topo::ClusterSpec& cluster, const model::CostModel& cost,
+            const straggler::Situation& initial, const EventTrace& trace,
+            const PolicySelector& selector, const DynamicRunOptions& options,
+            DynamicRunResult* result)
+      : cluster_(cluster),
+        cost_(cost),
+        initial_(initial),
+        trace_(trace),
+        selector_(selector),
+        options_(options),
+        result_(result),
+        planner_(cluster, cost),
+        sim_options_(options.sim) {
+    // Noise-free simulation makes segment step times exact, memoizable and
+    // byte-reproducible; the trace recorder stays off (the run log is the
+    // dynamic mode's observable).
+    sim_options_.timing_noise_stddev = 0.0;
+    sim_options_.trace = nullptr;
+    seen_situations_.insert(SitSignature(initial));
   }
-  DynamicRunResult result;
-  result.trace_iterations = trace.iterations;
 
-  const core::Planner planner(cluster, cost);
-  // A degraded initial situation on a larger cluster must not hit the flat
-  // sweep (auto island selection keeps it flat through 8 nodes, which is
-  // explosive under mixed rates); route it through half-cluster islands.
-  core::PlannerOptions initial_opts = options.planner;
-  if (initial_opts.island_nodes == 0 && cluster.num_nodes() > 4) {
-    bool degraded = false;
-    for (topo::GpuId g = 0; g < initial.num_gpus(); ++g) {
-      if (initial.IsStraggler(g) || initial.IsFailed(g)) {
-        degraded = true;
-        break;
+  std::string name() const override { return selector_.name(); }
+
+  // Plans for the initial situation and prices the goodput numeraire.
+  Status Initialize(int64_t global_batch) override {
+    global_batch_ = global_batch;
+    // A degraded initial situation on a larger cluster must not hit the
+    // flat sweep (auto island selection keeps it flat through 8 nodes,
+    // which is explosive under mixed rates); route it through half-cluster
+    // islands.
+    core::PlannerOptions initial_opts = options_.planner;
+    if (initial_opts.island_nodes == 0 && cluster_.num_nodes() > 4) {
+      bool degraded = false;
+      for (topo::GpuId g = 0; g < initial_.num_gpus(); ++g) {
+        if (initial_.IsStraggler(g) || initial_.IsFailed(g)) {
+          degraded = true;
+          break;
+        }
       }
+      if (degraded) initial_opts.island_nodes = cluster_.num_nodes() / 2;
     }
-    if (degraded) initial_opts.island_nodes = cluster.num_nodes() / 2;
+    Result<core::PlanResult> initial_plan =
+        planner_.Replan(initial_, global_batch, initial_opts);
+    if (!initial_plan.ok()) {
+      return Status(initial_plan.status().code(),
+                    "no initial plan: " + initial_plan.status().message());
+    }
+    current_ = std::move(initial_plan->plan);
+    MALLEUS_ASSIGN_OR_RETURN(
+        result_->healthy_step_seconds,
+        StepSecondsOf(current_, straggler::Situation(cluster_.num_gpus())));
+    return Status::OK();
   }
-  Result<core::PlanResult> initial_plan =
-      planner.Replan(initial, global_batch, initial_opts);
-  if (!initial_plan.ok()) {
-    return Status(initial_plan.status().code(),
-                  "no initial plan: " + initial_plan.status().message());
-  }
-  plan::ParallelPlan current = std::move(initial_plan->plan);
 
-  // Noise-free simulation makes segment step times exact, memoizable and
-  // byte-reproducible; the trace recorder stays off (the run log is the
-  // dynamic mode's observable).
-  sim::SimOptions sim_options = options.sim;
-  sim_options.timing_noise_stddev = 0.0;
-  sim_options.trace = nullptr;
-  std::map<std::string, double> sim_memo;
-  const auto step_seconds_of =
-      [&](const plan::ParallelPlan& p,
-          const straggler::Situation& s) -> Result<double> {
-    const std::string key = p.Signature() + "|" + SitSignature(s);
-    const auto it = sim_memo.find(key);
-    if (it != sim_memo.end()) return it->second;
-    Rng rng(0x6D616C6C657573ULL);  // Fixed seed; the noise stddev is 0.
-    Result<sim::StepResult> sim_result =
-        sim::SimulateStep(cluster, cost, p, s, sim_options, &rng);
-    if (!sim_result.ok()) return sim_result.status();
-    sim_memo.emplace(key, sim_result->step_seconds);
-    return sim_result->step_seconds;
-  };
-
-  const straggler::Situation healthy(cluster.num_gpus());
-  Result<double> healthy_step = step_seconds_of(current, healthy);
-  if (!healthy_step.ok()) return healthy_step.status();
-  result.healthy_step_seconds = *healthy_step;
-
-  const auto record = [&](const core::StepReport& report) {
-    if (options.run_log != nullptr) {
-      options.run_log->Record("dynamic", report);
-    }
-    result.training_seconds += report.step_seconds;
-    result.transition_seconds += report.migration_seconds +
-                                 report.recovery_seconds +
-                                 report.planning_overflow_seconds;
-  };
-
-  // Simulates the event-free segment [cur, until); false on early stop.
-  straggler::Situation situation = initial;
-  int64_t cur = 0;
-  const auto run_segment = [&](int64_t until) -> bool {
-    const int64_t len = until - cur;
-    if (len <= 0) return true;
-    Result<double> step = step_seconds_of(current, situation);
-    if (!step.ok()) {
-      result.stop_reason =
-          "segment simulation failed: " + step.status().message();
-      return false;
-    }
+  Result<core::StepReport> Step(
+      const straggler::Situation& situation) override {
     core::StepReport report;
-    report.step_seconds = *step * static_cast<double>(len);
+    MALLEUS_ASSIGN_OR_RETURN(report.step_seconds,
+                             StepSecondsOf(current_, situation));
+    return report;
+  }
+
+  // The segment's iterations are identical: one report covers them all.
+  Status Advance(const straggler::Situation& situation, int64_t iterations,
+                 std::vector<core::StepReport>* reports) override {
+    MALLEUS_ASSIGN_OR_RETURN(core::StepReport report, Step(situation));
+    const double step = report.step_seconds;
+    report.step_seconds = step * static_cast<double>(iterations);
     report.note = StrFormat("segment x%lld @%.17g s/iter",
-                            static_cast<long long>(len), *step);
-    record(report);
-    result.iterations_run += len;
-    cur = until;
-    return true;
-  };
+                            static_cast<long long>(iterations), step);
+    Record(report);
+    reports->push_back(std::move(report));
+    return Status::OK();
+  }
 
-  std::set<std::string> seen_situations;
-  seen_situations.insert(SitSignature(initial));
-
-  // Re-plans keep the current plan's DP degree (paper footnote 2) and fall
-  // back to the planner's own DP search when capacity loss rules it out.
-  const auto replan_on_islands = [&](int island_nodes) {
-    core::PlannerOptions opts = options.planner;
-    opts.dp_degree = current.dp_degree();
-    opts.island_nodes = island_nodes;
-    return planner.Replan(situation, global_batch, opts);
-  };
-
-  for (const ClusterEvent& event : trace.events) {
-    if (!run_segment(event.iteration)) break;
-    ApplyEvent(cluster, event, &situation);
+  Result<core::TransitionReport> OnSituationChange(
+      const straggler::Situation& situation) override {
+    const ClusterEvent& event = trace_.events[next_event_++];
     const std::string sig = SitSignature(situation);
-    const bool cold = seen_situations.count(sig) == 0;
+    const bool cold = seen_situations_.count(sig) == 0;
     const double replan_latency =
         cold ? kColdReplanSeconds : kWarmReplanSeconds;
 
@@ -229,23 +205,23 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
     plan::ParallelPlan candidates[kNumPolicyActions];
 
     // tolerate: the current plan, if it still runs on live GPUs only.
-    if (!UsesFailedGpu(current, situation)) {
-      Result<double> step = step_seconds_of(current, situation);
+    if (!UsesFailedGpu(current_, situation)) {
+      Result<double> step = StepSecondsOf(current_, situation);
       if (step.ok()) {
         estimates[0] = {true, 0.0, *step};
-        candidates[0] = current;
+        candidates[0] = current_;
       }
     }
     // promote: swap in a healthy same-node standby; priced by the actual
     // state migration the swap implies.
     Result<plan::ParallelPlan> promoted =
-        PromotePlan(cluster, cost, current, situation);
+        PromotePlan(cluster_, cost_, current_, situation);
     if (promoted.ok() && !UsesFailedGpu(*promoted, situation)) {
-      Result<double> step = step_seconds_of(*promoted, situation);
+      Result<double> step = StepSecondsOf(*promoted, situation);
       if (step.ok()) {
         estimates[1] = {true,
-                        MigrationCost(current, *promoted, cluster, cost,
-                                      sim_options.net_model),
+                        MigrationCost(current_, *promoted, cluster_, cost_,
+                                      sim_options_.net_model),
                         *step};
         candidates[1] = std::move(*promoted);
       }
@@ -254,18 +230,19 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
     // touched islands), then migrate. Islands shrink with cluster size so
     // the delta candidate stays cheaper — and coarser — than the full
     // re-plan's decomposition.
-    const int nodes = cluster.num_nodes();
+    const int nodes = cluster_.num_nodes();
     if (nodes >= 4 && nodes % 2 == 0) {
       const int delta_island = nodes >= 8 ? nodes / 4 : nodes / 2;
-      Result<core::PlanResult> planned = replan_on_islands(delta_island);
+      Result<core::PlanResult> planned =
+          ReplanOnIslands(situation, delta_island);
       if (planned.ok() && !UsesFailedGpu(planned->plan, situation)) {
-        Result<double> step = step_seconds_of(planned->plan, situation);
+        Result<double> step = StepSecondsOf(planned->plan, situation);
         if (step.ok()) {
           estimates[2] = {
               true,
               kDeltaReplanFraction * replan_latency +
-                  MigrationCost(current, planned->plan, cluster, cost,
-                                sim_options.net_model),
+                  MigrationCost(current_, planned->plan, cluster_, cost_,
+                                sim_options_.net_model),
               *step};
           candidates[2] = std::move(planned->plan);
         }
@@ -280,20 +257,21 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
     // restart reuses this plan but pays checkpoint I/O + framework
     // re-init instead of migration.
     const int replan_island = nodes <= 4 ? -1 : nodes / 2;
-    Result<core::PlanResult> replanned = replan_on_islands(replan_island);
+    Result<core::PlanResult> replanned =
+        ReplanOnIslands(situation, replan_island);
     if (replanned.ok() && !UsesFailedGpu(replanned->plan, situation)) {
-      Result<double> step = step_seconds_of(replanned->plan, situation);
+      Result<double> step = StepSecondsOf(replanned->plan, situation);
       if (step.ok()) {
         estimates[3] = {true,
                         replan_latency +
-                            MigrationCost(current, replanned->plan, cluster,
-                                          cost, sim_options.net_model),
+                            MigrationCost(current_, replanned->plan, cluster_,
+                                          cost_, sim_options_.net_model),
                         *step};
         candidates[3] = replanned->plan;
         int alive_nodes = 0;
         for (topo::NodeId n = 0; n < nodes; ++n) {
           bool any_live = false;
-          for (topo::GpuId g : cluster.GpusOnNode(n)) {
+          for (topo::GpuId g : cluster_.GpusOnNode(n)) {
             if (!situation.IsFailed(g)) any_live = true;
           }
           if (any_live) ++alive_nodes;
@@ -308,15 +286,15 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
                                      event.kind == EventKind::kNodeFail;
           const double restart_io =
               after_failure
-                  ? sim::RestartAfterFailureSeconds(cost.CheckpointBytes(),
+                  ? sim::RestartAfterFailureSeconds(cost_.CheckpointBytes(),
                                                     alive_nodes)
-                  : sim::RestartSeconds(cost.CheckpointBytes(), alive_nodes);
+                  : sim::RestartSeconds(cost_.CheckpointBytes(), alive_nodes);
           estimates[4] = {true, replan_latency + restart_io, *step};
           candidates[4] = std::move(replanned->plan);
         }
       }
     }
-    seen_situations.insert(sig);
+    seen_situations_.insert(sig);
 
     int first_feasible = -1;
     for (int a = 0; a < kNumPolicyActions; ++a) {
@@ -326,19 +304,19 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
       }
     }
     if (first_feasible < 0) {
-      result.stop_reason = "no feasible action for event " + event.ToString();
-      break;
+      return Status::Infeasible("no feasible action for event " +
+                                event.ToString());
     }
     PolicyAction action =
-        selector.Select(estimates, event, kHorizonIterations);
+        selector_.Select(estimates, event, kHorizonIterations);
     if (!estimates[static_cast<int>(action)].feasible) {
       action = static_cast<PolicyAction>(first_feasible);
     }
     const int a = static_cast<int>(action);
     const bool plan_changed =
-        candidates[a].Signature() != current.Signature();
+        candidates[a].Signature() != current_.Signature();
     if (action != PolicyAction::kTolerate) {
-      current = std::move(candidates[a]);
+      current_ = std::move(candidates[a]);
     }
 
     core::StepReport transition;
@@ -371,38 +349,107 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
         break;
     }
     if (plan_changed && action != PolicyAction::kTolerate) {
-      transition.plan_signature = current.Signature();
+      transition.plan_signature = current_.Signature();
     }
-    record(transition);
+    Record(transition);
 
     EventAudit audit;
     audit.iteration = event.iteration;
     audit.kind = event.kind;
     audit.action = action;
-    audit.uses_failed_gpu = UsesFailedGpu(current, situation);
+    audit.uses_failed_gpu = UsesFailedGpu(current_, situation);
     audit.plan_valid =
-        current.Validate(cluster, cost).ok() && !audit.uses_failed_gpu;
+        current_.Validate(cluster_, cost_).ok() && !audit.uses_failed_gpu;
     audit.transition_seconds = estimates[a].transition_seconds;
     audit.step_seconds_after = estimates[a].step_seconds;
-    audit.plan_signature = current.Signature();
+    audit.plan_signature = current_.Signature();
     audit.predicted_cost_chosen =
         estimates[a].PredictedCost(kHorizonIterations);
     audit.predicted_cost_tolerate =
         estimates[0].PredictedCost(kHorizonIterations);
     audit.tolerate_feasible = estimates[0].feasible;
-    result.audits.push_back(std::move(audit));
-    ++result.action_counts[a];
-    ++result.events_applied;
+    result_->audits.push_back(std::move(audit));
+    ++result_->action_counts[a];
+    ++result_->events_applied;
+
+    // The run charges the full re-plan latency, so all of it is overflow.
+    return core::TransitionReport{
+        .restart_seconds = transition.recovery_seconds,
+        .migration_seconds = transition.migration_seconds,
+        .planning_seconds = transition.planning_overflow_seconds};
   }
 
-  if (result.stop_reason.empty()) run_segment(trace.iterations);
+ private:
+  Result<double> StepSecondsOf(const plan::ParallelPlan& p,
+                               const straggler::Situation& s) {
+    const std::string key = p.Signature() + "|" + SitSignature(s);
+    const auto it = sim_memo_.find(key);
+    if (it != sim_memo_.end()) return it->second;
+    Rng rng(0x6D616C6C657573ULL);  // Fixed seed; the noise stddev is 0.
+    Result<sim::StepResult> sim_result =
+        sim::SimulateStep(cluster_, cost_, p, s, sim_options_, &rng);
+    if (!sim_result.ok()) return sim_result.status();
+    sim_memo_.emplace(key, sim_result->step_seconds);
+    return sim_result->step_seconds;
+  }
 
-  result.wall_seconds = result.training_seconds + result.transition_seconds;
-  result.goodput =
-      result.wall_seconds > 0.0
-          ? static_cast<double>(result.iterations_run) *
-                result.healthy_step_seconds / result.wall_seconds
-          : 1.0;
+  // Re-plans keep the current plan's DP degree (paper footnote 2) and fall
+  // back to the planner's own DP search when capacity loss rules it out.
+  Result<core::PlanResult> ReplanOnIslands(
+      const straggler::Situation& situation, int island_nodes) const {
+    core::PlannerOptions opts = options_.planner;
+    opts.dp_degree = current_.dp_degree();
+    opts.island_nodes = island_nodes;
+    return planner_.Replan(situation, global_batch_, opts);
+  }
+
+  void Record(const core::StepReport& report) const {
+    if (options_.run_log != nullptr) {
+      options_.run_log->Record("dynamic", report);
+    }
+  }
+
+  const topo::ClusterSpec& cluster_;
+  const model::CostModel& cost_;
+  const straggler::Situation& initial_;
+  const EventTrace& trace_;
+  const PolicySelector& selector_;
+  const DynamicRunOptions& options_;
+  DynamicRunResult* result_;
+  const core::Planner planner_;
+  sim::SimOptions sim_options_;
+  std::map<std::string, double> sim_memo_;
+  std::set<std::string> seen_situations_;
+  plan::ParallelPlan current_;
+  int64_t global_batch_ = 0;
+  size_t next_event_ = 0;
+};
+
+}  // namespace
+
+Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
+                                    const model::CostModel& cost,
+                                    const straggler::Situation& initial,
+                                    const EventTrace& trace,
+                                    int64_t global_batch,
+                                    const PolicySelector& selector,
+                                    const DynamicRunOptions& options) {
+  if (initial.num_gpus() != cluster.num_gpus()) {
+    return Status::InvalidArgument("situation does not match cluster");
+  }
+  DynamicRunResult result;
+  result.trace_iterations = trace.iterations;
+  PolicyRun run(cluster, cost, initial, trace, selector, options, &result);
+  MALLEUS_RETURN_NOT_OK(run.Initialize(global_batch));
+  const core::DriveResult drive =
+      core::Drive(&run, EventTimeline(cluster, initial, trace),
+                  result.healthy_step_seconds);
+  result.iterations_run = drive.iterations_run;
+  result.training_seconds = drive.training_seconds;
+  result.transition_seconds = drive.transition_seconds;
+  result.wall_seconds = drive.wall_seconds;
+  result.goodput = drive.goodput;
+  if (!drive.stop.ok()) result.stop_reason = drive.stop.message();
   return result;
 }
 

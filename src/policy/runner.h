@@ -1,21 +1,24 @@
-// The dynamic run loop: advances thousands of simulated training
-// iterations over sim::pipeline_sim, applies each generated cluster event
-// (policy/events.h), prices the five candidate actions (policy/policy.h)
-// and executes the selector's choice, accumulating cumulative-goodput
-// accounting and an obs run log.
+// The dynamic run: plays an event trace (policy/events.h, EventTimeline)
+// through the one trace driver (core::Drive) with the policy engine as the
+// framework. Each event-free segment is one report, `segment xN @s
+// s/iter`, from noise-free simulation memoized by (plan signature,
+// situation signature). At each event the run prices the five candidate
+// actions (policy/policy.h), calls Select exactly once, right after
+// pricing, and executes the choice, charging the full re-plan latency.
+// DynamicRunResult's iterations, seconds, goodput and stop reason are the
+// driver's ledger.
 //
 // Determinism contract: RunDynamic is a pure function of its arguments.
-// Step times come from noise-free simulation memoized by (plan signature,
-// situation signature); the planner is bit-identical at any thread count;
-// and re-plan latency is priced from the runner's own deterministic memo
-// of seen situation signatures (cold on first sight, warm after) with
-// fixed constants (runner.cc: cold/warm re-plan seconds, the delta
-// fraction, the amortization horizon, default restart costs); they are
-// not options because no caller has ever needed other values. The
-// planner cache's hit/miss counters would be the "real" latency signal,
-// but they are allowed to vary run-to-run under thread racing, so the memo
-// is the determinism-safe stand-in — the cache still makes the actual
-// planner calls fast; it just doesn't price them.
+// Step times are memoized and noise-free; the planner is bit-identical at
+// any thread count; and re-plan latency is priced from the run's own
+// deterministic memo of seen situation signatures (cold on first sight,
+// warm after) with fixed constants (runner.cc: cold/warm re-plan seconds,
+// the delta fraction, the amortization horizon, default restart costs);
+// they are not options because no caller has ever needed other values.
+// The planner cache's hit/miss counters would be the "real" latency
+// signal, but they are allowed to vary run-to-run under thread racing, so
+// the memo is the determinism-safe stand-in — the cache still makes the
+// actual planner calls fast; it just doesn't price them.
 
 #ifndef MALLEUS_POLICY_RUNNER_H_
 #define MALLEUS_POLICY_RUNNER_H_
@@ -46,8 +49,9 @@ struct DynamicRunOptions {
   /// Simulator knobs; timing noise is forced to 0 so segment step times
   /// are exact and memoizable.
   sim::SimOptions sim;
-  /// When set, the runner records one StepReport per segment/transition;
-  /// replaying the same trace twice yields byte-identical logs.
+  /// When set, the run records one StepReport per segment and per event,
+  /// under the phase "dynamic"; replaying the same trace twice yields
+  /// byte-identical logs.
   core::RunLog* run_log = nullptr;
 };
 

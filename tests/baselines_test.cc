@@ -1,18 +1,18 @@
 // Tests for src/baselines: Megatron (static + restart), DeepSpeed (analytic
 // ZeRO-3 model + config tuner), Oobleck (template migration vs restart),
-// the Malleus adapter, and the trace runner.
+// the Malleus engine as a framework, and the trace runner.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "baselines/deepspeed.h"
-#include "baselines/malleus_adapter.h"
 #include "baselines/megatron.h"
 #include "baselines/oobleck.h"
 #include "baselines/trace_runner.h"
 #include "common/file_util.h"
 #include "common/string_util.h"
+#include "core/engine.h"
 #include "net/fabric.h"
 
 namespace malleus {
@@ -37,11 +37,12 @@ class BaselinesTest : public ::testing::Test {
 TEST_F(BaselinesTest, MegatronStaticSuffersFromStraggler) {
   MegatronBaseline m(cluster_, cost_, MegatronOptions());
   ASSERT_TRUE(m.Initialize(64).ok());
-  const double base = *m.StepSeconds(Healthy());
-  Result<TransitionReport> t = m.OnSituationChange(WithStraggler(0, 3));
+  const double base = m.Step(Healthy())->TotalSeconds();
+  Result<core::TransitionReport> t =
+      m.OnSituationChange(WithStraggler(0, 3));
   ASSERT_TRUE(t.ok());
   EXPECT_DOUBLE_EQ(t->restart_seconds, 0.0);  // Static: nothing happens.
-  const double slow = *m.StepSeconds(WithStraggler(0, 3));
+  const double slow = m.Step(WithStraggler(0, 3))->TotalSeconds();
   EXPECT_GT(slow, 3.0 * base);  // ~5.3x straggler dominates the pipeline.
 }
 
@@ -50,17 +51,18 @@ TEST_F(BaselinesTest, MegatronRestartExcludesNodeAndPaysOverhead) {
   opts.with_restart = true;
   MegatronBaseline m(cluster_, cost_, opts);
   ASSERT_TRUE(m.Initialize(64).ok());
-  const double base = *m.StepSeconds(Healthy());
-  Result<TransitionReport> t = m.OnSituationChange(WithStraggler(0, 3));
+  const double base = m.Step(Healthy())->TotalSeconds();
+  Result<core::TransitionReport> t =
+      m.OnSituationChange(WithStraggler(0, 3));
   ASSERT_TRUE(t.ok());
   EXPECT_GT(t->restart_seconds, 60.0);  // Checkpoint + init + reload.
-  const double after = *m.StepSeconds(WithStraggler(0, 3));
+  const double after = m.Step(WithStraggler(0, 3))->TotalSeconds();
   // Runs straggler-free on 3 of 4 nodes: slower than 4 nodes but far
   // better than dragging the straggler along.
   EXPECT_GT(after, base);
   EXPECT_LT(after, 2.0 * base);
   // Re-admitting the node needs another restart.
-  Result<TransitionReport> back = m.OnSituationChange(Healthy());
+  Result<core::TransitionReport> back = m.OnSituationChange(Healthy());
   ASSERT_TRUE(back.ok());
   EXPECT_GT(back->restart_seconds, 60.0);
 }
@@ -71,7 +73,8 @@ TEST_F(BaselinesTest, MegatronRestartNoOpWhenNodeSetUnchanged) {
   MegatronBaseline m(cluster_, cost_, opts);
   ASSERT_TRUE(m.Initialize(64).ok());
   ASSERT_TRUE(m.OnSituationChange(WithStraggler(0, 1)).ok());
-  Result<TransitionReport> again = m.OnSituationChange(WithStraggler(0, 3));
+  Result<core::TransitionReport> again =
+      m.OnSituationChange(WithStraggler(0, 3));
   ASSERT_TRUE(again.ok());
   EXPECT_DOUBLE_EQ(again->restart_seconds, 0.0);
 }
@@ -79,8 +82,8 @@ TEST_F(BaselinesTest, MegatronRestartNoOpWhenNodeSetUnchanged) {
 TEST_F(BaselinesTest, DeepSpeedGloballySensitiveToOneStraggler) {
   DeepSpeedBaseline d(cluster_, cost_, DeepSpeedOptions());
   ASSERT_TRUE(d.Initialize(64).ok());
-  const double base = *d.StepSeconds(Healthy());
-  const double slow = *d.StepSeconds(WithStraggler(5, 1));
+  const double base = d.Step(Healthy())->TotalSeconds();
+  const double slow = d.Step(WithStraggler(5, 1))->TotalSeconds();
   // One level-1 straggler roughly doubles the step (paper: ~2x).
   EXPECT_GT(slow, 1.6 * base);
   EXPECT_LT(slow, 2.6 * base);
@@ -92,7 +95,8 @@ TEST_F(BaselinesTest, DeepSpeedCoLocatedStragglersCompound) {
   straggler::Situation one = WithStraggler(0, 1);
   straggler::Situation node(cluster_.num_gpus());
   for (int g = 0; g < 8; ++g) node.SetLevel(g, 1);
-  EXPECT_GT(*d.StepSeconds(node), 1.8 * *d.StepSeconds(one));
+  EXPECT_GT(d.Step(node)->TotalSeconds(),
+            1.8 * d.Step(one)->TotalSeconds());
 }
 
 TEST_F(BaselinesTest, DeepSpeedMfuGrowsWithModelScale) {
@@ -122,20 +126,22 @@ TEST_F(BaselinesTest, OobleckOverheadEvenWhenHealthy) {
   MegatronBaseline m(cluster_, cost_, MegatronOptions());
   ASSERT_TRUE(o.Initialize(64).ok());
   ASSERT_TRUE(m.Initialize(64).ok());
-  EXPECT_GT(*o.StepSeconds(Healthy()), 1.5 * *m.StepSeconds(Healthy()));
+  EXPECT_GT(o.Step(Healthy())->TotalSeconds(),
+            1.5 * m.Step(Healthy())->TotalSeconds());
 }
 
 TEST_F(BaselinesTest, OobleckMigratesOnNodeLossRestartsOnRecovery) {
   OobleckBaseline o(cluster_, cost_);
   ASSERT_TRUE(o.Initialize(64).ok());
   // Losing a node: template exists -> migration.
-  Result<TransitionReport> lose = o.OnSituationChange(WithStraggler(0, 2));
+  Result<core::TransitionReport> lose =
+      o.OnSituationChange(WithStraggler(0, 2));
   ASSERT_TRUE(lose.ok());
   EXPECT_GT(lose->migration_seconds, 0.0);
   EXPECT_DOUBLE_EQ(lose->restart_seconds, 0.0);
   EXPECT_FALSE(o.last_transition_restarted());
   // Node recovers: re-integration needs a restart.
-  Result<TransitionReport> recover = o.OnSituationChange(Healthy());
+  Result<core::TransitionReport> recover = o.OnSituationChange(Healthy());
   ASSERT_TRUE(recover.ok());
   EXPECT_GT(recover->restart_seconds, 0.0);
   EXPECT_TRUE(o.last_transition_restarted());
@@ -149,13 +155,13 @@ TEST_F(BaselinesTest, OobleckRestartsWhenTemplateMissing) {
   s.SetLevel(0, 1);
   s.SetLevel(8, 2);
   s.SetLevel(16, 3);
-  Result<TransitionReport> t = o.OnSituationChange(s);
+  Result<core::TransitionReport> t = o.OnSituationChange(s);
   ASSERT_TRUE(t.ok());
   EXPECT_TRUE(o.last_transition_restarted());
 }
 
 TEST_F(BaselinesTest, MalleusAdapterRunsTrace) {
-  MalleusFramework fw(cluster_, cost_);
+  core::MalleusEngine fw(cluster_, cost_);
   const auto trace = straggler::StandardTrace(/*steps_per_phase=*/4);
   Result<std::vector<PhaseStats>> stats =
       RunTrace(&fw, cluster_, trace, 64);
@@ -207,9 +213,9 @@ std::string RenderFig7Golden(const topo::ClusterSpec& cluster,
                              const model::CostModel& cost) {
   core::EngineOptions engine;
   engine.planning_seconds_override = 0.02;  // Wall time stays out.
-  std::vector<std::unique_ptr<TrainingFramework>> frameworks;
+  std::vector<std::unique_ptr<core::TrainingFramework>> frameworks;
   frameworks.push_back(
-      std::make_unique<MalleusFramework>(cluster, cost, engine));
+      std::make_unique<core::MalleusEngine>(cluster, cost, engine));
   for (bool restart : {false, true}) {
     MegatronOptions megatron;
     megatron.with_restart = restart;

@@ -13,7 +13,6 @@
 #include <algorithm>
 
 #include "baselines/deepspeed.h"
-#include "baselines/malleus_adapter.h"
 #include "baselines/megatron.h"
 #include "baselines/trace_runner.h"
 #include "core/engine.h"
@@ -31,7 +30,7 @@ class IntegrationTest : public ::testing::Test {
 };
 
 TEST_F(IntegrationTest, MalleusMatchesMegatronWhenHealthy) {
-  baselines::MalleusFramework malleus_fw(cluster_, cost_);
+  core::MalleusEngine malleus_fw(cluster_, cost_);
   baselines::MegatronBaseline megatron(cluster_, cost_,
                                        baselines::MegatronOptions());
   ASSERT_TRUE(malleus_fw.Initialize(64).ok());
@@ -39,8 +38,8 @@ TEST_F(IntegrationTest, MalleusMatchesMegatronWhenHealthy) {
   const Situation healthy(cluster_.num_gpus());
   double malleus_t = 0.0, megatron_t = 0.0;
   for (int i = 0; i < 4; ++i) {
-    malleus_t = *malleus_fw.StepSeconds(healthy);
-    megatron_t = *megatron.StepSeconds(healthy);
+    malleus_t = malleus_fw.Step(healthy)->TotalSeconds();
+    megatron_t = megatron.Step(healthy)->TotalSeconds();
   }
   EXPECT_NEAR(malleus_t, megatron_t, 0.1 * megatron_t);
 }
@@ -50,10 +49,10 @@ TEST_F(IntegrationTest, SingleStragglerDoublesBaselinesNotMalleus) {
   Result<Situation> s1 = Situation::Canonical(cluster_, SituationId::kS1);
   ASSERT_TRUE(s1.ok());
 
-  auto steady = [&](baselines::TrainingFramework* fw,
+  auto steady = [&](core::TrainingFramework* fw,
                     const Situation& s) {
     double t = 0.0;
-    for (int i = 0; i < 5; ++i) t = *fw->StepSeconds(s);
+    for (int i = 0; i < 5; ++i) t = fw->Step(s)->TotalSeconds();
     return t;
   };
 
@@ -69,7 +68,7 @@ TEST_F(IntegrationTest, SingleStragglerDoublesBaselinesNotMalleus) {
   ASSERT_TRUE(ds.Initialize(64).ok());
   EXPECT_GT(steady(&ds, *s1) / steady(&ds, healthy), 1.6);
 
-  baselines::MalleusFramework fw(cluster_, cost_);
+  core::MalleusEngine fw(cluster_, cost_);
   ASSERT_TRUE(fw.Initialize(64).ok());
   const double ml_base = steady(&fw, healthy);
   const double ml_slow = steady(&fw, *s1);  // Adapts within these steps.
@@ -78,24 +77,24 @@ TEST_F(IntegrationTest, SingleStragglerDoublesBaselinesNotMalleus) {
 }
 
 TEST_F(IntegrationTest, NearTheoreticOptimumAcrossSituations) {
-  baselines::MalleusFramework fw(cluster_, cost_);
+  core::MalleusEngine fw(cluster_, cost_);
   ASSERT_TRUE(fw.Initialize(64).ok());
   const Situation healthy(cluster_.num_gpus());
   double base = 0.0;
-  for (int i = 0; i < 4; ++i) base = *fw.StepSeconds(healthy);
+  for (int i = 0; i < 4; ++i) base = fw.Step(healthy)->TotalSeconds();
 
   for (SituationId id : {SituationId::kS1, SituationId::kS2,
                          SituationId::kS3, SituationId::kS4}) {
     Result<Situation> s = Situation::Canonical(cluster_, id);
     ASSERT_TRUE(s.ok());
     double t = 0.0;
-    for (int i = 0; i < 6; ++i) t = *fw.StepSeconds(*s);
+    for (int i = 0; i < 6; ++i) t = fw.Step(*s)->TotalSeconds();
     const double optimal = base * s->TheoreticSlowdown();
     // >= ~80% of the theoretic optimum (paper: >= 90% on real hardware;
     // the simulated substrate adds bubble/sync slack on 32 GPUs).
     EXPECT_LT(t / optimal, 1.25) << straggler::SituationName(id);
     // Back to healthy before the next situation.
-    for (int i = 0; i < 5; ++i) ASSERT_TRUE(fw.StepSeconds(healthy).ok());
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(fw.Step(healthy).ok());
   }
 }
 

@@ -1,14 +1,16 @@
 // Tests for malleus::policy: event-trace generation determinism, the
 // five-action cost model, the adaptive selector's optimality bound, the
 // dynamic run loop's goodput accounting, run-log byte-reproducibility,
-// the re-plan fallback after node loss, and the restart-after-failure
-// pricing the policy engine relies on.
+// the re-plan fallback after node loss, the restart-after-failure
+// pricing the policy engine relies on, and the Select-once-per-event
+// contract.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/planner.h"
 #include "core/run_log.h"
@@ -231,6 +233,70 @@ TEST_F(PolicyTest, GoodputConservationAcrossPolicySwitches) {
     EXPECT_LE(result->iterations_run, result->trace_iterations) << name;
     if (result->stop_reason.empty()) {
       EXPECT_EQ(result->iterations_run, result->trace_iterations) << name;
+    }
+  }
+}
+
+// Wraps a selector and records what each Select call saw.
+class CountingSelector : public PolicySelector {
+ public:
+  explicit CountingSelector(std::unique_ptr<PolicySelector> inner)
+      : inner_(std::move(inner)) {}
+  const std::string& name() const override { return inner_->name(); }
+  PolicyAction Select(const ActionEstimates& estimates,
+                      const ClusterEvent& event,
+                      double horizon_iterations) const override {
+    calls_.push_back({estimates, event, horizon_iterations});
+    return inner_->Select(estimates, event, horizon_iterations);
+  }
+
+  struct Call {
+    ActionEstimates estimates;
+    ClusterEvent event;
+    double horizon_iterations = 0.0;
+  };
+  const std::vector<Call>& calls() const { return calls_; }
+
+ private:
+  std::unique_ptr<PolicySelector> inner_;
+  mutable std::vector<Call> calls_;
+};
+
+// The Select contract per-event timing depends on: one call per applied
+// event, in event order, after all five actions (tolerate included) are
+// priced.
+TEST_F(PolicyTest, SelectRunsOncePerAppliedEventAfterPricing) {
+  const EventTrace trace =
+      GenerateEventTrace(cluster_, MixedSpec(), 20260809);
+  Result<std::unique_ptr<PolicySelector>> adaptive = MakeSelector("adaptive");
+  ASSERT_TRUE(adaptive.ok()) << adaptive.status();
+  const CountingSelector selector(std::move(*adaptive));
+  Result<DynamicRunResult> result =
+      RunDynamic(cluster_, cost_, straggler::Situation(cluster_.num_gpus()),
+                 trace, 64, selector, RunOptions());
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_GT(result->events_applied, 0);
+  ASSERT_EQ(selector.calls().size(),
+            static_cast<size_t>(result->events_applied));
+  ASSERT_EQ(result->audits.size(), selector.calls().size());
+  for (size_t i = 0; i < selector.calls().size(); ++i) {
+    const CountingSelector::Call& call = selector.calls()[i];
+    const EventAudit& audit = result->audits[i];
+    EXPECT_EQ(call.event.iteration, audit.iteration) << i;
+    EXPECT_EQ(call.event.kind, audit.kind) << i;
+    // Tolerate was priced before the call: what Select saw is what the
+    // audit recorded, and only a fail-stop can make it infeasible.
+    const ActionEstimate& tolerate = call.estimates[0];
+    EXPECT_EQ(tolerate.feasible, audit.tolerate_feasible) << i;
+    if (call.event.kind != EventKind::kFail &&
+        call.event.kind != EventKind::kNodeFail) {
+      EXPECT_TRUE(tolerate.feasible) << call.event.ToString();
+    }
+    if (tolerate.feasible) {
+      EXPECT_GT(tolerate.step_seconds, 0.0) << call.event.ToString();
+      EXPECT_EQ(tolerate.PredictedCost(call.horizon_iterations),
+                audit.predicted_cost_tolerate)
+          << call.event.ToString();
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <limits>
 #include <string>
 
+#include "core/engine.h"
 #include "core/run_log.h"
 #include "serve/json.h"
 
