@@ -4,13 +4,16 @@
 //   $ ./examples/scenario_cli --model=70b --nodes=8 --steps=6
 //         --trace=normal,s1,s4,normal --baselines
 //
-// Flags apply in command-line order, so --scenario=FILE loads the file's
-// fields and later flags override them; `--help` lists every flag. The
-// observability outputs (--trace-out, --metrics-out, --events-out,
-// --csv-out, --record-out) all come from the Malleus run only.
+// Flags apply in command-line order to one scenario::ScenarioSpec:
+// --scenario=FILE replaces it with the file's, and later flags override
+// single fields (--trace replaces the phase list). The spec then resolves
+// through scenario::ResolveScenario, like every other consumer, so a run
+// uses the cluster, fabric and net model the file declares. `--help` lists
+// every flag. The observability outputs (--trace-out, --metrics-out,
+// --events-out, --csv-out, --record-out) all come from the Malleus run
+// only.
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -45,13 +48,9 @@ using namespace malleus;
 namespace {
 
 struct Args {
-  std::string model = "32b";
-  int nodes = 4;
-  int64_t batch = 64;
-  int steps = 6;
-  std::vector<std::string> trace;
-  uint64_t seed = 42;
-  net::NetModel net_model = net::DefaultNetModel();
+  /// The scenario to run: the defaults, replaced by --scenario=FILE and
+  /// edited field by field by the later flags.
+  scenario::ScenarioSpec spec;
   int planner_threads = 0;
   bool baselines = false;
   std::string trace_out;
@@ -59,22 +58,17 @@ struct Args {
   std::string events_out;
   std::string csv_out;
   std::string record_out;
-  std::string scenario_file;
   /// Solver-cache persistence in the daemon's file format (solver/cache_io),
   /// so one-shot runs share malleus_served's --cache-save/--cache-load files.
   std::string cache_load;
   std::string cache_save;
-  /// Custom straggler overlay carried over from --scenario, so a recorded
-  /// bundle round-trips the whole file (the trace run itself only plays
-  /// the phases; the overlay is what the what-if engine analyzes).
-  std::vector<scenario::StragglerEntry> stragglers;
   /// --lint's output format; empty when not linting.
   std::string lint_format;
   /// Dynamic policy-engine mode: the scenario's `dynamic = {...}` block
-  /// (or its defaults) replayed through policy::RunDynamic.
+  /// (or its defaults) replayed through policy::RunDynamic. A scenario
+  /// with a dynamic block runs in this mode without the switch.
   bool dynamic = false;
   std::string policy = "adaptive";
-  scenario::DynamicSpec dynamic_spec;
 };
 
 // Writes `content` to `path`; complains to stderr on failure.
@@ -84,27 +78,6 @@ bool WriteFileOrWarn(const std::string& path, const std::string& content) {
   return false;
 }
 
-// Loads a scenario file into `out`; later flags override its fields.
-Status ApplyScenarioFile(const std::string& path, Args* out) {
-  MALLEUS_ASSIGN_OR_RETURN(const scenario::ScenarioSpec spec,
-                           scenario::LoadScenarioFile(path));
-  out->scenario_file = path;
-  out->model = spec.model;
-  out->nodes = spec.nodes;
-  out->batch = spec.batch;
-  out->steps = spec.steps;
-  out->seed = spec.seed;
-  out->trace = spec.phases;
-  out->stragglers = spec.stragglers;
-  out->dynamic_spec = spec.dynamic;
-  if (spec.dynamic.enabled) out->dynamic = true;
-  if (!spec.net_model.empty()) {
-    MALLEUS_ASSIGN_OR_RETURN(out->net_model,
-                             net::ParseNetModel(spec.net_model));
-  }
-  return Status::OK();
-}
-
 bool ParseArgs(int argc, char** argv, Args* out) {
   FlagTable flags("scenario_cli");
   flags.DefineCallback(
@@ -112,7 +85,10 @@ bool ParseArgs(int argc, char** argv, Args* out) {
       "load model/cluster/trace/stragglers from a scenario\n"
       "file (see src/scenario/scenario.h); later flags\n"
       "override individual fields",
-      [out](const std::string& path) { return ApplyScenarioFile(path, out); });
+      [out](const std::string& path) -> Status {
+        MALLEUS_ASSIGN_OR_RETURN(out->spec, scenario::LoadScenarioFile(path));
+        return Status::OK();
+      });
   flags.DefineOptional(
       "lint", &out->lint_format, "text", "text|json|sarif",
       "lint the --scenario file (malleus::lint's full pass\n"
@@ -120,28 +96,32 @@ bool ParseArgs(int argc, char** argv, Args* out) {
       "conservation audit) and exit: 0 clean, 1 error-level\n"
       "findings",
       OneOf({"text", "json", "sarif"}));
-  flags.Define("model", &out->model, "32b|70b|110b|tiny",
+  flags.Define("model", &out->spec.model, "32b|70b|110b|tiny",
                "model to train (default 32b)");
-  flags.Define("nodes", &out->nodes, "N", "8-GPU nodes (default 4)");
-  flags.Define("batch", &out->batch, "B", "global batch size (default 64)");
-  flags.Define("steps", &out->steps, "K", "steps per trace phase (default 6)");
+  flags.Define("nodes", &out->spec.nodes, "N", "8-GPU nodes (default 4)");
+  flags.Define("batch", &out->spec.batch, "B",
+               "global batch size (default 64)");
+  flags.Define("steps", &out->spec.steps, "K",
+               "steps per trace phase (default 6)");
   flags.DefineCallback("trace", "p1,p2,...",
                        "phases: normal,s1..s6 (default full trace)",
                        [out](const std::string& phases) {
+                         out->spec.phases.clear();
                          std::istringstream in(phases);
                          for (std::string p; std::getline(in, p, ',');) {
-                           if (!p.empty()) out->trace.push_back(p);
+                           if (!p.empty()) out->spec.phases.push_back(p);
                          }
                          return Status::OK();
                        });
-  flags.Define("seed", &out->seed, "S", "simulator seed (default 42)");
+  flags.Define("seed", &out->spec.seed, "S", "simulator seed (default 42)");
   flags.DefineCallback(
       "net-model", "analytic|flow",
       "comm pricing: isolated closed forms, or the\n"
       "contention-aware flow-level fabric simulator\n"
       "(default: MALLEUS_NET_MODEL, else analytic)",
       [out](const std::string& name) -> Status {
-        MALLEUS_ASSIGN_OR_RETURN(out->net_model, net::ParseNetModel(name));
+        MALLEUS_RETURN_NOT_OK(net::ParseNetModel(name).status());
+        out->spec.net_model = name;
         return Status::OK();
       });
   flags.Define("planner-threads", &out->planner_threads, "N",
@@ -178,30 +158,6 @@ bool ParseArgs(int argc, char** argv, Args* out) {
   return flags.ParseOrUsage(argc, argv);
 }
 
-// The scenario the run actually executed, reconstructed from the effective
-// flags (a loaded --scenario plus overrides). This is what --record-out
-// persists, so a bundle replays the run as flagged, not as the file read.
-scenario::ScenarioSpec EffectiveSpec(
-    const Args& args, const std::vector<straggler::TracePhase>& trace) {
-  scenario::ScenarioSpec spec;
-  spec.model = args.model;
-  spec.nodes = args.nodes;
-  spec.gpus_per_node = 8;  // A800Cluster, the only shape the CLI runs.
-  spec.batch = args.batch;
-  spec.steps = args.steps;
-  spec.seed = args.seed;
-  spec.net_model = net::NetModelName(args.net_model);
-  for (const straggler::TracePhase& p : trace) {
-    std::string name = straggler::SituationName(p.id);
-    for (char& c : name) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
-    spec.phases.push_back(std::move(name));
-  }
-  spec.stragglers = args.stragglers;
-  return spec;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -209,13 +165,13 @@ int main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &args)) return 2;
 
   if (!args.lint_format.empty()) {
-    if (args.scenario_file.empty()) {
+    if (args.spec.source.empty()) {
       std::fprintf(stderr, "--lint requires --scenario=FILE\n");
       return 2;
     }
     lint::DiagnosticSink sink;
     const Status status = core::LintScenarioFile(
-        args.scenario_file, core::ScenarioLintOptions(), &sink);
+        args.spec.source, core::ScenarioLintOptions(), &sink);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
@@ -224,54 +180,43 @@ int main(int argc, char** argv) {
       std::printf("%s\n", lint::RenderJson(sink).c_str());
     } else if (args.lint_format == "sarif") {
       std::printf("%s\n",
-                  lint::RenderSarif(sink, args.scenario_file).c_str());
+                  lint::RenderSarif(sink, args.spec.source).c_str());
     } else {
       std::printf("%s", lint::RenderText(sink).c_str());
     }
     return sink.HasErrors() ? 1 : 0;
   }
 
-  Result<model::ModelSpec> spec = scenario::ModelSpecByName(args.model);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
+  // A spec without phases runs the paper's standard trace, and --dynamic
+  // without a block runs the block's defaults.
+  if (args.spec.phases.empty()) args.spec.phases = scenario::StandardPhases();
+  if (args.dynamic) args.spec.dynamic.enabled = true;
+  const Result<scenario::ResolvedScenario> resolved =
+      scenario::ResolveScenario(args.spec);
+  if (!resolved.ok()) {
+    std::fprintf(stderr, "%s\n", resolved.status().ToString().c_str());
     return 2;
   }
-  if (args.nodes < 1 || args.batch < 1 || args.steps < 1) {
-    std::fprintf(stderr,
-                 "--nodes, --batch and --steps must all be >= 1\n");
-    return 2;
-  }
-  const topo::ClusterSpec cluster = topo::ClusterSpec::A800Cluster(args.nodes);
-  const model::CostModel cost(*spec, cluster.gpu());
+  const topo::ClusterSpec& cluster = resolved->cluster;
+  const model::CostModel cost(resolved->spec, cluster.gpu());
+  const net::NetModel net_model = resolved->net_model;
 
-  if (args.dynamic) {
-    scenario::DynamicSpec dyn = args.dynamic_spec;
-    dyn.enabled = true;  // --dynamic without a block runs the defaults.
+  // The dynamic mode starts its event trace from the straggler overlay; the
+  // trace mode plays only the phases (the overlay is what the what-if
+  // engine analyzes).
+  if (args.spec.dynamic.enabled) {
     const policy::EventTrace trace = policy::GenerateEventTrace(
-        cluster, dyn, dyn.seed != 0 ? dyn.seed : args.seed);
+        cluster, args.spec.dynamic, resolved->event_seed);
     Result<std::unique_ptr<policy::PolicySelector>> selector =
         policy::MakeSelector(args.policy);
     if (!selector.ok()) {
       std::fprintf(stderr, "%s\n", selector.status().ToString().c_str());
       return 2;
     }
-    straggler::Situation initial(cluster.num_gpus());
-    for (const scenario::StragglerEntry& entry : args.stragglers) {
-      if (entry.gpu < 0 || entry.gpu >= cluster.num_gpus()) {
-        std::fprintf(stderr, "straggler GPU %d is outside the cluster\n",
-                     entry.gpu);
-        return 2;
-      }
-      if (entry.is_rate) {
-        initial.SetRate(entry.gpu, entry.rate);
-      } else {
-        initial.SetLevel(entry.gpu, entry.level);
-      }
-    }
     core::RunLog dyn_log;
     policy::DynamicRunOptions dyn_options;
     dyn_options.planner.num_threads = args.planner_threads;
-    dyn_options.sim.net_model = args.net_model;
+    dyn_options.sim.net_model = net_model;
     dyn_options.run_log = &dyn_log;
     std::printf("model   : %s\n", cost.spec().ToString().c_str());
     std::printf("cluster : %s\n", cluster.ToString().c_str());
@@ -279,7 +224,8 @@ int main(int argc, char** argv) {
                 static_cast<long long>(trace.iterations),
                 trace.events.size(), args.policy.c_str());
     const Result<policy::DynamicRunResult> run = policy::RunDynamic(
-        cluster, cost, initial, trace, args.batch, **selector, dyn_options);
+        cluster, cost, resolved->overlay, trace, args.spec.batch, **selector,
+        dyn_options);
     if (!run.ok()) {
       std::fprintf(stderr, "dynamic run failed: %s\n",
                    run.status().ToString().c_str());
@@ -327,31 +273,17 @@ int main(int argc, char** argv) {
     return dyn_rc;
   }
 
-  std::vector<straggler::TracePhase> trace;
-  if (args.trace.empty()) {
-    trace = straggler::StandardTrace(args.steps);
-  } else {
-    for (const std::string& name : args.trace) {
-      Result<straggler::SituationId> id = scenario::SituationIdByName(name);
-      if (!id.ok()) {
-        std::fprintf(stderr, "%s\n", id.status().ToString().c_str());
-        return 2;
-      }
-      trace.push_back({*id, args.steps});
-    }
-  }
-
   std::printf("model   : %s\n", cost.spec().ToString().c_str());
   std::printf("cluster : %s\n", cluster.ToString().c_str());
   std::printf("batch   : %lld sequences/step\n\n",
-               static_cast<long long>(args.batch));
+               static_cast<long long>(args.spec.batch));
 
   std::vector<std::unique_ptr<core::TrainingFramework>> frameworks;
   obs::TraceRecorder trace_recorder;
   core::RunLog run_log;
   core::EngineOptions eng;
-  eng.seed = args.seed;
-  eng.sim.net_model = args.net_model;
+  eng.seed = args.spec.seed;
+  eng.sim.net_model = net_model;
   eng.planner.num_threads = args.planner_threads;
   // Replace the planner's measured wall time by a representative constant
   // so every exported artifact is byte-reproducible for a fixed --seed.
@@ -365,12 +297,12 @@ int main(int argc, char** argv) {
   frameworks.push_back(std::move(malleus_engine));
   if (args.baselines) {
     baselines::MegatronOptions mo;
-    mo.net_model = args.net_model;
-    mo.seed = args.seed;
+    mo.net_model = net_model;
+    mo.seed = args.spec.seed;
     frameworks.push_back(
         std::make_unique<baselines::MegatronBaseline>(cluster, cost, mo));
     baselines::DeepSpeedOptions dso;
-    dso.seed = args.seed;
+    dso.seed = args.spec.seed;
     frameworks.push_back(
         std::make_unique<baselines::DeepSpeedBaseline>(cluster, cost, dso));
   }
@@ -406,7 +338,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table("per-phase mean step seconds");
   std::vector<std::string> header = {"Framework"};
-  for (const auto& phase : trace) {
+  for (const straggler::TracePhase& phase : resolved->trace) {
     header.push_back(straggler::SituationName(phase.id));
   }
   table.SetHeader(std::move(header));
@@ -416,7 +348,8 @@ int main(int argc, char** argv) {
     baselines::TraceRunOptions run_opts;
     if (fw->name() == "Malleus") run_opts.run_log = &run_log;
     Result<std::vector<baselines::PhaseStats>> stats =
-        baselines::RunTrace(fw.get(), cluster, trace, args.batch, run_opts);
+        baselines::RunTrace(fw.get(), cluster, resolved->trace,
+                            args.spec.batch, run_opts);
     if (!stats.ok()) {
       // A framework that cannot plan or validate its plan is a failed run,
       // not a cosmetic gap in the table: exit non-zero after reporting.
@@ -480,8 +413,8 @@ int main(int argc, char** argv) {
             existing.ok() ? std::move(existing).ValueOrDie()
                           : std::vector<solver::CacheFileSection>(),
             {cache_fp,
-             StrFormat("scenario_cli %s nodes=%d", args.model.c_str(),
-                       args.nodes),
+             StrFormat("scenario_cli %s nodes=%d", args.spec.model.c_str(),
+                       args.spec.nodes),
              cache.Serialize()});
     const Status status = solver::WriteCacheFile(args.cache_save, sections);
     if (!status.ok()) {
@@ -493,7 +426,9 @@ int main(int argc, char** argv) {
     }
   }
   if (!args.record_out.empty()) {
-    const scenario::ScenarioSpec effective = EffectiveSpec(args, trace);
+    // The bundle replays the run as flagged, not as the file read.
+    scenario::ScenarioSpec effective = args.spec;
+    effective.net_model = net::NetModelName(net_model);
     obs::RunBundle bundle;
     bundle.producer = "scenario_cli";
     bundle.files.push_back({obs::kBundleScenarioName,

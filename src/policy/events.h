@@ -64,8 +64,8 @@ struct EventTrace {
 };
 
 /// Generates the event trace implied by `dynamic` on `cluster`, seeded
-/// with `seed` (callers pass `dynamic.seed` when nonzero, else the
-/// scenario seed). Pure function of its arguments; see file comment.
+/// with `seed` (a scenario's is scenario::ResolvedScenario::event_seed).
+/// Pure function of its arguments; see file comment.
 ///
 /// Feasibility guard: failure arrivals that would leave fewer than
 /// max(2, num_gpus / 2) live GPUs are skipped, so generated traces stay

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <string_view>
+#include <utility>
 
 #include "common/file_util.h"
 #include "common/string_util.h"
@@ -246,6 +247,18 @@ Result<straggler::SituationId> SituationIdByName(const std::string& name) {
   return Status::InvalidArgument("unknown trace phase: " + name);
 }
 
+std::vector<std::string> StandardPhases() {
+  std::vector<std::string> phases;
+  for (const straggler::TracePhase& phase : straggler::StandardTrace()) {
+    std::string name = straggler::SituationName(phase.id);
+    for (char& c : name) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    phases.push_back(std::move(name));
+  }
+  return phases;
+}
+
 Result<ResolvedScenario> ResolveScenario(const ScenarioSpec& spec) {
   ResolvedScenario out;
   MALLEUS_ASSIGN_OR_RETURN(out.spec, ModelSpecByName(spec.model));
@@ -304,6 +317,7 @@ Result<ResolvedScenario> ResolveScenario(const ScenarioSpec& spec) {
     }
     out.has_overlay = true;
   }
+  out.event_seed = spec.dynamic.seed != 0 ? spec.dynamic.seed : spec.seed;
   return out;
 }
 

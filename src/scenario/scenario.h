@@ -101,7 +101,8 @@ struct DynamicSpec {
   int line = 0;  ///< 1-based source line of the dynamic block.
 };
 
-/// A parsed scenario file. Defaults match scenario_cli's flag defaults.
+/// A parsed scenario file. Its defaults are scenario_cli's flag defaults:
+/// the CLI's flags edit one ScenarioSpec.
 struct ScenarioSpec {
   std::string model = "32b";
   int nodes = 4;
@@ -155,10 +156,14 @@ struct ResolvedScenario {
   /// when the spec lists no stragglers.
   straggler::Situation overlay;
   bool has_overlay = false;
+  /// Seed of the dynamic block's event trace: `dynamic.seed` when
+  /// non-zero, else the scenario `seed`.
+  uint64_t event_seed = 0;
 };
 
-/// Resolves model/cluster/trace/overlay. Fails on unknown model or phase
-/// names, out-of-range GPU ids, or an invalid net model.
+/// Resolves model/cluster/trace/overlay and the event-trace seed. Fails on
+/// unknown model or phase names, out-of-range GPU ids, or an invalid net
+/// model.
 Result<ResolvedScenario> ResolveScenario(const ScenarioSpec& spec);
 
 /// One labeled straggler situation the scenario implies.
@@ -179,6 +184,10 @@ Result<model::ModelSpec> ModelSpecByName(const std::string& name);
 
 /// Maps a canonical situation name ("normal", "s1".."s6") to its id.
 Result<straggler::SituationId> SituationIdByName(const std::string& name);
+
+/// The paper's standard trace (straggler::StandardTrace) as phase names:
+/// "normal", "s1".."s6", "normal".
+std::vector<std::string> StandardPhases();
 
 }  // namespace scenario
 }  // namespace malleus

@@ -12,7 +12,6 @@
 #include "policy/events.h"
 #include "policy/policy.h"
 #include "policy/runner.h"
-#include "straggler/situation.h"
 
 namespace malleus {
 namespace testkit {
@@ -60,8 +59,7 @@ Result<std::string> RenderGoldenSnapshot(
   // from the deterministic noise-free simulator and fixed cost constants.
   if (spec.dynamic.enabled) {
     const policy::EventTrace trace = policy::GenerateEventTrace(
-        cluster, spec.dynamic,
-        spec.dynamic.seed != 0 ? spec.dynamic.seed : spec.seed);
+        cluster, spec.dynamic, resolved->event_seed);
     out += "== dynamic trace ==\n";
     out += StrFormat("iterations %lld, events %zu\n",
                      static_cast<long long>(trace.iterations),
@@ -75,7 +73,6 @@ Result<std::string> RenderGoldenSnapshot(
                        trace.events.size() - kMaxEventLines);
     }
 
-    straggler::Situation healthy(cluster.num_gpus());
     for (const std::string& name : policy::SelectorNames()) {
       out += StrFormat("== dynamic policy %s ==\n", name.c_str());
       Result<std::unique_ptr<policy::PolicySelector>> selector =
@@ -88,7 +85,7 @@ Result<std::string> RenderGoldenSnapshot(
       policy::DynamicRunOptions dyn_options;
       dyn_options.planner.num_threads = 1;
       const Result<policy::DynamicRunResult> run = policy::RunDynamic(
-          cluster, cost, healthy, trace, spec.batch, **selector,
+          cluster, cost, resolved->overlay, trace, spec.batch, **selector,
           dyn_options);
       if (!run.ok()) {
         out += StrFormat("dynamic run failed: %s\n",

@@ -6,8 +6,10 @@
 // straggler overlay, or each distinct trace phase in order) with one
 // core::PlanResultSnapshot block each. Scenarios with a `dynamic = {...}`
 // block additionally pin the generated event trace and one policy-engine
-// run per registered selector (malleus::policy), so the trace generator,
-// the action pricing and every selector's decisions are golden-tested too. Wall-clock timings are excluded by
+// run per registered selector (malleus::policy), each starting from the
+// straggler overlay as scenario_cli's dynamic mode does, so the trace
+// generator, the action pricing and every selector's decisions are
+// golden-tested too. Wall-clock timings are excluded by
 // construction and the net model is recorded explicitly for both analytic
 // and flow, so the bytes are identical across machines, thread counts and
 // MALLEUS_NET_MODEL settings; any diff against the checked-in golden is a

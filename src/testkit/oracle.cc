@@ -706,8 +706,7 @@ OracleOutcome RunOracles(const scenario::ScenarioSpec& spec,
   // overlay situation) is a skip, like an unplannable base scenario.
   if (spec.dynamic.enabled) {
     const policy::EventTrace trace = policy::GenerateEventTrace(
-        cluster, spec.dynamic,
-        spec.dynamic.seed != 0 ? spec.dynamic.seed : spec.seed);
+        cluster, spec.dynamic, resolved->event_seed);
     Result<std::unique_ptr<policy::PolicySelector>> selector =
         policy::MakeSelector("adaptive");
     policy::DynamicRunOptions dyn_options;

@@ -1,6 +1,8 @@
 # CLI contract test, run via `cmake -P` (see tests/CMakeLists.txt):
 #   - scenario_cli exits 1 when the framework cannot produce a valid plan,
-#     0 on a clean lint, 2 on usage errors;
+#     0 on a clean lint, 2 on usage errors and on a scenario that does not
+#     resolve (bad model or phase, empty cluster, straggler off the
+#     cluster);
 #   - malleus_lint exits 0 / 1 / 2 for clean / errors-or-unanalyzable /
 #     usage, and its json/sarif outputs carry the schema markers;
 #   - a malformed flag value exits 2 with a message naming the flag.
@@ -50,6 +52,20 @@ expect_stdout_contains("sarif-2.1.0")
 # Usage errors are distinct from lint failures.
 expect_exit(2 ${SCENARIO_CLI} --lint)                 # --lint needs a file.
 expect_exit(2 ${SCENARIO_CLI} --no-such-flag)
+
+# A scenario the run cannot resolve is a usage error: an unknown model or
+# trace phase, an empty cluster, or a straggler outside the cluster.
+expect_exit(2 ${SCENARIO_CLI} --model=13b)
+expect_stderr_contains("unknown model: 13b")
+expect_exit(2 ${SCENARIO_CLI} --trace=normal,s9)
+expect_stderr_contains("unknown trace phase: s9")
+expect_exit(2 ${SCENARIO_CLI} --nodes=0)
+set(far_straggler "${CMAKE_CURRENT_BINARY_DIR}/far_straggler.scenario")
+file(WRITE ${far_straggler}
+     "model = tiny\nnodes = 2\nsteps = 1\nphase = normal\n"
+     "straggler = 99:2\n")
+expect_exit(2 ${SCENARIO_CLI} --scenario=${far_straggler})
+expect_stderr_contains("straggler GPU 99 outside the cluster")
 
 # Standalone linter: clean file.
 expect_exit(0 ${MALLEUS_LINT} ${clean_scenario})

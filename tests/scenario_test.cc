@@ -218,6 +218,34 @@ TEST(ScenarioResolveTest, NoOverlayWithoutStragglers) {
   EXPECT_TRUE(resolved->trace.empty());
 }
 
+TEST(ScenarioResolveTest, EventSeedPrefersTheDynamicSeed) {
+  ScenarioSpec spec;
+  spec.seed = 7;
+  Result<ResolvedScenario> resolved = ResolveScenario(spec);
+  ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+  EXPECT_EQ(resolved->event_seed, 7u);
+
+  spec.dynamic.seed = 11;
+  resolved = ResolveScenario(spec);
+  ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+  EXPECT_EQ(resolved->event_seed, 11u);
+}
+
+TEST(ScenarioResolveTest, StandardPhasesResolveToTheStandardTrace) {
+  ScenarioSpec spec;
+  spec.steps = 3;
+  spec.phases = StandardPhases();
+  Result<ResolvedScenario> resolved = ResolveScenario(spec);
+  ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+  const std::vector<straggler::TracePhase> standard =
+      straggler::StandardTrace(3);
+  ASSERT_EQ(resolved->trace.size(), standard.size());
+  for (size_t i = 0; i < standard.size(); ++i) {
+    EXPECT_EQ(resolved->trace[i].id, standard[i].id) << i;
+    EXPECT_EQ(resolved->trace[i].steps, 3) << i;
+  }
+}
+
 TEST(ScenarioParseTest, CrlfLineEndings) {
   Result<ScenarioSpec> spec = ParseScenarioString(
       "model = tiny\r\nnodes = 2\r\nstraggler = 3:2\r\n");

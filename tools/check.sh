@@ -46,8 +46,8 @@
 #   tools/check.sh --scale     # kilo-GPU smoke: plan + flow-level sim of
 #                              #   the examples/scenarios/scale/ fat-tree
 #                              #   scenarios (1024 GPUs end-to-end, 2048
-#                              #   GPUs plan-only) under ASan/UBSan, plus
-#                              #   scale_test in the sanitized build
+#                              #   GPUs one normal phase) under ASan/UBSan,
+#                              #   plus scale_test in the sanitized build
 #
 # Fuzz preset (--fuzz) — the seeded scenario fuzzer (tools/malleus_fuzz,
 # DESIGN.md §11) over 200 runs per net model, in the ASan/UBSan build, so
