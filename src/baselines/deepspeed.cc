@@ -118,9 +118,9 @@ Status DeepSpeedBaseline::Initialize(int64_t global_batch) {
   return Status::OK();
 }
 
-Result<core::TransitionReport> DeepSpeedBaseline::OnSituationChange(
+Result<core::StepReport> DeepSpeedBaseline::OnSituationChange(
     const straggler::Situation& situation) {
-  core::TransitionReport report;
+  core::StepReport report;
   if (!options_.with_restart) return report;
   std::set<topo::NodeId> bad;
   for (topo::GpuId g : situation.Stragglers()) {
@@ -137,7 +137,7 @@ Result<core::TransitionReport> DeepSpeedBaseline::OnSituationChange(
   config_ = std::move(tuned).ValueOrDie();
   excluded_nodes_ = bad;
   active_gpus_ = gpus;
-  report.restart_seconds = sim::RestartSeconds(
+  report.recovery_seconds = sim::RestartSeconds(
       cost_.CheckpointBytes(), alive_nodes, kRestartCost);
   return report;
 }

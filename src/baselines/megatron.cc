@@ -40,9 +40,9 @@ std::set<topo::NodeId> MegatronBaseline::StragglerNodes(
   return nodes;
 }
 
-Result<core::TransitionReport> MegatronBaseline::OnSituationChange(
+Result<core::StepReport> MegatronBaseline::OnSituationChange(
     const straggler::Situation& situation) {
-  core::TransitionReport report;
+  core::StepReport report;
   if (!options_.with_restart) return report;
   const std::set<topo::NodeId> bad = StragglerNodes(situation);
   if (bad == excluded_nodes_) return report;
@@ -65,7 +65,7 @@ Result<core::TransitionReport> MegatronBaseline::OnSituationChange(
   if (!tuned.ok()) return tuned.status();
   plan_ = std::move(tuned).ValueOrDie();
   excluded_nodes_ = bad;
-  report.restart_seconds =
+  report.recovery_seconds =
       sim::RestartSeconds(cost_.CheckpointBytes(), alive_nodes);
   return report;
 }

@@ -33,7 +33,7 @@ class MegatronBaseline : public core::TrainingFramework {
 
   std::string name() const override;
   Status Initialize(int64_t global_batch) override;
-  Result<core::TransitionReport> OnSituationChange(
+  Result<core::StepReport> OnSituationChange(
       const straggler::Situation& situation) override;
   Result<core::StepReport> Step(
       const straggler::Situation& situation) override;

@@ -59,9 +59,9 @@ Status OobleckBaseline::Initialize(int64_t global_batch) {
   return Status::OK();
 }
 
-Result<core::TransitionReport> OobleckBaseline::OnSituationChange(
+Result<core::StepReport> OobleckBaseline::OnSituationChange(
     const straggler::Situation& situation) {
-  core::TransitionReport report;
+  core::StepReport report;
   last_restarted_ = false;
   std::set<topo::NodeId> bad;
   for (topo::GpuId g : situation.Stragglers()) {
@@ -104,7 +104,7 @@ Result<core::TransitionReport> OobleckBaseline::OnSituationChange(
   plan_ = std::move(next).ValueOrDie();
   const int alive_nodes =
       cluster_.num_nodes() - static_cast<int>(excluded_nodes_.size());
-  report.restart_seconds =
+  report.recovery_seconds =
       sim::RestartSeconds(cost_.CheckpointBytes(), alive_nodes);
   return report;
 }

@@ -20,7 +20,7 @@ Result<std::vector<PhaseStats>> RunTrace(
     const core::DrivenSegment& segment = drive.segments[i];
     PhaseStats stats;
     stats.situation = trace[i - 1].id;
-    stats.restart_seconds = segment.transition.restart_seconds;
+    stats.restart_seconds = segment.transition.recovery_seconds;
     stats.migration_seconds = segment.transition.migration_seconds;
     for (const core::StepReport& report : segment.steps) {
       if (options.run_log != nullptr) {

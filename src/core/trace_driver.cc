@@ -7,9 +7,9 @@
 namespace malleus {
 namespace core {
 
-Result<TransitionReport> TrainingFramework::OnSituationChange(
+Result<StepReport> TrainingFramework::OnSituationChange(
     const straggler::Situation& /*situation*/) {
-  return TransitionReport{};
+  return StepReport{};
 }
 
 Status TrainingFramework::Advance(const straggler::Situation& situation,
@@ -45,6 +45,13 @@ Result<Timeline> PhaseTimeline(
 DriveResult Drive(TrainingFramework* framework, const Timeline& timeline,
                   double healthy_step_seconds) {
   DriveResult out;
+  // The one ledger entry of a report, step or transition alike.
+  auto charge = [&out](const StepReport& report) {
+    out.training_seconds += report.step_seconds;
+    out.transition_seconds += report.migration_seconds +
+                              report.recovery_seconds +
+                              report.planning_overflow_seconds;
+  };
   out.segments.emplace_back();
   const straggler::Situation* situation = &timeline.initial;
   int64_t at = 0;
@@ -57,12 +64,7 @@ DriveResult Drive(TrainingFramework* framework, const Timeline& timeline,
       std::vector<StepReport>& steps = out.segments.back().steps;
       const size_t first = steps.size();
       const Status status = framework->Advance(*situation, until - at, &steps);
-      for (size_t k = first; k < steps.size(); ++k) {
-        out.training_seconds += steps[k].step_seconds;
-        out.transition_seconds += steps[k].migration_seconds +
-                                  steps[k].recovery_seconds +
-                                  steps[k].planning_overflow_seconds;
-      }
+      for (size_t k = first; k < steps.size(); ++k) charge(steps[k]);
       if (!status.ok()) {
         at += static_cast<int64_t>(steps.size() - first);
         out.stop = Status(status.code(),
@@ -75,14 +77,13 @@ DriveResult Drive(TrainingFramework* framework, const Timeline& timeline,
     }
     if (last) break;
     situation = &timeline.changes[i].situation;
-    Result<TransitionReport> transition =
-        framework->OnSituationChange(*situation);
+    Result<StepReport> transition = framework->OnSituationChange(*situation);
     if (!transition.ok()) {
       out.stop = transition.status();
       break;
     }
-    out.transition_seconds += transition->TotalSeconds();
-    out.segments.push_back({*transition, {}});
+    charge(*transition);
+    out.segments.push_back({std::move(*transition), {}});
   }
   out.iterations_run = at;
   out.wall_seconds = out.training_seconds + out.transition_seconds;

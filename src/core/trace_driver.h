@@ -2,9 +2,11 @@
 // TrainingFramework and keeps the goodput ledger. Figure 7 phase runs
 // (baselines::RunTrace), event-trace runs (policy::RunDynamic),
 // bench_policy's baselines and the engine examples all go through it.
-// Each framework keeps its own transition accounting: the engine charges
-// re-plan overflow as max(0, planning - step) inside its step reports,
-// while RunDynamic charges the full re-plan latency at each change point.
+// A step and a change point both report a StepReport, and the driver sums
+// every report's overheads with one expression. Each framework keeps its
+// own re-plan accounting: the engine charges overflow as
+// max(0, planning - step) inside its step reports, while RunDynamic charges
+// the full re-plan latency at each change point.
 
 #ifndef MALLEUS_CORE_TRACE_DRIVER_H_
 #define MALLEUS_CORE_TRACE_DRIVER_H_
@@ -46,20 +48,6 @@ struct StepReport {
   }
 };
 
-/// What a framework paid when the straggler situation changed.
-struct TransitionReport {
-  /// Seconds lost to restarting (checkpoint save + init + load).
-  double restart_seconds = 0.0;
-  /// Seconds lost to live migration (Oobleck / Malleus style).
-  double migration_seconds = 0.0;
-  /// Re-plan latency that stalls training, charged in full.
-  double planning_seconds = 0.0;
-
-  double TotalSeconds() const {
-    return migration_seconds + restart_seconds + planning_seconds;
-  }
-};
-
 /// \brief A training framework under evaluation (S7.1), driven through a
 /// timeline: Initialize() once, then Drive().
 class TrainingFramework {
@@ -70,10 +58,11 @@ class TrainingFramework {
 
   virtual Status Initialize(int64_t global_batch) = 0;
 
-  /// Reacts to a change in the straggler situation. The default, for
-  /// frameworks that cannot react or detect changes themselves, pays
-  /// nothing and keeps running.
-  virtual Result<TransitionReport> OnSituationChange(
+  /// Reacts to a change in the straggler situation and reports what the
+  /// change cost: step_seconds 0, a restart's checkpoint I/O in
+  /// recovery_seconds. The default, for frameworks that cannot react or
+  /// detect changes themselves, pays nothing and keeps running.
+  virtual Result<StepReport> OnSituationChange(
       const straggler::Situation& situation);
 
   /// Runs one training iteration under `situation`.
@@ -111,7 +100,7 @@ Result<Timeline> PhaseTimeline(
 /// The iterations one situation held: the transition paid on entering it
 /// (none for the initial situation) and the step reports, in order.
 struct DrivenSegment {
-  TransitionReport transition;
+  StepReport transition;
   std::vector<StepReport> steps;
 };
 
@@ -123,8 +112,8 @@ struct DriveResult {
   int64_t iterations_run = 0;
   /// Sum of the step reports' step_seconds.
   double training_seconds = 0.0;
-  /// Sum, in timeline order, of each step report's migration + recovery +
-  /// planning overflow and of each transition's TotalSeconds().
+  /// Sum, in timeline order, of migration + recovery + planning overflow
+  /// over every report, step and transition alike.
   double transition_seconds = 0.0;
   double wall_seconds = 0.0;  ///< training + transition.
   /// iterations_run x healthy step / wall; 1.0 when no time passed.

@@ -193,7 +193,7 @@ class PolicyRun : public core::TrainingFramework {
     return Status::OK();
   }
 
-  Result<core::TransitionReport> OnSituationChange(
+  Result<core::StepReport> OnSituationChange(
       const straggler::Situation& situation) override {
     const ClusterEvent& event = trace_.events[next_event_++];
     const std::string sig = SitSignature(situation);
@@ -371,12 +371,7 @@ class PolicyRun : public core::TrainingFramework {
     result_->audits.push_back(std::move(audit));
     ++result_->action_counts[a];
     ++result_->events_applied;
-
-    // The run charges the full re-plan latency, so all of it is overflow.
-    return core::TransitionReport{
-        .restart_seconds = transition.recovery_seconds,
-        .migration_seconds = transition.migration_seconds,
-        .planning_seconds = transition.planning_overflow_seconds};
+    return transition;
   }
 
  private:

@@ -38,10 +38,9 @@ TEST_F(BaselinesTest, MegatronStaticSuffersFromStraggler) {
   MegatronBaseline m(cluster_, cost_, MegatronOptions());
   ASSERT_TRUE(m.Initialize(64).ok());
   const double base = m.Step(Healthy())->TotalSeconds();
-  Result<core::TransitionReport> t =
-      m.OnSituationChange(WithStraggler(0, 3));
+  Result<core::StepReport> t = m.OnSituationChange(WithStraggler(0, 3));
   ASSERT_TRUE(t.ok());
-  EXPECT_DOUBLE_EQ(t->restart_seconds, 0.0);  // Static: nothing happens.
+  EXPECT_DOUBLE_EQ(t->recovery_seconds, 0.0);  // Static: nothing happens.
   const double slow = m.Step(WithStraggler(0, 3))->TotalSeconds();
   EXPECT_GT(slow, 3.0 * base);  // ~5.3x straggler dominates the pipeline.
 }
@@ -52,19 +51,19 @@ TEST_F(BaselinesTest, MegatronRestartExcludesNodeAndPaysOverhead) {
   MegatronBaseline m(cluster_, cost_, opts);
   ASSERT_TRUE(m.Initialize(64).ok());
   const double base = m.Step(Healthy())->TotalSeconds();
-  Result<core::TransitionReport> t =
-      m.OnSituationChange(WithStraggler(0, 3));
+  Result<core::StepReport> t = m.OnSituationChange(WithStraggler(0, 3));
   ASSERT_TRUE(t.ok());
-  EXPECT_GT(t->restart_seconds, 60.0);  // Checkpoint + init + reload.
+  EXPECT_GT(t->recovery_seconds, 60.0);  // Checkpoint + init + reload.
+  EXPECT_DOUBLE_EQ(t->step_seconds, 0.0);  // A change point trains nothing.
   const double after = m.Step(WithStraggler(0, 3))->TotalSeconds();
   // Runs straggler-free on 3 of 4 nodes: slower than 4 nodes but far
   // better than dragging the straggler along.
   EXPECT_GT(after, base);
   EXPECT_LT(after, 2.0 * base);
   // Re-admitting the node needs another restart.
-  Result<core::TransitionReport> back = m.OnSituationChange(Healthy());
+  Result<core::StepReport> back = m.OnSituationChange(Healthy());
   ASSERT_TRUE(back.ok());
-  EXPECT_GT(back->restart_seconds, 60.0);
+  EXPECT_GT(back->recovery_seconds, 60.0);
 }
 
 TEST_F(BaselinesTest, MegatronRestartNoOpWhenNodeSetUnchanged) {
@@ -73,10 +72,9 @@ TEST_F(BaselinesTest, MegatronRestartNoOpWhenNodeSetUnchanged) {
   MegatronBaseline m(cluster_, cost_, opts);
   ASSERT_TRUE(m.Initialize(64).ok());
   ASSERT_TRUE(m.OnSituationChange(WithStraggler(0, 1)).ok());
-  Result<core::TransitionReport> again =
-      m.OnSituationChange(WithStraggler(0, 3));
+  Result<core::StepReport> again = m.OnSituationChange(WithStraggler(0, 3));
   ASSERT_TRUE(again.ok());
-  EXPECT_DOUBLE_EQ(again->restart_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(again->recovery_seconds, 0.0);
 }
 
 TEST_F(BaselinesTest, DeepSpeedGloballySensitiveToOneStraggler) {
@@ -134,16 +132,15 @@ TEST_F(BaselinesTest, OobleckMigratesOnNodeLossRestartsOnRecovery) {
   OobleckBaseline o(cluster_, cost_);
   ASSERT_TRUE(o.Initialize(64).ok());
   // Losing a node: template exists -> migration.
-  Result<core::TransitionReport> lose =
-      o.OnSituationChange(WithStraggler(0, 2));
+  Result<core::StepReport> lose = o.OnSituationChange(WithStraggler(0, 2));
   ASSERT_TRUE(lose.ok());
   EXPECT_GT(lose->migration_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(lose->restart_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(lose->recovery_seconds, 0.0);
   EXPECT_FALSE(o.last_transition_restarted());
   // Node recovers: re-integration needs a restart.
-  Result<core::TransitionReport> recover = o.OnSituationChange(Healthy());
+  Result<core::StepReport> recover = o.OnSituationChange(Healthy());
   ASSERT_TRUE(recover.ok());
-  EXPECT_GT(recover->restart_seconds, 0.0);
+  EXPECT_GT(recover->recovery_seconds, 0.0);
   EXPECT_TRUE(o.last_transition_restarted());
 }
 
@@ -155,7 +152,7 @@ TEST_F(BaselinesTest, OobleckRestartsWhenTemplateMissing) {
   s.SetLevel(0, 1);
   s.SetLevel(8, 2);
   s.SetLevel(16, 3);
-  Result<core::TransitionReport> t = o.OnSituationChange(s);
+  Result<core::StepReport> t = o.OnSituationChange(s);
   ASSERT_TRUE(t.ok());
   EXPECT_TRUE(o.last_transition_restarted());
 }

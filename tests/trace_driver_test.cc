@@ -29,9 +29,9 @@ class FakeFramework : public TrainingFramework {
   std::string name() const override { return "fake"; }
   Status Initialize(int64_t /*global_batch*/) override { return Status::OK(); }
 
-  Result<TransitionReport> OnSituationChange(
+  Result<StepReport> OnSituationChange(
       const straggler::Situation& situation) override {
-    TransitionReport report;
+    StepReport report;
     if (situation.rates() != last_.rates()) report.migration_seconds = 2.0;
     last_ = situation;
     return report;
