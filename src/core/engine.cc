@@ -125,17 +125,16 @@ Result<StepReport> MalleusEngine::RecoverFromFailure(
   }
   Result<PlanResult> planned = Replan();
   MALLEUS_RETURN_NOT_OK(planned.status());
-  report.planning_seconds = PlanningSeconds(planned->timings);
-  // Failure halts training: planning is not overlapped here, and the model
+  // Failure halts training: no step overlaps the planner, and the model
   // states are re-loaded from the latest checkpoint (S5.1).
-  report.planning_overflow_seconds = report.planning_seconds;
+  ChargeReplanning(PlanningSeconds(planned->timings),
+                   /*overlapped_step_seconds=*/0.0, &report);
   MALLEUS_RETURN_NOT_OK(executor_.Reload(std::move(planned->plan)));
   // Each GPU of the new plan reads exactly the slices it will own.
   Result<CheckpointIoPlan> load =
       PlanCheckpointLoad(executor_.current_plan(), cost_);
   MALLEUS_RETURN_NOT_OK(load.status());
   report.recovery_seconds = CheckpointIoSeconds(*load, cluster_);
-  report.replanned = true;
   report.plan_signature = executor_.current_plan().Signature();
   profiler_.AcknowledgeShift();
 
@@ -257,12 +256,9 @@ Result<StepReport> MalleusEngine::Step(const straggler::Situation& truth) {
       profiler_.AcknowledgeShift();
       return finish(std::move(report));
     }
-    report.replanned = true;
-    report.planning_seconds = PlanningSeconds(planned->timings);
-    // Asynchronous re-planning (S5.3): the search overlaps with training;
-    // only time beyond one step would stall the GPUs.
-    report.planning_overflow_seconds =
-        std::max(0.0, report.planning_seconds - report.step_seconds);
+    // Asynchronous re-planning (S5.3): the search overlaps this step.
+    ChargeReplanning(PlanningSeconds(planned->timings), report.step_seconds,
+                     &report);
     Result<MigrationReport> migrated =
         executor_.Migrate(std::move(planned->plan));
     MALLEUS_RETURN_NOT_OK(migrated.status());

@@ -1,11 +1,20 @@
 #include "core/trace_driver.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/string_util.h"
 
 namespace malleus {
 namespace core {
+
+void ChargeReplanning(double planning_seconds, double overlapped_step_seconds,
+                      StepReport* report) {
+  report->replanned = true;
+  report->planning_seconds = planning_seconds;
+  report->planning_overflow_seconds =
+      std::max(0.0, planning_seconds - overlapped_step_seconds);
+}
 
 Result<StepReport> TrainingFramework::OnSituationChange(
     const straggler::Situation& /*situation*/) {
@@ -48,9 +57,7 @@ DriveResult Drive(TrainingFramework* framework, const Timeline& timeline,
   // The one ledger entry of a report, step or transition alike.
   auto charge = [&out](const StepReport& report) {
     out.training_seconds += report.step_seconds;
-    out.transition_seconds += report.migration_seconds +
-                              report.recovery_seconds +
-                              report.planning_overflow_seconds;
+    out.transition_seconds += report.TransitionSeconds();
   };
   out.segments.emplace_back();
   const straggler::Situation* situation = &timeline.initial;

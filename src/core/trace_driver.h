@@ -3,10 +3,9 @@
 // (baselines::RunTrace), event-trace runs (policy::RunDynamic),
 // bench_policy's baselines and the engine examples all go through it.
 // A step and a change point both report a StepReport, and the driver sums
-// every report's overheads with one expression. Each framework keeps its
-// own re-plan accounting: the engine charges overflow as
-// max(0, planning - step) inside its step reports, while RunDynamic charges
-// the full re-plan latency at each change point.
+// every report's TransitionSeconds(). A re-plan is charged by one rule,
+// ChargeReplanning (S5.3): the engine's adapt and recovery paths and
+// RunDynamic's delta, replan and restart actions price and charge with it.
 
 #ifndef MALLEUS_CORE_TRACE_DRIVER_H_
 #define MALLEUS_CORE_TRACE_DRIVER_H_
@@ -32,7 +31,7 @@ struct StepReport {
   /// Checkpoint-reload time after a failure (not overlapped).
   double recovery_seconds = 0.0;
   /// Wall time of the planner run; overlapped with training (S5.3) except
-  /// for `planning_overflow_seconds` = max(0, planning - step).
+  /// for `planning_overflow_seconds` (see ChargeReplanning).
   double planning_seconds = 0.0;
   double planning_overflow_seconds = 0.0;
   bool replanned = false;
@@ -46,7 +45,21 @@ struct StepReport {
     return step_seconds + migration_seconds + recovery_seconds +
            planning_overflow_seconds;
   }
+  /// The transition overheads alone: what the report costs beyond training.
+  double TransitionSeconds() const {
+    return migration_seconds + recovery_seconds + planning_overflow_seconds;
+  }
 };
+
+/// Charges a re-plan of `planning_seconds` wall time to `report` by the
+/// asynchronous re-planning rule (S5.3): the planner runs while the current
+/// plan trains one step of `overlapped_step_seconds`, so only the planning
+/// time beyond that step stalls the GPUs. Pass 0 when the current plan
+/// cannot run (it lost a GPU), which charges the whole planning time. Sets
+/// replanned, planning_seconds and planning_overflow_seconds =
+/// max(0, planning - overlapped step).
+void ChargeReplanning(double planning_seconds, double overlapped_step_seconds,
+                      StepReport* report);
 
 /// \brief A training framework under evaluation (S7.1), driven through a
 /// timeline: Initialize() once, then Drive().
@@ -112,8 +125,8 @@ struct DriveResult {
   int64_t iterations_run = 0;
   /// Sum of the step reports' step_seconds.
   double training_seconds = 0.0;
-  /// Sum, in timeline order, of migration + recovery + planning overflow
-  /// over every report, step and transition alike.
+  /// Sum, in timeline order, of every report's TransitionSeconds(), step
+  /// and transition alike.
   double transition_seconds = 0.0;
   double wall_seconds = 0.0;  ///< training + transition.
   /// iterations_run x healthy step / wall; 1.0 when no time passed.

@@ -9,7 +9,8 @@
 //             standby (S5.2 elastic re-inclusion, migration-priced)
 //   delta     delta re-plan through the hierarchical island memo
 //             (core/hier.h), then migrate
-//   replan    full flat re-plan + migration (paper S4/S5.1)
+//   replan    global re-plan + migration (paper S4/S5.1): flat up to 4
+//             nodes, half-cluster islands above that
 //   restart   re-plan, then reload everyone from the latest checkpoint
 //             (sim/restart.h) instead of migrating
 //
@@ -53,7 +54,9 @@ struct ActionEstimate {
   /// standby, or a planner failure). Infeasible estimates are never
   /// selected.
   bool feasible = false;
-  /// One-off cost: re-plan latency + migration or checkpoint I/O.
+  /// One-off cost: migration or checkpoint I/O, plus the re-plan latency
+  /// that overflows the step the current plan runs meanwhile
+  /// (core::ChargeReplanning). Exactly what the run charges if chosen.
   double transition_seconds = 0.0;
   /// Steady-state per-iteration step time after the action.
   double step_seconds = 0.0;

@@ -201,17 +201,30 @@ class PolicyRun : public core::TrainingFramework {
     const double replan_latency =
         cold ? kColdReplanSeconds : kWarmReplanSeconds;
 
+    // Per action: its estimate, its plan and the report that charges it. An
+    // estimate's transition_seconds is its report's TransitionSeconds(), so
+    // the run charges exactly what the selector was priced.
     ActionEstimates estimates{};
     plan::ParallelPlan candidates[kNumPolicyActions];
+    core::StepReport charges[kNumPolicyActions];
+    auto offer = [&](PolicyAction action, plan::ParallelPlan candidate,
+                     double step, core::StepReport charge) {
+      const int i = static_cast<int>(action);
+      estimates[i] = {true, charge.TransitionSeconds(), step};
+      candidates[i] = std::move(candidate);
+      charges[i] = std::move(charge);
+    };
 
     // tolerate: the current plan, if it still runs on live GPUs only.
     if (!UsesFailedGpu(current_, situation)) {
       Result<double> step = StepSecondsOf(current_, situation);
-      if (step.ok()) {
-        estimates[0] = {true, 0.0, *step};
-        candidates[0] = current_;
-      }
+      if (step.ok()) offer(PolicyAction::kTolerate, current_, *step, {});
     }
+    // Re-plans overlap the step the current plan still runs (S5.3); when it
+    // cannot run, nothing hides the planner.
+    const ActionEstimate& tolerate = estimates[0];
+    const double overlapped_step = tolerate.feasible ? tolerate.step_seconds
+                                                     : 0.0;
     // promote: swap in a healthy same-node standby; priced by the actual
     // state migration the swap implies.
     Result<plan::ParallelPlan> promoted =
@@ -219,11 +232,11 @@ class PolicyRun : public core::TrainingFramework {
     if (promoted.ok() && !UsesFailedGpu(*promoted, situation)) {
       Result<double> step = StepSecondsOf(*promoted, situation);
       if (step.ok()) {
-        estimates[1] = {true,
-                        MigrationCost(current_, *promoted, cluster_, cost_,
-                                      sim_options_.net_model),
-                        *step};
-        candidates[1] = std::move(*promoted);
+        core::StepReport charge;
+        charge.migration_seconds = MigrationCost(
+            current_, *promoted, cluster_, cost_, sim_options_.net_model);
+        offer(PolicyAction::kPromote, std::move(*promoted), *step,
+              std::move(charge));
       }
     }
     // delta: re-plan through small islands (the hier memo re-solves only
@@ -238,13 +251,14 @@ class PolicyRun : public core::TrainingFramework {
       if (planned.ok() && !UsesFailedGpu(planned->plan, situation)) {
         Result<double> step = StepSecondsOf(planned->plan, situation);
         if (step.ok()) {
-          estimates[2] = {
-              true,
-              kDeltaReplanFraction * replan_latency +
-                  MigrationCost(current_, planned->plan, cluster_, cost_,
-                                sim_options_.net_model),
-              *step};
-          candidates[2] = std::move(planned->plan);
+          core::StepReport charge;
+          core::ChargeReplanning(kDeltaReplanFraction * replan_latency,
+                                 overlapped_step, &charge);
+          charge.migration_seconds =
+              MigrationCost(current_, planned->plan, cluster_, cost_,
+                            sim_options_.net_model);
+          offer(PolicyAction::kDeltaReplan, std::move(planned->plan), *step,
+                std::move(charge));
         }
       }
     }
@@ -262,12 +276,14 @@ class PolicyRun : public core::TrainingFramework {
     if (replanned.ok() && !UsesFailedGpu(replanned->plan, situation)) {
       Result<double> step = StepSecondsOf(replanned->plan, situation);
       if (step.ok()) {
-        estimates[3] = {true,
-                        replan_latency +
-                            MigrationCost(current_, replanned->plan, cluster_,
-                                          cost_, sim_options_.net_model),
-                        *step};
-        candidates[3] = replanned->plan;
+        core::StepReport replan;
+        core::ChargeReplanning(replan_latency, overlapped_step, &replan);
+        core::StepReport restart = replan;
+        replan.migration_seconds =
+            MigrationCost(current_, replanned->plan, cluster_, cost_,
+                          sim_options_.net_model);
+        offer(PolicyAction::kReplan, replanned->plan, *step,
+              std::move(replan));
         int alive_nodes = 0;
         for (topo::NodeId n = 0; n < nodes; ++n) {
           bool any_live = false;
@@ -284,13 +300,13 @@ class PolicyRun : public core::TrainingFramework {
           // failure path pays load + init only.
           const bool after_failure = event.kind == EventKind::kFail ||
                                      event.kind == EventKind::kNodeFail;
-          const double restart_io =
+          restart.recovery_seconds =
               after_failure
                   ? sim::RestartAfterFailureSeconds(cost_.CheckpointBytes(),
                                                     alive_nodes)
                   : sim::RestartSeconds(cost_.CheckpointBytes(), alive_nodes);
-          estimates[4] = {true, replan_latency + restart_io, *step};
-          candidates[4] = std::move(replanned->plan);
+          offer(PolicyAction::kRestart, std::move(replanned->plan), *step,
+                std::move(restart));
         }
       }
     }
@@ -319,38 +335,10 @@ class PolicyRun : public core::TrainingFramework {
       current_ = std::move(candidates[a]);
     }
 
-    core::StepReport transition;
+    core::StepReport transition = std::move(charges[a]);
     transition.note = event.ToString() + std::string(" -> ") +
                       PolicyActionName(action);
-    switch (action) {
-      case PolicyAction::kTolerate:
-        break;
-      case PolicyAction::kPromote:
-        transition.migration_seconds = estimates[a].transition_seconds;
-        break;
-      case PolicyAction::kDeltaReplan:
-      case PolicyAction::kReplan: {
-        const double latency = action == PolicyAction::kDeltaReplan
-                                   ? kDeltaReplanFraction * replan_latency
-                                   : replan_latency;
-        transition.replanned = true;
-        transition.planning_seconds = latency;
-        transition.planning_overflow_seconds = latency;
-        transition.migration_seconds =
-            estimates[a].transition_seconds - latency;
-        break;
-      }
-      case PolicyAction::kRestart:
-        transition.replanned = true;
-        transition.planning_seconds = replan_latency;
-        transition.planning_overflow_seconds = replan_latency;
-        transition.recovery_seconds =
-            estimates[a].transition_seconds - replan_latency;
-        break;
-    }
-    if (plan_changed && action != PolicyAction::kTolerate) {
-      transition.plan_signature = current_.Signature();
-    }
+    if (plan_changed) transition.plan_signature = current_.Signature();
     Record(transition);
 
     EventAudit audit;

@@ -4,9 +4,12 @@
 // s/iter`, from noise-free simulation memoized by (plan signature,
 // situation signature). At each event the run prices the five candidate
 // actions (policy/policy.h), calls Select exactly once, right after
-// pricing, and executes the choice, charging the full re-plan latency.
-// DynamicRunResult's iterations, seconds, goodput and stop reason are the
-// driver's ledger.
+// pricing, and executes the choice. A re-plan's latency is charged by the
+// engine's rule (core::ChargeReplanning): only the part beyond the step
+// the current plan runs meanwhile, all of it when that plan lost a GPU.
+// The chosen action's report is the one it was priced by, so each event
+// charges its estimate's transition_seconds. DynamicRunResult's
+// iterations, seconds, goodput and stop reason are the driver's ledger.
 //
 // Determinism contract: RunDynamic is a pure function of its arguments.
 // Step times are memoized and noise-free; the planner is bit-identical at

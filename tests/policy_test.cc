@@ -1,9 +1,9 @@
 // Tests for malleus::policy: event-trace generation determinism, the
 // five-action cost model, the adaptive selector's optimality bound, the
-// dynamic run loop's goodput accounting, run-log byte-reproducibility,
-// the re-plan fallback after node loss, the restart-after-failure
-// pricing the policy engine relies on, and the Select-once-per-event
-// contract.
+// dynamic run loop's goodput accounting and its re-plan overflow rule,
+// run-log byte-reproducibility, the re-plan fallback after node loss, the
+// restart-after-failure pricing the policy engine relies on, and the
+// Select-once-per-event contract.
 
 #include <gtest/gtest.h>
 
@@ -376,6 +376,63 @@ TEST_F(PolicyTest, NodeLossFallsBackToTheUnpinnedPlan) {
     EXPECT_EQ(result->audits.back().plan_signature,
               expected->plan.Signature())
         << name;
+  }
+}
+
+// Re-plans are charged by the engine's rule (S5.3): the planner overlaps
+// the step the current plan still runs, so a straggle answered by a
+// re-plan stalls nothing, while a fail-stop on an active GPU stops that
+// plan and stalls training for the whole latency. Either way the run
+// charges exactly what it priced.
+TEST_F(PolicyTest, ReplanOverflowFollowsTheEngineRule) {
+  ClusterEvent straggle;
+  straggle.iteration = 10;
+  straggle.kind = EventKind::kStraggle;
+  straggle.gpu = 3;
+  straggle.level = 2;
+  straggle.rate = straggler::RateForLevel(2);
+  ClusterEvent fail;
+  fail.iteration = 20;
+  fail.kind = EventKind::kFail;
+  fail.gpu = 12;
+  for (const std::vector<ClusterEvent>& events :
+       {std::vector<ClusterEvent>{straggle}, std::vector<ClusterEvent>{fail},
+        std::vector<ClusterEvent>{straggle, fail}}) {
+    EventTrace trace;
+    trace.iterations = 30;
+    trace.events = events;
+    core::RunLog log;
+    Result<DynamicRunResult> result =
+        RunTrace(trace, "replan", RunOptions(&log));
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_TRUE(result->stop_reason.empty()) << result->stop_reason;
+    ASSERT_EQ(result->audits.size(), events.size());
+    double priced = 0.0;
+    for (const EventAudit& audit : result->audits) {
+      EXPECT_EQ(audit.action, PolicyAction::kReplan);
+      priced += audit.transition_seconds;
+    }
+    EXPECT_NEAR(result->transition_seconds, priced, 1e-9);
+    if (events.size() != 1) continue;
+
+    std::vector<double> planning;
+    for (const core::RunEvent& event : log.events()) {
+      if (event.type == core::RunEventType::kReplan) {
+        planning.push_back(event.seconds);
+      }
+    }
+    ASSERT_EQ(planning.size(), 1u);
+    EXPECT_GT(planning[0], 0.0);
+    const double overflow = log.Summarize().planning_overflow_seconds;
+    if (events[0].kind == EventKind::kStraggle) {
+      // The current plan's straggling step is at least its healthy one.
+      ASSERT_TRUE(result->audits[0].tolerate_feasible);
+      ASSERT_GT(result->healthy_step_seconds, planning[0]);
+      EXPECT_EQ(overflow, 0.0);
+    } else {
+      ASSERT_FALSE(result->audits[0].tolerate_feasible);
+      EXPECT_EQ(overflow, planning[0]);
+    }
   }
 }
 

@@ -1,7 +1,8 @@
 // Tests for core::Drive, the one trace driver: a phase timeline and the
 // event timeline of an equivalent trace drive a framework identically, a
 // failed step stops the drive with the ledger kept up to it, and a
-// framework that advances segment-wise fills the same ledger.
+// framework that advances segment-wise fills the same ledger; and for
+// ChargeReplanning, the one re-plan overflow rule.
 
 #include <gtest/gtest.h>
 
@@ -196,6 +197,28 @@ TEST_F(TraceDriverTest, SegmentReportsFillTheSameLedger) {
   EXPECT_NEAR(b.training_seconds, a.training_seconds, 1e-12);
   EXPECT_EQ(b.transition_seconds, a.transition_seconds);
   EXPECT_NEAR(b.goodput, a.goodput, 1e-12);
+}
+
+TEST(ChargeReplanningTest, OnlyPlanningBeyondTheOverlappedStepStalls) {
+  StepReport hidden;
+  ChargeReplanning(/*planning_seconds=*/0.5, /*overlapped_step_seconds=*/2.0,
+                   &hidden);
+  EXPECT_TRUE(hidden.replanned);
+  EXPECT_EQ(hidden.planning_seconds, 0.5);
+  EXPECT_EQ(hidden.planning_overflow_seconds, 0.0);
+
+  StepReport longer;
+  ChargeReplanning(3.0, 2.0, &longer);
+  EXPECT_EQ(longer.planning_seconds, 3.0);
+  EXPECT_EQ(longer.planning_overflow_seconds, 1.0);
+
+  // No step runs while the planner works: the whole planning time stalls.
+  StepReport stopped;
+  stopped.migration_seconds = 1.5;
+  ChargeReplanning(0.5, 0.0, &stopped);
+  EXPECT_EQ(stopped.planning_overflow_seconds, 0.5);
+  EXPECT_EQ(stopped.TransitionSeconds(), 2.0);
+  EXPECT_EQ(stopped.TotalSeconds(), stopped.TransitionSeconds());
 }
 
 TEST_F(TraceDriverTest, PhaseTimelineRejectsPhasesWithoutSteps) {
