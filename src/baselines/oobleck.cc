@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/string_util.h"
-#include "core/migration.h"
-#include "net/fabric.h"
 #include "plan/uniform.h"
 #include "sim/pipeline_sim.h"
 #include "sim/restart.h"
@@ -25,7 +23,7 @@ constexpr uint64_t kSeed = 3;
 
 OobleckBaseline::OobleckBaseline(const topo::ClusterSpec& cluster,
                                  const model::CostModel& cost)
-    : cluster_(cluster), cost_(cost), rng_(kSeed) {}
+    : cluster_(cluster), cost_(cost), executor_(cluster, cost), rng_(kSeed) {}
 
 Result<plan::ParallelPlan> OobleckBaseline::TemplateFor(
     const std::set<topo::NodeId>& excluded) const {
@@ -55,8 +53,7 @@ Status OobleckBaseline::Initialize(int64_t global_batch) {
   last_restarted_ = false;
   Result<plan::ParallelPlan> t = TemplateFor({});
   if (!t.ok()) return t.status();
-  plan_ = std::move(t).ValueOrDie();
-  return Status::OK();
+  return executor_.Install(std::move(t).ValueOrDie());
 }
 
 Result<core::StepReport> OobleckBaseline::OnSituationChange(
@@ -79,12 +76,9 @@ Result<core::StepReport> OobleckBaseline::OnSituationChange(
       std::includes(bad.begin(), bad.end(), excluded_nodes_.begin(),
                     excluded_nodes_.end());
   if (next.ok() && shrinking) {
-    Result<core::MigrationPlan> migration =
-        core::ComputeMigration(plan_, *next, cost_);
-    if (migration.ok()) {
-      report.migration_seconds = core::MigrationSeconds(
-          *migration, cluster_, net::DefaultNetModel());
-      plan_ = std::move(next).ValueOrDie();
+    Result<core::MigrationReport> migrated = executor_.Migrate(*next);
+    if (migrated.ok()) {
+      report.migration_seconds = migrated->seconds;
       excluded_nodes_ = bad;
       return report;
     }
@@ -101,7 +95,7 @@ Result<core::StepReport> OobleckBaseline::OnSituationChange(
   } else {
     excluded_nodes_ = bad;
   }
-  plan_ = std::move(next).ValueOrDie();
+  MALLEUS_RETURN_NOT_OK(executor_.Reload(std::move(next).ValueOrDie()));
   const int alive_nodes =
       cluster_.num_nodes() - static_cast<int>(excluded_nodes_.size());
   report.recovery_seconds =
@@ -112,7 +106,8 @@ Result<core::StepReport> OobleckBaseline::OnSituationChange(
 Result<core::StepReport> OobleckBaseline::Step(
     const straggler::Situation& situation) {
   Result<sim::StepResult> step = sim::SimulateStep(
-      cluster_, cost_, plan_, situation, sim::SimOptions(), &rng_);
+      cluster_, cost_, executor_.current_plan(), situation, sim::SimOptions(),
+      &rng_);
   if (!step.ok()) return step.status();
   core::StepReport report;
   report.step_seconds = step->step_seconds * kTemplateOverhead;

@@ -19,6 +19,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "core/executor.h"
 #include "core/trace_driver.h"
 #include "model/cost_model.h"
 #include "plan/plan.h"
@@ -49,7 +50,7 @@ class OobleckBaseline : public core::TrainingFramework {
   const topo::ClusterSpec& cluster_;
   const model::CostModel& cost_;
   int64_t global_batch_ = 0;
-  plan::ParallelPlan plan_;
+  core::Executor executor_;
   std::set<topo::NodeId> excluded_nodes_;
   bool last_restarted_ = false;
   Rng rng_;

@@ -50,10 +50,13 @@ obs::TrackId EngineTrack(obs::TraceRecorder* trace) {
 
 MalleusEngine::MalleusEngine(const topo::ClusterSpec& cluster,
                              const model::CostModel& cost,
-                             EngineOptions options)
+                             EngineOptions options, Observer observer,
+                             EngineActor* actor)
     : cluster_(cluster),
       cost_(cost),
       options_(options),
+      observer_(observer),
+      actor_(actor),
       planner_(cluster, cost),
       executor_(cluster, cost, options.sim.net_model),
       profiler_(cluster.num_gpus()),
@@ -69,7 +72,6 @@ Status MalleusEngine::Initialize(int64_t global_batch) {
       GatePlanDiagnostics(initial->diagnostics, "initial plan"));
   MALLEUS_RETURN_NOT_OK(executor_.Install(std::move(initial->plan)));
   profiler_.AcknowledgeShift();
-  initialized_ = true;
   return Status::OK();
 }
 
@@ -86,11 +88,11 @@ Status MalleusEngine::InitializeWithPlan(plan::ParallelPlan p) {
       GatePlanDiagnostics(diagnostics, "user-provided plan"));
   MALLEUS_RETURN_NOT_OK(executor_.Install(std::move(p)));
   profiler_.AcknowledgeShift();
-  initialized_ = true;
   return Status::OK();
 }
 
-std::vector<topo::GpuId> MalleusEngine::InactiveGpus() const {
+std::vector<topo::GpuId> MalleusEngine::ProbedGpus() const {
+  if (observer_ == Observer::kTruth) return {};
   std::set<topo::GpuId> active;
   for (topo::GpuId g : executor_.current_plan().ActiveGpus()) {
     active.insert(g);
@@ -102,40 +104,85 @@ std::vector<topo::GpuId> MalleusEngine::InactiveGpus() const {
   return out;
 }
 
-Result<PlanResult> MalleusEngine::Replan() {
-  // Keep the installed plan's DP degree (paper footnote 2).
-  PlannerOptions opts = options_.planner;
-  opts.dp_degree = executor_.current_plan().dp_degree();
-  Result<PlanResult> planned =
-      planner_.Replan(profiler_.Estimated(), global_batch_, opts);
-  if (planned.ok()) {
-    // A refused plan surfaces as a planning failure: the caller keeps
-    // training on the current plan (Step) or aborts recovery.
-    MALLEUS_RETURN_NOT_OK(
-        GatePlanDiagnostics(planned->diagnostics, "re-plan"));
+Result<PlanResult> MalleusEngine::Replan(
+    const straggler::Situation& situation, PlannerOptions options) const {
+  options.dp_degree = executor_.current_plan().dp_degree();
+  return planner_.Replan(situation, global_batch_, options);
+}
+
+Result<double> MalleusEngine::PriceStep(
+    const plan::ParallelPlan& p, const straggler::Situation& situation) const {
+  sim::SimOptions sim = options_.sim;
+  sim.timing_noise_stddev = 0.0;
+  sim.trace = nullptr;
+  Rng rng(options_.seed);  // Draws nothing that matters: no noise.
+  MALLEUS_ASSIGN_OR_RETURN(
+      sim::StepResult step,
+      sim::SimulateStep(cluster_, cost_, p, situation, sim, &rng));
+  return step.step_seconds;
+}
+
+Result<EngineMove> MalleusEngine::ReplanMove(
+    const straggler::Situation& observed,
+    double installed_step_seconds) const {
+  MALLEUS_ASSIGN_OR_RETURN(PlanResult planned,
+                           Replan(observed, options_.planner));
+  // A refused plan surfaces as a planning failure: the caller keeps
+  // training on the current plan (Step) or aborts recovery.
+  MALLEUS_RETURN_NOT_OK(GatePlanDiagnostics(planned.diagnostics, "re-plan"));
+  EngineMove move{std::move(planned.plan), false, {}};
+  // Asynchronous re-planning (S5.3): the search overlaps the installed
+  // plan's step; a failure halts training, so nothing overlaps it.
+  const double planning = options_.planning_seconds_override >= 0
+                              ? options_.planning_seconds_override
+                              : planned.timings.total_seconds;
+  ChargeReplanning(planning, installed_step_seconds, &move.report);
+  if (installed_step_seconds > 0.0) {
+    MALLEUS_ASSIGN_OR_RETURN(const MigrationReport price,
+                             executor_.PriceMigration(move.plan));
+    move.report.note =
+        price.no_op ? "re-planned; plan unchanged"
+                    : StrFormat("migrated %s in %d transfers",
+                                FormatBytes(static_cast<uint64_t>(
+                                    price.bytes)).c_str(),
+                                price.num_transfers);
+    return move;
   }
-  return planned;
+  // Each GPU of the new plan reads exactly the slices it will own.
+  MALLEUS_ASSIGN_OR_RETURN(const CheckpointIoPlan load,
+                           PlanCheckpointLoad(move.plan, cost_));
+  move.reload = true;
+  move.report.recovery_seconds = CheckpointIoSeconds(load, cluster_);
+  move.report.note = "recovered from GPU failure via checkpoint reload";
+  return move;
+}
+
+Result<StepReport> MalleusEngine::Act(const straggler::Situation& observed,
+                                      double installed_step_seconds) {
+  MALLEUS_ASSIGN_OR_RETURN(
+      EngineMove move,
+      actor_ != nullptr ? actor_->Act(*this, observed, installed_step_seconds)
+                        : ReplanMove(observed, installed_step_seconds));
+  StepReport report = std::move(move.report);
+  const std::string before = executor_.current_plan().Signature();
+  if (move.reload) {
+    MALLEUS_RETURN_NOT_OK(executor_.Reload(std::move(move.plan)));
+  } else {
+    MALLEUS_ASSIGN_OR_RETURN(const MigrationReport migrated,
+                             executor_.Migrate(std::move(move.plan)));
+    report.migration_seconds = migrated.seconds;
+  }
+  std::string after = executor_.current_plan().Signature();
+  if (after != before) report.plan_signature = std::move(after);
+  return report;
 }
 
 Result<StepReport> MalleusEngine::RecoverFromFailure(
     const straggler::Situation& truth) {
-  StepReport report;
   for (topo::GpuId g : executor_.current_plan().ActiveGpus()) {
     if (truth.IsFailed(g)) profiler_.MarkFailed(g);
   }
-  Result<PlanResult> planned = Replan();
-  MALLEUS_RETURN_NOT_OK(planned.status());
-  // Failure halts training: no step overlaps the planner, and the model
-  // states are re-loaded from the latest checkpoint (S5.1).
-  ChargeReplanning(PlanningSeconds(planned->timings),
-                   /*overlapped_step_seconds=*/0.0, &report);
-  MALLEUS_RETURN_NOT_OK(executor_.Reload(std::move(planned->plan)));
-  // Each GPU of the new plan reads exactly the slices it will own.
-  Result<CheckpointIoPlan> load =
-      PlanCheckpointLoad(executor_.current_plan(), cost_);
-  MALLEUS_RETURN_NOT_OK(load.status());
-  report.recovery_seconds = CheckpointIoSeconds(*load, cluster_);
-  report.plan_signature = executor_.current_plan().Signature();
+  MALLEUS_ASSIGN_OR_RETURN(StepReport report, Act(profiler_.Estimated(), 0.0));
   profiler_.AcknowledgeShift();
 
   auto& registry = obs::MetricsRegistry::Current();
@@ -164,7 +211,6 @@ Result<StepReport> MalleusEngine::RecoverFromFailure(
   MALLEUS_RETURN_NOT_OK(step.status());
   profiler_.RecordStep(step->measured_rates);
   report.step_seconds = step->step_seconds;
-  report.note = "recovered from GPU failure via checkpoint reload";
   registry.GetCounter("engine.steps")->Increment();
   registry.GetHistogram("engine.step_seconds")->Observe(report.step_seconds);
   if (options_.sim.trace != nullptr) {
@@ -174,16 +220,16 @@ Result<StepReport> MalleusEngine::RecoverFromFailure(
 }
 
 Result<StepReport> MalleusEngine::Step(const straggler::Situation& truth) {
-  if (!initialized_) {
+  if (!executor_.installed()) {
     return Status::FailedPrecondition("engine not initialized");
   }
   if (truth.num_gpus() != cluster_.num_gpus()) {
     return Status::InvalidArgument("situation does not match cluster");
   }
 
-  // Standby-device micro-benchmarks (S5.2): the engine periodically probes
-  // devices that are out of the training so they can be re-included.
-  for (topo::GpuId g : InactiveGpus()) {
+  // Standby-device micro-benchmarks (S5.2): the profiler periodically
+  // probes devices that are out of the training so they can be re-included.
+  for (topo::GpuId g : ProbedGpus()) {
     if (truth.IsFailed(g)) {
       profiler_.MarkFailed(g);
     } else {
@@ -197,10 +243,11 @@ Result<StepReport> MalleusEngine::Step(const straggler::Situation& truth) {
       sim::SimulateStep(cluster_, cost_, executor_.current_plan(), truth,
                         options_.sim, &rng_);
   if (!step.ok()) {
-    if (step.status().IsUnavailable()) return RecoverFromFailure(truth);
+    if (observer_ == Observer::kProfiler && step.status().IsUnavailable()) {
+      return RecoverFromFailure(truth);
+    }
     return step.status();
   }
-  profiler_.RecordStep(step->measured_rates);
 
   StepReport report;
   report.step_seconds = step->step_seconds;
@@ -245,36 +292,50 @@ Result<StepReport> MalleusEngine::Step(const straggler::Situation& truth) {
     return r;
   };
 
+  if (observer_ == Observer::kTruth) return finish(std::move(report));
+  profiler_.RecordStep(step->measured_rates);
   if (profiler_.ShiftDetected()) {
     registry.GetCounter("profiler.shifts_detected")->Increment();
-    Result<PlanResult> planned = Replan();
-    if (!planned.ok()) {
+    Result<StepReport> acted = Act(profiler_.Estimated(), report.step_seconds);
+    profiler_.AcknowledgeShift();
+    if (!acted.ok()) {
       // Keep training with the current plan; try again on the next shift.
       registry.GetCounter("engine.replan_failures")->Increment();
       report.note = StrFormat("re-planning failed: %s",
-                              planned.status().ToString().c_str());
-      profiler_.AcknowledgeShift();
+                              acted.status().ToString().c_str());
       return finish(std::move(report));
     }
-    // Asynchronous re-planning (S5.3): the search overlaps this step.
-    ChargeReplanning(PlanningSeconds(planned->timings), report.step_seconds,
-                     &report);
-    Result<MigrationReport> migrated =
-        executor_.Migrate(std::move(planned->plan));
-    MALLEUS_RETURN_NOT_OK(migrated.status());
-    if (!migrated->no_op) {
-      report.migration_seconds = migrated->seconds;
-      report.plan_signature = executor_.current_plan().Signature();
-      report.note = StrFormat("migrated %s in %d transfers",
-                              FormatBytes(static_cast<uint64_t>(
-                                  migrated->bytes)).c_str(),
-                              migrated->num_transfers);
-    } else {
-      report.note = "re-planned; plan unchanged";
-    }
-    profiler_.AcknowledgeShift();
+    acted->step_seconds = report.step_seconds;
+    return finish(std::move(*acted));
   }
   return finish(std::move(report));
+}
+
+Result<StepReport> MalleusEngine::OnSituationChange(
+    const straggler::Situation& situation) {
+  // The profiler observer detects changes itself.
+  if (observer_ == Observer::kProfiler) return StepReport{};
+  const Result<double> installed =
+      PriceStep(executor_.current_plan(), situation);
+  return Act(situation, installed.ok() ? *installed : 0.0);
+}
+
+Status MalleusEngine::Advance(const straggler::Situation& situation,
+                              int64_t iterations,
+                              std::vector<StepReport>* reports) {
+  if (observer_ == Observer::kProfiler ||
+      options_.sim.timing_noise_stddev != 0.0) {
+    return TrainingFramework::Advance(situation, iterations, reports);
+  }
+  // The segment's iterations are identical: one report covers them all.
+  MALLEUS_ASSIGN_OR_RETURN(const double step,
+                           PriceStep(executor_.current_plan(), situation));
+  StepReport report;
+  report.step_seconds = step * static_cast<double>(iterations);
+  report.note = StrFormat("segment x%lld @%.17g s/iter",
+                          static_cast<long long>(iterations), step);
+  reports->push_back(std::move(report));
+  return Status::OK();
 }
 
 }  // namespace core

@@ -2,18 +2,19 @@
 //
 //   (1) start from a planner-deduced (or user-provided) initial plan;
 //   (2) the executor instantiates it and carries out training;
-//   (3) the profiler tracks per-GPU rates from the step measurements and
-//       probes standby devices;
-//   (4) when any rate shifts by more than 5%, re-planning runs concurrently
-//       with training (S5.3) and the executor migrates states on the fly.
-//
-// GPU failures (straggling rate = infinity) are handled by reloading the
-// latest checkpoint onto the remaining GPUs (S5.1).
+//   (3) an observer watches the cluster: the profiler (per-GPU rates from
+//       step measurements, standby probes) or the truth at change points;
+//   (4) on a change an actor decides the move. The default re-plans
+//       concurrently with training (S5.3) and the executor migrates states
+//       on the fly; a plan that lost a GPU (straggling rate = infinity)
+//       is reloaded from the latest checkpoint (S5.1). policy::RunDynamic
+//       passes an actor that prices five actions instead.
 
 #ifndef MALLEUS_CORE_ENGINE_H_
 #define MALLEUS_CORE_ENGINE_H_
 
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
@@ -40,13 +41,48 @@ struct EngineOptions {
   uint64_t seed = 42;
 };
 
-/// Malleus as a TrainingFramework. It detects shifts itself, so it keeps
-/// the default OnSituationChange, which pays nothing.
+class MalleusEngine;
+
+/// What the engine observes (S3.2 step 3): the profiler's estimate, or the
+/// truth handed over at each change point of a drive.
+enum class Observer { kProfiler, kTruth };
+
+/// An actor's decision: migrate to `plan` (the installed plan is a no-op)
+/// or reload it from the latest checkpoint (S5.1), charging `report`. The
+/// engine adds its executor's migration charge and the new plan signature.
+struct EngineMove {
+  plan::ParallelPlan plan;
+  bool reload = false;
+  StepReport report;
+};
+
+/// \brief Decides the engine's move when the observed situation changes.
+class EngineActor {
+ public:
+  virtual ~EngineActor() = default;
+
+  /// `installed_step_seconds` is the installed plan's step under
+  /// `observed`, which a re-plan overlaps (S5.3); 0 when that plan lost a
+  /// GPU and cannot run.
+  virtual Result<EngineMove> Act(const MalleusEngine& engine,
+                                 const straggler::Situation& observed,
+                                 double installed_step_seconds) = 0;
+};
+
+/// Malleus as a TrainingFramework. The profiler observer acts on a rate
+/// shift beyond 5% or a failed step; the truth observer acts at each
+/// change point, never re-plans in Step, and runs a noise-free segment
+/// as one `segment xN @s s/iter` report.
 class MalleusEngine : public TrainingFramework {
  public:
+  /// A null `actor` is the default act: re-plan the observed situation
+  /// keeping the DP degree and migrate, or reload from the checkpoint
+  /// when the installed plan lost a GPU.
   MalleusEngine(const topo::ClusterSpec& cluster,
                 const model::CostModel& cost,
-                EngineOptions options = EngineOptions());
+                EngineOptions options = EngineOptions(),
+                Observer observer = Observer::kProfiler,
+                EngineActor* actor = nullptr);
 
   std::string name() const override { return "Malleus"; }
 
@@ -56,13 +92,27 @@ class MalleusEngine : public TrainingFramework {
   /// Installs a user-provided initial plan instead.
   Status InitializeWithPlan(plan::ParallelPlan p);
 
-  /// Executes one training iteration under the true (hidden) situation.
-  /// The engine only observes it through simulated measurements.
+  /// Executes one training iteration under the true situation.
   Result<StepReport> Step(const straggler::Situation& truth) override;
+  Result<StepReport> OnSituationChange(
+      const straggler::Situation& situation) override;
+  Status Advance(const straggler::Situation& situation, int64_t iterations,
+                 std::vector<StepReport>* reports) override;
+
+  /// Noise-free simulated step time of `p` under `situation`; Unavailable
+  /// when `p` trains on a failed GPU.
+  Result<double> PriceStep(const plan::ParallelPlan& p,
+                           const straggler::Situation& situation) const;
+
+  /// Planner::Replan through the engine's planner, keeping the installed
+  /// plan's DP degree when feasible (paper footnote 2).
+  Result<PlanResult> Replan(const straggler::Situation& situation,
+                            PlannerOptions options) const;
 
   const plan::ParallelPlan& current_plan() const {
     return executor_.current_plan();
   }
+  const Executor& executor() const { return executor_; }
   const Profiler& profiler() const { return profiler_; }
 
   /// The engine's planner (and through it the solve cache). Mutable access
@@ -72,32 +122,28 @@ class MalleusEngine : public TrainingFramework {
   const Planner& planner() const { return planner_; }
 
  private:
-  /// Devices not participating in training under the current plan.
-  std::vector<topo::GpuId> InactiveGpus() const;
+  /// Standby devices the profiler probes (none for the truth observer).
+  std::vector<topo::GpuId> ProbedGpus() const;
 
-  /// Re-plans the profiler's estimated situation through
-  /// Planner::Replan, keeping the installed plan's DP degree when feasible.
-  Result<PlanResult> Replan();
+  /// Commits the actor's (or ReplanMove's) move for `observed`.
+  Result<StepReport> Act(const straggler::Situation& observed,
+                         double installed_step_seconds);
+  Result<EngineMove> ReplanMove(const straggler::Situation& observed,
+                                double installed_step_seconds) const;
 
-  /// Measured planner wall time, or the configured deterministic override.
-  double PlanningSeconds(const PlannerTimings& timings) const {
-    return options_.planning_seconds_override >= 0
-               ? options_.planning_seconds_override
-               : timings.total_seconds;
-  }
-
-  /// Failure path: mark dead GPUs, replan, reload from checkpoint.
+  /// Profiler failure path: mark dead GPUs, act, then train one step.
   Result<StepReport> RecoverFromFailure(const straggler::Situation& truth);
 
   const topo::ClusterSpec& cluster_;
   const model::CostModel& cost_;
   EngineOptions options_;
+  Observer observer_;
+  EngineActor* actor_;
   Planner planner_;
   Executor executor_;
   Profiler profiler_;
   Rng rng_;
   int64_t global_batch_ = 0;
-  bool initialized_ = false;
 };
 
 }  // namespace core

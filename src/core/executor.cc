@@ -10,7 +10,8 @@ Status Executor::Install(plan::ParallelPlan p) {
   return Status::OK();
 }
 
-Result<MigrationReport> Executor::Migrate(plan::ParallelPlan p) {
+Result<MigrationReport> Executor::PriceMigration(
+    const plan::ParallelPlan& p) const {
   if (!installed_) {
     return Status::FailedPrecondition("no plan installed yet");
   }
@@ -19,7 +20,6 @@ Result<MigrationReport> Executor::Migrate(plan::ParallelPlan p) {
   MigrationReport report;
   if (p.Signature() == plan_.Signature()) {
     report.no_op = true;
-    plan_ = std::move(p);
     return report;
   }
   Result<MigrationPlan> migration = ComputeMigration(plan_, p, cost_);
@@ -27,6 +27,11 @@ Result<MigrationReport> Executor::Migrate(plan::ParallelPlan p) {
   report.seconds = MigrationSeconds(*migration, cluster_, net_model_);
   report.bytes = migration->total_bytes;
   report.num_transfers = static_cast<int>(migration->transfers.size());
+  return report;
+}
+
+Result<MigrationReport> Executor::Migrate(plan::ParallelPlan p) {
+  MALLEUS_ASSIGN_OR_RETURN(MigrationReport report, PriceMigration(p));
   plan_ = std::move(p);
   return report;
 }

@@ -33,7 +33,13 @@ class Executor {
   /// Installs the initial plan (cold start; no data movement is charged).
   Status Install(plan::ParallelPlan p);
 
-  /// Migrates the model states from the current plan to `p` on the fly.
+  /// Prices a migration from the current plan to `p` without committing
+  /// it: exactly what Migrate(p) would charge. An identical plan prices as
+  /// a no-op; a plan the states cannot be diffed into is an error.
+  Result<MigrationReport> PriceMigration(const plan::ParallelPlan& p) const;
+
+  /// Migrates the model states from the current plan to `p` on the fly,
+  /// charging PriceMigration(p).
   Result<MigrationReport> Migrate(plan::ParallelPlan p);
 
   /// Re-installs after a failure recovery: states come from the checkpoint,
@@ -42,7 +48,6 @@ class Executor {
 
   bool installed() const { return installed_; }
   const plan::ParallelPlan& current_plan() const { return plan_; }
-  net::NetModel net_model() const { return net_model_; }
 
  private:
   const topo::ClusterSpec& cluster_;

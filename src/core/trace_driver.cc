@@ -16,11 +16,6 @@ void ChargeReplanning(double planning_seconds, double overlapped_step_seconds,
       std::max(0.0, planning_seconds - overlapped_step_seconds);
 }
 
-Result<StepReport> TrainingFramework::OnSituationChange(
-    const straggler::Situation& /*situation*/) {
-  return StepReport{};
-}
-
 Status TrainingFramework::Advance(const straggler::Situation& situation,
                                   int64_t iterations,
                                   std::vector<StepReport>* reports) {

@@ -1,11 +1,11 @@
 // The one trace driver: Drive() plays a cluster timeline through a
 // TrainingFramework and keeps the goodput ledger. Figure 7 phase runs
-// (baselines::RunTrace), event-trace runs (policy::RunDynamic),
-// bench_policy's baselines and the engine examples all go through it.
-// A step and a change point both report a StepReport, and the driver sums
-// every report's TransitionSeconds(). A re-plan is charged by one rule,
-// ChargeReplanning (S5.3): the engine's adapt and recovery paths and
-// RunDynamic's delta, replan and restart actions price and charge with it.
+// (baselines::RunTrace), event-trace runs (policy::RunDynamic, a
+// truth-observing core::MalleusEngine), bench_policy's baselines and the
+// engine examples all go through it. A step and a change point both
+// report a StepReport, and the driver sums every report's
+// TransitionSeconds(). A re-plan is charged by one rule, ChargeReplanning
+// (S5.3), by the engine's default actor and the policy actor alike.
 
 #ifndef MALLEUS_CORE_TRACE_DRIVER_H_
 #define MALLEUS_CORE_TRACE_DRIVER_H_
@@ -73,10 +73,9 @@ class TrainingFramework {
 
   /// Reacts to a change in the straggler situation and reports what the
   /// change cost: step_seconds 0, a restart's checkpoint I/O in
-  /// recovery_seconds. The default, for frameworks that cannot react or
-  /// detect changes themselves, pays nothing and keeps running.
+  /// recovery_seconds.
   virtual Result<StepReport> OnSituationChange(
-      const straggler::Situation& situation);
+      const straggler::Situation& situation) = 0;
 
   /// Runs one training iteration under `situation`.
   virtual Result<StepReport> Step(const straggler::Situation& situation) = 0;

@@ -1,15 +1,13 @@
 #include "policy/runner.h"
 
-#include <map>
+#include <algorithm>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/string_util.h"
-#include "core/migration.h"
-#include "core/trace_driver.h"
+#include "core/engine.h"
 #include "sim/restart.h"
 
 namespace malleus {
@@ -31,8 +29,8 @@ constexpr double kDeltaReplanFraction = 0.25;
 constexpr double kHorizonIterations = 50.0;
 
 // Canonical situation fingerprint: every rate at full precision. This keys
-// the runner's cold/warm re-plan memo (see the determinism contract in
-// runner.h).
+// the policy actor's cold/warm re-plan memo (see the determinism contract
+// in runner.h).
 std::string SitSignature(const straggler::Situation& situation) {
   std::string sig;
   for (double rate : situation.rates()) {
@@ -41,20 +39,11 @@ std::string SitSignature(const straggler::Situation& situation) {
   return sig;
 }
 
-bool UsesFailedGpu(const plan::ParallelPlan& p,
-                   const straggler::Situation& situation) {
-  for (topo::GpuId g : p.ActiveGpus()) {
-    if (situation.IsFailed(g)) return true;
-  }
-  return false;
-}
-
 // The standby-promotion candidate: swap the worst degraded active GPU with
 // the lowest-id healthy inactive GPU on the same node (TP groups are
 // intra-node, so the swap preserves every structural invariant except
-// possibly memory, which Validate re-checks).
+// possibly memory, which pricing its step re-checks through Validate).
 Result<plan::ParallelPlan> PromotePlan(const topo::ClusterSpec& cluster,
-                                       const model::CostModel& cost,
                                        const plan::ParallelPlan& current,
                                        const straggler::Situation& situation) {
   const std::vector<topo::GpuId> active = current.ActiveGpus();
@@ -97,147 +86,76 @@ Result<plan::ParallelPlan> PromotePlan(const topo::ClusterSpec& cluster,
     }
   }
   if (!swapped_standby) promoted.standby_gpus.push_back(worst);
-  MALLEUS_RETURN_NOT_OK(promoted.Validate(cluster, cost));
   return promoted;
 }
 
-double MigrationCost(const plan::ParallelPlan& from,
-                     const plan::ParallelPlan& to,
-                     const topo::ClusterSpec& cluster,
-                     const model::CostModel& cost, net::NetModel net_model) {
-  Result<core::MigrationPlan> migration =
-      core::ComputeMigration(from, to, cost);
-  if (!migration.ok()) return 0.0;
-  return core::MigrationSeconds(*migration, cluster, net_model);
-}
-
-// The policy engine's run as the trace driver's framework. Each
-// event-free segment is one memoized report; each change point prices the
-// five actions, asks the selector once and executes its choice. The k-th
-// change point is the k-th event of `trace` (see EventTimeline), which
-// supplies the event the selector and the restart pricing see.
-class PolicyRun : public core::TrainingFramework {
+// The policy as the engine's actor: at the k-th change point, the k-th
+// event of `trace` (see EventTimeline), it prices the five actions against
+// the engine, asks the selector once and returns the chosen move.
+class PolicyActor : public core::EngineActor {
  public:
-  PolicyRun(const topo::ClusterSpec& cluster, const model::CostModel& cost,
-            const straggler::Situation& initial, const EventTrace& trace,
-            const PolicySelector& selector, const DynamicRunOptions& options,
-            DynamicRunResult* result)
+  PolicyActor(const topo::ClusterSpec& cluster, const model::CostModel& cost,
+              const straggler::Situation& initial, const EventTrace& trace,
+              const PolicySelector& selector,
+              const core::PlannerOptions& planner, DynamicRunResult* result)
       : cluster_(cluster),
         cost_(cost),
-        initial_(initial),
         trace_(trace),
         selector_(selector),
-        options_(options),
-        result_(result),
-        planner_(cluster, cost),
-        sim_options_(options.sim) {
-    // Noise-free simulation makes segment step times exact, memoizable and
-    // byte-reproducible; the trace recorder stays off (the run log is the
-    // dynamic mode's observable).
-    sim_options_.timing_noise_stddev = 0.0;
-    sim_options_.trace = nullptr;
+        planner_(planner),
+        result_(result) {
     seen_situations_.insert(SitSignature(initial));
   }
 
-  std::string name() const override { return selector_.name(); }
-
-  // Plans for the initial situation and prices the goodput numeraire.
-  Status Initialize(int64_t global_batch) override {
-    global_batch_ = global_batch;
-    // A degraded initial situation on a larger cluster must not hit the
-    // flat sweep (auto island selection keeps it flat through 8 nodes,
-    // which is explosive under mixed rates); route it through half-cluster
-    // islands.
-    core::PlannerOptions initial_opts = options_.planner;
-    if (initial_opts.island_nodes == 0 && cluster_.num_nodes() > 4) {
-      bool degraded = false;
-      for (topo::GpuId g = 0; g < initial_.num_gpus(); ++g) {
-        if (initial_.IsStraggler(g) || initial_.IsFailed(g)) {
-          degraded = true;
-          break;
-        }
-      }
-      if (degraded) initial_opts.island_nodes = cluster_.num_nodes() / 2;
-    }
-    Result<core::PlanResult> initial_plan =
-        planner_.Replan(initial_, global_batch, initial_opts);
-    if (!initial_plan.ok()) {
-      return Status(initial_plan.status().code(),
-                    "no initial plan: " + initial_plan.status().message());
-    }
-    current_ = std::move(initial_plan->plan);
-    MALLEUS_ASSIGN_OR_RETURN(
-        result_->healthy_step_seconds,
-        StepSecondsOf(current_, straggler::Situation(cluster_.num_gpus())));
-    return Status::OK();
-  }
-
-  Result<core::StepReport> Step(
-      const straggler::Situation& situation) override {
-    core::StepReport report;
-    MALLEUS_ASSIGN_OR_RETURN(report.step_seconds,
-                             StepSecondsOf(current_, situation));
-    return report;
-  }
-
-  // The segment's iterations are identical: one report covers them all.
-  Status Advance(const straggler::Situation& situation, int64_t iterations,
-                 std::vector<core::StepReport>* reports) override {
-    MALLEUS_ASSIGN_OR_RETURN(core::StepReport report, Step(situation));
-    const double step = report.step_seconds;
-    report.step_seconds = step * static_cast<double>(iterations);
-    report.note = StrFormat("segment x%lld @%.17g s/iter",
-                            static_cast<long long>(iterations), step);
-    Record(report);
-    reports->push_back(std::move(report));
-    return Status::OK();
-  }
-
-  Result<core::StepReport> OnSituationChange(
-      const straggler::Situation& situation) override {
+  Result<core::EngineMove> Act(const core::MalleusEngine& engine,
+                               const straggler::Situation& situation,
+                               double installed_step_seconds) override {
     const ClusterEvent& event = trace_.events[next_event_++];
     const std::string sig = SitSignature(situation);
-    const bool cold = seen_situations_.count(sig) == 0;
-    const double replan_latency =
-        cold ? kColdReplanSeconds : kWarmReplanSeconds;
+    const double replan_latency = seen_situations_.count(sig) == 0
+                                      ? kColdReplanSeconds
+                                      : kWarmReplanSeconds;
 
-    // Per action: its estimate, its plan and the report that charges it. An
-    // estimate's transition_seconds is its report's TransitionSeconds(), so
-    // the run charges exactly what the selector was priced.
+    // Per action: its estimate and the move that charges it. An estimate's
+    // transition_seconds is its move's TransitionSeconds(), so the run
+    // charges exactly what the selector was priced.
     ActionEstimates estimates{};
-    plan::ParallelPlan candidates[kNumPolicyActions];
-    core::StepReport charges[kNumPolicyActions];
-    auto offer = [&](PolicyAction action, plan::ParallelPlan candidate,
-                     double step, core::StepReport charge) {
+    core::EngineMove moves[kNumPolicyActions];
+    auto offer = [&](PolicyAction action, double step,
+                     core::EngineMove move) {
       const int i = static_cast<int>(action);
-      estimates[i] = {true, charge.TransitionSeconds(), step};
-      candidates[i] = std::move(candidate);
-      charges[i] = std::move(charge);
+      estimates[i] = {true, move.report.TransitionSeconds(), step};
+      moves[i] = std::move(move);
+    };
+    // A migration to `p`, charged at the executor's price: feasible when
+    // `p` trains on live GPUs only and the states diff into it. Returns
+    // `p`'s step, or 0 when it cannot train.
+    auto offer_migration = [&](PolicyAction action, plan::ParallelPlan p,
+                               core::StepReport charge) -> double {
+      const Result<double> step = engine.PriceStep(p, situation);
+      if (!step.ok()) return 0.0;
+      Result<core::MigrationReport> migration =
+          engine.executor().PriceMigration(p);
+      if (migration.ok()) {
+        charge.migration_seconds = migration->seconds;
+        offer(action, *step, {std::move(p), false, std::move(charge)});
+      }
+      return *step;
     };
 
     // tolerate: the current plan, if it still runs on live GPUs only.
-    if (!UsesFailedGpu(current_, situation)) {
-      Result<double> step = StepSecondsOf(current_, situation);
-      if (step.ok()) offer(PolicyAction::kTolerate, current_, *step, {});
+    // Re-plans overlap the step it runs meanwhile (S5.3); when it cannot
+    // run, nothing hides the planner.
+    if (installed_step_seconds > 0.0) {
+      offer(PolicyAction::kTolerate, installed_step_seconds,
+            {engine.current_plan(), false, {}});
     }
-    // Re-plans overlap the step the current plan still runs (S5.3); when it
-    // cannot run, nothing hides the planner.
-    const ActionEstimate& tolerate = estimates[0];
-    const double overlapped_step = tolerate.feasible ? tolerate.step_seconds
-                                                     : 0.0;
     // promote: swap in a healthy same-node standby; priced by the actual
     // state migration the swap implies.
     Result<plan::ParallelPlan> promoted =
-        PromotePlan(cluster_, cost_, current_, situation);
-    if (promoted.ok() && !UsesFailedGpu(*promoted, situation)) {
-      Result<double> step = StepSecondsOf(*promoted, situation);
-      if (step.ok()) {
-        core::StepReport charge;
-        charge.migration_seconds = MigrationCost(
-            current_, *promoted, cluster_, cost_, sim_options_.net_model);
-        offer(PolicyAction::kPromote, std::move(*promoted), *step,
-              std::move(charge));
-      }
+        PromotePlan(cluster_, engine.current_plan(), situation);
+    if (promoted.ok()) {
+      offer_migration(PolicyAction::kPromote, std::move(*promoted), {});
     }
     // delta: re-plan through small islands (the hier memo re-solves only
     // touched islands), then migrate. Islands shrink with cluster size so
@@ -245,166 +163,107 @@ class PolicyRun : public core::TrainingFramework {
     // re-plan's decomposition.
     const int nodes = cluster_.num_nodes();
     if (nodes >= 4 && nodes % 2 == 0) {
-      const int delta_island = nodes >= 8 ? nodes / 4 : nodes / 2;
-      Result<core::PlanResult> planned =
-          ReplanOnIslands(situation, delta_island);
-      if (planned.ok() && !UsesFailedGpu(planned->plan, situation)) {
-        Result<double> step = StepSecondsOf(planned->plan, situation);
-        if (step.ok()) {
-          core::StepReport charge;
-          core::ChargeReplanning(kDeltaReplanFraction * replan_latency,
-                                 overlapped_step, &charge);
-          charge.migration_seconds =
-              MigrationCost(current_, planned->plan, cluster_, cost_,
-                            sim_options_.net_model);
-          offer(PolicyAction::kDeltaReplan, std::move(planned->plan), *step,
-                std::move(charge));
-        }
+      core::PlannerOptions delta = planner_;
+      delta.island_nodes = nodes >= 8 ? nodes / 4 : nodes / 2;
+      Result<core::PlanResult> planned = engine.Replan(situation, delta);
+      if (planned.ok()) {
+        core::StepReport charge;
+        core::ChargeReplanning(kDeltaReplanFraction * replan_latency,
+                               installed_step_seconds, &charge);
+        offer_migration(PolicyAction::kDeltaReplan, std::move(planned->plan),
+                        std::move(charge));
       }
     }
-    // replan: the global re-plan, then migrate. Flat where tractable
-    // (<= 4 nodes); beyond that the flat sweep under mixed-rate degraded
-    // situations is combinatorially explosive (tens of seconds per solve
-    // at 8 nodes), so the full re-plan goes through the whole-cluster
-    // hierarchical decomposition with half-cluster islands — measured
-    // equal-or-better plan quality at a small fraction of the latency.
-    // restart reuses this plan but pays checkpoint I/O + framework
+    // replan: the global re-plan, then migrate. Flat up to 4 nodes; above,
+    // the flat sweep under mixed-rate situations takes tens of seconds, so
+    // it runs on half-cluster islands (equal-or-better plans, DESIGN.md
+    // §16). restart reuses this plan but pays checkpoint I/O + framework
     // re-init instead of migration.
-    const int replan_island = nodes <= 4 ? -1 : nodes / 2;
-    Result<core::PlanResult> replanned =
-        ReplanOnIslands(situation, replan_island);
-    if (replanned.ok() && !UsesFailedGpu(replanned->plan, situation)) {
-      Result<double> step = StepSecondsOf(replanned->plan, situation);
-      if (step.ok()) {
-        core::StepReport replan;
-        core::ChargeReplanning(replan_latency, overlapped_step, &replan);
-        core::StepReport restart = replan;
-        replan.migration_seconds =
-            MigrationCost(current_, replanned->plan, cluster_, cost_,
-                          sim_options_.net_model);
-        offer(PolicyAction::kReplan, replanned->plan, *step,
-              std::move(replan));
+    core::PlannerOptions global = planner_;
+    global.island_nodes = nodes <= 4 ? -1 : nodes / 2;
+    Result<core::PlanResult> replanned = engine.Replan(situation, global);
+    if (replanned.ok()) {
+      core::StepReport replan;
+      core::ChargeReplanning(replan_latency, installed_step_seconds, &replan);
+      core::StepReport restart = replan;
+      const double step =
+          offer_migration(PolicyAction::kReplan, replanned->plan, replan);
+      if (step > 0.0) {
         int alive_nodes = 0;
         for (topo::NodeId n = 0; n < nodes; ++n) {
-          bool any_live = false;
-          for (topo::GpuId g : cluster_.GpusOnNode(n)) {
-            if (!situation.IsFailed(g)) any_live = true;
-          }
-          if (any_live) ++alive_nodes;
+          const std::vector<topo::GpuId> gpus = cluster_.GpusOnNode(n);
+          alive_nodes += std::any_of(
+              gpus.begin(), gpus.end(),
+              [&](topo::GpuId g) { return !situation.IsFailed(g); });
         }
-        if (alive_nodes > 0) {
-          // After a fail-stop the dead GPUs' state is gone and cannot be
-          // saved; charging the full save+init+load RestartSeconds there
-          // would double-count the checkpoint I/O (the save leg re-prices
-          // the load of state that already sits in the checkpoint). The
-          // failure path pays load + init only.
-          const bool after_failure = event.kind == EventKind::kFail ||
-                                     event.kind == EventKind::kNodeFail;
-          restart.recovery_seconds =
-              after_failure
-                  ? sim::RestartAfterFailureSeconds(cost_.CheckpointBytes(),
-                                                    alive_nodes)
-                  : sim::RestartSeconds(cost_.CheckpointBytes(), alive_nodes);
-          offer(PolicyAction::kRestart, std::move(replanned->plan), *step,
-                std::move(restart));
-        }
+        // After a fail-stop the dead GPUs' state is gone and cannot be
+        // saved; charging the full save+init+load RestartSeconds there
+        // would double-count the checkpoint I/O (the save leg re-prices
+        // the load of state that already sits in the checkpoint). The
+        // failure path pays load + init only.
+        const bool after_failure = event.kind == EventKind::kFail ||
+                                   event.kind == EventKind::kNodeFail;
+        restart.recovery_seconds =
+            after_failure
+                ? sim::RestartAfterFailureSeconds(cost_.CheckpointBytes(),
+                                                  alive_nodes)
+                : sim::RestartSeconds(cost_.CheckpointBytes(), alive_nodes);
+        offer(PolicyAction::kRestart, step,
+              {std::move(replanned->plan), true, std::move(restart)});
       }
     }
     seen_situations_.insert(sig);
 
-    int first_feasible = -1;
-    for (int a = 0; a < kNumPolicyActions; ++a) {
-      if (estimates[a].feasible) {
-        first_feasible = a;
-        break;
-      }
-    }
-    if (first_feasible < 0) {
+    const auto first_feasible =
+        std::find_if(estimates.begin(), estimates.end(),
+                     [](const ActionEstimate& e) { return e.feasible; });
+    if (first_feasible == estimates.end()) {
       return Status::Infeasible("no feasible action for event " +
                                 event.ToString());
     }
     PolicyAction action =
         selector_.Select(estimates, event, kHorizonIterations);
     if (!estimates[static_cast<int>(action)].feasible) {
-      action = static_cast<PolicyAction>(first_feasible);
+      action = static_cast<PolicyAction>(first_feasible - estimates.begin());
     }
     const int a = static_cast<int>(action);
-    const bool plan_changed =
-        candidates[a].Signature() != current_.Signature();
-    if (action != PolicyAction::kTolerate) {
-      current_ = std::move(candidates[a]);
-    }
+    core::EngineMove move = std::move(moves[a]);
+    move.report.note = event.ToString() + std::string(" -> ") +
+                       PolicyActionName(action);
 
-    core::StepReport transition = std::move(charges[a]);
-    transition.note = event.ToString() + std::string(" -> ") +
-                      PolicyActionName(action);
-    if (plan_changed) transition.plan_signature = current_.Signature();
-    Record(transition);
-
-    EventAudit audit;
-    audit.iteration = event.iteration;
-    audit.kind = event.kind;
-    audit.action = action;
-    audit.uses_failed_gpu = UsesFailedGpu(current_, situation);
-    audit.plan_valid =
-        current_.Validate(cluster_, cost_).ok() && !audit.uses_failed_gpu;
-    audit.transition_seconds = estimates[a].transition_seconds;
-    audit.step_seconds_after = estimates[a].step_seconds;
-    audit.plan_signature = current_.Signature();
-    audit.predicted_cost_chosen =
-        estimates[a].PredictedCost(kHorizonIterations);
-    audit.predicted_cost_tolerate =
-        estimates[0].PredictedCost(kHorizonIterations);
-    audit.tolerate_feasible = estimates[0].feasible;
-    result_->audits.push_back(std::move(audit));
+    // The engine installs move.plan once it commits the move.
+    const std::vector<topo::GpuId> active = move.plan.ActiveGpus();
+    const bool uses_failed_gpu =
+        std::any_of(active.begin(), active.end(),
+                    [&](topo::GpuId g) { return situation.IsFailed(g); });
+    result_->audits.push_back({
+        .iteration = event.iteration,
+        .kind = event.kind,
+        .action = action,
+        .plan_valid =
+            move.plan.Validate(cluster_, cost_).ok() && !uses_failed_gpu,
+        .uses_failed_gpu = uses_failed_gpu,
+        .transition_seconds = estimates[a].transition_seconds,
+        .step_seconds_after = estimates[a].step_seconds,
+        .plan_signature = move.plan.Signature(),
+        .predicted_cost_chosen = estimates[a].PredictedCost(kHorizonIterations),
+        .predicted_cost_tolerate =
+            estimates[0].PredictedCost(kHorizonIterations),
+        .tolerate_feasible = estimates[0].feasible,
+    });
     ++result_->action_counts[a];
     ++result_->events_applied;
-    return transition;
+    return move;
   }
 
  private:
-  Result<double> StepSecondsOf(const plan::ParallelPlan& p,
-                               const straggler::Situation& s) {
-    const std::string key = p.Signature() + "|" + SitSignature(s);
-    const auto it = sim_memo_.find(key);
-    if (it != sim_memo_.end()) return it->second;
-    Rng rng(0x6D616C6C657573ULL);  // Fixed seed; the noise stddev is 0.
-    Result<sim::StepResult> sim_result =
-        sim::SimulateStep(cluster_, cost_, p, s, sim_options_, &rng);
-    if (!sim_result.ok()) return sim_result.status();
-    sim_memo_.emplace(key, sim_result->step_seconds);
-    return sim_result->step_seconds;
-  }
-
-  // Re-plans keep the current plan's DP degree (paper footnote 2) and fall
-  // back to the planner's own DP search when capacity loss rules it out.
-  Result<core::PlanResult> ReplanOnIslands(
-      const straggler::Situation& situation, int island_nodes) const {
-    core::PlannerOptions opts = options_.planner;
-    opts.dp_degree = current_.dp_degree();
-    opts.island_nodes = island_nodes;
-    return planner_.Replan(situation, global_batch_, opts);
-  }
-
-  void Record(const core::StepReport& report) const {
-    if (options_.run_log != nullptr) {
-      options_.run_log->Record("dynamic", report);
-    }
-  }
-
   const topo::ClusterSpec& cluster_;
   const model::CostModel& cost_;
-  const straggler::Situation& initial_;
   const EventTrace& trace_;
   const PolicySelector& selector_;
-  const DynamicRunOptions& options_;
+  const core::PlannerOptions& planner_;
   DynamicRunResult* result_;
-  const core::Planner planner_;
-  sim::SimOptions sim_options_;
-  std::map<std::string, double> sim_memo_;
   std::set<std::string> seen_situations_;
-  plan::ParallelPlan current_;
-  int64_t global_batch_ = 0;
   size_t next_event_ = 0;
 };
 
@@ -422,11 +281,48 @@ Result<DynamicRunResult> RunDynamic(const topo::ClusterSpec& cluster,
   }
   DynamicRunResult result;
   result.trace_iterations = trace.iterations;
-  PolicyRun run(cluster, cost, initial, trace, selector, options, &result);
-  MALLEUS_RETURN_NOT_OK(run.Initialize(global_batch));
+  PolicyActor actor(cluster, cost, initial, trace, selector, options.planner,
+                    &result);
+  // Noise-free, so segment step times are exact; the run log, not a trace
+  // recorder, is the dynamic mode's observable.
+  core::EngineOptions engine_options{options.planner, options.sim};
+  engine_options.sim.timing_noise_stddev = 0.0;
+  engine_options.sim.trace = nullptr;
+  core::MalleusEngine engine(cluster, cost, engine_options,
+                             core::Observer::kTruth, &actor);
+
+  // A degraded initial situation on a larger cluster must not hit the flat
+  // sweep (auto island selection keeps it flat through 8 nodes, which is
+  // explosive under mixed rates); route it through half-cluster islands.
+  core::PlannerOptions initial_opts = options.planner;
+  if (initial_opts.island_nodes == 0 && cluster.num_nodes() > 4 &&
+      !initial.Stragglers().empty()) {  // A failed GPU straggles too.
+    initial_opts.island_nodes = cluster.num_nodes() / 2;
+  }
+  Result<core::PlanResult> initial_plan =
+      engine.planner().Replan(initial, global_batch, initial_opts);
+  if (!initial_plan.ok()) {
+    return Status(initial_plan.status().code(),
+                  "no initial plan: " + initial_plan.status().message());
+  }
+  MALLEUS_RETURN_NOT_OK(
+      engine.InitializeWithPlan(std::move(initial_plan->plan)));
+  MALLEUS_ASSIGN_OR_RETURN(
+      result.healthy_step_seconds,
+      engine.PriceStep(engine.current_plan(),
+                       straggler::Situation(cluster.num_gpus())));
+
   const core::DriveResult drive =
-      core::Drive(&run, EventTimeline(cluster, initial, trace),
+      core::Drive(&engine, EventTimeline(cluster, initial, trace),
                   result.healthy_step_seconds);
+  // The run log: each change's transition, then its steps.
+  core::RunLog* log = options.run_log;
+  for (size_t i = 0; log != nullptr && i < drive.segments.size(); ++i) {
+    if (i > 0) log->Record("dynamic", drive.segments[i].transition);
+    for (const core::StepReport& step : drive.segments[i].steps) {
+      log->Record("dynamic", step);
+    }
+  }
   result.iterations_run = drive.iterations_run;
   result.training_seconds = drive.training_seconds;
   result.transition_seconds = drive.transition_seconds;

@@ -1,27 +1,23 @@
 // The dynamic run: plays an event trace (policy/events.h, EventTimeline)
-// through the one trace driver (core::Drive) with the policy engine as the
-// framework. Each event-free segment is one report, `segment xN @s
-// s/iter`, from noise-free simulation memoized by (plan signature,
-// situation signature). At each event the run prices the five candidate
-// actions (policy/policy.h), calls Select exactly once, right after
-// pricing, and executes the choice. A re-plan's latency is charged by the
-// engine's rule (core::ChargeReplanning): only the part beyond the step
-// the current plan runs meanwhile, all of it when that plan lost a GPU.
-// The chosen action's report is the one it was priced by, so each event
-// charges its estimate's transition_seconds. DynamicRunResult's
-// iterations, seconds, goodput and stop reason are the driver's ledger.
+// through the one trace driver (core::Drive) over a core::MalleusEngine
+// that observes the truth and acts through the policy. The engine holds
+// the plan, runs each event-free segment as one noise-free report,
+// `segment xN @s s/iter`, and commits each chosen move through its
+// executor. At each event the policy actor prices the five candidate
+// actions (policy/policy.h) against the engine, calls Select exactly once,
+// right after pricing, and returns the choice. Re-plan latency is charged
+// by core::ChargeReplanning and migrations at the executor's price, so
+// each event charges its estimate's transition_seconds.
+// DynamicRunResult's iterations, seconds, goodput and stop reason are the
+// driver's ledger.
 //
 // Determinism contract: RunDynamic is a pure function of its arguments.
-// Step times are memoized and noise-free; the planner is bit-identical at
-// any thread count; and re-plan latency is priced from the run's own
-// deterministic memo of seen situation signatures (cold on first sight,
-// warm after) with fixed constants (runner.cc: cold/warm re-plan seconds,
-// the delta fraction, the amortization horizon, default restart costs);
-// they are not options because no caller has ever needed other values.
-// The planner cache's hit/miss counters would be the "real" latency
-// signal, but they are allowed to vary run-to-run under thread racing, so
-// the memo is the determinism-safe stand-in — the cache still makes the
-// actual planner calls fast; it just doesn't price them.
+// Step times are noise-free, the planner is bit-identical at any thread
+// count, and re-plan latency is priced from the policy actor's own memo
+// of seen situation signatures (cold on first sight, warm after) with
+// fixed constants (runner.cc), which no caller has needed to change. The
+// planner cache's hit/miss counters may vary run to run under thread
+// racing, so the cache makes planner calls fast but does not price them.
 
 #ifndef MALLEUS_POLICY_RUNNER_H_
 #define MALLEUS_POLICY_RUNNER_H_
@@ -50,11 +46,11 @@ struct DynamicRunOptions {
   /// planner's own DP search when capacity loss makes it infeasible.
   core::PlannerOptions planner;
   /// Simulator knobs; timing noise is forced to 0 so segment step times
-  /// are exact and memoizable.
+  /// are exact.
   sim::SimOptions sim;
   /// When set, the run records one StepReport per segment and per event,
-  /// under the phase "dynamic"; replaying the same trace twice yields
-  /// byte-identical logs.
+  /// in timeline order under the phase "dynamic", after the drive;
+  /// replaying the same trace twice yields byte-identical logs.
   core::RunLog* run_log = nullptr;
 };
 

@@ -1,10 +1,12 @@
 // Tests for core/executor and core/engine: plan installation and migration
 // accounting, the self-detecting re-planning loop, overlap accounting,
-// failure recovery, and elastic re-inclusion.
+// failure recovery, elastic re-inclusion, and the truth observer.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/executor.h"
@@ -60,6 +62,33 @@ TEST_F(ExecutorTest, MigrateToStragglerPlanCharges) {
   EXPECT_GT(r->bytes, 0.0);
   EXPECT_GT(r->seconds, 0.0);
   EXPECT_GT(r->num_transfers, 0);
+}
+
+TEST_F(ExecutorTest, PriceIsWhatTheNextMigrateCharges) {
+  Executor ex(cluster_, cost_);
+  ASSERT_TRUE(ex.Install(PlanFor(straggler::Situation(cluster_.num_gpus())))
+                  .ok());
+  straggler::Situation s(cluster_.num_gpus());
+  s.SetLevel(0, 3);
+  const plan::ParallelPlan target = PlanFor(s);
+  Result<MigrationReport> price = ex.PriceMigration(target);
+  ASSERT_TRUE(price.ok()) << price.status();
+  EXPECT_FALSE(price->no_op);
+  EXPECT_GT(price->seconds, 0.0);
+  Result<MigrationReport> migrated = ex.Migrate(target);
+  ASSERT_TRUE(migrated.ok()) << migrated.status();
+  EXPECT_EQ(migrated->seconds, price->seconds);
+  EXPECT_EQ(migrated->bytes, price->bytes);
+  EXPECT_EQ(migrated->num_transfers, price->num_transfers);
+  EXPECT_EQ(migrated->no_op, price->no_op);
+
+  // The installed plan prices as a no-op.
+  Result<MigrationReport> again = ex.PriceMigration(ex.current_plan());
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_TRUE(again->no_op);
+  EXPECT_EQ(again->seconds, 0.0);
+  EXPECT_EQ(again->bytes, 0.0);
+  EXPECT_EQ(again->num_transfers, 0);
 }
 
 TEST_F(ExecutorTest, InstallRejectsInvalidPlan) {
@@ -219,6 +248,77 @@ TEST_F(EngineTest, InitializeWithUserPlan) {
   EXPECT_EQ(engine.current_plan().Signature(), sig);
   straggler::Situation healthy(cluster_.num_gpus());
   EXPECT_TRUE(engine.Step(healthy).ok());
+}
+
+// The truth observer: steps only train, a change point hands the truth to
+// the default act, and a noise-free segment is one report.
+TEST_F(EngineTest, TruthObserverActsOnlyAtChangePoints) {
+  EngineOptions options;
+  options.sim.timing_noise_stddev = 0.0;
+  // Longer than any step, so the overflow rule shows in the charge.
+  options.planning_seconds_override = 100.0;
+  MalleusEngine engine(cluster_, cost_, options, Observer::kTruth);
+  ASSERT_TRUE(engine.Initialize(64).ok());
+  const std::string initial = engine.current_plan().Signature();
+  straggler::Situation s(cluster_.num_gpus());
+  s.SetLevel(0, 3);
+
+  // Step never re-plans on its own, however long the straggler stays.
+  for (int i = 0; i < 3; ++i) {
+    Result<StepReport> r = engine.Step(s);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_FALSE(r->replanned);
+    EXPECT_EQ(r->TransitionSeconds(), 0.0);
+  }
+  EXPECT_EQ(engine.current_plan().Signature(), initial);
+
+  // A change point re-plans the truth while the installed plan trains one
+  // step, charges by ChargeReplanning and migrates at the executor's price.
+  Result<double> installed = engine.PriceStep(engine.current_plan(), s);
+  ASSERT_TRUE(installed.ok()) << installed.status();
+  Result<PlanResult> planned = engine.Replan(s, options.planner);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  Result<MigrationReport> price =
+      engine.executor().PriceMigration(planned->plan);
+  ASSERT_TRUE(price.ok()) << price.status();
+  StepReport expected;
+  ChargeReplanning(100.0, *installed, &expected);
+  Result<StepReport> change = engine.OnSituationChange(s);
+  ASSERT_TRUE(change.ok()) << change.status();
+  EXPECT_TRUE(change->replanned);
+  EXPECT_EQ(change->step_seconds, 0.0);
+  EXPECT_EQ(change->planning_seconds, expected.planning_seconds);
+  EXPECT_GT(expected.planning_overflow_seconds, 0.0);
+  EXPECT_EQ(change->planning_overflow_seconds,
+            expected.planning_overflow_seconds);
+  EXPECT_EQ(change->migration_seconds, price->seconds);
+  EXPECT_EQ(change->recovery_seconds, 0.0);
+  EXPECT_EQ(engine.current_plan().Signature(), planned->plan.Signature());
+  EXPECT_NE(change->plan_signature, initial);
+  EXPECT_EQ(change->plan_signature, engine.current_plan().Signature());
+
+  // N event-free, noise-free iterations are one `segment xN` report.
+  Result<double> step = engine.PriceStep(engine.current_plan(), s);
+  ASSERT_TRUE(step.ok()) << step.status();
+  std::vector<StepReport> reports;
+  ASSERT_TRUE(engine.Advance(s, 7, &reports).ok());
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].step_seconds, 7.0 * *step);
+  EXPECT_EQ(reports[0].note.rfind("segment x7 @", 0), 0u) << reports[0].note;
+  EXPECT_FALSE(reports[0].replanned);
+
+  // A change that kills an active GPU halts training: the whole planning
+  // time stalls and the new plan reloads from the checkpoint.
+  straggler::Situation failed = s;
+  const topo::GpuId victim = engine.current_plan().ActiveGpus().front();
+  failed.Fail(victim);
+  Result<StepReport> recovered = engine.OnSituationChange(failed);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(recovered->planning_overflow_seconds, 100.0);
+  EXPECT_GT(recovered->recovery_seconds, 0.0);
+  EXPECT_EQ(recovered->migration_seconds, 0.0);
+  const auto active = engine.current_plan().ActiveGpus();
+  EXPECT_EQ(std::count(active.begin(), active.end(), victim), 0);
 }
 
 }  // namespace

@@ -42,8 +42,11 @@
 #                              #   trace_driver_test and baselines_test
 #                              #   under ASan/UBSan, a seeded
 #                              #   --dynamic fuzz budget, the checked-in
-#                              #   dynamic corpus replays and the
-#                              #   golden_dynamic snapshot comparison
+#                              #   dynamic corpus replays, the
+#                              #   golden_dynamic snapshot comparison and
+#                              #   bench_policy, whose BENCH_policy.json
+#                              #   must equal the committed one in every
+#                              #   field but commit and host_nproc
 #   tools/check.sh --scale     # kilo-GPU smoke: plan + flow-level sim of
 #                              #   the examples/scenarios/scale/ fat-tree
 #                              #   scenarios (1024 GPUs end-to-end, 2048
@@ -352,10 +355,12 @@ if [[ "$MODE" == "policy" ]]; then
   # framework's transitions pass through the driver's one report), a
   # short seeded --dynamic fuzz budget driving the dynamic.* oracles on
   # generated scenarios, every checked-in dynamic corpus replay, and the
-  # per-selector golden snapshot.
+  # per-selector golden snapshot. Last, bench_policy writes its result into
+  # the build directory, and every field but commit and host_nproc must
+  # equal the committed BENCH_policy.json.
   cmake --build "$BUILD_DIR" -j"$(nproc)" \
     --target policy_test engine_test trace_driver_test baselines_test \
-    malleus_fuzz malleus_golden
+    malleus_fuzz malleus_golden bench_policy
   echo "== policy_test (ASan/UBSan) =="
   "$BUILD_DIR/tests/policy_test"
   for t in engine_test trace_driver_test baselines_test; do
@@ -379,8 +384,26 @@ if [[ "$MODE" == "policy" ]]; then
   echo "== golden_dynamic snapshot comparison (sanitized) =="
   "$BUILD_DIR/tools/malleus_golden" \
     --scenario-dir=examples/scenarios/dynamic --golden-dir=tests/golden
+  echo "== bench_policy against the committed BENCH_policy.json (sanitized) =="
+  MALLEUS_BENCH_OUT_DIR="$BUILD_DIR" "$BUILD_DIR/bench/bench_policy" \
+    >/dev/null
+  python3 - "$BUILD_DIR/BENCH_policy.json" BENCH_policy.json <<'PY'
+import json
+import sys
+
+def fields(path):
+    with open(path) as f:
+        result = json.load(f)
+    for key in ("commit", "host_nproc"):
+        result.pop(key, None)
+    return result
+
+if fields(sys.argv[1]) != fields(sys.argv[2]):
+    sys.exit("bench_policy: %s differs from %s beyond commit and host_nproc"
+             % (sys.argv[1], sys.argv[2]))
+PY
   echo "OK: policy tests + dynamic fuzz budget + corpus replays" \
-       "+ golden snapshots clean under ASan/UBSan"
+       "+ golden snapshots + BENCH_policy.json clean under ASan/UBSan"
   exit 0
 fi
 
