@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -32,7 +31,7 @@ LogLevel InitialLogLevel() {
   return LogLevel::kInfo;
 }
 
-std::atomic<LogLevel> g_log_level{InitialLogLevel()};
+const LogLevel g_log_level = InitialLogLevel();
 
 // Serializes writes to stderr so concurrent threads (e.g. an overlapped
 // planner run) cannot interleave log lines. Leaked to dodge destruction-
@@ -57,8 +56,7 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_log_level.store(level); }
-LogLevel GetLogLevel() { return g_log_level.load(); }
+LogLevel GetLogLevel() { return g_log_level; }
 
 namespace internal {
 

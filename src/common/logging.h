@@ -10,9 +10,8 @@ namespace malleus {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-/// Sets the minimum level that is actually emitted. The default is kInfo,
-/// overridable at startup with MALLEUS_LOG_LEVEL=debug|info|warning|error.
-void SetLogLevel(LogLevel level);
+/// The minimum level that is actually emitted: kInfo, overridable at
+/// startup with MALLEUS_LOG_LEVEL=debug|info|warning|error.
 LogLevel GetLogLevel();
 
 namespace internal {

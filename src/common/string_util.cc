@@ -97,19 +97,6 @@ std::string FormatBytes(uint64_t bytes) {
   return StrFormat("%.2f %s", v, kUnits[unit]);
 }
 
-std::string FormatSeconds(double seconds) {
-  if (seconds < 0) {
-    // Two statements: GCC 12's -Wrestrict misfires on `"-" + <temporary>`.
-    std::string out = "-";
-    out += FormatSeconds(-seconds);
-    return out;
-  }
-  if (seconds < 1e-3) return StrFormat("%.1f us", seconds * 1e6);
-  if (seconds < 1.0) return StrFormat("%.1f ms", seconds * 1e3);
-  if (seconds < 120.0) return StrFormat("%.2f s", seconds);
-  return StrFormat("%.1f min", seconds / 60.0);
-}
-
 std::string CsvEscape(const std::string& field) {
   if (field.find_first_of(",\"\r\n") == std::string::npos) return field;
   std::string out = "\"";

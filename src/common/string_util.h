@@ -82,9 +82,6 @@ std::string FormatDouble(double v, int digits = 2);
 /// Human-readable byte count, e.g. "1.50 GiB".
 std::string FormatBytes(uint64_t bytes);
 
-/// Human-readable duration from seconds, e.g. "1.25 s" or "320 ms".
-std::string FormatSeconds(double seconds);
-
 /// RFC 4180 CSV field: quoted (with embedded quotes doubled) iff the field
 /// contains a comma, quote, CR or LF; returned verbatim otherwise.
 std::string CsvEscape(const std::string& field);

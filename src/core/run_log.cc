@@ -46,32 +46,6 @@ void RunLog::Record(const std::string& phase, const StepReport& report) {
   }
 }
 
-RunLog::Summary RunLog::Summarize() const {
-  Summary s;
-  for (const Entry& e : entries_) {
-    ++s.steps;
-    if (e.report.replanned) ++s.replans;
-    if (e.report.recovery_seconds > 0) ++s.recoveries;
-    s.training_seconds += e.report.step_seconds;
-    s.migration_seconds += e.report.migration_seconds;
-    s.recovery_seconds += e.report.recovery_seconds;
-    s.planning_overflow_seconds += e.report.planning_overflow_seconds;
-  }
-  return s;
-}
-
-double RunLog::PhaseMeanSeconds(const std::string& phase) const {
-  double sum = 0.0;
-  int count = 0;
-  for (const Entry& e : entries_) {
-    if (e.phase == phase) {
-      sum += e.report.step_seconds;
-      ++count;
-    }
-  }
-  return count > 0 ? sum / count : 0.0;
-}
-
 std::string RunLog::ToCsv() const {
   std::string out =
       "step,phase,step_seconds,migration_seconds,recovery_seconds,"

@@ -1,8 +1,7 @@
 // Run telemetry: a structured record of an engine run (per-step times,
 // re-planning and migration events, failures), with CSV export for the
 // Figure-7-style series, a JSONL export of steps plus typed engine events
-// (replan / migrate / fail / recover / plan-adopted with plan fingerprint),
-// and an aggregate summary.
+// (replan / migrate / fail / recover / plan-adopted with plan fingerprint).
 
 #ifndef MALLEUS_CORE_RUN_LOG_H_
 #define MALLEUS_CORE_RUN_LOG_H_
@@ -46,33 +45,15 @@ class RunLog {
   /// recover, plan-adopted).
   void Record(const std::string& phase, const StepReport& report);
 
-  int num_steps() const { return static_cast<int>(entries_.size()); }
-  const std::vector<RunEvent>& events() const { return events_; }
-
-  /// Aggregates of the recorded run.
-  struct Summary {
-    int steps = 0;
-    int replans = 0;
-    int recoveries = 0;
-    double training_seconds = 0.0;
-    double migration_seconds = 0.0;
-    double recovery_seconds = 0.0;
-    double planning_overflow_seconds = 0.0;
-    /// Everything the run spent, transitions included.
-    double TotalSeconds() const {
-      return training_seconds + migration_seconds + recovery_seconds +
-             planning_overflow_seconds;
-    }
-    /// Fraction of wall time spent training (vs transition overheads).
-    double Efficiency() const {
-      const double total = TotalSeconds();
-      return total > 0 ? training_seconds / total : 1.0;
-    }
+  /// One recorded step: its phase label and report.
+  struct Entry {
+    std::string phase;
+    StepReport report;
   };
-  Summary Summarize() const;
 
-  /// Mean step_seconds over the steps recorded for `phase`.
-  double PhaseMeanSeconds(const std::string& phase) const;
+  int num_steps() const { return static_cast<int>(entries_.size()); }
+  const std::vector<Entry>& entries() const { return entries_; }
+  const std::vector<RunEvent>& events() const { return events_; }
 
   /// CSV with header: step,phase,step_seconds,migration_seconds,
   /// recovery_seconds,planning_seconds,replanned,note. Phase and note are
@@ -85,10 +66,6 @@ class RunLog {
   std::string ToJsonl() const;
 
  private:
-  struct Entry {
-    std::string phase;
-    StepReport report;
-  };
   std::vector<Entry> entries_;
   std::vector<RunEvent> events_;
 };

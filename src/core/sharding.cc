@@ -1,7 +1,5 @@
 #include "core/sharding.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 
 namespace malleus {
@@ -18,15 +16,6 @@ int StageOfLayer(const plan::Pipeline& pipeline, int layer) {
     offset = next;
   }
   return -1;
-}
-
-int MaxTpDegreeForLayer(const plan::ParallelPlan& p, int layer) {
-  int tp_max = 0;
-  for (const plan::Pipeline& pipe : p.pipelines) {
-    const int j = StageOfLayer(pipe, layer);
-    if (j >= 0) tp_max = std::max(tp_max, pipe.stages[j].group.size());
-  }
-  return tp_max;
 }
 
 }  // namespace
@@ -52,47 +41,6 @@ Result<std::vector<OwnedInterval>> LayerWeightOwners(
                    static_cast<double>(q + 1) / n});
   }
   return out;
-}
-
-int SliceCountForGpu(const plan::ParallelPlan& p, topo::GpuId gpu,
-                     int layer) {
-  const int tp_max = MaxTpDegreeForLayer(p, layer);
-  for (const plan::Pipeline& pipe : p.pipelines) {
-    const int j = StageOfLayer(pipe, layer);
-    if (j < 0) continue;
-    const plan::TpGroup& group = pipe.stages[j].group;
-    for (topo::GpuId g : group.gpus) {
-      if (g == gpu) return tp_max / group.size();
-    }
-  }
-  return 0;
-}
-
-std::vector<std::pair<int, int>> CollectiveCallOrder(
-    const plan::ParallelPlan& p, topo::GpuId gpu) {
-  std::vector<std::pair<int, int>> calls;
-  const int num_layers = p.pipelines.empty()
-                             ? 0
-                             : p.pipelines[0].TotalLayers();
-  for (int layer = 0; layer < num_layers; ++layer) {
-    const int tp_max = MaxTpDegreeForLayer(p, layer);
-    for (const plan::Pipeline& pipe : p.pipelines) {
-      const int j = StageOfLayer(pipe, layer);
-      if (j < 0) continue;
-      const plan::TpGroup& group = pipe.stages[j].group;
-      const int n = group.size();
-      for (int q = 0; q < n; ++q) {
-        if (group.gpus[q] != gpu) continue;
-        // GPU q owns slice indices [q*tp_max/n, (q+1)*tp_max/n), issued in
-        // ascending order - identical across all participants of the ring.
-        const int per = tp_max / n;
-        for (int s = q * per; s < (q + 1) * per; ++s) {
-          calls.push_back({layer, s});
-        }
-      }
-    }
-  }
-  return calls;
 }
 
 }  // namespace core

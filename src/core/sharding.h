@@ -30,22 +30,6 @@ struct OwnedInterval {
 Result<std::vector<OwnedInterval>> LayerWeightOwners(
     const plan::ParallelPlan& p, int pipeline_index, int layer);
 
-/// The number of reduce-scatter calls GPU `gpu` must issue for `layer`
-/// under plan `p`: TPmax / TP_i slices (paper Figure 6). Returns 0 when the
-/// GPU does not hold the layer.
-int SliceCountForGpu(const plan::ParallelPlan& p, topo::GpuId gpu, int layer);
-
-/// \brief Deadlock-free ordering of the per-slice collective calls.
-///
-/// When TP degrees differ across pipelines, a GPU owning several slices
-/// participates in several reduce-scatter rings per layer; all
-/// participants must issue the calls for a given slice index in the same
-/// global order or the rings deadlock. The canonical order is ascending
-/// (layer, slice) — this helper materializes it for one GPU so the
-/// executor (and tests) can verify the property.
-std::vector<std::pair<int, int>> CollectiveCallOrder(
-    const plan::ParallelPlan& p, topo::GpuId gpu);
-
 }  // namespace core
 }  // namespace malleus
 

@@ -1,6 +1,5 @@
 #include "lint/diagnostic.h"
 
-#include <algorithm>
 #include <map>
 
 #include "common/string_util.h"
@@ -53,11 +52,6 @@ void DiagnosticSink::Report(Severity severity, std::string code,
   d.message = std::move(message);
   d.params = std::move(params);
   Report(std::move(d));
-}
-
-bool DiagnosticSink::HasCode(const std::string& code) const {
-  return std::any_of(diagnostics_.begin(), diagnostics_.end(),
-                     [&](const Diagnostic& d) { return d.code == code; });
 }
 
 void DiagnosticSink::Merge(const DiagnosticSink& other) {

@@ -75,9 +75,6 @@ class DiagnosticSink {
   int num_notes() const { return num_notes_; }
   bool HasErrors() const { return num_errors_ > 0; }
 
-  /// True iff any collected diagnostic carries `code`.
-  bool HasCode(const std::string& code) const;
-
   /// Appends every diagnostic of `other`.
   void Merge(const DiagnosticSink& other);
 

@@ -1,7 +1,6 @@
 #include "net/fabric.h"
 
 #include <cstdlib>
-#include <limits>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -148,14 +147,6 @@ std::vector<LinkId> Fabric::Route(topo::GpuId src, topo::GpuId dst) const {
   }
   return {GpuOut(src), NicOut(cluster_->NodeOf(src)),
           NicIn(cluster_->NodeOf(dst)), GpuIn(dst)};
-}
-
-double Fabric::PathBandwidth(topo::GpuId src, topo::GpuId dst) const {
-  double bw = std::numeric_limits<double>::infinity();
-  for (LinkId l : Route(src, dst)) {
-    bw = std::min(bw, links_[l].capacity_bps);
-  }
-  return bw;
 }
 
 }  // namespace net

@@ -107,10 +107,6 @@ class Fabric {
   /// order. Empty when src == dst (loopback moves no bytes).
   std::vector<LinkId> Route(topo::GpuId src, topo::GpuId dst) const;
 
-  /// Narrowest capacity on Route(src, dst); +inf when src == dst.
-  /// Matches topo::ClusterSpec::BandwidthBytesPerSec for distinct GPUs.
-  double PathBandwidth(topo::GpuId src, topo::GpuId dst) const;
-
  private:
   const topo::ClusterSpec* cluster_;
   std::vector<Link> links_;

@@ -127,24 +127,9 @@ size_t TraceRecorder::num_events() const {
   return events_.size();
 }
 
-size_t TraceRecorder::CountCategory(const std::string& category) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  for (const TraceEvent& e : events_) {
-    if (e.category == category) ++n;
-  }
-  return n;
-}
-
 std::vector<TraceEvent> TraceRecorder::Events() const {
   std::lock_guard<std::mutex> lock(mu_);
   return events_;
-}
-
-void TraceRecorder::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  processes_.clear();
-  events_.clear();
 }
 
 }  // namespace obs

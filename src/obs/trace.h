@@ -75,13 +75,8 @@ class TraceRecorder {
   std::string ToChromeTraceJson() const;
 
   size_t num_events() const;
-  /// Number of recorded events whose category is `category`.
-  size_t CountCategory(const std::string& category) const;
-  /// Copy of the recorded events, for inspection in tests.
+  /// Copy of the recorded events.
   std::vector<TraceEvent> Events() const;
-
-  /// Drops all events and tracks.
-  void Clear();
 
  private:
   struct Process {

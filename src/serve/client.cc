@@ -17,20 +17,6 @@
 namespace malleus {
 namespace serve {
 
-StatusCode StatusCodeFromWire(const std::string& code) {
-  if (code == "INVALID_ARGUMENT") return StatusCode::kInvalidArgument;
-  if (code == "OUT_OF_RANGE") return StatusCode::kOutOfRange;
-  if (code == "NOT_FOUND") return StatusCode::kNotFound;
-  if (code == "ALREADY_EXISTS") return StatusCode::kAlreadyExists;
-  if (code == "FAILED_PRECONDITION") return StatusCode::kFailedPrecondition;
-  if (code == "RESOURCE_EXHAUSTED") return StatusCode::kResourceExhausted;
-  if (code == "INFEASIBLE") return StatusCode::kInfeasible;
-  if (code == "UNAVAILABLE") return StatusCode::kUnavailable;
-  if (code == "NOT_IMPLEMENTED") return StatusCode::kNotImplemented;
-  if (code == kDeadlineExceeded) return StatusCode::kUnavailable;
-  return StatusCode::kInternal;
-}
-
 Result<std::unique_ptr<Client>> Client::ConnectTcp(const std::string& host,
                                                    int port) {
   addrinfo hints;
@@ -107,39 +93,6 @@ Result<std::string> Client::CallRaw(const std::string& method,
     sent += static_cast<size_t>(n);
   }
   return ReadLine();
-}
-
-Result<JsonValue> Client::Call(const std::string& method,
-                               const std::string& params_json,
-                               int64_t deadline_ms) {
-  const int64_t expected_id = next_id_;  // CallRaw consumes it.
-  MALLEUS_ASSIGN_OR_RETURN(std::string line,
-                           CallRaw(method, params_json, deadline_ms));
-  MALLEUS_ASSIGN_OR_RETURN(JsonValue doc, JsonValue::Parse(line));
-  const JsonValue* id = doc.Find("id");
-  if (id == nullptr || !id->IsInt64() || id->Int64() != expected_id) {
-    return Status::Internal("response id does not match request");
-  }
-  const JsonValue* ok = doc.Find("ok");
-  if (ok == nullptr || !ok->is_bool()) {
-    return Status::Internal("response missing 'ok'");
-  }
-  if (!ok->bool_value()) {
-    const JsonValue* error = doc.Find("error");
-    std::string code = "INTERNAL";
-    std::string message = "malformed error response";
-    if (error != nullptr && error->is_object()) {
-      const JsonValue* c = error->Find("code");
-      if (c != nullptr && c->is_string()) code = c->string_value();
-      const JsonValue* m = error->Find("message");
-      if (m != nullptr && m->is_string()) message = m->string_value();
-    }
-    return Status(StatusCodeFromWire(code),
-                  StrFormat("%s: %s", code.c_str(), message.c_str()));
-  }
-  const JsonValue* result = doc.Find("result");
-  if (result == nullptr) return Status::Internal("response missing 'result'");
-  return *result;
 }
 
 }  // namespace serve

@@ -11,15 +11,9 @@
 #include <string>
 
 #include "common/result.h"
-#include "serve/json.h"
 
 namespace malleus {
 namespace serve {
-
-/// Maps a wire error code string back to the closest StatusCode.
-/// DEADLINE_EXCEEDED maps to kUnavailable (transient: retry with a larger
-/// budget); unknown codes map to kInternal.
-StatusCode StatusCodeFromWire(const std::string& code);
 
 /// \brief Blocking protocol client over one TCP connection.
 class Client {
@@ -37,12 +31,6 @@ class Client {
   Result<std::string> CallRaw(const std::string& method,
                               const std::string& params_json,
                               int64_t deadline_ms = -1);
-
-  /// CallRaw + parse: returns the response's `result` value, or the wire
-  /// error mapped back to a Status (message prefixed with the wire code).
-  Result<JsonValue> Call(const std::string& method,
-                         const std::string& params_json,
-                         int64_t deadline_ms = -1);
 
  private:
   explicit Client(int fd) : fd_(fd) {}

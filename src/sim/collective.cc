@@ -9,40 +9,6 @@
 namespace malleus {
 namespace sim {
 
-// Alpha cost of a ring collective: n-1 steps, each bounded by the slowest
-// hop of that step; approximated as the sum over the first n-1 hops.
-double RingLatencySeconds(const topo::ClusterSpec& cluster,
-                          const std::vector<topo::GpuId>& gpus) {
-  double lat = 0.0;
-  for (size_t i = 0; i + 1 < gpus.size(); ++i) {
-    lat += cluster.LatencySec(gpus[i], gpus[i + 1]);
-  }
-  return lat;
-}
-
-double ReduceScatterSeconds(const topo::ClusterSpec& cluster,
-                            const std::vector<topo::GpuId>& gpus,
-                            double bytes) {
-  const size_t n = gpus.size();
-  if (n <= 1) return 0.0;
-  const double bw = topo::GroupBottleneckBandwidth(cluster, gpus);
-  // Ring reduce-scatter moves (n-1)/n of the data through each link.
-  return bytes * (static_cast<double>(n - 1) / n) / bw +
-         RingLatencySeconds(cluster, gpus);
-}
-
-double AllGatherSeconds(const topo::ClusterSpec& cluster,
-                        const std::vector<topo::GpuId>& gpus, double bytes) {
-  return ReduceScatterSeconds(cluster, gpus, bytes);
-}
-
-double AllReduceSeconds(const topo::ClusterSpec& cluster,
-                        const std::vector<topo::GpuId>& gpus, double bytes) {
-  // All-reduce = reduce-scatter + all-gather.
-  return ReduceScatterSeconds(cluster, gpus, bytes) +
-         AllGatherSeconds(cluster, gpus, bytes);
-}
-
 double P2pSeconds(const topo::ClusterSpec& cluster, topo::GpuId src,
                   topo::GpuId dst, double bytes) {
   if (src == dst) return 0.0;
@@ -78,53 +44,6 @@ double BatchedSendRecvSeconds(const topo::ClusterSpec& cluster,
   return busiest + packs * max_latency;
 }
 
-namespace {
-
-// Shared body of the flow-model ring collectives: one pass moving
-// `per_hop_factor` * (n-1)/n * bytes per hop under `latency` total alpha.
-double RingPassSecondsFlow(const net::Fabric& fabric,
-                           const std::vector<topo::GpuId>& gpus,
-                           double bytes_per_hop, double latency) {
-  if (gpus.size() <= 1) return 0.0;
-  net::FlowSim fs(fabric);
-  net::SubmitRing(&fs, gpus, bytes_per_hop, /*start_seconds=*/0.0, latency);
-  fs.Run();
-  return fs.MakespanSeconds();
-}
-
-}  // namespace
-
-double ReduceScatterSecondsFlow(const net::Fabric& fabric,
-                                const std::vector<topo::GpuId>& gpus,
-                                double bytes) {
-  const double n = static_cast<double>(gpus.size());
-  if (n <= 1) return 0.0;
-  return RingPassSecondsFlow(fabric, gpus, bytes * (n - 1) / n,
-                             RingLatencySeconds(fabric.cluster(), gpus));
-}
-
-double AllReduceSecondsFlow(const net::Fabric& fabric,
-                            const std::vector<topo::GpuId>& gpus,
-                            double bytes) {
-  // Reduce-scatter + all-gather fused into one doubled pass: same bytes
-  // per link, same total latency, identical to the analytic sum when
-  // uncontended.
-  const double n = static_cast<double>(gpus.size());
-  if (n <= 1) return 0.0;
-  return RingPassSecondsFlow(
-      fabric, gpus, 2.0 * bytes * (n - 1) / n,
-      2.0 * RingLatencySeconds(fabric.cluster(), gpus));
-}
-
-double P2pSecondsFlow(const net::Fabric& fabric, topo::GpuId src,
-                      topo::GpuId dst, double bytes) {
-  if (src == dst) return 0.0;
-  net::FlowSim fs(fabric);
-  fs.Submit({src, dst, bytes, /*start_seconds=*/0.0});
-  fs.Run();
-  return fs.MakespanSeconds();
-}
-
 double BatchedSendRecvSecondsFlow(const net::Fabric& fabric,
                                   const std::vector<Transfer>& transfers,
                                   int packs) {
@@ -144,23 +63,6 @@ double BatchedSendRecvSecondsFlow(const net::Fabric& fabric,
   if (!any) return 0.0;
   fs.Run();
   return fs.MakespanSeconds() + packs * max_latency;
-}
-
-double AllReduceSeconds(const topo::ClusterSpec& cluster,
-                        const std::vector<topo::GpuId>& gpus, double bytes,
-                        net::NetModel model) {
-  if (model == net::NetModel::kAnalytic) {
-    return AllReduceSeconds(cluster, gpus, bytes);
-  }
-  return AllReduceSecondsFlow(net::Fabric(cluster), gpus, bytes);
-}
-
-double P2pSeconds(const topo::ClusterSpec& cluster, topo::GpuId src,
-                  topo::GpuId dst, double bytes, net::NetModel model) {
-  if (model == net::NetModel::kAnalytic) {
-    return P2pSeconds(cluster, src, dst, bytes);
-  }
-  return P2pSecondsFlow(net::Fabric(cluster), src, dst, bytes);
 }
 
 double BatchedSendRecvSeconds(const topo::ClusterSpec& cluster,

@@ -1,16 +1,17 @@
-// Cost models of the NCCL-style communication primitives the runtime uses:
-// ring all-reduce / reduce-scatter / all-gather, point-to-point activation
-// transfers, and fused batched-send-recv (used by model migration).
+// Cost models of the NCCL-style transfers priced outside a step
+// simulation: point-to-point activation transfers and the fused
+// batched-send-recv of model migration. (Grad-sync rings are priced by
+// plan::AnalyticRingSeconds and lowered onto net::FlowSim by
+// sim::SimulateStep and plan::EstimateGradSyncSeconds.)
 //
-// Every primitive exists in two forms selected by net::NetModel:
-//   - kAnalytic: the closed-form isolated-link model below (each transfer
-//     priced against the narrowest link on its path, concurrent transfers
-//     never interact). Cheap; the planner's solver inner loops use it.
-//   - kFlow: the primitive is lowered onto net::FlowSim as a set of
-//     concurrent flows over the explicit fabric graph, so transfers that
-//     share a link split its bandwidth max–min fairly. Without contention
-//     the two models agree (the flow lowerings reproduce the analytic
-//     closed forms exactly for an isolated primitive).
+// P2pSeconds is the closed-form isolated-link model: the transfer is
+// priced against the narrowest link on its path. Batched send-recv also
+// has a flow form, selected by net::NetModel:
+//   - kAnalytic: the closed form, with each endpoint serializing its own
+//     transfers. Cheap.
+//   - kFlow: the transfers are lowered onto net::FlowSim as concurrent
+//     flows over the explicit fabric graph, so transfers that share a link
+//     split its bandwidth max–min fairly.
 
 #ifndef MALLEUS_SIM_COLLECTIVE_H_
 #define MALLEUS_SIM_COLLECTIVE_H_
@@ -23,25 +24,6 @@
 
 namespace malleus {
 namespace sim {
-
-/// Aggregate alpha (latency) cost of a ring over `gpus`: the sum of the
-/// per-hop latencies of the first n-1 hops (a ring collective takes n-1
-/// steps, each bounded by its hop latency). 0 for degenerate groups.
-double RingLatencySeconds(const topo::ClusterSpec& cluster,
-                          const std::vector<topo::GpuId>& gpus);
-
-/// Ring all-reduce time for `bytes` over `gpus`.
-double AllReduceSeconds(const topo::ClusterSpec& cluster,
-                        const std::vector<topo::GpuId>& gpus, double bytes);
-
-/// Ring reduce-scatter time for `bytes` over `gpus`.
-double ReduceScatterSeconds(const topo::ClusterSpec& cluster,
-                            const std::vector<topo::GpuId>& gpus,
-                            double bytes);
-
-/// Ring all-gather time for `bytes` over `gpus`.
-double AllGatherSeconds(const topo::ClusterSpec& cluster,
-                        const std::vector<topo::GpuId>& gpus, double bytes);
 
 /// Point-to-point transfer time for `bytes` from `src` to `dst`.
 double P2pSeconds(const topo::ClusterSpec& cluster, topo::GpuId src,
@@ -67,37 +49,16 @@ double BatchedSendRecvSeconds(const topo::ClusterSpec& cluster,
                               const std::vector<Transfer>& transfers,
                               int packs = 1);
 
-// --- Contention-aware (flow-model) forms ------------------------------
-// Each lowers the primitive onto a fresh net::FlowSim over `fabric` and
-// returns its makespan. For an isolated primitive the result matches the
-// analytic form above; concurrency effects only appear when the *caller*
-// shares one FlowSim across primitives (see sim::SimulateStep), so these
-// standalone wrappers are mainly glue and test anchors.
+// --- Contention-aware (flow-model) form -------------------------------
 
-double AllReduceSecondsFlow(const net::Fabric& fabric,
-                            const std::vector<topo::GpuId>& gpus,
-                            double bytes);
-double ReduceScatterSecondsFlow(const net::Fabric& fabric,
-                                const std::vector<topo::GpuId>& gpus,
-                                double bytes);
-double P2pSecondsFlow(const net::Fabric& fabric, topo::GpuId src,
-                      topo::GpuId dst, double bytes);
 /// All transfers run concurrently as flows (NIC/port sharing is max–min
 /// instead of the analytic serialization bound) plus `packs` latencies.
 double BatchedSendRecvSecondsFlow(const net::Fabric& fabric,
                                   const std::vector<Transfer>& transfers,
                                   int packs = 1);
 
-// --- Model-dispatching forms ------------------------------------------
-// Convenience overloads that pick the analytic or flow form. The flow
-// path builds a transient Fabric per call; hot loops that care should
-// build one Fabric and call the *Flow forms directly.
-
-double AllReduceSeconds(const topo::ClusterSpec& cluster,
-                        const std::vector<topo::GpuId>& gpus, double bytes,
-                        net::NetModel model);
-double P2pSeconds(const topo::ClusterSpec& cluster, topo::GpuId src,
-                  topo::GpuId dst, double bytes, net::NetModel model);
+/// Picks the analytic or flow form; the flow path builds a transient
+/// Fabric per call.
 double BatchedSendRecvSeconds(const topo::ClusterSpec& cluster,
                               const std::vector<Transfer>& transfers,
                               int packs, net::NetModel model);

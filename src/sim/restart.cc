@@ -6,10 +6,9 @@ namespace malleus {
 namespace sim {
 
 namespace {
-double IoSeconds(double bytes, int num_io_nodes,
-                 const RestartCostConfig& config) {
+double IoSeconds(double bytes, int num_io_nodes) {
   MALLEUS_CHECK_GT(num_io_nodes, 0);
-  const double bw = config.per_node_io_gbps * 1e9 * num_io_nodes;
+  const double bw = kPerNodeIoGbps * 1e9 * num_io_nodes;
   return bytes / bw;
 }
 }  // namespace
@@ -17,19 +16,14 @@ double IoSeconds(double bytes, int num_io_nodes,
 double RestartSeconds(double checkpoint_bytes, int num_io_nodes,
                       const RestartCostConfig& config) {
   // Save + init + load.
-  return 2.0 * IoSeconds(checkpoint_bytes, num_io_nodes, config) +
+  return 2.0 * IoSeconds(checkpoint_bytes, num_io_nodes) +
          config.framework_init_seconds;
-}
-
-double CheckpointLoadSeconds(double checkpoint_bytes, int num_io_nodes,
-                             const RestartCostConfig& config) {
-  return IoSeconds(checkpoint_bytes, num_io_nodes, config);
 }
 
 double RestartAfterFailureSeconds(double checkpoint_bytes, int num_io_nodes,
                                   const RestartCostConfig& config) {
   // Init + load only: there is nothing left to save after a failure.
-  return IoSeconds(checkpoint_bytes, num_io_nodes, config) +
+  return IoSeconds(checkpoint_bytes, num_io_nodes) +
          config.framework_init_seconds;
 }
 

@@ -16,27 +16,20 @@ struct RestartCostConfig {
   /// communication-group construction (paper S7.2 lists this as a major
   /// component of the 199-442 s Megatron restart overhead).
   double framework_init_seconds = 80.0;
-  /// Aggregate checkpoint I/O bandwidth per node (parallel save/load).
-  double per_node_io_gbps = kPerNodeIoGbps;
 };
 
 /// Seconds to save a checkpoint of `checkpoint_bytes`, restart the job, and
-/// load it back, with `num_io_nodes` nodes sharing the I/O.
+/// load it back, with `num_io_nodes` nodes sharing the I/O at
+/// kPerNodeIoGbps each.
 double RestartSeconds(double checkpoint_bytes, int num_io_nodes,
                       const RestartCostConfig& config = RestartCostConfig());
-
-/// Seconds to only load the latest checkpoint (Malleus' failure-recovery
-/// path: surviving processes stay up, so no framework re-init).
-double CheckpointLoadSeconds(
-    double checkpoint_bytes, int num_io_nodes,
-    const RestartCostConfig& config = RestartCostConfig());
 
 /// Seconds to restart after a fail-stop (or a migration that died
 /// mid-flight): the latest checkpoint already exists and the failed
 /// processes' state is unsaveable, so the cost is framework re-init plus
 /// one load — NOT RestartSeconds, whose save leg would double-count the
 /// checkpoint I/O for state that is already (and only) on disk. Always
-/// RestartSeconds - CheckpointLoadSeconds.
+/// RestartSeconds minus one load.
 double RestartAfterFailureSeconds(
     double checkpoint_bytes, int num_io_nodes,
     const RestartCostConfig& config = RestartCostConfig());

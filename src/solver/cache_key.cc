@@ -104,7 +104,6 @@ enum : char {
   kMarkTag = 'T',
   kMarkBool = 'B',
   kMarkInt = 'I',
-  kMarkDouble = 'D',
   kMarkIntVec = 'i',
   kMarkDoubleVec = 'd',
 };
@@ -134,15 +133,6 @@ CacheKey& CacheKey::Bool(bool v) {
 CacheKey& CacheKey::Int(int64_t v) {
   bytes_.push_back(kMarkInt);
   AppendRaw64(static_cast<uint64_t>(v));
-  return *this;
-}
-
-CacheKey& CacheKey::Double(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  bytes_.push_back(kMarkDouble);
-  AppendRaw64(bits);
   return *this;
 }
 

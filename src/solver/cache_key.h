@@ -65,7 +65,6 @@ class CacheKey {
   CacheKey& Tag(char tag);
   CacheKey& Bool(bool v);
   CacheKey& Int(int64_t v);
-  CacheKey& Double(double v);
   CacheKey& Ints(const std::vector<int>& v);
   CacheKey& Doubles(const std::vector<double>& v);
 

@@ -24,6 +24,15 @@ int StageOfLayer(const plan::Pipeline& pipeline, int layer) {
   return -1;
 }
 
+int MaxTpDegreeForLayer(const plan::ParallelPlan& p, int layer) {
+  int tp_max = 0;
+  for (const plan::Pipeline& pipe : p.pipelines) {
+    const int j = StageOfLayer(pipe, layer);
+    if (j >= 0) tp_max = std::max(tp_max, pipe.stages[j].group.size());
+  }
+  return tp_max;
+}
+
 struct PipelineBuild {
   // Compute op ids, indexed [stage][micro].
   std::vector<std::vector<OpId>> fwd_ids;
@@ -252,6 +261,47 @@ Result<Graph> BuildStepGraph(const plan::ParallelPlan& p,
 
   MALLEUS_RETURN_NOT_OK(g.Validate());
   return g;
+}
+
+int SliceCountForGpu(const plan::ParallelPlan& p, topo::GpuId gpu,
+                     int layer) {
+  const int tp_max = MaxTpDegreeForLayer(p, layer);
+  for (const plan::Pipeline& pipe : p.pipelines) {
+    const int j = StageOfLayer(pipe, layer);
+    if (j < 0) continue;
+    const plan::TpGroup& group = pipe.stages[j].group;
+    for (topo::GpuId g : group.gpus) {
+      if (g == gpu) return tp_max / group.size();
+    }
+  }
+  return 0;
+}
+
+std::vector<std::pair<int, int>> CollectiveCallOrder(
+    const plan::ParallelPlan& p, topo::GpuId gpu) {
+  std::vector<std::pair<int, int>> calls;
+  const int num_layers = p.pipelines.empty()
+                             ? 0
+                             : p.pipelines[0].TotalLayers();
+  for (int layer = 0; layer < num_layers; ++layer) {
+    const int tp_max = MaxTpDegreeForLayer(p, layer);
+    for (const plan::Pipeline& pipe : p.pipelines) {
+      const int j = StageOfLayer(pipe, layer);
+      if (j < 0) continue;
+      const plan::TpGroup& group = pipe.stages[j].group;
+      const int n = group.size();
+      for (int q = 0; q < n; ++q) {
+        if (group.gpus[q] != gpu) continue;
+        // GPU q owns slice indices [q*tp_max/n, (q+1)*tp_max/n), issued in
+        // ascending order - identical across all participants of the ring.
+        const int per = tp_max / n;
+        for (int s = q * per; s < (q + 1) * per; ++s) {
+          calls.push_back({layer, s});
+        }
+      }
+    }
+  }
+  return calls;
 }
 
 }  // namespace graph

@@ -6,6 +6,9 @@
 #ifndef MALLEUS_TESTKIT_GRAPH_BUILDER_H_
 #define MALLEUS_TESTKIT_GRAPH_BUILDER_H_
 
+#include <utility>
+#include <vector>
+
 #include "common/result.h"
 #include "testkit/graph/graph.h"
 #include "model/cost_model.h"
@@ -28,6 +31,22 @@ struct BuildOptions {
 Result<Graph> BuildStepGraph(const plan::ParallelPlan& p,
                              const model::CostModel& cost,
                              const BuildOptions& options = BuildOptions());
+
+/// The number of reduce-scatter calls GPU `gpu` must issue for `layer`
+/// under plan `p`: TPmax / TP_i slices (paper Figure 6). Returns 0 when the
+/// GPU does not hold the layer.
+int SliceCountForGpu(const plan::ParallelPlan& p, topo::GpuId gpu, int layer);
+
+/// \brief Deadlock-free ordering of the per-slice collective calls.
+///
+/// When TP degrees differ across pipelines, a GPU owning several slices
+/// participates in several reduce-scatter rings per layer; all
+/// participants must issue the calls for a given slice index in the same
+/// global order or the rings deadlock. The canonical order is ascending
+/// (layer, slice), the order BuildStepGraph emits; this helper
+/// materializes it for one GPU so tests can verify the property.
+std::vector<std::pair<int, int>> CollectiveCallOrder(
+    const plan::ParallelPlan& p, topo::GpuId gpu);
 
 }  // namespace graph
 }  // namespace testkit

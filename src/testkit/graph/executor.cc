@@ -10,6 +10,40 @@ namespace malleus {
 namespace testkit {
 namespace graph {
 
+// Alpha cost of a ring collective: n-1 steps, each bounded by the slowest
+// hop of that step; approximated as the sum over the first n-1 hops.
+double RingLatencySeconds(const topo::ClusterSpec& cluster,
+                          const std::vector<topo::GpuId>& gpus) {
+  double lat = 0.0;
+  for (size_t i = 0; i + 1 < gpus.size(); ++i) {
+    lat += cluster.LatencySec(gpus[i], gpus[i + 1]);
+  }
+  return lat;
+}
+
+double ReduceScatterSeconds(const topo::ClusterSpec& cluster,
+                            const std::vector<topo::GpuId>& gpus,
+                            double bytes) {
+  const size_t n = gpus.size();
+  if (n <= 1) return 0.0;
+  const double bw = topo::GroupBottleneckBandwidth(cluster, gpus);
+  // Ring reduce-scatter moves (n-1)/n of the data through each link.
+  return bytes * (static_cast<double>(n - 1) / n) / bw +
+         RingLatencySeconds(cluster, gpus);
+}
+
+double AllGatherSeconds(const topo::ClusterSpec& cluster,
+                        const std::vector<topo::GpuId>& gpus, double bytes) {
+  return ReduceScatterSeconds(cluster, gpus, bytes);
+}
+
+double AllReduceSeconds(const topo::ClusterSpec& cluster,
+                        const std::vector<topo::GpuId>& gpus, double bytes) {
+  // All-reduce = reduce-scatter + all-gather.
+  return ReduceScatterSeconds(cluster, gpus, bytes) +
+         AllGatherSeconds(cluster, gpus, bytes);
+}
+
 namespace {
 
 double CommSeconds(const Op& op, const topo::ClusterSpec& cluster) {
@@ -18,9 +52,9 @@ double CommSeconds(const Op& op, const topo::ClusterSpec& cluster) {
       return sim::P2pSeconds(cluster, op.devices[0], op.devices[1],
                              op.bytes);
     case OpKind::kReduceScatter:
-      return sim::ReduceScatterSeconds(cluster, op.devices, op.bytes);
+      return ReduceScatterSeconds(cluster, op.devices, op.bytes);
     case OpKind::kAllGather:
-      return sim::AllGatherSeconds(cluster, op.devices, op.bytes);
+      return AllGatherSeconds(cluster, op.devices, op.bytes);
     default:
       return 0.0;
   }

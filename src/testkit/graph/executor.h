@@ -25,6 +25,28 @@ namespace malleus {
 namespace testkit {
 namespace graph {
 
+// Closed-form ring collective costs; the executor charges its
+// reduce-scatter and all-gather ops with them.
+
+/// Aggregate alpha (latency) cost of a ring over `gpus`: the sum of the
+/// per-hop latencies of the first n-1 hops (a ring collective takes n-1
+/// steps, each bounded by its hop latency). 0 for degenerate groups.
+double RingLatencySeconds(const topo::ClusterSpec& cluster,
+                          const std::vector<topo::GpuId>& gpus);
+
+/// Ring all-reduce time for `bytes` over `gpus`.
+double AllReduceSeconds(const topo::ClusterSpec& cluster,
+                        const std::vector<topo::GpuId>& gpus, double bytes);
+
+/// Ring reduce-scatter time for `bytes` over `gpus`.
+double ReduceScatterSeconds(const topo::ClusterSpec& cluster,
+                            const std::vector<topo::GpuId>& gpus,
+                            double bytes);
+
+/// Ring all-gather time for `bytes` over `gpus`.
+double AllGatherSeconds(const topo::ClusterSpec& cluster,
+                        const std::vector<topo::GpuId>& gpus, double bytes);
+
 /// Outcome of executing a graph.
 struct ExecutionResult {
   double makespan_seconds = 0.0;

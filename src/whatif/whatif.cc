@@ -192,14 +192,6 @@ Result<RecordedRun> LoadRecordedRun(const obs::RunBundle& bundle,
   return run;
 }
 
-Result<RecordedRun> RecordedRunFromSpec(const scenario::ScenarioSpec& spec) {
-  RecordedRun run;
-  run.spec = spec;
-  MALLEUS_ASSIGN_OR_RETURN(run.resolved, scenario::ResolveScenario(spec));
-  run.source = spec.source.empty() ? "<spec>" : spec.source;
-  return run;
-}
-
 Result<ReplayResult> ReplayPlanStep(const topo::ClusterSpec& cluster,
                                     const model::CostModel& cost,
                                     const plan::ParallelPlan& plan,

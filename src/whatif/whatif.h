@@ -80,10 +80,6 @@ struct RecordedRun {
 Result<RecordedRun> LoadRecordedRun(const obs::RunBundle& bundle,
                                     const std::string& source = "");
 
-/// Builds a RecordedRun straight from a spec (no bundle), for tests and
-/// benches that sweep in-process.
-Result<RecordedRun> RecordedRunFromSpec(const scenario::ScenarioSpec& spec);
-
 /// The situation the sweep attributes: the implied situation labeled
 /// `phase`, or — when `phase` is empty — the implied situation with the
 /// most stragglers (ties to the first in order), i.e. the phase with

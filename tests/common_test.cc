@@ -20,6 +20,7 @@
 #include "common/string_util.h"
 #include "common/table.h"
 #include "serve/json.h"
+#include "testkit/format.h"
 
 namespace malleus {
 namespace {
@@ -165,10 +166,10 @@ TEST(StringUtilTest, FormatBytes) {
 }
 
 TEST(StringUtilTest, FormatSeconds) {
-  EXPECT_EQ(FormatSeconds(0.5e-6 * 2), "1.0 us");
-  EXPECT_EQ(FormatSeconds(0.02), "20.0 ms");
-  EXPECT_EQ(FormatSeconds(2.0), "2.00 s");
-  EXPECT_EQ(FormatSeconds(600.0), "10.0 min");
+  EXPECT_EQ(testkit::FormatSeconds(0.5e-6 * 2), "1.0 us");
+  EXPECT_EQ(testkit::FormatSeconds(0.02), "20.0 ms");
+  EXPECT_EQ(testkit::FormatSeconds(2.0), "2.00 s");
+  EXPECT_EQ(testkit::FormatSeconds(600.0), "10.0 min");
 }
 
 TEST(StringUtilTest, JsonNumberFiniteValues) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -26,6 +27,12 @@
 namespace malleus {
 namespace lint {
 namespace {
+
+// True iff any diagnostic `sink` collected carries `code`.
+bool HasCode(const DiagnosticSink& sink, const std::string& code) {
+  return std::any_of(sink.diagnostics().begin(), sink.diagnostics().end(),
+                     [&](const Diagnostic& d) { return d.code == code; });
+}
 
 class LintTest : public ::testing::Test {
  protected:
@@ -65,14 +72,14 @@ class LintTest : public ::testing::Test {
   void ExpectStructuralCode(const char* code, Mutate mutate) {
     DiagnosticSink clean;
     plan::LintPlanStructure(MakeValidPlan(), cluster_, cost_, &clean);
-    EXPECT_FALSE(clean.HasCode(code)) << code;
+    EXPECT_FALSE(HasCode(clean, code)) << code;
     EXPECT_FALSE(clean.HasErrors());
 
     plan::ParallelPlan p = MakeValidPlan();
     mutate(&p);
     DiagnosticSink sink;
     plan::LintPlanStructure(p, cluster_, cost_, &sink);
-    EXPECT_TRUE(sink.HasCode(code)) << code << "\n" << RenderText(sink);
+    EXPECT_TRUE(HasCode(sink, code)) << code << "\n" << RenderText(sink);
     EXPECT_TRUE(sink.HasErrors());
     // Validate agrees: the same mutation rejects the plan.
     EXPECT_FALSE(p.Validate(cluster_, cost_).ok()) << code;
@@ -96,8 +103,8 @@ TEST_F(LintTest, SinkCountsBySeverity) {
   EXPECT_EQ(sink.num_warnings(), 1);
   EXPECT_EQ(sink.num_notes(), 1);
   EXPECT_TRUE(sink.HasErrors());
-  EXPECT_TRUE(sink.HasCode("t.warn"));
-  EXPECT_FALSE(sink.HasCode("t.missing"));
+  EXPECT_TRUE(HasCode(sink, "t.warn"));
+  EXPECT_FALSE(HasCode(sink, "t.missing"));
 }
 
 TEST_F(LintTest, SinkMergeAppends) {
@@ -108,7 +115,7 @@ TEST_F(LintTest, SinkMergeAppends) {
   EXPECT_EQ(a.size(), 2u);
   EXPECT_EQ(a.num_errors(), 1);
   EXPECT_EQ(a.num_warnings(), 1);
-  EXPECT_TRUE(a.HasCode("t.b"));
+  EXPECT_TRUE(HasCode(a, "t.b"));
 }
 
 TEST_F(LintTest, SinkFailFastShouldStop) {
@@ -259,12 +266,12 @@ TEST_F(LintTest, PlanDuplicateStandby) {
   plan::ParallelPlan subset = MakeSubsetPlan();
   subset.standby_gpus = {16, 17};
   plan::LintPlanStructure(subset, cluster_, cost_, &clean);
-  EXPECT_FALSE(clean.HasCode(plan::kLintPlanDuplicateStandby));
+  EXPECT_FALSE(HasCode(clean, plan::kLintPlanDuplicateStandby));
 
   subset.standby_gpus = {16, 16};
   DiagnosticSink sink;
   plan::LintPlanStructure(subset, cluster_, cost_, &sink);
-  EXPECT_TRUE(sink.HasCode(plan::kLintPlanDuplicateStandby));
+  EXPECT_TRUE(HasCode(sink, plan::kLintPlanDuplicateStandby));
   EXPECT_FALSE(subset.Validate(cluster_, cost_).ok());
 }
 
@@ -356,8 +363,8 @@ TEST_F(LintTest, CollectAllModeReportsMultipleErrors) {
   p.pipelines[0].stages[0].num_layers -= 1;
   DiagnosticSink sink;  // Collect-all (no fail-fast).
   plan::LintPlanStructure(p, cluster_, cost_, &sink);
-  EXPECT_TRUE(sink.HasCode(plan::kLintPlanBadMicroBatch));
-  EXPECT_TRUE(sink.HasCode(plan::kLintPlanLayerCoverage));
+  EXPECT_TRUE(HasCode(sink, plan::kLintPlanBadMicroBatch));
+  EXPECT_TRUE(HasCode(sink, plan::kLintPlanLayerCoverage));
   EXPECT_GE(sink.num_errors(), 2);
   // Fail-fast mode stops at the first.
   DiagnosticSink fast;
@@ -397,13 +404,13 @@ TEST_F(LintTest, PlanStageImbalance) {
   const plan::ParallelPlan p = MakeValidPlan();
   DiagnosticSink clean;
   LintPlanQuality(p, cluster_, cost_, healthy_, &clean);
-  EXPECT_FALSE(clean.HasCode(kLintPlanStageImbalance));
+  EXPECT_FALSE(HasCode(clean, kLintPlanStageImbalance));
 
   straggler::Situation skew(cluster_.num_gpus());
   skew.SetRate(0, 3.0);  // Stage 0 of pipeline 0 runs 3x slower.
   DiagnosticSink sink;
   LintPlanQuality(p, cluster_, cost_, skew, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintPlanStageImbalance)) << RenderText(sink);
+  EXPECT_TRUE(HasCode(sink, kLintPlanStageImbalance)) << RenderText(sink);
   EXPECT_FALSE(sink.HasErrors());  // Warn-level only.
 }
 
@@ -411,7 +418,7 @@ TEST_F(LintTest, PlanMemoryHeadroom) {
   const plan::ParallelPlan p = MakeValidPlan();
   DiagnosticSink clean;
   LintPlanQuality(p, cluster_, cost_, healthy_, &clean);
-  EXPECT_FALSE(clean.HasCode(kLintPlanMemoryHeadroom));
+  EXPECT_FALSE(HasCode(clean, kLintPlanMemoryHeadroom));
 
   // Shrink the GPU so the same plan sits ~5% under capacity.
   const double used = plan::StageMemoryBytesPerGpu(p, 0, 0, cost_);
@@ -421,7 +428,7 @@ TEST_F(LintTest, PlanMemoryHeadroom) {
   const model::CostModel tight_cost(model::ModelSpec::Llama32B(), tight);
   DiagnosticSink sink;
   LintPlanQuality(p, cluster_, tight_cost, healthy_, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintPlanMemoryHeadroom)) << RenderText(sink);
+  EXPECT_TRUE(HasCode(sink, kLintPlanMemoryHeadroom)) << RenderText(sink);
 }
 
 TEST_F(LintTest, PlanHealthyStandby) {
@@ -431,38 +438,38 @@ TEST_F(LintTest, PlanHealthyStandby) {
   straggling.SetLevel(16, 2);  // Standby for cause: it is a straggler.
   DiagnosticSink clean;
   LintPlanQuality(p, cluster_, cost_, straggling, &clean);
-  EXPECT_FALSE(clean.HasCode(kLintPlanHealthyStandby));
+  EXPECT_FALSE(HasCode(clean, kLintPlanHealthyStandby));
 
   DiagnosticSink sink;
   LintPlanQuality(p, cluster_, cost_, healthy_, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintPlanHealthyStandby)) << RenderText(sink);
+  EXPECT_TRUE(HasCode(sink, kLintPlanHealthyStandby)) << RenderText(sink);
 }
 
 TEST_F(LintTest, PlanMixedTpRates) {
   const plan::ParallelPlan p = MakeValidPlan();
   DiagnosticSink clean;
   LintPlanQuality(p, cluster_, cost_, healthy_, &clean);
-  EXPECT_FALSE(clean.HasCode(kLintPlanMixedTpRates));
+  EXPECT_FALSE(HasCode(clean, kLintPlanMixedTpRates));
 
   straggler::Situation mixed(cluster_.num_gpus());
   mixed.SetRate(0, 2.0);  // GPU 0 shares a TP group with healthy 1, 2, 3.
   DiagnosticSink sink;
   LintPlanQuality(p, cluster_, cost_, mixed, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintPlanMixedTpRates)) << RenderText(sink);
+  EXPECT_TRUE(HasCode(sink, kLintPlanMixedTpRates)) << RenderText(sink);
 }
 
 TEST_F(LintTest, PlanUnevenData) {
   plan::ParallelPlan p = MakeValidPlan();
   DiagnosticSink clean;
   LintPlanQuality(p, cluster_, cost_, healthy_, &clean);
-  EXPECT_FALSE(clean.HasCode(kLintPlanUnevenData));
+  EXPECT_FALSE(HasCode(clean, kLintPlanUnevenData));
 
   // Equal bottlenecks (healthy, identical pipelines) but m = 31 vs 33.
   p.pipelines[0].num_microbatches = 31;
   p.pipelines[1].num_microbatches = 33;
   DiagnosticSink sink;
   LintPlanQuality(p, cluster_, cost_, healthy_, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintPlanUnevenData)) << RenderText(sink);
+  EXPECT_TRUE(HasCode(sink, kLintPlanUnevenData)) << RenderText(sink);
 }
 
 TEST_F(LintTest, LintPlanSkipsQualityOnStructuralErrors) {
@@ -483,7 +490,7 @@ TEST_F(LintTest, ClusterEmpty) {
 
   DiagnosticSink sink;
   LintCluster(topo::ClusterSpec(), &sink);
-  EXPECT_TRUE(sink.HasCode(kLintClusterEmpty));
+  EXPECT_TRUE(HasCode(sink, kLintClusterEmpty));
 }
 
 TEST_F(LintTest, ClusterBadBandwidth) {
@@ -492,13 +499,13 @@ TEST_F(LintTest, ClusterBadBandwidth) {
   const topo::ClusterSpec broken(4, 8, topo::GpuSpec(), link);
   DiagnosticSink sink;
   LintCluster(broken, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintClusterBadBandwidth));
+  EXPECT_TRUE(HasCode(sink, kLintClusterBadBandwidth));
 
   // A single-node cluster never crosses the inter-node fabric, so the
   // same link spec is fine there.
   DiagnosticSink single;
   LintCluster(topo::ClusterSpec(1, 8, topo::GpuSpec(), link), &single);
-  EXPECT_FALSE(single.HasCode(kLintClusterBadBandwidth));
+  EXPECT_FALSE(HasCode(single, kLintClusterBadBandwidth));
 }
 
 TEST_F(LintTest, ClusterNoUsableMemory) {
@@ -507,7 +514,7 @@ TEST_F(LintTest, ClusterNoUsableMemory) {
   gpu.reserved_bytes = 4096ULL << 20;  // Reserve swallows everything.
   DiagnosticSink sink;
   LintCluster(topo::ClusterSpec(4, 8, gpu), &sink);
-  EXPECT_TRUE(sink.HasCode(kLintClusterNoUsableMemory));
+  EXPECT_TRUE(HasCode(sink, kLintClusterNoUsableMemory));
 }
 
 TEST_F(LintTest, SituationSizeMismatch) {
@@ -517,7 +524,7 @@ TEST_F(LintTest, SituationSizeMismatch) {
 
   DiagnosticSink sink;
   LintSituation(cluster_, straggler::Situation(8), &sink);
-  EXPECT_TRUE(sink.HasCode(kLintSituationSizeMismatch));
+  EXPECT_TRUE(HasCode(sink, kLintSituationSizeMismatch));
 }
 
 TEST_F(LintTest, SituationBadRate) {
@@ -525,12 +532,12 @@ TEST_F(LintTest, SituationBadRate) {
   s.SetRate(3, 0.5);  // Below 1: faster than healthy is not a slowdown.
   DiagnosticSink sink;
   LintSituation(cluster_, s, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintSituationBadRate));
+  EXPECT_TRUE(HasCode(sink, kLintSituationBadRate));
 
   s.SetRate(3, 1.0);
   DiagnosticSink clean;
   LintSituation(cluster_, s, &clean);
-  EXPECT_FALSE(clean.HasCode(kLintSituationBadRate));
+  EXPECT_FALSE(HasCode(clean, kLintSituationBadRate));
 }
 
 TEST_F(LintTest, SituationRateAboveFit) {
@@ -538,13 +545,13 @@ TEST_F(LintTest, SituationRateAboveFit) {
   s.SetRate(3, 20.0);  // Beyond level 8 (x = 12.52).
   DiagnosticSink sink;
   LintSituation(cluster_, s, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintSituationRateAboveFit));
+  EXPECT_TRUE(HasCode(sink, kLintSituationRateAboveFit));
   EXPECT_FALSE(sink.HasErrors());  // Extrapolation is a warning.
 
   s.SetRate(3, straggler::RateForLevel(8));
   DiagnosticSink clean;
   LintSituation(cluster_, s, &clean);
-  EXPECT_FALSE(clean.HasCode(kLintSituationRateAboveFit));
+  EXPECT_FALSE(HasCode(clean, kLintSituationRateAboveFit));
 }
 
 TEST_F(LintTest, SituationFailedGpu) {
@@ -552,7 +559,7 @@ TEST_F(LintTest, SituationFailedGpu) {
   s.Fail(7);
   DiagnosticSink sink;
   LintSituation(cluster_, s, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintSituationFailedGpu));
+  EXPECT_TRUE(HasCode(sink, kLintSituationFailedGpu));
   EXPECT_FALSE(sink.HasErrors());  // A note, not an error.
   EXPECT_EQ(sink.num_notes(), 1);
 }
@@ -566,7 +573,7 @@ TEST_F(LintTest, ScenarioUnknownModel) {
   spec.model = "13b";
   DiagnosticSink sink;
   LintScenario(spec, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintScenarioUnknownModel));
+  EXPECT_TRUE(HasCode(sink, kLintScenarioUnknownModel));
 }
 
 TEST_F(LintTest, ScenarioUnknownPhase) {
@@ -574,12 +581,12 @@ TEST_F(LintTest, ScenarioUnknownPhase) {
   spec.phases = {"normal", "s9"};
   DiagnosticSink sink;
   LintScenario(spec, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintScenarioUnknownPhase));
+  EXPECT_TRUE(HasCode(sink, kLintScenarioUnknownPhase));
 
   spec.phases = {"normal", "s6"};
   DiagnosticSink clean;
   LintScenario(spec, &clean);
-  EXPECT_FALSE(clean.HasCode(kLintScenarioUnknownPhase));
+  EXPECT_FALSE(HasCode(clean, kLintScenarioUnknownPhase));
 }
 
 TEST_F(LintTest, ScenarioInvalidValue) {
@@ -588,7 +595,7 @@ TEST_F(LintTest, ScenarioInvalidValue) {
   spec.net_model = "carrier-pigeon";
   DiagnosticSink sink;
   LintScenario(spec, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintScenarioInvalidValue));
+  EXPECT_TRUE(HasCode(sink, kLintScenarioInvalidValue));
   EXPECT_GE(sink.num_errors(), 2);  // Both findings, one pass.
 }
 
@@ -597,7 +604,7 @@ TEST_F(LintTest, ScenarioUnknownFabric) {
   spec.fabric = "torus";
   DiagnosticSink sink;
   LintScenario(spec, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintScenarioUnknownFabric));
+  EXPECT_TRUE(HasCode(sink, kLintScenarioUnknownFabric));
   EXPECT_TRUE(sink.HasErrors());
 
   scenario::ScenarioSpec ok;
@@ -617,14 +624,14 @@ TEST_F(LintTest, ScenarioFabricFieldValidation) {
   bad_pod.nodes_per_pod = 3;
   DiagnosticSink pod_sink;
   LintScenario(bad_pod, &pod_sink);
-  EXPECT_TRUE(pod_sink.HasCode(kLintScenarioInvalidValue));
+  EXPECT_TRUE(HasCode(pod_sink, kLintScenarioInvalidValue));
 
   // Fat-tree without a pod size: error.
   scenario::ScenarioSpec no_pod;
   no_pod.fabric = "fat-tree";
   DiagnosticSink no_pod_sink;
   LintScenario(no_pod, &no_pod_sink);
-  EXPECT_TRUE(no_pod_sink.HasCode(kLintScenarioInvalidValue));
+  EXPECT_TRUE(HasCode(no_pod_sink, kLintScenarioInvalidValue));
 
   // Oversubscription below 1 on a hierarchical fabric: error.
   scenario::ScenarioSpec bad_oversub;
@@ -632,7 +639,7 @@ TEST_F(LintTest, ScenarioFabricFieldValidation) {
   bad_oversub.oversubscription = 0.5;
   DiagnosticSink oversub_sink;
   LintScenario(bad_oversub, &oversub_sink);
-  EXPECT_TRUE(oversub_sink.HasCode(kLintScenarioInvalidValue));
+  EXPECT_TRUE(HasCode(oversub_sink, kLintScenarioInvalidValue));
 
   // Fields that do not apply to the chosen kind: warn, not error.
   scenario::ScenarioSpec stray;
@@ -641,7 +648,7 @@ TEST_F(LintTest, ScenarioFabricFieldValidation) {
   stray.oversubscription = 4.0;
   DiagnosticSink stray_sink;
   LintScenario(stray, &stray_sink);
-  EXPECT_TRUE(stray_sink.HasCode(kLintScenarioFabricFieldIgnored));
+  EXPECT_TRUE(HasCode(stray_sink, kLintScenarioFabricFieldIgnored));
   EXPECT_FALSE(stray_sink.HasErrors());
 }
 
@@ -663,7 +670,7 @@ TEST_F(LintTest, ScenarioDynamicInvalidValue) {
   spec.dynamic.max_level = 9;
   DiagnosticSink sink;
   LintScenario(spec, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintScenarioDynamicInvalidValue));
+  EXPECT_TRUE(HasCode(sink, kLintScenarioDynamicInvalidValue));
   EXPECT_GE(sink.num_errors(), 3);  // All three findings, one pass.
 
   // NaN rates are invalid, not silently in-range.
@@ -672,7 +679,7 @@ TEST_F(LintTest, ScenarioDynamicInvalidValue) {
   nan_spec.dynamic.fail_rate = std::nan("");
   DiagnosticSink nan_sink;
   LintScenario(nan_spec, &nan_sink);
-  EXPECT_TRUE(nan_sink.HasCode(kLintScenarioDynamicInvalidValue));
+  EXPECT_TRUE(HasCode(nan_sink, kLintScenarioDynamicInvalidValue));
 }
 
 TEST_F(LintTest, ScenarioDynamicSaturated) {
@@ -684,14 +691,14 @@ TEST_F(LintTest, ScenarioDynamicSaturated) {
   spec.dynamic.recover_iters = 100;
   DiagnosticSink sink;
   LintScenario(spec, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintScenarioDynamicSaturated));
+  EXPECT_TRUE(HasCode(sink, kLintScenarioDynamicSaturated));
   EXPECT_FALSE(sink.HasErrors());  // A warning, not an error.
 
   spec.dynamic.straggle_rate = 0.001;
   spec.dynamic.recover_iters = 50;
   DiagnosticSink clean;
   LintScenario(spec, &clean);
-  EXPECT_FALSE(clean.HasCode(kLintScenarioDynamicSaturated));
+  EXPECT_FALSE(HasCode(clean, kLintScenarioDynamicSaturated));
 }
 
 TEST_F(LintTest, ScenarioGpuOutOfRange) {
@@ -702,12 +709,12 @@ TEST_F(LintTest, ScenarioGpuOutOfRange) {
   spec.stragglers = {entry};
   DiagnosticSink sink;
   LintScenario(spec, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintScenarioGpuOutOfRange));
+  EXPECT_TRUE(HasCode(sink, kLintScenarioGpuOutOfRange));
 
   spec.stragglers[0].gpu = 31;
   DiagnosticSink clean;
   LintScenario(spec, &clean);
-  EXPECT_FALSE(clean.HasCode(kLintScenarioGpuOutOfRange));
+  EXPECT_FALSE(HasCode(clean, kLintScenarioGpuOutOfRange));
 }
 
 TEST_F(LintTest, ScenarioDuplicateStraggler) {
@@ -720,12 +727,12 @@ TEST_F(LintTest, ScenarioDuplicateStraggler) {
   spec.stragglers = {a, b};
   DiagnosticSink sink;
   LintScenario(spec, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintScenarioDuplicateStraggler));
+  EXPECT_TRUE(HasCode(sink, kLintScenarioDuplicateStraggler));
 
   spec.stragglers[1].gpu = 4;
   DiagnosticSink clean;
   LintScenario(spec, &clean);
-  EXPECT_FALSE(clean.HasCode(kLintScenarioDuplicateStraggler));
+  EXPECT_FALSE(HasCode(clean, kLintScenarioDuplicateStraggler));
 }
 
 TEST_F(LintTest, ScenarioRateAndLevelRanges) {
@@ -739,8 +746,8 @@ TEST_F(LintTest, ScenarioRateAndLevelRanges) {
   spec.stragglers = {bad_rate, high_level};
   DiagnosticSink sink;
   LintScenario(spec, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintSituationBadRate));
-  EXPECT_TRUE(sink.HasCode(kLintSituationRateAboveFit));
+  EXPECT_TRUE(HasCode(sink, kLintSituationBadRate));
+  EXPECT_TRUE(HasCode(sink, kLintSituationRateAboveFit));
 }
 
 // ----- Event-graph passes ----------------------------------------------
@@ -764,9 +771,9 @@ TEST_F(LintTest, GraphMalformedSchedule) {
   per_stage[0] = {{true, 0}, {false, 0}, {true, 1}};
   DiagnosticSink sink;
   LintPipelineSchedule(per_stage, 2, "", &sink);
-  EXPECT_TRUE(sink.HasCode(kLintGraphMalformedSchedule));
+  EXPECT_TRUE(HasCode(sink, kLintGraphMalformedSchedule));
   // No deadlock piled on top: playback of a non-permutation is skipped.
-  EXPECT_FALSE(sink.HasCode(kLintGraphDeadlock));
+  EXPECT_FALSE(HasCode(sink, kLintGraphDeadlock));
 }
 
 TEST_F(LintTest, GraphDeadlock) {
@@ -776,7 +783,7 @@ TEST_F(LintTest, GraphDeadlock) {
   per_stage[0] = {{false, 0}, {true, 0}};
   DiagnosticSink sink;
   LintPipelineSchedule(per_stage, 1, "pipeline[2]", &sink);
-  EXPECT_TRUE(sink.HasCode(kLintGraphDeadlock)) << RenderText(sink);
+  EXPECT_TRUE(HasCode(sink, kLintGraphDeadlock)) << RenderText(sink);
   EXPECT_EQ(sink.diagnostics().front().location, "pipeline[2].stage[0]");
 }
 
@@ -788,7 +795,7 @@ TEST_F(LintTest, GraphCrossStageDeadlock) {
   per_stage[1] = {{true, 1}, {false, 1}, {true, 0}, {false, 0}};
   DiagnosticSink sink;
   LintPipelineSchedule(per_stage, 2, "", &sink);
-  EXPECT_TRUE(sink.HasCode(kLintGraphDeadlock)) << RenderText(sink);
+  EXPECT_TRUE(HasCode(sink, kLintGraphDeadlock)) << RenderText(sink);
 }
 
 TEST_F(LintTest, LintEventGraphOnValidPlan) {
@@ -825,7 +832,7 @@ TEST_F(LintTest, NetNegativeLinkBytes) {
   audit.link_names = {"gpu0.out"};
   DiagnosticSink sink;
   LintFlowConservation(audit, 100.0, 1e-6, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintNetNegativeLinkBytes));
+  EXPECT_TRUE(HasCode(sink, kLintNetNegativeLinkBytes));
 }
 
 TEST_F(LintTest, NetLinkOvercommit) {
@@ -836,12 +843,12 @@ TEST_F(LintTest, NetLinkOvercommit) {
   audit.link_names = {"node0.nic.out"};
   DiagnosticSink sink;
   LintFlowConservation(audit, 100.0, 1e-6, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintNetLinkOvercommit));
+  EXPECT_TRUE(HasCode(sink, kLintNetLinkOvercommit));
 
   audit.link_peak_utilization = {1.0};  // Saturated is legal.
   DiagnosticSink clean;
   LintFlowConservation(audit, 100.0, 1e-6, &clean);
-  EXPECT_FALSE(clean.HasCode(kLintNetLinkOvercommit));
+  EXPECT_FALSE(HasCode(clean, kLintNetLinkOvercommit));
 }
 
 TEST_F(LintTest, NetVolumeMismatch) {
@@ -849,12 +856,12 @@ TEST_F(LintTest, NetVolumeMismatch) {
   audit.total_flow_bytes = 90.0;
   DiagnosticSink sink;
   LintFlowConservation(audit, 100.0, 1e-6, &sink);
-  EXPECT_TRUE(sink.HasCode(kLintNetVolumeMismatch));
+  EXPECT_TRUE(HasCode(sink, kLintNetVolumeMismatch));
 
   audit.total_flow_bytes = 100.0;
   DiagnosticSink clean;
   LintFlowConservation(audit, 100.0, 1e-6, &clean);
-  EXPECT_FALSE(clean.HasCode(kLintNetVolumeMismatch));
+  EXPECT_FALSE(HasCode(clean, kLintNetVolumeMismatch));
 }
 
 // ----- Engine integration ----------------------------------------------

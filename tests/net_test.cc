@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "net/fabric.h"
 #include "net/flow_sim.h"
 #include "obs/metrics.h"
+#include "plan/estimator.h"
 #include "plan/uniform.h"
 #include "sim/collective.h"
 #include "sim/pipeline_sim.h"
@@ -25,6 +28,16 @@ namespace {
 // Relative difference helper for the "within 1%" acceptance bounds.
 double RelDiff(double a, double b) {
   return std::abs(a - b) / std::max(std::abs(a), std::abs(b));
+}
+
+// Narrowest capacity on fabric.Route(src, dst): the bandwidth one isolated
+// flow sees (+inf for loopback).
+double PathBandwidth(const Fabric& fabric, topo::GpuId src, topo::GpuId dst) {
+  double bw = std::numeric_limits<double>::infinity();
+  for (LinkId l : fabric.Route(src, dst)) {
+    bw = std::min(bw, fabric.link(l).capacity_bps);
+  }
+  return bw;
 }
 
 class FabricTest : public ::testing::Test {
@@ -64,9 +77,9 @@ TEST_F(FabricTest, Routes) {
 }
 
 TEST_F(FabricTest, PathBandwidthMatchesCluster) {
-  EXPECT_DOUBLE_EQ(fabric_.PathBandwidth(0, 1),
+  EXPECT_DOUBLE_EQ(PathBandwidth(fabric_, 0, 1),
                    cluster_.BandwidthBytesPerSec(0, 1));
-  EXPECT_DOUBLE_EQ(fabric_.PathBandwidth(0, 8),
+  EXPECT_DOUBLE_EQ(PathBandwidth(fabric_, 0, 8),
                    cluster_.BandwidthBytesPerSec(0, 8));
 }
 
@@ -98,8 +111,6 @@ TEST_F(FlowSimTest, SingleFlowMatchesAnalytic) {
     fs.Run();
     EXPECT_LT(RelDiff(fs.outcome(id).seconds, analytic), 0.01)
         << "dst=" << dst;
-    EXPECT_LT(RelDiff(sim::P2pSecondsFlow(fabric_, 0, dst, 1e9), analytic),
-              0.01);
   }
 }
 
@@ -115,25 +126,30 @@ TEST_F(FlowSimTest, DegenerateFlows) {
 }
 
 TEST_F(FlowSimTest, RingCollectiveMatchesAnalytic) {
-  // Uncontended ring collectives agree with the closed forms: each ring
-  // hop has dedicated ports, so no flow is slowed down.
-  const std::vector<topo::GpuId> intra = {0, 1, 2, 3};
-  const std::vector<topo::GpuId> cross = {0, 1, 8, 9};
-  for (const auto& gpus : {intra, cross}) {
-    EXPECT_LT(RelDiff(sim::AllReduceSecondsFlow(fabric_, gpus, 4e9),
-                      sim::AllReduceSeconds(cluster_, gpus, 4e9)),
-              0.01);
-    EXPECT_LT(RelDiff(sim::ReduceScatterSecondsFlow(fabric_, gpus, 4e9),
-                      sim::ReduceScatterSeconds(cluster_, gpus, 4e9)),
-              0.01);
+  // An uncontended grad-sync ring lowered onto FlowSim agrees with the
+  // closed form the product prices it with (plan::AnalyticRingSeconds):
+  // each ring hop has dedicated ports, so no flow is slowed down. The flow
+  // side submits the ring as plan::EstimateGradSyncSeconds does.
+  for (const std::vector<topo::GpuId>& peers :
+       {std::vector<topo::GpuId>{0, 1, 2, 3}, {0, 1, 8, 9}, {0, 8}}) {
+    plan::GradSyncRing ring;
+    ring.peers = peers;
+    ring.bytes_per_gpu = 4e9;
+    for (size_t q = 1; q < peers.size(); ++q) {
+      ring.hop_latency = std::max(ring.hop_latency,
+                                  cluster_.LatencySec(peers[0], peers[q]));
+    }
+    const int dp_degree = static_cast<int>(peers.size());
+    const double dp = static_cast<double>(dp_degree);
+    FlowSim fs(fabric_);
+    SubmitRing(&fs, ring.peers, ring.bytes_per_gpu * ((dp - 1.0) / dp),
+               /*start_seconds=*/0.0, 2.0 * dp * ring.hop_latency);
+    fs.Run();
+    EXPECT_LT(RelDiff(fs.MakespanSeconds(),
+                      plan::AnalyticRingSeconds(ring, dp_degree, cluster_)),
+              1e-12)
+        << "ring ending at GPU " << peers.back();
   }
-  // The NetModel dispatch overload routes to the same implementations.
-  EXPECT_DOUBLE_EQ(
-      sim::AllReduceSeconds(cluster_, cross, 4e9, NetModel::kFlow),
-      sim::AllReduceSecondsFlow(fabric_, cross, 4e9));
-  EXPECT_DOUBLE_EQ(
-      sim::AllReduceSeconds(cluster_, cross, 4e9, NetModel::kAnalytic),
-      sim::AllReduceSeconds(cluster_, cross, 4e9));
 }
 
 TEST_F(FlowSimTest, TwoFlowsOnSharedNicHalveBandwidth) {
@@ -305,7 +321,7 @@ TEST(HierFabricTest, FatTreeLinkLayoutAndRoutes) {
   EXPECT_EQ(cross_pod[3], fabric.PodDown(1));
   EXPECT_EQ(cross_pod[4], fabric.NicIn(3));
   EXPECT_EQ(cross_pod[5], fabric.GpuIn(12));
-  EXPECT_DOUBLE_EQ(fabric.PathBandwidth(0, 12),
+  EXPECT_DOUBLE_EQ(PathBandwidth(fabric, 0, 12),
                    cluster.BandwidthBytesPerSec(0, 12));
 }
 

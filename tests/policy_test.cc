@@ -20,6 +20,7 @@
 #include "policy/runner.h"
 #include "scenario/scenario.h"
 #include "sim/restart.h"
+#include "testkit/run_summary.h"
 
 namespace malleus {
 namespace policy {
@@ -423,7 +424,7 @@ TEST_F(PolicyTest, ReplanOverflowFollowsTheEngineRule) {
     }
     ASSERT_EQ(planning.size(), 1u);
     EXPECT_GT(planning[0], 0.0);
-    const double overflow = log.Summarize().planning_overflow_seconds;
+    const double overflow = testkit::Summarize(log).planning_overflow_seconds;
     if (events[0].kind == EventKind::kStraggle) {
       // The current plan's straggling step is at least its healthy one.
       ASSERT_TRUE(result->audits[0].tolerate_feasible);
@@ -446,7 +447,7 @@ TEST_F(PolicyTest, RestartPricingUsesFailurePathAfterFailures) {
             sim::RestartSeconds(bytes, 4));
   EXPECT_NEAR(sim::RestartSeconds(bytes, 4),
               sim::RestartAfterFailureSeconds(bytes, 4) +
-                  sim::CheckpointLoadSeconds(bytes, 4),
+                  bytes / (sim::kPerNodeIoGbps * 1e9 * 4),
               1e-9);
 }
 

@@ -8,6 +8,7 @@
 #include "core/engine.h"
 #include "core/run_log.h"
 #include "serve/json.h"
+#include "testkit/run_summary.h"
 
 namespace malleus {
 namespace core {
@@ -25,11 +26,11 @@ StepReport MakeReport(double step, double migration = 0.0,
 
 TEST(RunLogTest, EmptySummary) {
   RunLog log;
-  const RunLog::Summary s = log.Summarize();
+  const testkit::RunSummary s = testkit::Summarize(log);
   EXPECT_EQ(s.steps, 0);
   EXPECT_DOUBLE_EQ(s.TotalSeconds(), 0.0);
   EXPECT_DOUBLE_EQ(s.Efficiency(), 1.0);
-  EXPECT_DOUBLE_EQ(log.PhaseMeanSeconds("S1"), 0.0);
+  EXPECT_DOUBLE_EQ(testkit::PhaseMeanSeconds(log, "S1"), 0.0);
 }
 
 TEST(RunLogTest, SummaryAggregates) {
@@ -38,7 +39,7 @@ TEST(RunLogTest, SummaryAggregates) {
   log.Record("S1", MakeReport(20.0, 2.0, 0.0, true));
   log.Record("S1", MakeReport(12.0));
   log.Record("S1", MakeReport(12.0, 0.0, 50.0, true));
-  const RunLog::Summary s = log.Summarize();
+  const testkit::RunSummary s = testkit::Summarize(log);
   EXPECT_EQ(s.steps, 4);
   EXPECT_EQ(s.replans, 2);
   EXPECT_EQ(s.recoveries, 1);
@@ -54,8 +55,8 @@ TEST(RunLogTest, PhaseMeans) {
   log.Record("Normal", MakeReport(10.0));
   log.Record("S1", MakeReport(20.0));
   log.Record("S1", MakeReport(10.0));
-  EXPECT_DOUBLE_EQ(log.PhaseMeanSeconds("Normal"), 10.0);
-  EXPECT_DOUBLE_EQ(log.PhaseMeanSeconds("S1"), 15.0);
+  EXPECT_DOUBLE_EQ(testkit::PhaseMeanSeconds(log, "Normal"), 10.0);
+  EXPECT_DOUBLE_EQ(testkit::PhaseMeanSeconds(log, "S1"), 15.0);
 }
 
 TEST(RunLogTest, CsvFormat) {
@@ -172,10 +173,10 @@ TEST(RunLogTest, IntegratesWithEngine) {
   for (int i = 0; i < 3; ++i) {
     log.Record("S1", *engine.Step(s1));
   }
-  const RunLog::Summary s = log.Summarize();
+  const testkit::RunSummary s = testkit::Summarize(log);
   EXPECT_EQ(s.steps, 6);
   EXPECT_GE(s.replans, 1);
-  EXPECT_GT(log.PhaseMeanSeconds("S1"), 0.0);
+  EXPECT_GT(testkit::PhaseMeanSeconds(log, "S1"), 0.0);
   EXPECT_LT(s.Efficiency(), 1.0 + 1e-12);
 }
 

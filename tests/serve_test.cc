@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/string_util.h"
 #include "serve/client.h"
 #include "serve/json.h"
@@ -516,26 +517,35 @@ TEST(TcpTest, EndToEndOverLoopback) {
     Result<std::unique_ptr<Client>> client =
         Client::ConnectTcp("127.0.0.1", tcp.port());
     MALLEUS_CHECK_OK(client.status());
-    Result<JsonValue> reg = (*client)->Call(
+    // The `result` value of an ok response line.
+    const auto result_of = [](const std::string& response) {
+      Result<JsonValue> doc = JsonValue::Parse(response);
+      MALLEUS_CHECK_OK(doc.status());
+      const JsonValue* result = doc->Find("result");
+      MALLEUS_CHECK(result != nullptr) << response;
+      return *result;
+    };
+    Result<std::string> reg = (*client)->CallRaw(
         "register",
         "{\"name\":\"c1\",\"scenario\":\"model = tiny\\nnodes = 1\\nbatch "
         "= 8\\nphase = s1\"}");
     MALLEUS_CHECK_OK(reg.status());
-    EXPECT_EQ(reg->Find("cluster")->string_value(), "c1");
+    EXPECT_EQ(result_of(*reg).Find("cluster")->string_value(), "c1");
 
-    Result<JsonValue> plan =
-        (*client)->Call("plan", "{\"cluster\":\"c1\",\"situation\":\"s1\"}");
+    Result<std::string> plan = (*client)->CallRaw(
+        "plan", "{\"cluster\":\"c1\",\"situation\":\"s1\"}");
     MALLEUS_CHECK_OK(plan.status());
-    EXPECT_GT(plan->Find("dp")->Int64(), 0);
+    EXPECT_GT(result_of(*plan).Find("dp")->Int64(), 0);
 
-    // A wire error comes back as a Status carrying the mapped code.
-    Result<JsonValue> missing =
-        (*client)->Call("plan", "{\"cluster\":\"ghost\"}");
-    EXPECT_FALSE(missing.ok());
-    EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+    // A wire error comes back as a response line carrying its code.
+    Result<std::string> missing =
+        (*client)->CallRaw("plan", "{\"cluster\":\"ghost\"}");
+    MALLEUS_CHECK_OK(missing.status());
+    EXPECT_EQ(ErrorCodeOf(*missing), "NOT_FOUND");
 
-    Result<JsonValue> bye = (*client)->Call("shutdown", "{}");
+    Result<std::string> bye = (*client)->CallRaw("shutdown", "{}");
     MALLEUS_CHECK_OK(bye.status());
+    EXPECT_EQ(ErrorCodeOf(*bye), "");
   }
   serving.join();
   EXPECT_TRUE(server.shutdown_requested());

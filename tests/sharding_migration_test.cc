@@ -9,10 +9,14 @@
 #include "core/migration.h"
 #include "core/sharding.h"
 #include "plan/uniform.h"
+#include "testkit/graph/builder.h"
 
 namespace malleus {
 namespace core {
 namespace {
+
+using testkit::graph::CollectiveCallOrder;
+using testkit::graph::SliceCountForGpu;
 
 class ShardingTest : public ::testing::Test {
  protected:

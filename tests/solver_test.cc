@@ -468,7 +468,7 @@ TEST(CacheKeyTest, FieldTypesDoNotCollide) {
   CacheKey as_int, as_bool, as_double;
   as_int.Int(1);
   as_bool.Bool(true);
-  as_double.Double(1.0);
+  as_double.Doubles({1.0});
   EXPECT_NE(as_int.str(), as_bool.str());
   EXPECT_NE(as_int.str(), as_double.str());
   EXPECT_NE(as_bool.str(), as_double.str());
@@ -481,8 +481,8 @@ TEST(CacheKeyTest, FieldTypesDoNotCollide) {
 
 TEST(CacheKeyTest, DoubleKeysUseBitPatterns) {
   CacheKey pos, neg;
-  pos.Double(0.0);
-  neg.Double(-0.0);
+  pos.Doubles({0.0});
+  neg.Doubles({-0.0});
   EXPECT_NE(pos.str(), neg.str());  // Conservative: distinct representations.
 }
 

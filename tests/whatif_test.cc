@@ -284,6 +284,16 @@ scenario::ScenarioSpec TinyStragglerSpec() {
   return spec;
 }
 
+// A RecordedRun built straight from `spec`, without a bundle.
+Result<whatif::RecordedRun> RecordedRunFromSpec(
+    const scenario::ScenarioSpec& spec) {
+  whatif::RecordedRun run;
+  run.spec = spec;
+  MALLEUS_ASSIGN_OR_RETURN(run.resolved, scenario::ResolveScenario(spec));
+  run.source = spec.source;
+  return run;
+}
+
 TEST(ImpliedSituationsTest, OverlayWinsThenPhasesThenNormal) {
   // Overlay: the custom straggler list is the one situation.
   Result<scenario::ResolvedScenario> overlay =
@@ -376,7 +386,7 @@ TEST(ForcedTpTest, RejectsInvalidDegrees) {
 
 TEST(WhatIfEngineTest, ReplayDecomposesStepIntoSpans) {
   Result<whatif::RecordedRun> run =
-      whatif::RecordedRunFromSpec(TinyStragglerSpec());
+      RecordedRunFromSpec(TinyStragglerSpec());
   ASSERT_TRUE(run.ok()) << run.status().ToString();
 
   const topo::ClusterSpec& cluster = run->resolved.cluster;
@@ -410,7 +420,7 @@ TEST(WhatIfEngineTest, ReplayDecomposesStepIntoSpans) {
 
 TEST(WhatIfEngineTest, ReportBytesAreThreadCountInvariant) {
   Result<whatif::RecordedRun> run =
-      whatif::RecordedRunFromSpec(TinyStragglerSpec());
+      RecordedRunFromSpec(TinyStragglerSpec());
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   Result<scenario::LabeledSituation> analyzed =
       whatif::AnalyzedSituation(*run);
@@ -439,7 +449,7 @@ TEST(WhatIfEngineTest, ReportBytesAreThreadCountInvariant) {
 
 TEST(WhatIfEngineTest, InjectedStragglerOutranksHealthyRemovals) {
   Result<whatif::RecordedRun> run =
-      whatif::RecordedRunFromSpec(TinyStragglerSpec());
+      RecordedRunFromSpec(TinyStragglerSpec());
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   Result<scenario::LabeledSituation> analyzed =
       whatif::AnalyzedSituation(*run);
@@ -471,7 +481,7 @@ TEST(WhatIfEngineTest, InjectedStragglerOutranksHealthyRemovals) {
 
 TEST(WhatIfEngineTest, BadGridRowCarriesErrorAndRanksLast) {
   Result<whatif::RecordedRun> run =
-      whatif::RecordedRunFromSpec(TinyStragglerSpec());
+      RecordedRunFromSpec(TinyStragglerSpec());
   ASSERT_TRUE(run.ok()) << run.status().ToString();
 
   Result<std::vector<scenario::Counterfactual>> grid =
@@ -492,7 +502,7 @@ TEST(WhatIfEngineTest, BadGridRowCarriesErrorAndRanksLast) {
 
 TEST(WhatIfEngineTest, SnapshotSignatureMismatchIsRejected) {
   Result<whatif::RecordedRun> run =
-      whatif::RecordedRunFromSpec(TinyStragglerSpec());
+      RecordedRunFromSpec(TinyStragglerSpec());
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   run->snapshot_text = "plan.signature = 0000000000000000\n";
 

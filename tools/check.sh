@@ -59,7 +59,7 @@
 # fails the run. On a violation the minimized `.scenario` repro paths are
 # printed; replay one with `malleus_fuzz --replay=<file>`.
 #
-# Lint preset (--lint) — the static-analysis gate, in five stages:
+# Lint preset (--lint) — the static-analysis gate, in six stages:
 #   1. a -Werror build (-DMALLEUS_WERROR=ON): compiler warnings fail
 #      (including [[nodiscard]] Status/Result discards); bench_e2e/ is
 #      configured into build-lint-e2e and its bench_e2e target built the
@@ -73,7 +73,11 @@
 #   4. clang-tidy over src/ against the checked-in .clang-tidy, compared
 #      to the baseline count below (skipped with a note when clang-tidy
 #      is not installed — the container ships only gcc);
-#   5. tools/format.sh --check (skips itself when clang-format is absent).
+#   5. tools/format.sh --check (skips itself when clang-format is absent);
+#   6. the reachability gate (run_reach below, in build-reach and
+#      build-reach-e2e): a library function outside libmalleus_testkit
+#      that no shipped binary keeps fails unless tools/reach_allowlist.txt
+#      lists it with a reason; a stale allowlist entry fails too.
 #
 # The default preset also runs stage 3 and the format check after the
 # sanitized test sweep, so `tools/check.sh` alone gates on detlint.
@@ -81,7 +85,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# clang-tidy findings currently in the tree (stage 3 fails when the count
+# clang-tidy findings currently in the tree (stage 4 fails when the count
 # grows past this; shrink it as findings are fixed).
 CLANG_TIDY_BASELINE=0
 
@@ -126,6 +130,113 @@ run_detlint() {
     echo "$sarif" >&2
     exit 1
   fi
+}
+
+# run_reach — the reachability gate: every global function a
+# libmalleus_*.a archive defines must be kept by at least one shipped
+# binary (examples/, tools/, bench/ and bench_e2e), except in
+# libmalleus_testkit and the entries of tools/reach_allowlist.txt. The
+# binaries are built at -O0 (nothing is inlined away) with one section per
+# function and linked with --gc-sections, so a function survives the link
+# only if some binary calls it. The gate also fails on an allowlist entry
+# that no longer names a library function or that a binary now keeps. The
+# probe cannot see inline or template code in headers (it is not a global
+# `T` symbol of any archive). The output lists every unkept function with
+# its archive and size.
+run_reach() {
+  local reach_flags=(
+    -G Ninja
+    -DCMAKE_BUILD_TYPE=Debug
+    -DCMAKE_CXX_FLAGS_DEBUG=-O0
+    "-DCMAKE_CXX_FLAGS=-ffunction-sections -fdata-sections"
+    -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections
+  )
+  if [[ "$FAST" != 1 || ! -f build-reach/CMakeCache.txt ]]; then
+    cmake -B build-reach -S . "${reach_flags[@]}" >/dev/null
+  fi
+  if [[ "$FAST" != 1 || ! -f build-reach-e2e/CMakeCache.txt ]]; then
+    cmake -B build-reach-e2e -S bench_e2e "${reach_flags[@]}" >/dev/null
+  fi
+  echo "== reachability: -O0 --gc-sections build of every shipped binary =="
+  cmake --build build-reach -j"$(nproc)" \
+    --target examples/all tools/all bench/all
+  cmake --build build-reach-e2e -j"$(nproc)" --target bench_e2e
+  local binaries
+  mapfile -t binaries < <(
+    find build-reach/examples build-reach/tools build-reach/bench \
+      -maxdepth 1 -type f -perm -u+x | sort)
+  binaries+=(build-reach-e2e/bench_e2e)
+  local archives
+  mapfile -t archives < <(find build-reach/src -name 'libmalleus_*.a' | sort)
+  python3 - tools/reach_allowlist.txt "${archives[@]}" -- "${binaries[@]}" \
+    <<'PY'
+import os
+import re
+import subprocess
+import sys
+
+EXEMPT = "libmalleus_testkit.a"
+POSIX = re.compile(r"^(.*) ([A-Za-z]) ([0-9a-f]+)(?: ([0-9a-f]+))?$")
+
+def symbols(path, *flags):
+    """(name, type, size) of every defined symbol nm -C prints for path."""
+    out = subprocess.run(["nm", "-C", "--defined-only", "--format=posix",
+                          *flags, path], check=True, capture_output=True,
+                         text=True).stdout
+    for line in out.splitlines():
+        m = POSIX.match(line)
+        if m:
+            yield m.group(1), m.group(2), int(m.group(4) or "0", 16)
+
+allowlist_path, rest = sys.argv[1], sys.argv[2:]
+split = rest.index("--")
+archives, binaries = rest[:split], rest[split + 1:]
+
+functions = {}  # demangled name -> (archive, size)
+for archive in archives:
+    for name, kind, size in symbols(archive, "-g"):
+        if kind == "T":
+            functions[name] = (os.path.basename(archive), size)
+kept = set()
+for binary in binaries:
+    kept.update(name for name, _, _ in symbols(binary))
+
+allowed = set()
+with open(allowlist_path) as f:
+    for number, line in enumerate(f, 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        name, _, reason = line.partition("#")
+        if not reason.strip():
+            sys.exit("%s:%d: entry has no reason: %s"
+                     % (allowlist_path, number, line.strip()))
+        allowed.add(name.strip())
+
+unkept = sorted(n for n in functions if n not in kept)
+testkit = [n for n in unkept if functions[n][0] == EXEMPT]
+product = [n for n in unkept if functions[n][0] != EXEMPT]
+print("reach: %d binaries keep %d of %d library functions; %d unkept "
+      "(%d in %s, exempt)" % (len(binaries), len(functions) - len(unkept),
+                              len(functions), len(unkept), len(testkit),
+                              EXEMPT))
+failures = 0
+for name in product:
+    archive, size = functions[name]
+    note = "allowlisted" if name in allowed else "UNKEPT"
+    failures += name not in allowed
+    print("  %-11s %-24s %6d B  %s" % (note, archive, size, name))
+for name in sorted(allowed):
+    if name not in functions:
+        print("  STALE       allowlist entry is no library function: " + name)
+        failures += 1
+    elif name in kept:
+        print("  STALE       allowlist entry is kept by a binary: " + name)
+        failures += 1
+if failures:
+    sys.exit("reach: %d failure(s); delete an UNKEPT function, move it to "
+             "testkit or list it with a reason in %s, and drop STALE entries"
+             % (failures, allowlist_path))
+PY
 }
 
 if [[ "$MODE" == "detlint" ]]; then
@@ -182,8 +293,10 @@ if [[ "$MODE" == "lint" ]]; then
   echo "== format check =="
   tools/format.sh --check
 
+  run_reach
+
   echo "OK: -Werror build (tree + bench_e2e) + scenario lint + detlint" \
-       "+ clang-tidy + format check"
+       "+ clang-tidy + format check + reachability"
   exit 0
 fi
 
