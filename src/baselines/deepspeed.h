@@ -57,8 +57,6 @@ class DeepSpeedBaseline : public core::TrainingFramework {
   Result<core::StepReport> Step(
       const straggler::Situation& situation) override;
 
-  const DeepSpeedConfig& current_config() const { return config_; }
-
   /// Tunes (sp, mbs, AC) for `num_gpus` devices; exposed for the Table 7
   /// configuration dump.
   Result<DeepSpeedConfig> TuneConfig(int num_gpus) const;

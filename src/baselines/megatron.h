@@ -38,9 +38,6 @@ class MegatronBaseline : public core::TrainingFramework {
   Result<core::StepReport> Step(
       const straggler::Situation& situation) override;
 
-  /// The active uniform plan (exposed for the Table 6 configuration dump).
-  const plan::ParallelPlan& current_plan() const { return plan_; }
-
  private:
   /// Nodes that currently host at least one straggler.
   std::set<topo::NodeId> StragglerNodes(

@@ -41,7 +41,7 @@ Status LintScenarioFile(const std::string& path,
 Status LintScenarioSpec(const scenario::ScenarioSpec& spec,
                         const ScenarioLintOptions& options,
                         lint::DiagnosticSink* sink) {
-  lint::LintScenario(spec, sink);
+  scenario::CheckScenario(spec, sink);
   if (sink->HasErrors()) return Status::OK();  // Resolution would re-fail.
 
   MALLEUS_ASSIGN_OR_RETURN(scenario::ResolvedScenario resolved,

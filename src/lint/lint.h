@@ -9,10 +9,11 @@
 //                the live Situation, razor-edge memory headroom, healthy
 //                GPUs parked on standby, TP groups mixing straggling
 //                rates, and micro-batch/DP divisibility waste.
-//   Scenarios  — cluster shape and interconnect sanity, situation rate
-//                ranges against the fitted x = 1 + 1.44k straggler model,
-//                scenario-file semantic checks (model/phase names, GPU
-//                ranges, duplicate straggler ids).
+//   Scenarios  — cluster shape and interconnect sanity, and situation
+//                rate ranges against the fitted x = 1 + 1.44k straggler
+//                model. The scenario-file semantic checks (model/phase
+//                names, GPU ranges, duplicate straggler ids) are
+//                scenario::CheckScenario, which ResolveScenario enforces.
 //   Event/flow — topological feasibility of 1F1B schedules (a deadlocked
 //                schedule is a lint error, not a hung simulation) and
 //                flow-conservation audits of net::FlowSim results.
@@ -57,26 +58,21 @@ inline constexpr char kLintClusterNoUsableMemory[] =
 
 inline constexpr char kLintSituationSizeMismatch[] =
     "situation.size-mismatch";
-inline constexpr char kLintSituationBadRate[] = "situation.bad-rate";
-inline constexpr char kLintSituationRateAboveFit[] =
-    "situation.rate-above-fit";
-inline constexpr char kLintSituationFailedGpu[] = "situation.failed-gpu";
 
-inline constexpr char kLintScenarioUnknownModel[] = "scenario.unknown-model";
-inline constexpr char kLintScenarioUnknownPhase[] = "scenario.unknown-phase";
-inline constexpr char kLintScenarioInvalidValue[] = "scenario.invalid-value";
-inline constexpr char kLintScenarioGpuOutOfRange[] =
-    "scenario.gpu-out-of-range";
-inline constexpr char kLintScenarioDuplicateStraggler[] =
-    "scenario.duplicate-straggler";
-inline constexpr char kLintScenarioDynamicInvalidValue[] =
-    "scenario.dynamic-invalid-value";
-inline constexpr char kLintScenarioDynamicSaturated[] =
-    "scenario.dynamic-saturated";
-inline constexpr char kLintScenarioUnknownFabric[] =
-    "scenario.unknown-fabric";
-inline constexpr char kLintScenarioFabricFieldIgnored[] =
-    "scenario.fabric-field-ignored";
+// The scenario.* codes and the situation.* codes the scenario checks share
+// with LintSituation live with the checks in scenario/scenario.h.
+using scenario::kLintScenarioDuplicateStraggler;
+using scenario::kLintScenarioDynamicInvalidValue;
+using scenario::kLintScenarioDynamicSaturated;
+using scenario::kLintScenarioFabricFieldIgnored;
+using scenario::kLintScenarioGpuOutOfRange;
+using scenario::kLintScenarioInvalidValue;
+using scenario::kLintScenarioUnknownFabric;
+using scenario::kLintScenarioUnknownModel;
+using scenario::kLintScenarioUnknownPhase;
+using scenario::kLintSituationBadRate;
+using scenario::kLintSituationFailedGpu;
+using scenario::kLintSituationRateAboveFit;
 
 inline constexpr char kLintGraphMalformedSchedule[] =
     "graph.malformed-schedule";
@@ -142,11 +138,6 @@ void LintCluster(const topo::ClusterSpec& cluster, DiagnosticSink* sink);
 void LintSituation(const topo::ClusterSpec& cluster,
                    const straggler::Situation& situation,
                    DiagnosticSink* sink);
-
-/// Semantic checks over a parsed scenario file: model and phase names,
-/// positive shape/batch/steps, straggler GPU ids inside the cluster,
-/// duplicate straggler entries, and rate/level ranges.
-void LintScenario(const scenario::ScenarioSpec& spec, DiagnosticSink* sink);
 
 // ----- Event-graph / flow passes ---------------------------------------
 

@@ -127,9 +127,6 @@ class CostModel {
   CostModelConfig config_;
 };
 
-/// Maximum TP degree considered anywhere in the system (paper: 8).
-inline constexpr int kMaxTpDegree = 8;
-
 /// Returns true iff n is one of the candidate TP degrees {1, 2, 4, 8}.
 bool IsValidTpDegree(int n);
 

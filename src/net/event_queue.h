@@ -32,10 +32,6 @@ class EventQueue {
     MALLEUS_CHECK(!heap_.empty());
     return heap_[0].key;
   }
-  int top_id() const {
-    MALLEUS_CHECK(!heap_.empty());
-    return heap_[0].id;
-  }
 
   void Push(double key, int id) {
     heap_.push_back({key, id});

@@ -1,6 +1,8 @@
 #include "scenario/scenario.h"
 
 #include <cctype>
+#include <cmath>
+#include <set>
 #include <string_view>
 #include <utility>
 
@@ -259,37 +261,240 @@ std::vector<std::string> StandardPhases() {
   return phases;
 }
 
+void CheckScenario(const ScenarioSpec& spec, lint::DiagnosticSink* sink) {
+  using lint::Severity;
+  if (!ModelSpecByName(spec.model).ok()) {
+    sink->Report(Severity::kError, kLintScenarioUnknownModel,
+                 "scenario.model",
+                 StrFormat("unknown model: %s (expected 32b, 70b, 110b or "
+                           "tiny)",
+                           spec.model.c_str()));
+  }
+  const bool shape_ok = spec.nodes >= 1 && spec.gpus_per_node >= 1;
+  if (!shape_ok) {
+    sink->Report(Severity::kError, kLintScenarioInvalidValue,
+                 "scenario.nodes",
+                 StrFormat("cluster shape %dx%d is not positive", spec.nodes,
+                           spec.gpus_per_node));
+  }
+  if (spec.batch < 1) {
+    sink->Report(Severity::kError, kLintScenarioInvalidValue,
+                 "scenario.batch",
+                 StrFormat("batch %lld must be >= 1",
+                           static_cast<long long>(spec.batch)));
+  }
+  if (spec.steps < 1) {
+    sink->Report(Severity::kError, kLintScenarioInvalidValue,
+                 "scenario.steps",
+                 StrFormat("steps %d must be >= 1", spec.steps));
+  }
+  if (!spec.net_model.empty() &&
+      !net::ParseNetModel(spec.net_model).ok()) {
+    sink->Report(Severity::kError, kLintScenarioInvalidValue,
+                 "scenario.net_model",
+                 StrFormat("unknown net model \"%s\" (expected analytic or "
+                           "flow)",
+                           spec.net_model.c_str()));
+  }
+  topo::FabricSpec::Kind fabric_kind = topo::FabricSpec::Kind::kFlat;
+  bool fabric_ok = true;
+  if (!spec.fabric.empty()) {
+    Result<topo::FabricSpec::Kind> parsed =
+        topo::ParseFabricKind(spec.fabric);
+    if (!parsed.ok()) {
+      sink->Report(Severity::kError, kLintScenarioUnknownFabric,
+                   "scenario.fabric",
+                   StrFormat("unknown fabric \"%s\" (expected flat, "
+                             "fat-tree or rail)",
+                             spec.fabric.c_str()));
+      fabric_ok = false;
+    } else {
+      fabric_kind = *parsed;
+    }
+  }
+  if (fabric_ok) {
+    if (fabric_kind == topo::FabricSpec::Kind::kFatTree) {
+      if (spec.nodes_per_pod <= 0) {
+        sink->Report(Severity::kError, kLintScenarioInvalidValue,
+                     "scenario.nodes_per_pod",
+                     StrFormat("fat-tree fabric requires nodes_per_pod >= 1 "
+                               "(got %d)",
+                               spec.nodes_per_pod));
+      } else if (shape_ok && spec.nodes % spec.nodes_per_pod != 0) {
+        sink->Report(Severity::kError, kLintScenarioInvalidValue,
+                     "scenario.nodes_per_pod",
+                     StrFormat("nodes_per_pod %d must divide nodes %d",
+                               spec.nodes_per_pod, spec.nodes),
+                     {{"nodes_per_pod", StrFormat("%d", spec.nodes_per_pod)},
+                      {"nodes", StrFormat("%d", spec.nodes)}});
+      }
+    } else if (spec.nodes_per_pod != 0) {
+      sink->Report(Severity::kWarn, kLintScenarioFabricFieldIgnored,
+                   "scenario.nodes_per_pod",
+                   StrFormat("nodes_per_pod only applies to fat-tree "
+                             "fabrics (fabric is %s); the field is ignored",
+                             topo::FabricKindName(fabric_kind)));
+    }
+    if (fabric_kind != topo::FabricSpec::Kind::kFlat) {
+      if (spec.oversubscription != 0.0 && spec.oversubscription < 1.0) {
+        sink->Report(Severity::kError, kLintScenarioInvalidValue,
+                     "scenario.oversubscription",
+                     StrFormat("oversubscription %.4f must be >= 1 "
+                               "(1 = non-blocking)",
+                               spec.oversubscription));
+      }
+    } else if (spec.oversubscription != 0.0) {
+      sink->Report(Severity::kWarn, kLintScenarioFabricFieldIgnored,
+                   "scenario.oversubscription",
+                   "oversubscription only applies to hierarchical fabrics "
+                   "(fabric is flat); the field is ignored");
+    }
+  }
+  for (size_t i = 0; i < spec.phases.size(); ++i) {
+    if (!SituationIdByName(spec.phases[i]).ok()) {
+      sink->Report(Severity::kError, kLintScenarioUnknownPhase,
+                   StrFormat("scenario.phase[%zu]", i),
+                   StrFormat("unknown trace phase: %s (expected normal or "
+                             "s1..s6)",
+                             spec.phases[i].c_str()));
+    }
+  }
+  if (sink->ShouldStop()) return;
+  const int num_gpus = shape_ok ? spec.nodes * spec.gpus_per_node : 0;
+  const double max_fit = straggler::RateForLevel(straggler::kMaxFittedLevel);
+  std::set<topo::GpuId> seen;
+  for (size_t i = 0; i < spec.stragglers.size(); ++i) {
+    if (sink->ShouldStop()) return;
+    const StragglerEntry& s = spec.stragglers[i];
+    const std::string loc = StrFormat("scenario.straggler[%zu]", i);
+    if (shape_ok && (s.gpu < 0 || s.gpu >= num_gpus)) {
+      sink->Report(Severity::kError, kLintScenarioGpuOutOfRange, loc,
+                   StrFormat("straggler GPU %d outside the cluster (%d "
+                             "GPUs)",
+                             s.gpu, num_gpus),
+                   {{"gpu", StrFormat("%d", s.gpu)},
+                    {"num_gpus", StrFormat("%d", num_gpus)}});
+    }
+    if (!seen.insert(s.gpu).second) {
+      sink->Report(Severity::kError, kLintScenarioDuplicateStraggler, loc,
+                   StrFormat("GPU %d already has a straggler entry", s.gpu),
+                   {{"gpu", StrFormat("%d", s.gpu)}});
+    }
+    if (s.is_rate) {
+      if (std::isinf(s.rate) && s.rate > 0) {
+        sink->Report(Severity::kNote, kLintSituationFailedGpu, loc,
+                     StrFormat("GPU %d is marked failed (infinite rate)",
+                               s.gpu));
+      } else if (std::isnan(s.rate) || s.rate < 1.0 - 1e-12) {
+        sink->Report(Severity::kError, kLintSituationBadRate, loc,
+                     StrFormat("straggling rate %.4f is below 1", s.rate),
+                     {{"rate", StrFormat("%.6f", s.rate)}});
+      } else if (s.rate > max_fit * (1.0 + 1e-9)) {
+        sink->Report(Severity::kWarn, kLintSituationRateAboveFit, loc,
+                     StrFormat("rate %.2f exceeds the fitted range (max "
+                               "%.2f at level 8)",
+                               s.rate, max_fit),
+                     {{"rate", StrFormat("%.3f", s.rate)}});
+      }
+    } else {
+      if (s.level < 0) {
+        sink->Report(Severity::kError, kLintSituationBadRate, loc,
+                     StrFormat("straggler level %d is negative", s.level));
+      } else if (s.level > straggler::kMaxFittedLevel) {
+        sink->Report(Severity::kWarn, kLintSituationRateAboveFit, loc,
+                     StrFormat("level %d exceeds the fitted range k <= 8 "
+                               "(rate %.2f)",
+                               s.level, straggler::RateForLevel(s.level)),
+                     {{"level", StrFormat("%d", s.level)}});
+      }
+    }
+  }
+  if (!spec.dynamic.enabled || sink->ShouldStop()) return;
+  const DynamicSpec& d = spec.dynamic;
+  const std::string loc = "scenario.dynamic";
+  const auto bad = [&](const std::string& what) {
+    sink->Report(Severity::kError, kLintScenarioDynamicInvalidValue, loc,
+                 what);
+  };
+  if (d.iterations < 1 || d.iterations > 10 * 1000 * 1000) {
+    bad(StrFormat("iterations %d must be in [1, 10000000]", d.iterations));
+  }
+  if (!(d.straggle_rate >= 0.0 && d.straggle_rate <= 1.0)) {
+    bad(StrFormat("straggle_rate %.6g must be in [0, 1]", d.straggle_rate));
+  }
+  if (!(d.fail_rate >= 0.0 && d.fail_rate <= 1.0)) {
+    bad(StrFormat("fail_rate %.6g must be in [0, 1]", d.fail_rate));
+  }
+  if (!(d.node_fail_rate >= 0.0 && d.node_fail_rate <= 1.0)) {
+    bad(StrFormat("node_fail_rate %.6g must be in [0, 1]",
+                  d.node_fail_rate));
+  }
+  if (d.recover_iters < 0) {
+    bad(StrFormat("recover_iters %d must be >= 0", d.recover_iters));
+  }
+  if (!(d.flap_prob >= 0.0 && d.flap_prob <= 1.0)) {
+    bad(StrFormat("flap_prob %.6g must be in [0, 1]", d.flap_prob));
+  }
+  if (d.flap_period < 1) {
+    bad(StrFormat("flap_period %d must be >= 1", d.flap_period));
+  }
+  if (!(d.diurnal_amplitude >= 0.0 && d.diurnal_amplitude <= 1.0)) {
+    bad(StrFormat("diurnal_amplitude %.6g must be in [0, 1]",
+                  d.diurnal_amplitude));
+  }
+  if (d.diurnal_period < 1) {
+    bad(StrFormat("diurnal_period %d must be >= 1", d.diurnal_period));
+  }
+  if (d.max_level < 1 || d.max_level > straggler::kMaxFittedLevel) {
+    bad(StrFormat("max_level %d must be in [1, 8]", d.max_level));
+  }
+  // Saturation: with per-GPU arrival probability p and mean heal time r,
+  // the expected number of concurrently-faulty GPUs in steady state is
+  // about num_gpus * p * r. Past half the cluster the planner spends the
+  // whole run in degraded plans and the comparison tells you nothing.
+  if (shape_ok && d.straggle_rate >= 0.0 && d.fail_rate >= 0.0 &&
+      d.node_fail_rate >= 0.0 && d.recover_iters >= 0) {
+    const double arrival = d.straggle_rate + d.fail_rate +
+                           d.node_fail_rate * spec.gpus_per_node;
+    const double expected_faulty =
+        static_cast<double>(num_gpus) * arrival *
+        (d.recover_iters > 0 ? d.recover_iters : d.iterations);
+    if (expected_faulty >= num_gpus / 2.0 && num_gpus > 0) {
+      sink->Report(
+          Severity::kWarn, kLintScenarioDynamicSaturated, loc,
+          StrFormat("expected concurrent faulty GPUs %.1f is at least "
+                    "half the %d-GPU cluster; the dynamic run will be "
+                    "fault-dominated",
+                    expected_faulty, num_gpus),
+          {{"expected_faulty", StrFormat("%.2f", expected_faulty)},
+           {"num_gpus", StrFormat("%d", num_gpus)}});
+    }
+  }
+}
+
 Result<ResolvedScenario> ResolveScenario(const ScenarioSpec& spec) {
+  // The scenario rules live in CheckScenario alone: run it fail-fast and
+  // return its first error, so a spec resolves exactly when it lints
+  // without errors. The conversions below cannot fail after that.
+  lint::DiagnosticSink sink;
+  sink.set_fail_fast(true);
+  CheckScenario(spec, &sink);
+  for (const lint::Diagnostic& d : sink.diagnostics()) {
+    if (d.severity == lint::Severity::kError) {
+      return Status::InvalidArgument(d.message);
+    }
+  }
   ResolvedScenario out;
   MALLEUS_ASSIGN_OR_RETURN(out.spec, ModelSpecByName(spec.model));
-  if (spec.nodes < 1 || spec.gpus_per_node < 1) {
-    return Status::InvalidArgument("cluster shape must be positive");
-  }
-  if (spec.batch < 1 || spec.steps < 1) {
-    return Status::InvalidArgument("batch and steps must be >= 1");
-  }
   topo::FabricSpec fabric;
   if (!spec.fabric.empty()) {
     MALLEUS_ASSIGN_OR_RETURN(fabric.kind, topo::ParseFabricKind(spec.fabric));
   }
   if (fabric.kind == topo::FabricSpec::Kind::kFatTree) {
-    if (spec.nodes_per_pod <= 0) {
-      return Status::InvalidArgument(
-          "fat-tree fabric requires nodes_per_pod > 0");
-    }
-    if (spec.nodes % spec.nodes_per_pod != 0) {
-      return Status::InvalidArgument(
-          StrFormat("nodes_per_pod=%d must divide nodes=%d",
-                    spec.nodes_per_pod, spec.nodes));
-    }
     fabric.nodes_per_pod = spec.nodes_per_pod;
   }
   if (fabric.kind != topo::FabricSpec::Kind::kFlat &&
       spec.oversubscription != 0.0) {
-    if (spec.oversubscription < 1.0) {
-      return Status::InvalidArgument(
-          "oversubscription must be >= 1 (1 = non-blocking)");
-    }
     fabric.oversubscription = spec.oversubscription;
   }
   out.cluster = topo::ClusterSpec(spec.nodes, spec.gpus_per_node,
@@ -306,10 +511,6 @@ Result<ResolvedScenario> ResolveScenario(const ScenarioSpec& spec) {
   }
   out.overlay = straggler::Situation(out.cluster.num_gpus());
   for (const StragglerEntry& s : spec.stragglers) {
-    if (!out.cluster.ValidGpu(s.gpu)) {
-      return Status::InvalidArgument(
-          StrFormat("straggler GPU %d outside the cluster", s.gpu));
-    }
     if (s.is_rate) {
       out.overlay.SetRate(s.gpu, s.rate);
     } else {

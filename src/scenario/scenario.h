@@ -29,17 +29,17 @@
 //               diurnal_amplitude=0.8 diurnal_period=200 max_level=3 }
 //
 // (shown wrapped; the file form is one physical line). Unknown or
-// repeated inner keys are parse errors; value ranges are checked
-// by lint (scenario.dynamic-invalid-value / scenario.dynamic-saturated).
+// repeated inner keys are parse errors; CheckScenario checks the value
+// ranges (scenario.dynamic-invalid-value / scenario.dynamic-saturated).
 //
 // Parsing is purely syntactic: unknown keys, malformed lines and
 // unparsable numbers fail with a Status naming the line. Numbers follow
 // ParseValue's rules (DESIGN.md §10, "Scenario files and other text
 // inputs"): the whole value, fitting its field's type, doubles finite;
 // `GPU:xinf` marks a failed GPU. Semantic validity (model names, phase
-// names, GPU ranges, rate ranges) is the job of the lint passes
-// (lint::LintScenario), so a tool can report every problem in one pass
-// instead of dying on the first.
+// names, GPU ranges, rate ranges) is CheckScenario's job: the lint tools
+// run it to report every problem in one pass, and ResolveScenario runs it
+// to refuse the first.
 
 #ifndef MALLEUS_SCENARIO_SCENARIO_H_
 #define MALLEUS_SCENARIO_SCENARIO_H_
@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "lint/diagnostic.h"
 #include "model/model_spec.h"
 #include "net/fabric.h"
 #include "straggler/situation.h"
@@ -70,8 +71,8 @@ struct StragglerEntry {
 /// The stochastic event processes of a `dynamic = { ... }` line. All
 /// rates are per-GPU (or per-node for `node_fail_rate`) Poisson arrival
 /// probabilities per simulated iteration; the trace generator in
-/// malleus::policy consumes this verbatim. Ranges are lint's job
-/// (scenario.dynamic-invalid-value), not the parser's.
+/// malleus::policy consumes this verbatim. Ranges are CheckScenario's
+/// job (scenario.dynamic-invalid-value), not the parser's.
 struct DynamicSpec {
   bool enabled = false;
   /// Simulated iterations the dynamic run advances.
@@ -143,9 +144,40 @@ Result<ScenarioSpec> LoadScenarioFile(const std::string& path);
 /// fuzzer uses to write self-contained `.scenario` repro files.
 std::string SerializeScenario(const ScenarioSpec& spec);
 
-/// A ScenarioSpec resolved against the library types. Resolution assumes
-/// the spec is semantically valid (lint it first); violations surface as
-/// Status errors.
+// Diagnostic codes CheckScenario emits. The situation.* codes are shared
+// with lint::LintSituation, which applies the same rate rules to a
+// resolved Situation.
+inline constexpr char kLintScenarioUnknownModel[] = "scenario.unknown-model";
+inline constexpr char kLintScenarioUnknownPhase[] = "scenario.unknown-phase";
+inline constexpr char kLintScenarioInvalidValue[] = "scenario.invalid-value";
+inline constexpr char kLintScenarioGpuOutOfRange[] =
+    "scenario.gpu-out-of-range";
+inline constexpr char kLintScenarioDuplicateStraggler[] =
+    "scenario.duplicate-straggler";
+inline constexpr char kLintScenarioDynamicInvalidValue[] =
+    "scenario.dynamic-invalid-value";
+inline constexpr char kLintScenarioDynamicSaturated[] =
+    "scenario.dynamic-saturated";
+inline constexpr char kLintScenarioUnknownFabric[] =
+    "scenario.unknown-fabric";
+inline constexpr char kLintScenarioFabricFieldIgnored[] =
+    "scenario.fabric-field-ignored";
+inline constexpr char kLintSituationBadRate[] = "situation.bad-rate";
+inline constexpr char kLintSituationRateAboveFit[] =
+    "situation.rate-above-fit";
+inline constexpr char kLintSituationFailedGpu[] = "situation.failed-gpu";
+
+/// The one implementation of the scenario rules: model and phase names,
+/// positive shape/batch/steps, the net model and fabric fields, straggler
+/// GPU ids inside the cluster, duplicate straggler entries, straggler
+/// rate/level ranges against the fitted x = 1 + 1.44k model, and every
+/// `dynamic = { ... }` field. The lint pipeline runs it collect-all;
+/// ResolveScenario runs it with `sink->fail_fast()` set, which stops after
+/// the first error-level finding (the first error a collect-all run
+/// reports).
+void CheckScenario(const ScenarioSpec& spec, lint::DiagnosticSink* sink);
+
+/// A ScenarioSpec resolved against the library types.
 struct ResolvedScenario {
   model::ModelSpec spec;
   topo::ClusterSpec cluster;
@@ -161,9 +193,10 @@ struct ResolvedScenario {
   uint64_t event_seed = 0;
 };
 
-/// Resolves model/cluster/trace/overlay and the event-trace seed. Fails on
-/// unknown model or phase names, out-of-range GPU ids, or an invalid net
-/// model.
+/// Resolves model/cluster/trace/overlay and the event-trace seed. Fails
+/// with InvalidArgument, carrying the diagnostic's message, on the first
+/// error CheckScenario reports, so a spec resolves exactly when it lints
+/// without errors.
 Result<ResolvedScenario> ResolveScenario(const ScenarioSpec& spec);
 
 /// One labeled straggler situation the scenario implies.

@@ -392,21 +392,6 @@ Result<std::string> Server::HandleRegister(const JsonValue& params) {
                            RequireString(params, "scenario"));
   MALLEUS_ASSIGN_OR_RETURN(scenario::ScenarioSpec spec,
                            scenario::ParseScenarioString(text));
-  // Static lint before resolution so a bad scenario is one clear
-  // INVALID_ARGUMENT instead of whatever resolution trips over first.
-  lint::DiagnosticSink sink;
-  core::ScenarioLintOptions lint_options;
-  lint_options.with_plan = false;
-  MALLEUS_RETURN_NOT_OK(core::LintScenarioSpec(spec, lint_options, &sink));
-  if (sink.HasErrors()) {
-    for (const lint::Diagnostic& d : sink.diagnostics()) {
-      if (d.severity == lint::Severity::kError) {
-        return Status::InvalidArgument(StrFormat(
-            "scenario failed lint (%d error(s), first: %s)",
-            sink.num_errors(), d.ToString().c_str()));
-      }
-    }
-  }
   MALLEUS_ASSIGN_OR_RETURN(SessionRegistry::RegisterOutcome outcome,
                            registry_.Register(name, std::move(spec)));
   const Session& session = *outcome.session;

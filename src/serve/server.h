@@ -107,9 +107,6 @@ class Server {
   /// metrics are folded in here after each request.
   obs::MetricsRegistry& metrics() { return metrics_; }
 
-  SessionRegistry& registry() { return registry_; }
-  const ServerOptions& options() const { return options_; }
-
  private:
   struct Pending {
     Request request;

@@ -94,9 +94,11 @@ scenario::ScenarioSpec GenerateScenario(Rng* rng,
         {0.2, 0.12, 0.12, 0.12, 0.12, 0.16, 0.16}));
   }
 
-  // Custom straggler overlay. Duplicates and already-straggling GPUs are
-  // allowed on purpose (last entry wins; the parser and resolver must not
-  // care). Levels are biased to the extremes (1 and the paper's max 8).
+  // Custom straggler overlay. Already-straggling GPUs are allowed on
+  // purpose; a draw that repeats a listed GPU is dropped after its values
+  // are drawn, because resolution refuses duplicate entries
+  // (scenario.duplicate-straggler). Levels are biased to the extremes (1
+  // and the paper's max 8).
   const int num_gpus = spec.nodes * spec.gpus_per_node;
   const int num_stragglers = static_cast<int>(rng->UniformInt(0, 5));
   for (int i = 0; i < num_stragglers; ++i) {
@@ -116,7 +118,12 @@ scenario::ScenarioSpec GenerateScenario(Rng* rng,
           static_cast<int>(Weighted<int>(rng, {0, 1, 2, 3, 8},
                                          {0.1, 0.3, 0.15, 0.15, 0.3}));
     }
-    spec.stragglers.push_back(entry);
+    if (std::none_of(spec.stragglers.begin(), spec.stragglers.end(),
+                     [&](const scenario::StragglerEntry& listed) {
+                       return listed.gpu == entry.gpu;
+                     })) {
+      spec.stragglers.push_back(entry);
+    }
   }
 
   // Dynamic fault-tolerance runs: short traces (the policy runner replans

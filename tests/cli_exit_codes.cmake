@@ -2,7 +2,7 @@
 #   - scenario_cli exits 1 when the framework cannot produce a valid plan,
 #     0 on a clean lint, 2 on usage errors and on a scenario that does not
 #     resolve (bad model or phase, empty cluster, straggler off the
-#     cluster);
+#     cluster, a dynamic field out of range);
 #   - malleus_lint exits 0 / 1 / 2 for clean / errors-or-unanalyzable /
 #     usage, and its json/sarif outputs carry the schema markers;
 #   - a malformed flag value exits 2 with a message naming the flag.
@@ -66,6 +66,14 @@ file(WRITE ${far_straggler}
      "straggler = 99:2\n")
 expect_exit(2 ${SCENARIO_CLI} --scenario=${far_straggler})
 expect_stderr_contains("straggler GPU 99 outside the cluster")
+# A dynamic block the linter rejects does not run: straggler levels drawn
+# from [1, 0] would divide by zero in the event generator.
+set(no_levels "${CMAKE_CURRENT_BINARY_DIR}/no_levels.scenario")
+file(WRITE ${no_levels}
+     "model = tiny\nnodes = 2\nsteps = 1\nphase = normal\n"
+     "dynamic = { iterations=40 max_level=0 straggle_rate=0.05 }\n")
+expect_exit(2 ${SCENARIO_CLI} --scenario=${no_levels})
+expect_stderr_contains("max_level 0 must be in \\[1, 8\\]")
 
 # Standalone linter: clean file.
 expect_exit(0 ${MALLEUS_LINT} ${clean_scenario})

@@ -567,12 +567,12 @@ TEST_F(LintTest, SituationFailedGpu) {
 TEST_F(LintTest, ScenarioUnknownModel) {
   scenario::ScenarioSpec spec;
   DiagnosticSink clean;
-  LintScenario(spec, &clean);
+  scenario::CheckScenario(spec, &clean);
   EXPECT_TRUE(clean.empty()) << RenderText(clean);
 
   spec.model = "13b";
   DiagnosticSink sink;
-  LintScenario(spec, &sink);
+  scenario::CheckScenario(spec, &sink);
   EXPECT_TRUE(HasCode(sink, kLintScenarioUnknownModel));
 }
 
@@ -580,12 +580,12 @@ TEST_F(LintTest, ScenarioUnknownPhase) {
   scenario::ScenarioSpec spec;
   spec.phases = {"normal", "s9"};
   DiagnosticSink sink;
-  LintScenario(spec, &sink);
+  scenario::CheckScenario(spec, &sink);
   EXPECT_TRUE(HasCode(sink, kLintScenarioUnknownPhase));
 
   spec.phases = {"normal", "s6"};
   DiagnosticSink clean;
-  LintScenario(spec, &clean);
+  scenario::CheckScenario(spec, &clean);
   EXPECT_FALSE(HasCode(clean, kLintScenarioUnknownPhase));
 }
 
@@ -594,7 +594,7 @@ TEST_F(LintTest, ScenarioInvalidValue) {
   spec.batch = 0;
   spec.net_model = "carrier-pigeon";
   DiagnosticSink sink;
-  LintScenario(spec, &sink);
+  scenario::CheckScenario(spec, &sink);
   EXPECT_TRUE(HasCode(sink, kLintScenarioInvalidValue));
   EXPECT_GE(sink.num_errors(), 2);  // Both findings, one pass.
 }
@@ -603,7 +603,7 @@ TEST_F(LintTest, ScenarioUnknownFabric) {
   scenario::ScenarioSpec spec;
   spec.fabric = "torus";
   DiagnosticSink sink;
-  LintScenario(spec, &sink);
+  scenario::CheckScenario(spec, &sink);
   EXPECT_TRUE(HasCode(sink, kLintScenarioUnknownFabric));
   EXPECT_TRUE(sink.HasErrors());
 
@@ -612,7 +612,7 @@ TEST_F(LintTest, ScenarioUnknownFabric) {
   ok.nodes = 4;
   ok.nodes_per_pod = 2;
   DiagnosticSink clean;
-  LintScenario(ok, &clean);
+  scenario::CheckScenario(ok, &clean);
   EXPECT_TRUE(clean.empty()) << RenderText(clean);
 }
 
@@ -623,14 +623,14 @@ TEST_F(LintTest, ScenarioFabricFieldValidation) {
   bad_pod.nodes = 4;
   bad_pod.nodes_per_pod = 3;
   DiagnosticSink pod_sink;
-  LintScenario(bad_pod, &pod_sink);
+  scenario::CheckScenario(bad_pod, &pod_sink);
   EXPECT_TRUE(HasCode(pod_sink, kLintScenarioInvalidValue));
 
   // Fat-tree without a pod size: error.
   scenario::ScenarioSpec no_pod;
   no_pod.fabric = "fat-tree";
   DiagnosticSink no_pod_sink;
-  LintScenario(no_pod, &no_pod_sink);
+  scenario::CheckScenario(no_pod, &no_pod_sink);
   EXPECT_TRUE(HasCode(no_pod_sink, kLintScenarioInvalidValue));
 
   // Oversubscription below 1 on a hierarchical fabric: error.
@@ -638,7 +638,7 @@ TEST_F(LintTest, ScenarioFabricFieldValidation) {
   bad_oversub.fabric = "rail";
   bad_oversub.oversubscription = 0.5;
   DiagnosticSink oversub_sink;
-  LintScenario(bad_oversub, &oversub_sink);
+  scenario::CheckScenario(bad_oversub, &oversub_sink);
   EXPECT_TRUE(HasCode(oversub_sink, kLintScenarioInvalidValue));
 
   // Fields that do not apply to the chosen kind: warn, not error.
@@ -647,7 +647,7 @@ TEST_F(LintTest, ScenarioFabricFieldValidation) {
   stray.nodes_per_pod = 2;
   stray.oversubscription = 4.0;
   DiagnosticSink stray_sink;
-  LintScenario(stray, &stray_sink);
+  scenario::CheckScenario(stray, &stray_sink);
   EXPECT_TRUE(HasCode(stray_sink, kLintScenarioFabricFieldIgnored));
   EXPECT_FALSE(stray_sink.HasErrors());
 }
@@ -660,7 +660,7 @@ TEST_F(LintTest, ScenarioDynamicInvalidValue) {
   ok.dynamic.fail_rate = 0.0002;
   ok.dynamic.recover_iters = 40;
   DiagnosticSink clean;
-  LintScenario(ok, &clean);
+  scenario::CheckScenario(ok, &clean);
   EXPECT_TRUE(clean.empty()) << RenderText(clean);
 
   scenario::ScenarioSpec spec;
@@ -669,7 +669,7 @@ TEST_F(LintTest, ScenarioDynamicInvalidValue) {
   spec.dynamic.straggle_rate = 1.5;
   spec.dynamic.max_level = 9;
   DiagnosticSink sink;
-  LintScenario(spec, &sink);
+  scenario::CheckScenario(spec, &sink);
   EXPECT_TRUE(HasCode(sink, kLintScenarioDynamicInvalidValue));
   EXPECT_GE(sink.num_errors(), 3);  // All three findings, one pass.
 
@@ -678,7 +678,7 @@ TEST_F(LintTest, ScenarioDynamicInvalidValue) {
   nan_spec.dynamic.enabled = true;
   nan_spec.dynamic.fail_rate = std::nan("");
   DiagnosticSink nan_sink;
-  LintScenario(nan_spec, &nan_sink);
+  scenario::CheckScenario(nan_spec, &nan_sink);
   EXPECT_TRUE(HasCode(nan_sink, kLintScenarioDynamicInvalidValue));
 }
 
@@ -690,14 +690,14 @@ TEST_F(LintTest, ScenarioDynamicSaturated) {
   spec.dynamic.straggle_rate = 0.05;
   spec.dynamic.recover_iters = 100;
   DiagnosticSink sink;
-  LintScenario(spec, &sink);
+  scenario::CheckScenario(spec, &sink);
   EXPECT_TRUE(HasCode(sink, kLintScenarioDynamicSaturated));
   EXPECT_FALSE(sink.HasErrors());  // A warning, not an error.
 
   spec.dynamic.straggle_rate = 0.001;
   spec.dynamic.recover_iters = 50;
   DiagnosticSink clean;
-  LintScenario(spec, &clean);
+  scenario::CheckScenario(spec, &clean);
   EXPECT_FALSE(HasCode(clean, kLintScenarioDynamicSaturated));
 }
 
@@ -708,12 +708,12 @@ TEST_F(LintTest, ScenarioGpuOutOfRange) {
   entry.level = 2;
   spec.stragglers = {entry};
   DiagnosticSink sink;
-  LintScenario(spec, &sink);
+  scenario::CheckScenario(spec, &sink);
   EXPECT_TRUE(HasCode(sink, kLintScenarioGpuOutOfRange));
 
   spec.stragglers[0].gpu = 31;
   DiagnosticSink clean;
-  LintScenario(spec, &clean);
+  scenario::CheckScenario(spec, &clean);
   EXPECT_FALSE(HasCode(clean, kLintScenarioGpuOutOfRange));
 }
 
@@ -726,12 +726,12 @@ TEST_F(LintTest, ScenarioDuplicateStraggler) {
   b.level = 2;
   spec.stragglers = {a, b};
   DiagnosticSink sink;
-  LintScenario(spec, &sink);
+  scenario::CheckScenario(spec, &sink);
   EXPECT_TRUE(HasCode(sink, kLintScenarioDuplicateStraggler));
 
   spec.stragglers[1].gpu = 4;
   DiagnosticSink clean;
-  LintScenario(spec, &clean);
+  scenario::CheckScenario(spec, &clean);
   EXPECT_FALSE(HasCode(clean, kLintScenarioDuplicateStraggler));
 }
 
@@ -745,7 +745,7 @@ TEST_F(LintTest, ScenarioRateAndLevelRanges) {
   high_level.level = 9;
   spec.stragglers = {bad_rate, high_level};
   DiagnosticSink sink;
-  LintScenario(spec, &sink);
+  scenario::CheckScenario(spec, &sink);
   EXPECT_TRUE(HasCode(sink, kLintSituationBadRate));
   EXPECT_TRUE(HasCode(sink, kLintSituationRateAboveFit));
 }

@@ -6,9 +6,11 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "net/fabric.h"
+#include "lint/diagnostic.h"
 #include "scenario/scenario.h"
 #include "straggler/situation.h"
 #include "testkit/generator.h"
@@ -209,6 +211,56 @@ TEST(ScenarioResolveTest, RejectsSemanticViolations) {
   ScenarioSpec bad_net;
   bad_net.net_model = "carrier-pigeon";
   EXPECT_FALSE(ResolveScenario(bad_net).ok());
+
+  // Every error CheckScenario reports refuses resolution, with the first
+  // error's message: dynamic fields out of range and straggler entries
+  // the fitted model cannot express.
+  std::vector<ScenarioSpec> rejected = {unknown_model, bad_phase, bad_gpu,
+                                        bad_shape, bad_net};
+  const auto dynamic = [&](void (*edit)(DynamicSpec*)) {
+    ScenarioSpec spec;
+    spec.dynamic.enabled = true;
+    edit(&spec.dynamic);
+    rejected.push_back(spec);
+  };
+  dynamic([](DynamicSpec* d) { d->max_level = 0; });
+  dynamic([](DynamicSpec* d) { d->flap_period = 0; });
+  dynamic([](DynamicSpec* d) { d->diurnal_period = 0; });
+  dynamic([](DynamicSpec* d) { d->fail_rate = 3.0; });
+  dynamic([](DynamicSpec* d) { d->recover_iters = -5; });
+  StragglerEntry negative_level;
+  negative_level.gpu = 3;
+  negative_level.level = -2;
+  StragglerEntry fast_rate;
+  fast_rate.gpu = 4;
+  fast_rate.is_rate = true;
+  fast_rate.rate = 0.5;
+  StragglerEntry again = negative_level;
+  again.level = 2;
+  for (const std::vector<StragglerEntry>& stragglers :
+       {std::vector<StragglerEntry>{negative_level},
+        std::vector<StragglerEntry>{fast_rate},
+        std::vector<StragglerEntry>{again, again}}) {
+    ScenarioSpec spec;
+    spec.stragglers = stragglers;
+    rejected.push_back(spec);
+  }
+  for (size_t i = 0; i < rejected.size(); ++i) {
+    lint::DiagnosticSink sink;
+    CheckScenario(rejected[i], &sink);
+    ASSERT_TRUE(sink.HasErrors()) << i;
+    std::string first_error;
+    for (const lint::Diagnostic& d : sink.diagnostics()) {
+      if (d.severity == lint::Severity::kError) {
+        first_error = d.message;
+        break;
+      }
+    }
+    Result<ResolvedScenario> resolved = ResolveScenario(rejected[i]);
+    ASSERT_FALSE(resolved.ok()) << i;
+    EXPECT_EQ(resolved.status().code(), StatusCode::kInvalidArgument) << i;
+    EXPECT_EQ(resolved.status().message(), first_error) << i;
+  }
 }
 
 TEST(ScenarioResolveTest, NoOverlayWithoutStragglers) {

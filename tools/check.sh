@@ -65,8 +65,10 @@
 #      configured into build-lint-e2e and its bench_e2e target built the
 #      same way, so a library API change that breaks the benchmark fails
 #      here rather than in a benchmark run;
-#   2. malleus_lint over examples/scenarios/*.scenario: every shipped
-#      scenario must be free of error-level diagnostics;
+#   2. malleus_lint over examples/scenarios/*.scenario and the dynamic
+#      fuzz corpus tests/dynamic_corpus/*.scenario: every shipped scenario
+#      and every replayed corpus file must be free of error-level
+#      diagnostics (the same rules ResolveScenario enforces);
 #   3. malleus_detlint over src/ tools/ tests/ bench/ examples/ against
 #      tools/detlint_baseline.txt, plus the seeded known-bad self-check
 #      (DESIGN.md §15);
@@ -270,8 +272,9 @@ if [[ "$MODE" == "lint" ]]; then
   fi
   cmake --build build-lint-e2e -j"$(nproc)" --target bench_e2e
 
-  echo "== malleus_lint over shipped scenarios =="
-  "$BUILD_DIR/tools/malleus_lint" examples/scenarios/*.scenario
+  echo "== malleus_lint over shipped scenarios and the dynamic corpus =="
+  "$BUILD_DIR/tools/malleus_lint" examples/scenarios/*.scenario \
+    tests/dynamic_corpus/*.scenario
 
   run_detlint "$BUILD_DIR/tools/malleus_detlint"
 

@@ -6,7 +6,9 @@
 //
 // Per file, the full analysis stack runs:
 //   1. parse        — syntax errors abort the file (Status, line-numbered);
-//   2. scenario     — semantic checks on the parsed spec (lint::LintScenario);
+//   2. scenario     — semantic checks on the parsed spec
+//                     (scenario::CheckScenario, the rules ResolveScenario
+//                     enforces before any run);
 //   3. cluster      — shape/interconnect sanity (lint::LintCluster);
 //   4. situations   — the custom straggler overlay and every trace phase,
 //                     against the fitted straggler model (lint::LintSituation);
